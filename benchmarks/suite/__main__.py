@@ -1,0 +1,8 @@
+"""Entry point: ``python -m benchmarks.suite``."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
