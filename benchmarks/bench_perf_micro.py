@@ -8,12 +8,9 @@ Python hot loops the whole experiment suite funnels through. It times:
 * ``kmv_merge``       -- union of 64 partial synopses (client-side merge);
 * ``runtime_row_loop``-- one map-only job + one repartition join through
                          ``ClusterRuntime._run_job_data``;
-* ``runtime_row_loop_columnar`` -- the same two jobs over the columnar
-                         batch data path (batch mapper/reducer);
 * ``optimizer_search``-- repeated optimizer searches over the Q8' block;
 * ``q8_dynopt_driver``-- a full Q8' DYNOPT run (``run_workload``),
                          including DFS load, pilots and re-optimization;
-* ``q8_dynopt_driver_columnar`` -- the same run with the columnar engine;
 * ``pilr_mt_pilots``  -- PILR_MT pilot runs for the Q9' block.
 
 Each entry reports the *median* of N timed runs after a warmup run.
@@ -28,10 +25,6 @@ Usage::
         --output BENCH_PR6.json [--before /tmp/before.json]
     PYTHONPATH=src python benchmarks/bench_perf_micro.py --mode smoke \
         --check BENCH_PR6.json --max-regression 1.5
-
-When merging "before" numbers, a ``*_columnar`` entry missing from the
-baseline falls back to its row-engine counterpart, so the columnar
-speedup is measured against the previous PR's row path.
 """
 
 from __future__ import annotations
@@ -73,10 +66,8 @@ BENCHMARK_NAMES = (
     "kmv_ingest",
     "kmv_merge",
     "runtime_row_loop",
-    "runtime_row_loop_columnar",
     "optimizer_search",
     "q8_dynopt_driver",
-    "q8_dynopt_driver_columnar",
     "pilr_mt_pilots",
 )
 
@@ -87,14 +78,6 @@ def _parallel_config(base: DynoConfig) -> DynoConfig:
     if executor is None:
         return base  # pre-PR1 revision: serial only
     return replace(base, executor=replace(executor, parallel_jobs=True))
-
-
-def _columnar_config(base: DynoConfig) -> DynoConfig:
-    """Enable the columnar batch data path when this revision has it."""
-    with_columnar = getattr(base, "with_columnar", None)
-    if with_columnar is None:
-        return base  # pre-PR6 revision: row engine only
-    return with_columnar()
 
 
 def _timed(fn: Callable[[], Any], reps: int, warmup: int = 1) -> float:
@@ -160,58 +143,10 @@ def bench_kmv_merge(params: dict[str, Any]) -> float:
 
 
 def bench_runtime_row_loop(params: dict[str, Any]) -> float:
-    from repro.cluster.job import MapReduceJob, TaskContext
-    from repro.cluster.runtime import ClusterRuntime
-    from repro.data.schema import INT, STRING, Schema
-    from repro.data.table import Row
-    from repro.storage.dfs import DistributedFileSystem
-
-    rows = params["row_loop_rows"]
-    schema = Schema.of(k=INT, grp=INT, payload=STRING)
-    data = [
-        {"k": i, "grp": i % 97, "payload": f"value-{i % 1000:04d}"}
-        for i in range(rows)
-    ]
-
-    def map_only_mapper(context: TaskContext, source: str,
-                        chunk: list[Row]) -> None:
-        for row in chunk:
-            if row["grp"] % 2 == 0:
-                context.emit(None, row)
-
-    def keyed_mapper(context: TaskContext, source: str,
-                     chunk: list[Row]) -> None:
-        for row in chunk:
-            context.emit(row["grp"], row)
-
-    def reducer(context: TaskContext, key: Any, values: list[Row]) -> None:
-        context.emit(None, {"grp": key, "n": len(values)})
-
-    def run() -> None:
-        dfs = DistributedFileSystem(DEFAULT_CONFIG.cluster.block_size_bytes)
-        dfs.write_rows("input", schema, data)
-        runtime = ClusterRuntime(dfs, DEFAULT_CONFIG)
-        runtime.execute(MapReduceJob(
-            name="map_only", inputs=["input"], mapper=map_only_mapper,
-            output_name="map_only.out", output_schema=schema,
-            stats_columns=["k", "grp"],
-        ))
-        runtime.execute(MapReduceJob(
-            name="repartition", inputs=["input"], mapper=keyed_mapper,
-            output_name="repartition.out", output_schema=schema,
-            reducer=reducer, num_reducers=8,
-        ))
-
-    return _timed(run, params["reps"])
-
-
-def bench_runtime_row_loop_columnar(params: dict[str, Any]) -> float:
-    """The row-loop jobs re-expressed over the columnar batch contract."""
     from repro.cluster.job import BatchEmit, MapReduceJob, TaskContext
     from repro.cluster.runtime import ClusterRuntime
     from repro.data.columns import RowBatch
     from repro.data.schema import INT, STRING, Schema, estimate_dict_size
-    from repro.data.table import Row
     from repro.storage.dfs import DistributedFileSystem
 
     rows = params["row_loop_rows"]
@@ -221,22 +156,7 @@ def bench_runtime_row_loop_columnar(params: dict[str, Any]) -> float:
         for i in range(rows)
     ]
 
-    # Row callables stay attached as the semantic definition / fallback.
     def map_only_mapper(context: TaskContext, source: str,
-                        chunk: list[Row]) -> None:
-        for row in chunk:
-            if row["grp"] % 2 == 0:
-                context.emit(None, row)
-
-    def keyed_mapper(context: TaskContext, source: str,
-                     chunk: list[Row]) -> None:
-        for row in chunk:
-            context.emit(row["grp"], row)
-
-    def reducer(context: TaskContext, key: Any, values: list[Row]) -> None:
-        context.emit(None, {"grp": key, "n": len(values)})
-
-    def batch_map_only(context: TaskContext, source: str,
                        batch: Any) -> BatchEmit:
         grp = batch.column("grp")
         all_rows = batch.rows
@@ -247,14 +167,13 @@ def bench_runtime_row_loop_columnar(params: dict[str, Any]) -> float:
         return BatchEmit(rows=out_rows, sizes=out_sizes,
                          columns=RowBatch(out_rows, out_sizes))
 
-    def batch_keyed(context: TaskContext, source: str,
+    def keyed_mapper(context: TaskContext, source: str,
                     batch: Any) -> BatchEmit:
-        # Scalar keys, exactly as the row mapper emits them.
         return BatchEmit(rows=list(batch.rows),
                          sizes=list(batch.ensure_sizes()),
                          keys=list(batch.column("grp")))
 
-    def batch_reducer(context: TaskContext, groups: list) -> BatchEmit:
+    def reducer(context: TaskContext, groups: list) -> BatchEmit:
         out_rows = []
         out_sizes = []
         for key, values, _sizes in groups:
@@ -269,13 +188,11 @@ def bench_runtime_row_loop_columnar(params: dict[str, Any]) -> float:
         runtime = ClusterRuntime(dfs, DEFAULT_CONFIG)
         runtime.execute(MapReduceJob(
             name="map_only", inputs=["input"], mapper=map_only_mapper,
-            batch_mapper=batch_map_only,
             output_name="map_only.out", output_schema=schema,
             stats_columns=["k", "grp"],
         ))
         runtime.execute(MapReduceJob(
             name="repartition", inputs=["input"], mapper=keyed_mapper,
-            batch_mapper=batch_keyed, batch_reducer=batch_reducer,
             output_name="repartition.out", output_schema=schema,
             reducer=reducer, num_reducers=8,
         ))
@@ -347,12 +264,8 @@ def run_suite(mode: str, parallel: bool = True) -> dict[str, float]:
         "kmv_ingest": lambda: bench_kmv_ingest(params),
         "kmv_merge": lambda: bench_kmv_merge(params),
         "runtime_row_loop": lambda: bench_runtime_row_loop(params),
-        "runtime_row_loop_columnar":
-            lambda: bench_runtime_row_loop_columnar(params),
         "optimizer_search": lambda: bench_optimizer_search(params),
         "q8_dynopt_driver": lambda: bench_q8_dynopt_driver(params, config),
-        "q8_dynopt_driver_columnar":
-            lambda: bench_q8_dynopt_driver(params, _columnar_config(config)),
         "pilr_mt_pilots": lambda: bench_pilr_mt_pilots(params, config),
     }
     for name in BENCHMARK_NAMES:
@@ -368,10 +281,6 @@ def build_report(mode: str, measured: dict[str, float],
     for name, seconds in measured.items():
         entry: dict[str, Any] = {"after_s": round(seconds, 6)}
         reference = before.get(name) if before else None
-        if reference is None and before and name.endswith("_columnar"):
-            # Columnar entries are new: measure them against the previous
-            # PR's row-engine number for the same workload.
-            reference = before.get(name[: -len("_columnar")])
         if reference is not None:
             entry["before_s"] = round(reference, 6)
             if seconds > 0:

@@ -155,10 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--parallel", action="store_true",
                         help="run dependency-free leaf jobs on a worker "
                              "pool (results identical to serial execution)")
-    parser.add_argument("--columnar", action="store_true",
-                        help="execute tasks over column batches (vectorized "
-                             "scan/filter/join/aggregate; results identical "
-                             "to the row engine)")
     parser.add_argument("--task-memory", type=_positive_int, default=None,
                         metavar="BYTES",
                         help="per-task memory budget Mmax in bytes: caps "
@@ -309,8 +305,6 @@ def _run_service(args: argparse.Namespace, out) -> int:
         request.pilot_mode = args.pilot_mode
 
     config = _apply_memory(DEFAULT_CONFIG.with_backend(args.backend), args)
-    if args.columnar:
-        config = config.with_columnar()
     if args.parallel:
         config = config.with_parallel_execution()
     tracer = Tracer(JsonLinesSink(args.trace)) if args.trace else None
@@ -412,8 +406,6 @@ def _run_standing(args: argparse.Namespace, out) -> int:
     tables = changing_tables(scale_factor, seed=args.seed)
 
     config = _apply_memory(DEFAULT_CONFIG.with_backend(args.backend), args)
-    if args.columnar:
-        config = config.with_columnar()
     if args.parallel:
         config = config.with_parallel_execution()
     tracer = Tracer(JsonLinesSink(args.trace)) if args.trace else None
@@ -539,8 +531,6 @@ def main(argv: list[str] | None = None,
 
     workload = _resolve_workload(args)
     config = _apply_memory(DEFAULT_CONFIG.with_backend(args.backend), args)
-    if args.columnar:
-        config = config.with_columnar()
     if args.parallel:
         config = config.with_parallel_execution()
     if args.fault_plan:

@@ -2,11 +2,11 @@
 
 A :class:`MapReduceJob` is what the Jaql compiler produces (one per
 repartition join, one per broadcast-join chain, one per pilot run) and what
-the cluster runtime executes. Mappers and reducers are plain Python
-callables that receive a :class:`TaskContext` -- the moral equivalent of
-Hadoop's ``Mapper.Context`` -- through which they emit records, bump
-counters, charge simulated UDF CPU time, and check the pilot runs' global
-early-stop counter.
+the cluster runtime executes. There is one task contract, batch-at-a-time:
+a mapper receives a whole split as a column batch and returns a
+:class:`BatchEmit`; a reducer receives one partition's key groups and
+returns a :class:`BatchEmit`. Both get a :class:`TaskContext` through which
+they charge simulated UDF CPU time.
 """
 
 from __future__ import annotations
@@ -21,54 +21,19 @@ from repro.storage.dfs import Split
 
 __all__ = [
     "BatchEmit",
-    "BatchMapper",
-    "BatchReducer",
     "BroadcastBuild",
     "MapReduceJob",
     "Mapper",
     "Reducer",
     "TaskContext",
-    "estimate_value_size",
 ]
 
 
 class TaskContext:
     """Per-task execution context handed to mappers and reducers."""
 
-    def __init__(self, should_stop: Callable[[], bool] | None = None,
-                 on_emit: Callable[[int], None] | None = None):
-        self._emitted: list[tuple[Any, Row]] = []
+    def __init__(self) -> None:
         self.extra_cpu_seconds = 0.0
-        self._should_stop = should_stop
-        self._on_emit = on_emit
-
-    # -- record emission ------------------------------------------------------
-
-    def emit(self, key: Any, value: Row) -> None:
-        """Emit one keyed record (key is None in map-only jobs)."""
-        self._emitted.append((key, value))
-        if self._on_emit is not None:
-            self._on_emit(1)
-
-    def emit_all(self, key: Any, values: list[Row]) -> None:
-        """Emit a batch of records under one key in a single call.
-
-        Equivalent to ``emit(key, v)`` per value, but the emit callback
-        (the pilot runs' shared output counter) fires once with the batch
-        size -- one coordination round-trip per split instead of one per
-        record, as a real task would batch its counter updates.
-        """
-        if not values:
-            return
-        self._emitted.extend((key, value) for value in values)
-        if self._on_emit is not None:
-            self._on_emit(len(values))
-
-    @property
-    def emitted(self) -> list[tuple[Any, Row]]:
-        return self._emitted
-
-    # -- simulated cost hooks --------------------------------------------------
 
     def charge_cpu(self, seconds: float) -> None:
         """Account extra simulated CPU time (expensive predicates / UDFs)."""
@@ -76,31 +41,18 @@ class TaskContext:
             raise JobError("cannot charge negative CPU time")
         self.extra_cpu_seconds += seconds
 
-    # -- early termination (pilot runs) ----------------------------------------
-
-    def should_stop(self) -> bool:
-        """True once the job-global stop condition holds (PILR k-counter)."""
-        if self._should_stop is None:
-            return False
-        return self._should_stop()
-
-
-#: A mapper processes one split: (context, source file name, rows).
-Mapper = Callable[[TaskContext, str, list[Row]], None]
-#: A reducer processes one key group: (context, key, values).
-Reducer = Callable[[TaskContext, Any, list[Row]], None]
-
 
 @dataclass
 class BatchEmit:
-    """Output of one batch mapper/reducer call (the columnar task contract).
+    """Output of one mapper/reducer call.
 
     ``sizes[i]`` must equal ``estimate_value_size(rows[i])``: producers
     derive sizes in O(1) from their inputs (merged-row arithmetic, carried
-    split sizes) so the runtime's byte counters match the row engine
-    without re-walking any dict. ``keys`` is None for map-only emission,
-    else parallel to ``rows``. ``columns`` optionally exposes the output
-    batch (``column(name)``) so statistics ingest straight from columns.
+    split sizes) so the runtime's byte counters never re-walk a dict.
+    ``keys`` is parallel to ``rows`` in map+reduce jobs (ignored in
+    map-only jobs, where it may be None). ``columns`` optionally exposes
+    the output batch (``column(name)``) so statistics ingest straight from
+    columns.
     """
 
     rows: list[Row]
@@ -109,12 +61,12 @@ class BatchEmit:
     columns: Any | None = None
 
 
-#: A batch mapper processes one whole split:
+#: A mapper processes one whole split:
 #: (context, source file name, column batch) -> BatchEmit.
-BatchMapper = Callable[[TaskContext, str, Any], BatchEmit]
-#: A batch reducer processes one partition's key groups in arrival order:
+Mapper = Callable[[TaskContext, str, Any], BatchEmit]
+#: A reducer processes one partition's key groups in arrival order:
 #: (context, [(frozen key, values, value sizes)]) -> BatchEmit.
-BatchReducer = Callable[
+Reducer = Callable[
     [TaskContext, list[tuple[Any, list[Row], list[int]]]], BatchEmit
 ]
 
@@ -186,12 +138,6 @@ class MapReduceJob:
     #: the cluster memory pool while the job runs. 0 means "negligible"
     #: (pilot runs, plain scans) and never waits for memory.
     memory_demand_bytes: int = 0
-    #: optional columnar data path: when set, the runtime feeds each task
-    #: a column batch instead of a row list. Results and byte accounting
-    #: must be identical to the row ``mapper``/``reducer`` (which remain
-    #: mandatory -- they stay the semantic definition and the fallback).
-    batch_mapper: BatchMapper | None = None
-    batch_reducer: BatchReducer | None = None
     #: skew joins: mappers of this map+reduce job may emit records with
     #: ``key=None``, which bypass the shuffle and land directly in the
     #: job's output (the heavy-key side channel). Off for normal jobs so
@@ -205,10 +151,6 @@ class MapReduceJob:
             raise JobError(
                 f"job {self.name!r} is map-only; map_side_output is "
                 f"meaningful only for map+reduce jobs"
-            )
-        if self.batch_reducer is not None and self.reducer is None:
-            raise JobError(
-                f"job {self.name!r} has a batch reducer but no reducer"
             )
         if self.reducer is not None and self.num_reducers <= 0:
             raise JobError(

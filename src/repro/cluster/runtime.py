@@ -30,7 +30,6 @@ from __future__ import annotations
 import random
 import threading
 import time
-from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable
@@ -39,7 +38,7 @@ from repro.cluster.coordination import CoordinationService
 from repro.cluster.costmodel import ClusterCostModel, TaskWork
 from repro.cluster.counters import Counters
 from repro.cluster.faults import FaultInjector, JobAttempt
-from repro.cluster.job import MapReduceJob, TaskContext, estimate_value_size
+from repro.cluster.job import BatchEmit, MapReduceJob, TaskContext
 from repro.cluster.parallel import (
     JobSkipped,
     ParallelJobExecutor,
@@ -556,10 +555,10 @@ class ClusterRuntime:
         """Everything except DFS output writes and the client-side stats
         merge -- safe to run off the driver thread (see cluster.parallel).
 
-        Each emitted row is sized exactly *once*: the estimate feeds the
-        map output byte counter, travels with the record through the
-        shuffle, and reaches the statistics collector -- the seed sized
-        the same row up to three times.
+        Each emitted row is sized exactly *once*, by the operator that
+        produced it: the size feeds the map output byte counter, travels
+        with the record through the shuffle, and reaches the statistics
+        collector.
         """
         if attempt is not None:
             attempt.boundary("map")
@@ -579,9 +578,7 @@ class ClusterRuntime:
         map_task_seconds: list[float] = []
         output_rows: list[Row] = []
         output_sizes: list[int] = []
-        stat_tasks: list[TaskStatsCollector] = []
         splits_processed = 0
-        batch_mapper = job.batch_mapper
 
         for split in splits:
             if gate is not None and not gate(splits_processed):
@@ -590,76 +587,32 @@ class ClusterRuntime:
             context = TaskContext()
             direct_bytes = 0
             direct_records = 0
-            if batch_mapper is not None:
-                # Columnar path: the mapper consumes the whole split as a
-                # column batch and returns rows + pre-computed sizes; every
-                # byte/record quantity below matches the row path exactly.
-                batch = self.dfs.read_split_batch(split)
-                emit = batch_mapper(context, split.file_name, batch)
-                input_records = len(batch)
-                emitted_records = len(emit.rows)
-                if job.is_map_only:
-                    task_rows = emit.rows
-                    task_sizes = emit.sizes
-                    emitted_bytes = sum(task_sizes)
-                    output_rows.extend(task_rows)
-                    output_sizes.extend(task_sizes)
-                    if job.stats_columns:
-                        collector = self._make_collector(
-                            job, f"map-{split.index}")
-                        if emit.columns is not None:
-                            collector.observe_columns(emit.columns, task_sizes)
-                        else:
-                            collector.observe_batch(task_rows, task_sizes)
-                        collector.publish()
-                        stat_tasks.append(collector)
-                elif job.map_side_output:
-                    emitted_bytes, direct_bytes, direct_records = \
-                        self._route_map_side_output(
-                            job, split,
-                            zip(emit.keys, emit.rows, emit.sizes),  # type: ignore[arg-type]
-                            map_outputs, output_rows, output_sizes,
-                            stat_tasks,
-                        )
-                else:
-                    emitted_bytes = 8 * emitted_records + sum(emit.sizes)
-                    map_outputs.extend(
-                        zip(emit.keys, emit.rows, emit.sizes)  # type: ignore[arg-type]
-                    )
+            # The mapper consumes the whole split as a column batch and
+            # returns rows + pre-computed sizes.
+            batch = self.dfs.read_split_batch(split)
+            emit = job.mapper(context, split.file_name, batch)
+            input_records = len(batch)
+            emitted_records = len(emit.rows)
+            if job.is_map_only:
+                emitted_bytes = sum(emit.sizes)
+                output_rows.extend(emit.rows)
+                output_sizes.extend(emit.sizes)
+                self._collect_stats(job, f"map-{split.index}", emit)
+            elif job.map_side_output:
+                direct = self._route_map_side_output(emit, map_outputs)
+                direct_records = len(direct.rows)
+                direct_bytes = sum(direct.sizes)
+                emitted_bytes = (8 * (emitted_records - direct_records)
+                                 + sum(emit.sizes))
+                if direct_records:
+                    output_rows.extend(direct.rows)
+                    output_sizes.extend(direct.sizes)
+                    self._collect_stats(job, f"map-{split.index}", direct)
             else:
-                rows = self.dfs.read_split(split)
-                job.mapper(context, split.file_name, rows)
-                input_records = len(rows)
-                emitted = context.emitted
-                emitted_records = len(emitted)
-                if job.is_map_only:
-                    task_rows = [value for _, value in emitted]
-                    task_sizes = [estimate_value_size(row)
-                                  for row in task_rows]
-                    emitted_bytes = sum(task_sizes)
-                    output_rows.extend(task_rows)
-                    output_sizes.extend(task_sizes)
-                    if job.stats_columns:
-                        collector = self._make_collector(
-                            job, f"map-{split.index}")
-                        collector.observe_batch(task_rows, task_sizes)
-                        collector.publish()
-                        stat_tasks.append(collector)
-                elif job.map_side_output:
-                    emitted_bytes, direct_bytes, direct_records = \
-                        self._route_map_side_output(
-                            job, split,
-                            ((key, value, estimate_value_size(value))
-                             for key, value in emitted),
-                            map_outputs, output_rows, output_sizes,
-                            stat_tasks,
-                        )
-                else:
-                    emitted_bytes = 0
-                    for key, value in emitted:
-                        size = estimate_value_size(value)
-                        emitted_bytes += 8 + size
-                        map_outputs.append((key, value, size))
+                emitted_bytes = 8 * emitted_records + sum(emit.sizes)
+                map_outputs.extend(
+                    zip(emit.keys, emit.rows, emit.sizes)  # type: ignore[arg-type]
+                )
 
             counters.increment("map", Counters.MAP_INPUT_RECORDS,
                                input_records)
@@ -704,8 +657,7 @@ class ClusterRuntime:
             if attempt is not None:
                 attempt.boundary("reduce")
             reduce_rows, reduce_sizes = self._run_reduce_phase(
-                job, map_outputs, counters, reduce_task_seconds,
-                stat_tasks, attempts,
+                job, map_outputs, counters, reduce_task_seconds, attempts,
             )
             if output_rows:
                 # Skew joins write heavy-key results map-side; the tail's
@@ -784,95 +736,16 @@ class ClusterRuntime:
         map_outputs: list[tuple[object, Row, int]],
         counters: Counters,
         reduce_task_seconds: list[float],
-        stat_tasks: list[TaskStatsCollector],
-        attempts=None,
-    ) -> tuple[list[Row], list[int]]:
-        if attempts is None:
-            attempts = self._task_attempts(job.name)
-        num_reducers = job.num_reducers
-        batch_reducer = job.batch_reducer
-        if batch_reducer is not None:
-            return self._run_batch_reduce_phase(
-                job, map_outputs, counters, reduce_task_seconds,
-                stat_tasks, attempts, batch_reducer,
-            )
-        output_rows: list[Row] = []
-        output_sizes: list[int] = []
-        partitions: list[list[tuple[object, Row, int]]] = [
-            [] for _ in range(num_reducers)
-        ]
-        appends = [partition.append for partition in partitions]
-        hash_of = kmv_hash
-        for entry in map_outputs:
-            appends[hash_of(entry[0]) % num_reducers](entry)
-
-        for partition_id, partition in enumerate(partitions):
-            context = TaskContext()
-            shuffle_bytes = 0
-            groups: dict[object, list[Row]] = defaultdict(list)
-            order: dict[object, int] = {}
-            for key, value, size in partition:
-                shuffle_bytes += 8 + size
-                frozen = _freeze_key(key)
-                if frozen not in order:
-                    order[frozen] = len(order)
-                groups[frozen].append(value)
-
-            # Keys are reduced in a deterministic (sorted-by-arrival)
-            # order, mirroring the framework's sort phase.
-            for frozen in sorted(groups, key=lambda item: order[item]):
-                job.reducer(context, frozen, groups[frozen])  # type: ignore[misc]
-
-            task_rows = [value for _, value in context.emitted]
-            task_sizes = [estimate_value_size(row) for row in task_rows]
-            task_bytes = sum(task_sizes)
-            output_rows.extend(task_rows)
-            output_sizes.extend(task_sizes)
-            if job.stats_columns:
-                collector = self._make_collector(job, f"reduce-{partition_id}")
-                collector.observe_batch(task_rows, task_sizes)
-                collector.publish()
-                stat_tasks.append(collector)
-
-            counters.increment("reduce", Counters.REDUCE_INPUT_RECORDS,
-                               len(partition))
-            counters.increment("reduce", Counters.SHUFFLE_BYTES, shuffle_bytes)
-            counters.increment("reduce", Counters.REDUCE_OUTPUT_RECORDS,
-                               len(task_rows))
-            stats_cpu = 0.0
-            if job.stats_columns:
-                stats_cpu = (len(task_rows)
-                             * self.config.cluster.stats_seconds_per_record)
-            work = TaskWork(
-                input_records=len(partition),
-                output_bytes=task_bytes,
-                output_records=len(task_rows),
-                shuffle_bytes=shuffle_bytes,
-                extra_cpu_seconds=context.extra_cpu_seconds + stats_cpu,
-            )
-            reduce_task_seconds.append(
-                attempts(self.cost_model.reduce_task_seconds(work))
-            )
-        return output_rows, output_sizes
-
-    def _run_batch_reduce_phase(
-        self,
-        job: MapReduceJob,
-        map_outputs: list[tuple[object, Row, int]],
-        counters: Counters,
-        reduce_task_seconds: list[float],
-        stat_tasks: list[TaskStatsCollector],
         attempts,
-        batch_reducer,
     ) -> tuple[list[Row], list[int]]:
-        """Columnar reduce: one global grouping pass, then hash per *group*.
+        """One global grouping pass, then hash per *group*.
 
         Every entry of a group lands in the same partition (the partition
         function only sees the key), so grouping first and routing whole
         groups hashes each distinct key once instead of once per record.
-        Per partition, groups keep global first-arrival order, which is
-        exactly the order the per-partition grouping pass would produce --
-        and matches the row path's sorted-by-arrival reduce order.
+        Per partition, groups keep global first-arrival order -- the
+        framework's sort phase -- which is exactly the order a
+        per-partition grouping pass would produce.
         """
         num_reducers = job.num_reducers
         grouped: dict[object, tuple[list[Row], list[int]]] = {}
@@ -881,7 +754,7 @@ class ClusterRuntime:
             kind = type(key)
             if kind is list or kind is tuple:
                 frozen = _freeze_key(key)
-            else:  # scalar keys (the common case) freeze to themselves
+            else:  # scalar keys freeze to themselves
                 frozen = key
             entry = get_group(frozen)
             if entry is None:
@@ -908,17 +781,11 @@ class ClusterRuntime:
             for _, values, sizes in partition:
                 input_records += len(values)
                 shuffle_bytes += 8 * len(values) + sum(sizes)
-            emit = batch_reducer(context, partition)
+            emit = job.reducer(context, partition)  # type: ignore[misc]
             task_rows = emit.rows
-            task_sizes = emit.sizes
-            task_bytes = sum(task_sizes)
             output_rows.extend(task_rows)
-            output_sizes.extend(task_sizes)
-            if job.stats_columns:
-                collector = self._make_collector(job, f"reduce-{partition_id}")
-                collector.observe_batch(task_rows, task_sizes)
-                collector.publish()
-                stat_tasks.append(collector)
+            output_sizes.extend(emit.sizes)
+            self._collect_stats(job, f"reduce-{partition_id}", emit)
 
             counters.increment("reduce", Counters.REDUCE_INPUT_RECORDS,
                                input_records)
@@ -931,7 +798,7 @@ class ClusterRuntime:
                              * self.config.cluster.stats_seconds_per_record)
             work = TaskWork(
                 input_records=input_records,
-                output_bytes=task_bytes,
+                output_bytes=sum(emit.sizes),
                 output_records=len(task_rows),
                 shuffle_bytes=shuffle_bytes,
                 extra_cpu_seconds=context.extra_cpu_seconds + stats_cpu,
@@ -941,53 +808,40 @@ class ClusterRuntime:
             )
         return output_rows, output_sizes
 
+    @staticmethod
     def _route_map_side_output(
-        self,
-        job: MapReduceJob,
-        split: Split,
-        entries,
-        map_outputs: list[tuple[object, Row, int]],
-        output_rows: list[Row],
-        output_sizes: list[int],
-        stat_tasks: list[TaskStatsCollector],
-    ) -> tuple[int, int, int]:
+        emit: BatchEmit, map_outputs: list[tuple[object, Row, int]],
+    ) -> BatchEmit:
         """Split a skew-join map task's emission between output and shuffle.
 
         Records emitted with ``key=None`` carry heavy-key join results
-        produced map-side; they bypass the shuffle entirely and land in
-        the job's output (charged at the DFS write rate by the caller).
-        Keyed records are the long tail and shuffle as usual. Returns
-        ``(emitted_bytes, direct_bytes, direct_records)``.
+        produced map-side; they bypass the shuffle entirely and are
+        returned for the job's output (charged at the DFS write rate by
+        the caller). Keyed records are the long tail and shuffle as usual.
         """
-        emitted_bytes = 0
-        direct_bytes = 0
-        direct_rows: list[Row] = []
-        direct_sizes: list[int] = []
-        for key, value, size in entries:
-            if key is None:
-                direct_rows.append(value)
-                direct_sizes.append(size)
-                direct_bytes += size
+        direct = BatchEmit(rows=[], sizes=[])
+        for entry in zip(emit.keys, emit.rows, emit.sizes):  # type: ignore[arg-type]
+            if entry[0] is None:
+                direct.rows.append(entry[1])
+                direct.sizes.append(entry[2])
             else:
-                emitted_bytes += 8 + size
-                map_outputs.append((key, value, size))
-        emitted_bytes += direct_bytes
-        if direct_rows:
-            output_rows.extend(direct_rows)
-            output_sizes.extend(direct_sizes)
-            if job.stats_columns:
-                collector = self._make_collector(job, f"map-{split.index}")
-                collector.observe_batch(direct_rows, direct_sizes)
-                collector.publish()
-                stat_tasks.append(collector)
-        return emitted_bytes, direct_bytes, len(direct_rows)
+                map_outputs.append(entry)
+        return direct
 
-    def _make_collector(self, job: MapReduceJob,
-                        task_id: str) -> TaskStatsCollector:
-        return TaskStatsCollector(
+    def _collect_stats(self, job: MapReduceJob, task_id: str,
+                       emit: BatchEmit) -> None:
+        """Accumulate and publish one task's output statistics (if any)."""
+        if not job.stats_columns:
+            return
+        collector = TaskStatsCollector(
             job.name, task_id, job.stats_columns, self.coordination,
             kmv_size=self.config.pilot.kmv_size,
         )
+        if emit.columns is not None:
+            collector.observe_columns(emit.columns, emit.sizes)
+        else:
+            collector.observe_batch(emit.rows, emit.sizes)
+        collector.publish()
 
     def _all_splits(self, job: MapReduceJob) -> list[Split]:
         splits: list[Split] = []

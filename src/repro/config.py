@@ -18,7 +18,6 @@ The defaults reproduce the paper's setup:
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
@@ -280,15 +279,10 @@ class DynoConfig:
     #: how many times the dynamic executor may replan around a permanent
     #: job failure (e.g. a doomed broadcast join) before re-raising.
     max_recovery_replans: int = 8
-    #: columnar batch data path: compiled jobs carry vectorized batch
-    #: mappers/reducers (scan+filter, hash-join probe, group-by, shuffle
-    #: partitioning run batch-at-a-time over column lists). Results and
-    #: byte accounting are bit-identical to the row engine -- the
-    #: differential oracle enforces it -- only driver wall-clock changes.
-    columnar: bool = False
-    #: column-array backend for the columnar path: "auto" uses numpy for
+    #: column-array backend of the batch data path: "auto" uses numpy for
     #: selection masks when importable, "python" forces the pure-Python
-    #: column lists, "numpy" requires the accelerator.
+    #: column lists, "numpy" requires the accelerator. Results and byte
+    #: accounting are identical either way; only driver wall-clock changes.
     columnar_backend: str = "auto"
 
     def with_backend(self, backend: str) -> "DynoConfig":
@@ -335,21 +329,6 @@ class DynoConfig:
                               cluster_memory_bytes=cluster_memory_bytes)
         return replace(self, cluster=cluster, optimizer=optimizer)
 
-    def with_columnar(self, enabled: bool = True,
-                      backend: str | None = None) -> "DynoConfig":
-        """Config with the columnar batch data path toggled.
-
-        ``backend`` optionally pins the column-array backend ("auto",
-        "python", or "numpy"); the default keeps the current setting.
-        """
-        config = replace(self, columnar=enabled)
-        if backend is not None:
-            if backend not in ("auto", "python", "numpy"):
-                raise ValueError(
-                    f"unknown columnar backend: {backend!r}")
-            config = replace(config, columnar_backend=backend)
-        return config
-
     def with_midjob_trigger(self, qerror_threshold: float) -> "DynoConfig":
         """Config with the mid-job re-optimization trigger armed.
 
@@ -372,8 +351,4 @@ class DynoConfig:
         return replace(self, fault_plan=plan)
 
 
-# DYNO_COLUMNAR=1 flips the default config to the columnar data path so an
-# unmodified test suite exercises it end to end (the CI columnar leg).
-DEFAULT_CONFIG = DynoConfig(
-    columnar=os.environ.get("DYNO_COLUMNAR", "") == "1"
-)
+DEFAULT_CONFIG = DynoConfig()

@@ -26,12 +26,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from repro.cluster.job import MapReduceJob, TaskContext
+from repro.cluster.job import BatchEmit, MapReduceJob, TaskContext
 from repro.cluster.runtime import ClusterRuntime, DispatchGate
 from repro.config import DynoConfig
-from repro.data.table import Row
+from repro.data.columns import resolve_backend
 from repro.errors import PlanError
 from repro.jaql.blocks import BlockLeaf, JoinBlock
+from repro.jaql.compiler import leaf_scan
 from repro.stats.metastore import StatisticsMetastore
 from repro.stats.statistics import TableStats
 from repro.storage.dfs import Split
@@ -310,21 +311,17 @@ class PilotRunner:
             boost = self.feedback.pilot_boost(leaf.signature())
             if boost > 1.0:
                 k_records = int(round(k_records * boost))
-        cpu_per_row = leaf.cpu_seconds_per_row
+        scan = leaf_scan(leaf, resolve_backend(self.config.columnar_backend))
 
-        qualify = leaf.qualify_and_filter
-
-        def mapper(context: TaskContext, source: str,
-                   rows: list[Row]) -> None:
-            if cpu_per_row:
-                context.charge_cpu(cpu_per_row * len(rows))
-            qualified = [out for out in map(qualify, rows) if out is not None]
-            if qualified:
-                context.emit_all(None, qualified)
+        def mapper(context: TaskContext, source: str, batch) -> BatchEmit:
+            out = scan(context, batch)
+            if out.rows:
                 # One shared-counter update per split, not per record: the
                 # dispatch gate only reads the counter between splits, so
                 # early-stop decisions are unchanged.
-                counter.increment(len(qualified))
+                counter.increment(len(out.rows))
+            return BatchEmit(rows=out.rows, sizes=out.ensure_sizes(),
+                             columns=out)
 
         total_map_slots = self.config.cluster.total_map_slots
         threshold = self.config.pilot.reuse_completion_threshold

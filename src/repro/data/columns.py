@@ -1,10 +1,10 @@
-"""Columnar batch views over row dicts (the PR-6 batch data path).
+"""Columnar batch views over row dicts (the engine's one data path).
 
-The engine stores records as JSON-like dicts; the columnar data path does
-not change that storage model, it changes *access*: a batch exposes one
-Python list per column (gathered lazily and cached), so hot operators --
-predicate evaluation, join key extraction, statistics ingest -- run one
-tight loop per column instead of a dict probe per row per field.
+The engine stores records as JSON-like dicts; batches do not change that
+storage model, they change *access*: a batch exposes one Python list per
+column (gathered lazily and cached), so hot operators -- predicate
+evaluation, join key extraction, statistics ingest -- run one tight loop
+per column instead of a dict probe per row per field.
 
 Two batch shapes share one duck-typed protocol (``rows``, ``column(name)``,
 ``array(name)``, ``ensure_sizes()``, ``__len__``):

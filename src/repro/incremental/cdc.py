@@ -155,7 +155,7 @@ class ChangeGenerator:
         )
         deletes = tuple(dict(self.current.rows[i])
                         for i in victims[n_update:])
-        inserts = tuple(self._synthesize(rng, i) for i in range(n_insert))
+        inserts = self._synthesize(rng, n_insert)
 
         batch = ChangeBatch(self.current.name, self.sequence,
                             inserts, deletes, updates)
@@ -167,20 +167,28 @@ class ChangeGenerator:
 
     # -- row synthesis -------------------------------------------------------
 
-    def _synthesize(self, rng: random.Random, offset: int) -> Row:
-        template = dict(rng.choice(self.current.rows))
-        key_type = self.current.schema.type_of(self.key_column)
-        if key_type.kind in (INT.kind, FLOAT.kind):
-            top = max(
-                (row[self.key_column] for row in self.current.rows
-                 if isinstance(row.get(self.key_column), (int, float))),
+    def _synthesize(self, rng: random.Random, count: int) -> tuple[Row, ...]:
+        """``count`` fresh rows: a cloned template each, under a new key."""
+        rows = self.current.rows
+        key_column = self.key_column
+        numeric = self.current.schema.type_of(key_column).kind in (
+            INT.kind, FLOAT.kind)
+        top = 0
+        if numeric and count:
+            # The table does not change while a batch is synthesized: one
+            # scan for the top key serves every insert of the batch.
+            top = int(max(
+                (row[key_column] for row in rows
+                 if isinstance(row.get(key_column), (int, float))),
                 default=0,
-            )
-            template[self.key_column] = int(top) + 1 + offset
-        else:
-            template[self.key_column] = \
-                f"cdc{self.sequence}-{offset}"
-        return template
+            ))
+        inserts = []
+        for offset in range(count):
+            template = dict(rng.choice(rows))
+            template[key_column] = (top + 1 + offset if numeric
+                                    else f"cdc{self.sequence}-{offset}")
+            inserts.append(template)
+        return tuple(inserts)
 
     def _default_mutate(self, rng: random.Random, row: Row) -> Row:
         """Perturb one non-key column; the postimage must differ."""

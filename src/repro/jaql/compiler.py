@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Any, Callable
 
 from repro.cluster.job import (
     BatchEmit,
@@ -38,11 +38,17 @@ from repro.data.schema import Schema, estimate_value_size
 from repro.data.table import Row
 from repro.errors import PlanError
 from repro.jaql.blocks import BlockLeaf
-from repro.jaql.expr import Aggregate, GroupBy, Predicate, qualify_row
-from repro.jaql.vector import ColumnResolver, select, supports_vector
+from repro.jaql.expr import (
+    Aggregate,
+    ColumnRef,
+    GroupBy,
+    Predicate,
+    qualify_row,
+)
+from repro.jaql.vector import ColumnResolver, select
 from repro.optimizer.plans import (
-    HASH_BUILD_METHODS,
     HYBRID,
+    REPARTITION,
     SKEW,
     PhysJoin,
     PhysLeaf,
@@ -50,14 +56,10 @@ from repro.optimizer.plans import (
 )
 from repro.storage.dfs import DistributedFileSystem
 
-#: Per-row pipeline stage: one input row -> zero or more output rows.
-RowTransform = Callable[[TaskContext, Row], Iterable[Row]]
-
-#: Columnar pipeline stage: one whole batch in, one materialized batch out.
-#: Output rows/order/sizes are identical to driving the stage's
-#: :data:`RowTransform` over the batch row by row -- the batch path is an
-#: execution strategy, never a semantic change.
-BatchTransform = Callable[[TaskContext, object], object]
+#: Map-side pipeline stage: one whole batch in (a DFS split batch or an
+#: upstream stage's output), one batch out. Batches share the protocol of
+#: :mod:`repro.data.columns` (``rows``, ``column(name)``, sizes).
+BatchTransform = Callable[[TaskContext, Any], Any]
 
 #: Schema attached to intermediate files. Intermediates carry qualified
 #: (flattened) rows whose exact field set varies per plan; a permissive
@@ -137,7 +139,7 @@ class _Stream:
     """A map-side pipeline under construction."""
 
     input_files: list[str]
-    transform: RowTransform
+    transform: BatchTransform
     builds: list[BroadcastBuild] = field(default_factory=list)
     upstream: list[CompiledJob] = field(default_factory=list)
     aliases: frozenset[str] = frozenset()
@@ -146,78 +148,179 @@ class _Stream:
     #: cumulative optimizer cost of subtrees already materialized upstream.
     upstream_cost: float = 0.0
     node: PhysicalNode | None = None
-    #: columnar counterpart of ``transform``; None when this stream (or the
-    #: config) has no batch path, in which case the whole job falls back to
-    #: the row engine.
-    batch_transform: BatchTransform | None = None
+
+    @property
+    def is_materialized(self) -> bool:
+        """True when the stream is just one DFS file, nothing left to run."""
+        return (not self.builds and self.transform is _identity_transform
+                and len(self.input_files) == 1)
 
 
-def _identity_transform(context: TaskContext, row: Row) -> Iterable[Row]:
-    return (row,)
+def _identity_transform(context: TaskContext, batch: Any) -> Any:
+    """Split batches already satisfy the batch protocol."""
+    return batch
 
 
-def _make_join_reducer(predicates: tuple[Predicate, ...], pred_cpu: float):
-    """Reduce-side join of tagged records (shared by repartition and the
-    tail of skew joins): separate the sides per key, emit the cartesian
-    product filtered by the join's non-local predicates."""
+def _leaf_filter(leaf: BlockLeaf,
+                 use_numpy: bool) -> Callable[[Any], RowBatch]:
+    """Vectorized scan+filter over raw rows of one base leaf.
 
-    def reducer(context: TaskContext, key: object,
-                values: list[Row]) -> None:
-        left_rows = [value["r"] for value in values if value["s"] == 0]
-        right_rows = [value["r"] for value in values if value["s"] == 1]
-        for left_row in left_rows:
-            for right_row in right_rows:
-                merged = {**left_row, **right_row}
-                if pred_cpu:
-                    context.charge_cpu(pred_cpu)
-                if all(p.evaluate(merged) for p in predicates):
-                    context.emit(None, merged)
+    Predicates are evaluated over the *raw* (unqualified) columns --
+    qualification renames fields 1:1, so ``ref.column`` addresses the
+    same values ``ref.qualified`` would after :func:`qualify_row` -- and
+    only the surviving rows are qualified, in input order.
+    """
+    predicates = leaf.predicates
+    alias = leaf.alias
+    # Qualifying prefixes every key with ``alias.``: each key's length
+    # enters the value-size arithmetic exactly once, so a qualified
+    # row's size is the raw size plus ``len(row) * (len(alias) + 1)``.
+    # When the input batch already knows its sizes (value-exact DFS
+    # files), the output sizes come from that O(1) delta.
+    key_delta = len(alias) + 1
 
-    return reducer
+    def scan(batch: Any) -> RowBatch:
+        rows = batch.rows
+        in_sizes = batch.cheap_sizes()
+        if predicates:
+            resolver = ColumnResolver(batch, raw_alias=alias,
+                                      use_numpy=use_numpy)
+            selection = select(predicates, resolver, len(rows))
+            if len(selection) != len(rows):
+                rows = [rows[i] for i in selection]
+                if in_sizes is not None:
+                    in_sizes = [in_sizes[i] for i in selection]
+        qualified = [qualify_row(alias, row) for row in rows]
+        if in_sizes is None:
+            return RowBatch(qualified)
+        return RowBatch(
+            qualified,
+            [size + len(row) * key_delta
+             for size, row in zip(in_sizes, rows)],
+        )
+
+    return scan
 
 
-def _make_join_batch_reducer(predicates: tuple[Predicate, ...],
-                             pred_cpu: float):
-    """Columnar counterpart of :func:`_make_join_reducer`; payload sizes
-    are recovered from the tagged record sizes (16-byte tag framing)."""
+def leaf_scan(leaf: BlockLeaf, use_numpy: bool) -> BatchTransform:
+    """The one scan+filter stage of a base leaf (plan jobs and pilot runs).
 
-    def batch_reducer(context: TaskContext, groups) -> BatchEmit:
+    Charges the leaf's predicate/UDF CPU for every *input* row, then
+    filters and qualifies the batch.
+    """
+    scan = _leaf_filter(leaf, use_numpy)
+    cpu_per_row = leaf.cpu_seconds_per_row
+
+    def transform(context: TaskContext, batch: Any) -> RowBatch:
+        if cpu_per_row and len(batch):
+            context.charge_cpu(cpu_per_row * len(batch))
+        return scan(batch)
+
+    return transform
+
+
+def _join_keys(batch: Any, refs: list[ColumnRef]) -> list[tuple | None]:
+    """Per-row join-key tuples of a qualified batch; None where any key
+    part is null (such rows never join)."""
+    resolver = ColumnResolver(batch)
+    if len(refs) == 1:
+        return [None if value is None else (value,)
+                for value in resolver.values(refs[0])]
+    return [None if None in key else key
+            for key in zip(*(resolver.values(ref) for ref in refs))]
+
+
+def _merge_matches(row: Row, size: int, bucket: list[tuple[Row, int, int]],
+                   predicates: tuple[Predicate, ...],
+                   out_rows: list[Row], out_sizes: list[int]) -> int:
+    """Append ``row`` merged with every ``(other, size, field count)`` of
+    ``bucket`` that passes ``predicates``; returns the candidates tried.
+
+    Merged-row sizes come from O(1) arithmetic (disjoint dict merge: sizes
+    add, minus one shared record framing) instead of re-walking the dict.
+    """
+    row_len = len(row)
+    for other, other_size, other_len in bucket:
+        merged = {**row, **other}
+        if not predicates or all(p.evaluate(merged) for p in predicates):
+            out_rows.append(merged)
+            if len(merged) == row_len + other_len:
+                out_sizes.append(size + other_size - 2)
+            else:
+                out_sizes.append(estimate_value_size(merged))
+    return len(bucket)
+
+
+def _hash_probe(build: BroadcastBuild, build_refs: list[ColumnRef],
+                predicates: tuple[Predicate, ...], pred_cpu: float):
+    """The build-and-probe kernel of every map-side hash join.
+
+    The table is built lazily from ``build`` (whatever slice of the build
+    side the runtime loaded: the whole side for broadcast/hybrid joins,
+    the heavy-key rows for a skew join) and rebuilt when the runtime
+    reloads it. ``pred_cpu`` is charged per join candidate.
+    """
+    holder: dict[str, Any] = {}
+
+    def probe(context: TaskContext, rows: list[Row], sizes: list[int],
+              keys: list[tuple | None]) -> RowBatch:
+        """Join probe ``rows`` (null keys are None) against the build."""
+        table = holder.get("table")
+        if table is None or holder.get("source") is not build.rows:
+            table = {}
+            for build_row in build.built_rows():
+                key = tuple(ref.evaluate(build_row) for ref in build_refs)
+                if None in key:
+                    continue
+                table.setdefault(key, []).append(
+                    (build_row, estimate_dict_size(build_row),
+                     len(build_row))
+                )
+            holder["table"] = table
+            holder["source"] = build.rows
         out_rows: list[Row] = []
         out_sizes: list[int] = []
-        append_row = out_rows.append
-        append_size = out_sizes.append
+        table_get = table.get
+        candidates = 0
+        for i, key in enumerate(keys):
+            bucket = None if key is None else table_get(key)
+            if bucket is not None:
+                candidates += _merge_matches(rows[i], sizes[i], bucket,
+                                             predicates, out_rows, out_sizes)
+        if pred_cpu and candidates:
+            context.charge_cpu(pred_cpu * candidates)
+        return RowBatch(out_rows, out_sizes)
+
+    return probe
+
+
+def _join_reducer(predicates: tuple[Predicate, ...], pred_cpu: float):
+    """Reduce-side join of tagged records: separate the sides per key,
+    emit the cartesian product filtered by the join's non-local
+    predicates. Payload sizes are recovered from the tagged record sizes
+    (16-byte tag framing) instead of re-walking the row dict."""
+
+    def reducer(context: TaskContext, groups) -> BatchEmit:
+        out_rows: list[Row] = []
+        out_sizes: list[int] = []
         candidates = 0
         for _key, values, value_sizes in groups:
             left_rows = []
             right_rows = []
             for value, size in zip(values, value_sizes):
-                # Recover the payload size from the tagged record
-                # size instead of re-walking the row dict.
+                row = value["r"]
                 if value["s"] == 0:
-                    left_rows.append((value["r"], size - 16))
+                    left_rows.append((row, size - 16))
                 else:
-                    right_rows.append((value["r"], size - 16))
+                    right_rows.append((row, size - 16, len(row)))
             for left_row, left_size in left_rows:
-                left_len = len(left_row)
-                for right_row, right_size in right_rows:
-                    merged = {**left_row, **right_row}
-                    candidates += 1
-                    if all(p.evaluate(merged) for p in predicates):
-                        append_row(merged)
-                        if len(merged) == left_len + len(right_row):
-                            append_size(left_size + right_size - 2)
-                        else:
-                            append_size(estimate_value_size(merged))
+                candidates += _merge_matches(left_row, left_size, right_rows,
+                                             predicates, out_rows, out_sizes)
         if pred_cpu and candidates:
             context.charge_cpu(pred_cpu * candidates)
         return BatchEmit(rows=out_rows, sizes=out_sizes)
 
-    return batch_reducer
-
-
-def _identity_batch_transform(context: TaskContext, batch: object) -> object:
-    """Batch identity: split batches already satisfy the batch protocol."""
-    return batch
+    return reducer
 
 
 class PlanCompiler:
@@ -232,9 +335,7 @@ class PlanCompiler:
         #: base table name -> DFS file name (identity unless remapped).
         self.table_files = table_files or {}
         self._counter = 0
-        self._columnar = config.columnar
-        self._use_numpy = (resolve_backend(config.columnar_backend)
-                           if config.columnar else False)
+        self._use_numpy = resolve_backend(config.columnar_backend)
 
     # -- public ---------------------------------------------------------------------
 
@@ -242,9 +343,7 @@ class PlanCompiler:
         """Compile a whole physical join plan into its job graph."""
         jobs: list[CompiledJob] = []
         stream = self._compile_node(plan, jobs)
-        if (not stream.builds
-                and stream.transform is _identity_transform
-                and len(stream.input_files) == 1):
+        if stream.is_materialized:
             # Nothing left to execute beyond already-emitted jobs: the plan
             # top is a materialized file (e.g. a repartition-join output).
             final_output = stream.input_files[0]
@@ -261,63 +360,34 @@ class PlanCompiler:
         keys = group_by.keys
         aggregates = group_by.aggregates
 
-        def mapper(context: TaskContext, source: str,
-                   rows: list[Row]) -> None:
-            for row in rows:
-                key = tuple(ref.evaluate(row) for ref in keys)
-                context.emit(key, row)
+        def mapper(context: TaskContext, source: str, batch) -> BatchEmit:
+            # Group-by shuffles every input row under its key tuple -- null
+            # key parts included, they form groups of their own -- so the
+            # rows and their stored split sizes pass through untouched.
+            rows = batch.rows
+            if not keys:
+                out_keys: list = [()] * len(rows)
+            else:
+                resolver = ColumnResolver(batch)
+                out_keys = list(zip(*(resolver.values(ref) for ref in keys)))
+            return BatchEmit(rows=list(rows), sizes=batch.ensure_sizes(),
+                             keys=out_keys)
 
-        def reducer(context: TaskContext, key: object,
-                    values: list[Row]) -> None:
-            key_parts = key if isinstance(key, tuple) else (key,)
-            out: Row = {
-                ref.qualified: part for ref, part in zip(keys, key_parts)
-            }
-            for aggregate in aggregates:
-                state = aggregate.initial()
-                for row in values:
-                    state = aggregate.step(state, row)
-                out[aggregate.output_name] = aggregate.final(state)
-            context.emit(None, out)
-
-        batch_mapper = None
-        batch_reducer = None
-        if self._columnar:
-            def batch_mapper(context: TaskContext, source: str,
-                             batch) -> BatchEmit:
-                # Group-by shuffles every input row under its key tuple --
-                # no None-key skip, matching the row mapper -- so the rows
-                # and their stored split sizes pass through untouched.
-                rows = batch.rows
-                count = len(rows)
-                if not keys:
-                    out_keys: list = [()] * count
-                else:
-                    resolver = ColumnResolver(batch)
-                    key_columns = [resolver.values(ref) for ref in keys]
-                    if len(key_columns) == 1:
-                        out_keys = [(value,) for value in key_columns[0]]
-                    else:
-                        out_keys = list(zip(*key_columns))
-                return BatchEmit(rows=list(rows),
-                                 sizes=batch.ensure_sizes(),
-                                 keys=out_keys)
-
-            def batch_reducer(context: TaskContext, groups) -> BatchEmit:
-                out_rows: list[Row] = []
-                out_sizes: list[int] = []
-                for key, values, _sizes in groups:
-                    key_parts = key if isinstance(key, tuple) else (key,)
-                    out: Row = {
-                        ref.qualified: part
-                        for ref, part in zip(keys, key_parts)
-                    }
-                    for aggregate in aggregates:
-                        out[aggregate.output_name] = _fold_aggregate(
-                            aggregate, values)
-                    out_rows.append(out)
-                    out_sizes.append(estimate_dict_size(out))
-                return BatchEmit(rows=out_rows, sizes=out_sizes)
+        def reducer(context: TaskContext, groups) -> BatchEmit:
+            out_rows: list[Row] = []
+            out_sizes: list[int] = []
+            for key, values, _sizes in groups:
+                key_parts = key if isinstance(key, tuple) else (key,)
+                out: Row = {
+                    ref.qualified: part
+                    for ref, part in zip(keys, key_parts)
+                }
+                for aggregate in aggregates:
+                    out[aggregate.output_name] = _fold_aggregate(
+                        aggregate, values)
+                out_rows.append(out)
+                out_sizes.append(estimate_dict_size(out))
+            return BatchEmit(rows=out_rows, sizes=out_sizes)
 
         name = self._next_name(job_label)
         output = f"{name}.out"
@@ -330,8 +400,6 @@ class PlanCompiler:
             output_name=output,
             output_schema=_intermediate_schema(),
             description=f"group by over {input_file}",
-            batch_mapper=batch_mapper,
-            batch_reducer=batch_reducer,
         )
         return CompiledJob(
             job=job,
@@ -352,122 +420,46 @@ class PlanCompiler:
             return self._leaf_stream(node)
         if not isinstance(node, PhysJoin):
             raise PlanError(f"cannot compile {type(node).__name__}")
-        if node.method == SKEW:
-            # Before the hash-build dispatch: the skew join loads a build
-            # side too (the heavy-key slice) but compiles to a map+reduce
-            # job with a shuffle for the tail, not a map-only pipeline.
+        if node.method in (REPARTITION, SKEW):
             return self._skew_stream(node, jobs)
-        if node.method in HASH_BUILD_METHODS:
-            # Hybrid hash joins compile exactly like broadcast joins -- the
-            # build side is loaded per task -- but the build is marked
-            # spillable so the runtime degrades it in place when it
-            # overflows task memory instead of failing the job.
-            return self._broadcast_stream(node, jobs)
-        return self._repartition_stream(node, jobs)
+        # Hybrid hash joins compile exactly like broadcast joins -- the
+        # build side is loaded per task -- but the build is marked
+        # spillable so the runtime degrades it in place when it
+        # overflows task memory instead of failing the job.
+        return self._broadcast_stream(node, jobs)
 
     def _leaf_stream(self, node: PhysLeaf) -> _Stream:
         leaf = node.leaf
-        input_file = self._file_of_leaf(leaf)
-        if not leaf.is_base:
-            return _Stream(
-                input_files=[input_file],
-                transform=_identity_transform,
-                aliases=node.aliases,
-                node=node,
-                batch_transform=(_identity_batch_transform
-                                 if self._columnar else None),
-            )
-        cpu_per_row = leaf.cpu_seconds_per_row
-
-        def transform(context: TaskContext, row: Row,
-                      _leaf: BlockLeaf = leaf,
-                      _cpu: float = cpu_per_row) -> Iterable[Row]:
-            if _cpu:
-                context.charge_cpu(_cpu)
-            qualified = _leaf.qualify_and_filter(row)
-            return (qualified,) if qualified is not None else ()
-
         return _Stream(
-            input_files=[input_file],
-            transform=transform,
+            input_files=[self._file_of_leaf(leaf)],
+            transform=(leaf_scan(leaf, self._use_numpy) if leaf.is_base
+                       else _identity_transform),
             aliases=node.aliases,
             node=node,
-            batch_transform=self._leaf_batch_transform(leaf, cpu_per_row),
         )
 
-    def _leaf_batch_transform(self, leaf: BlockLeaf,
-                              cpu_per_row: float) -> BatchTransform | None:
-        """Vectorized scan+filter over one base-table split.
-
-        Predicates are evaluated over the *raw* (unqualified) columns --
-        qualification renames fields 1:1, so ``ref.column`` addresses the
-        same values ``ref.qualified`` would after :func:`qualify_row` --
-        and only the surviving rows are qualified, in input order, exactly
-        like the row transform.
-        """
-        if not self._columnar:
-            return None
-        predicates = leaf.predicates
-        if not supports_vector(predicates):
-            return None
-        alias = leaf.alias
-        use_numpy = self._use_numpy
-
-        # Qualifying prefixes every key with ``alias.``: each key's length
-        # enters the value-size arithmetic exactly once, so a qualified
-        # row's size is the raw size plus ``len(row) * (len(alias) + 1)``.
-        # When the input batch already knows its sizes (value-exact DFS
-        # files), the output sizes come from that O(1) delta.
-        key_delta = len(alias) + 1
-
-        def batch_transform(context: TaskContext, batch) -> RowBatch:
-            count = len(batch)
-            if cpu_per_row and count:
-                context.charge_cpu(cpu_per_row * count)
-            rows = batch.rows
-            in_sizes = batch.cheap_sizes()
-            if predicates:
-                resolver = ColumnResolver(batch, raw=True,
-                                          use_numpy=use_numpy)
-                selection = select(predicates, resolver, count)
-                if len(selection) != count:
-                    if in_sizes is None:
-                        return RowBatch(
-                            [qualify_row(alias, rows[i]) for i in selection]
-                        )
-                    return RowBatch(
-                        [qualify_row(alias, rows[i]) for i in selection],
-                        [in_sizes[i] + len(rows[i]) * key_delta
-                         for i in selection],
-                    )
-            qualified = [qualify_row(alias, row) for row in rows]
-            if in_sizes is None:
-                return RowBatch(qualified)
-            return RowBatch(
-                qualified,
-                [size + len(row) * key_delta
-                 for size, row in zip(in_sizes, rows)],
-            )
-
-        return batch_transform
+    def _materialized_stream(self, stream: _Stream,
+                             jobs: list[CompiledJob]) -> _Stream:
+        """Job boundary: materialize ``stream`` and read it back as a file."""
+        materialized = self._materialize(stream, jobs)
+        return _Stream(
+            input_files=[materialized.job.output_name],
+            transform=_identity_transform,
+            upstream=[materialized],
+            aliases=stream.aliases,
+            upstream_cost=(stream.node.cost
+                           if stream.node is not None else 0.0),
+            node=stream.node,
+        )
 
     def _broadcast_stream(self, node: PhysJoin,
                           jobs: list[CompiledJob]) -> _Stream:
         probe = self._compile_node(node.left, jobs)
         if probe.builds and not node.chained:
-            # Job boundary: the optimizer decided this join must not share
-            # a job with the probe-side broadcast chain (builds would not
-            # fit in memory together). Materialize the probe first.
-            materialized = self._materialize(probe, jobs)
-            probe = _Stream(
-                input_files=[materialized.job.output_name],
-                transform=_identity_transform,
-                upstream=[materialized],
-                aliases=probe.aliases,
-                upstream_cost=(probe.node.cost
-                               if probe.node is not None else 0.0),
-                node=probe.node,
-            )
+            # The optimizer decided this join must not share a job with
+            # the probe-side broadcast chain (builds would not fit in
+            # memory together). Materialize the probe first.
+            probe = self._materialized_stream(probe, jobs)
 
         build = self._build_side(
             node.right, jobs, probe, spillable=node.method == HYBRID,
@@ -482,46 +474,21 @@ class PlanCompiler:
         ]
         predicates = node.applied_predicates
         probe_cpu = self.config.cluster.probe_seconds_per_record
-        pred_cpu = sum(p.cpu_seconds_per_row for p in predicates)
-        inner_transform = probe.transform
-        hash_holder: dict[str, object] = {}
-
-        def transform(context: TaskContext, row: Row) -> Iterable[Row]:
-            table = hash_holder.get("table")
-            if table is None or hash_holder.get("source") is not build.rows:
-                table = {}
-                for build_row in build.built_rows():
-                    key = tuple(ref.evaluate(build_row) for ref in build_refs)
-                    if None in key:
-                        continue
-                    table.setdefault(key, []).append(build_row)
-                hash_holder["table"] = table
-                hash_holder["source"] = build.rows
-            results: list[Row] = []
-            append = results.append
-            charge_cpu = context.charge_cpu
-            table_get = table.get
-            for probe_row in inner_transform(context, row):
-                charge_cpu(probe_cpu)
-                key = tuple(ref.evaluate(probe_row) for ref in probe_refs)
-                if None in key:
-                    continue
-                bucket = table_get(key)
-                if bucket is None:
-                    continue
-                for build_row in bucket:
-                    merged = {**probe_row, **build_row}
-                    if pred_cpu:
-                        charge_cpu(pred_cpu)
-                    if not predicates or \
-                            all(p.evaluate(merged) for p in predicates):
-                        append(merged)
-            return results
-
-        batch_transform = self._probe_batch_transform(
-            probe, build, probe_refs, build_refs, predicates,
-            probe_cpu, pred_cpu,
+        hash_probe = _hash_probe(
+            build, build_refs, predicates,
+            sum(p.cpu_seconds_per_row for p in predicates),
         )
+        inner = probe.transform
+
+        def transform(context: TaskContext, batch: Any) -> RowBatch:
+            out = inner(context, batch)
+            rows = out.rows
+            if not rows:
+                return RowBatch([], [])
+            if probe_cpu:
+                context.charge_cpu(probe_cpu * len(rows))
+            return hash_probe(context, rows, out.ensure_sizes(),
+                              _join_keys(out, probe_refs))
 
         return _Stream(
             input_files=probe.input_files,
@@ -533,95 +500,7 @@ class PlanCompiler:
             applied_predicates=probe.applied_predicates + predicates,
             upstream_cost=probe.upstream_cost,
             node=node,
-            batch_transform=batch_transform,
         )
-
-    def _probe_batch_transform(self, probe: _Stream, build: BroadcastBuild,
-                               probe_refs, build_refs, predicates,
-                               probe_cpu: float, pred_cpu: float,
-                               ) -> BatchTransform | None:
-        """Bulk hash-join probe: extract key columns once, probe per index.
-
-        The hash table is the same one the row transform would build (same
-        insertion order, same buckets); each bucket entry carries the
-        build row's pre-computed size and field count so merged-row sizes
-        come from O(1) arithmetic (disjoint dict merge: sizes add, minus
-        one shared record framing) instead of re-walking the dict. CPU is
-        charged in bulk: ``probe_cpu`` per probe row and ``pred_cpu`` per
-        join candidate, the same totals as the per-row charges.
-        """
-        if not self._columnar or probe.batch_transform is None:
-            return None
-        inner_batch = probe.batch_transform
-        hash_holder: dict[str, object] = {}
-        single_ref = probe_refs[0] if len(probe_refs) == 1 else None
-
-        def batch_transform(context: TaskContext, batch) -> RowBatch:
-            table = hash_holder.get("table")
-            if table is None or hash_holder.get("source") is not build.rows:
-                table = {}
-                for build_row in build.built_rows():
-                    key = tuple(ref.evaluate(build_row) for ref in build_refs)
-                    if None in key:
-                        continue
-                    table.setdefault(key, []).append(
-                        (build_row, estimate_dict_size(build_row),
-                         len(build_row))
-                    )
-                hash_holder["table"] = table
-                hash_holder["source"] = build.rows
-            inner = inner_batch(context, batch)
-            probe_rows = inner.rows
-            count = len(probe_rows)
-            out_rows: list[Row] = []
-            out_sizes: list[int] = []
-            if not count:
-                return RowBatch(out_rows, out_sizes)
-            if probe_cpu:
-                context.charge_cpu(probe_cpu * count)
-            resolver = ColumnResolver(inner)
-            sizes = inner.ensure_sizes()
-            append_row = out_rows.append
-            append_size = out_sizes.append
-            table_get = table.get
-            candidates = 0
-            if single_ref is not None:
-                key_column = resolver.values(single_ref)
-                buckets = [
-                    None if (value := key_column[i]) is None
-                    else table_get((value,))
-                    for i in range(count)
-                ]
-            else:
-                key_columns = [resolver.values(ref) for ref in probe_refs]
-                buckets = [
-                    None if None in
-                    (key := tuple(column[i] for column in key_columns))
-                    else table_get(key)
-                    for i in range(count)
-                ]
-            for i in range(count):
-                bucket = buckets[i]
-                if bucket is None:
-                    continue
-                probe_row = probe_rows[i]
-                probe_size = sizes[i]
-                probe_len = len(probe_row)
-                for build_row, build_size, build_len in bucket:
-                    merged = {**probe_row, **build_row}
-                    candidates += 1
-                    if not predicates or \
-                            all(p.evaluate(merged) for p in predicates):
-                        append_row(merged)
-                        if len(merged) == probe_len + build_len:
-                            append_size(probe_size + build_size - 2)
-                        else:
-                            append_size(estimate_value_size(merged))
-            if pred_cpu and candidates:
-                context.charge_cpu(pred_cpu * candidates)
-            return RowBatch(out_rows, out_sizes)
-
-        return batch_transform
 
     def _build_side(self, node: PhysicalNode, jobs: list[CompiledJob],
                     probe: _Stream, spillable: bool = False,
@@ -645,185 +524,39 @@ class PlanCompiler:
             raw_bytes = (self.dfs.file_size(input_file)
                          if self.dfs.exists(input_file) else 0)
             budget = self.config.cluster.task_memory_bytes
+            loader = list
+            description = leaf.describe()
             if leaf.is_base and leaf.predicates and raw_bytes > budget:
                 filtered = self._materialize(self._leaf_stream(node), jobs)
                 probe.upstream.append(filtered)
-                return BroadcastBuild(
-                    input_file=filtered.job.output_name,
-                    loader=lambda raw_rows: list(raw_rows),
-                    description=f"{leaf.describe()} (pre-filtered)",
-                    spillable=spillable,
-                    declared_bytes=int(node.est_bytes),
-                )
-            if leaf.is_base:
-                def loader(raw_rows: list[Row],
-                           _leaf: BlockLeaf = leaf) -> list[Row]:
-                    loaded = []
-                    for row in raw_rows:
-                        qualified = _leaf.qualify_and_filter(row)
-                        if qualified is not None:
-                            loaded.append(qualified)
-                    return loaded
-            else:
+                input_file = filtered.job.output_name
+                description += " (pre-filtered)"
+            elif leaf.is_base:
+                scan = _leaf_filter(leaf, self._use_numpy)
+
                 def loader(raw_rows: list[Row]) -> list[Row]:
-                    return list(raw_rows)
-            return BroadcastBuild(
-                input_file=input_file,
-                loader=loader,
-                description=leaf.describe(),
-                spillable=spillable,
-                declared_bytes=int(node.est_bytes),
-            )
-        # Join subtree: materialize it, then broadcast its output.
-        subtree = self._compile_node(node, jobs)
-        if (not subtree.builds
-                and subtree.transform is _identity_transform
-                and len(subtree.input_files) == 1):
-            # Already materialized (e.g. a repartition-join output).
-            build_file = subtree.input_files[0]
-            probe.upstream.extend(subtree.upstream)
+                    return scan(RowBatch(raw_rows)).rows
         else:
-            materialized = self._materialize(subtree, jobs)
-            build_file = materialized.job.output_name
-            probe.upstream.append(materialized)
-        probe.upstream_cost += node.cost
+            # Join subtree: materialize it, then broadcast its output.
+            subtree = self._compile_node(node, jobs)
+            if not subtree.is_materialized:  # else e.g. a repartition output
+                subtree = self._materialized_stream(subtree, jobs)
+            probe.upstream.extend(subtree.upstream)
+            probe.upstream_cost += node.cost
+            input_file = subtree.input_files[0]
+            loader = list
+            description = f"build from {input_file}"
         return BroadcastBuild(
-            input_file=build_file,
-            loader=lambda raw_rows: list(raw_rows),
-            description=f"build from {build_file}",
+            input_file=input_file,
+            loader=loader,
+            description=description,
             spillable=spillable,
             declared_bytes=int(node.est_bytes),
         )
 
-    def _repartition_stream(self, node: PhysJoin,
-                            jobs: list[CompiledJob]) -> _Stream:
-        left = self._compile_node(node.left, jobs)
-        right = self._compile_node(node.right, jobs)
-        sides = (left, right)
-        side_refs = [
-            [condition.side_for(side.aliases) for condition in node.conditions]
-            for side in sides
-        ]
-        predicates = node.applied_predicates
-        pred_cpu = sum(p.cpu_seconds_per_row for p in predicates)
-
-        def mapper(context: TaskContext, source: str,
-                   rows: list[Row]) -> None:
-            for side_index, side in enumerate(sides):
-                if source not in side.input_files:
-                    continue
-                refs = side_refs[side_index]
-                transform = side.transform
-                emit = context.emit
-                for row in rows:
-                    for out in transform(context, row):
-                        key = tuple(ref.evaluate(out) for ref in refs)
-                        if None in key:
-                            continue
-                        emit(key, {"s": side_index, "r": out})
-
-        reducer = _make_join_reducer(predicates, pred_cpu)
-
-        batch_mapper = None
-        batch_reducer = None
-        if self._columnar and all(
-                side.batch_transform is not None for side in sides):
-            batch_sides = tuple(side.batch_transform for side in sides)
-            side_files = tuple(frozenset(side.input_files) for side in sides)
-
-            def batch_mapper(context: TaskContext, source: str,
-                             batch) -> BatchEmit:
-                # Tagged shuffle records: ``{"s": side, "r": row}`` sizes
-                # to 16 + size(row) (two one-char keys, one 8-byte int).
-                # Keys stay the same tuples the row mapper emits -- the
-                # hash partitioner must see identical keys.
-                out_keys: list = []
-                out_rows: list[Row] = []
-                out_sizes: list[int] = []
-                for side_index in (0, 1):
-                    if source not in side_files[side_index]:
-                        continue
-                    out = batch_sides[side_index](context, batch)
-                    rows = out.rows
-                    if not rows:
-                        continue
-                    sizes = out.ensure_sizes()
-                    resolver = ColumnResolver(out)
-                    refs = side_refs[side_index]
-                    append_key = out_keys.append
-                    append_row = out_rows.append
-                    append_size = out_sizes.append
-                    if len(refs) == 1:
-                        key_column = resolver.values(refs[0])
-                        for i, value in enumerate(key_column):
-                            if value is None:
-                                continue
-                            append_key((value,))
-                            append_row({"s": side_index, "r": rows[i]})
-                            append_size(16 + sizes[i])
-                    else:
-                        key_columns = [resolver.values(ref) for ref in refs]
-                        for i in range(len(rows)):
-                            key = tuple(column[i] for column in key_columns)
-                            if None in key:
-                                continue
-                            append_key(key)
-                            append_row({"s": side_index, "r": rows[i]})
-                            append_size(16 + sizes[i])
-                return BatchEmit(rows=out_rows, sizes=out_sizes,
-                                 keys=out_keys)
-
-            batch_reducer = _make_join_batch_reducer(predicates, pred_cpu)
-
-        name = self._next_name("rjoin")
-        output = f"{name}.out"
-        inputs = sorted(set(left.input_files) | set(right.input_files))
-        estimated_input_bytes = (
-            node.left.est_bytes + node.right.est_bytes
-        )
-        job = MapReduceJob(
-            name=name,
-            inputs=inputs,
-            mapper=mapper,
-            reducer=reducer,
-            num_reducers=self._reducers_for(inputs, estimated_input_bytes),
-            output_name=output,
-            output_schema=_intermediate_schema(),
-            broadcast_builds=left.builds + right.builds,
-            description=f"repartition join over {sorted(node.aliases)}",
-            memory_demand_bytes=self._memory_demand(
-                left.builds + right.builds
-            ),
-            batch_mapper=batch_mapper,
-            batch_reducer=batch_reducer,
-        )
-        depends = _dedupe(
-            [up.name for up in left.upstream + right.upstream]
-        )
-        upstream_cost = left.upstream_cost + right.upstream_cost
-        compiled = CompiledJob(
-            job=job,
-            depends_on=depends,
-            output_aliases=node.aliases,
-            applied_predicates=(left.applied_predicates
-                                + right.applied_predicates + predicates),
-            join_count=left.join_count + right.join_count + 1,
-            estimated_cost=max(node.cost - upstream_cost, 0.0),
-            estimated_rows=node.est_rows,
-            estimated_bytes=node.est_bytes,
-        )
-        jobs.append(compiled)
-        return _Stream(
-            input_files=[output],
-            transform=_identity_transform,
-            upstream=[compiled],
-            aliases=node.aliases,
-            upstream_cost=node.cost,
-            node=node,
-        )
-
     def _skew_build_side(self, node: PhysJoin, right: _Stream,
-                         jobs: list[CompiledJob], build_refs,
+                         jobs: list[CompiledJob],
+                         build_refs: list[ColumnRef],
                          ) -> tuple[BroadcastBuild, _Stream]:
         """Heavy-key build slice of a skew join.
 
@@ -834,289 +567,133 @@ class PlanCompiler:
         slice while the job's tail shuffle re-reads the same file.
         """
         heavy_set = frozenset(node.heavy_keys)
-        declared = int(node.heavy_build_fraction * node.right.est_bytes)
         right_node = node.right
         if isinstance(right_node, PhysLeaf) and right_node.leaf.is_base:
-            leaf = right_node.leaf
-
-            def leaf_loader(raw_rows: list[Row],
-                            _leaf: BlockLeaf = leaf) -> list[Row]:
-                loaded = []
-                for row in raw_rows:
-                    qualified = _leaf.qualify_and_filter(row)
-                    if qualified is None:
-                        continue
-                    key = tuple(ref.evaluate(qualified)
-                                for ref in build_refs)
-                    if key in heavy_set:
-                        loaded.append(qualified)
-                return loaded
-
-            return BroadcastBuild(
-                input_file=self._file_of_leaf(leaf),
-                loader=leaf_loader,
-                description=f"{leaf.describe()} (heavy keys)",
-                declared_bytes=declared,
-            ), right
-
-        if (right.builds or right.transform is not _identity_transform
-                or len(right.input_files) != 1):
-            # Build pipeline: materialize it once; the same file feeds
-            # both the tail shuffle and the heavy-key build.
-            materialized = self._materialize(right, jobs)
-            right = _Stream(
-                input_files=[materialized.job.output_name],
-                transform=_identity_transform,
-                upstream=[materialized],
-                aliases=right.aliases,
-                upstream_cost=(right.node.cost
-                               if right.node is not None else 0.0),
-                node=right.node,
-                batch_transform=(_identity_batch_transform
-                                 if self._columnar else None),
-            )
-        build_file = right.input_files[0]
+            scan = _leaf_filter(right_node.leaf, self._use_numpy)
+            description = f"{right_node.leaf.describe()} (heavy keys)"
+        else:
+            if not right.is_materialized:
+                # Build pipeline: materialize it once; the same file feeds
+                # both the tail shuffle and the heavy-key build.
+                right = self._materialized_stream(right, jobs)
+            scan = None  # an intermediate: already qualified and filtered
+            description = f"heavy keys of {right.input_files[0]}"
 
         def loader(raw_rows: list[Row]) -> list[Row]:
-            return [row for row in raw_rows
-                    if tuple(ref.evaluate(row)
-                             for ref in build_refs) in heavy_set]
+            batch = RowBatch(raw_rows)
+            if scan is not None:
+                batch = scan(batch)
+            return [row for row, key
+                    in zip(batch.rows, _join_keys(batch, build_refs))
+                    if key in heavy_set]
 
         return BroadcastBuild(
-            input_file=build_file,
+            input_file=right.input_files[0],
             loader=loader,
-            description=f"heavy keys of {build_file}",
-            declared_bytes=declared,
+            description=description,
+            declared_bytes=int(node.heavy_build_fraction
+                               * node.right.est_bytes),
         ), right
 
     def _skew_stream(self, node: PhysJoin,
                      jobs: list[CompiledJob]) -> _Stream:
-        """Skew join: one map+reduce job with a heavy-key side channel.
+        """Repartition join, with a heavy-key side channel when skewed.
 
-        Map tasks hash-load only the build rows of the plan's heavy keys
-        (:attr:`PhysJoin.heavy_keys`). Probe rows carrying a heavy key
-        are joined in place and emitted with ``key=None`` -- the runtime
-        routes them straight to the job's output, bypassing the shuffle
-        -- while the long tail of both sides shuffles and reduces exactly
-        like a repartition join. Build rows of heavy keys are dropped
-        from the shuffle (they already live in the broadcast build), so
-        no pair is joined twice.
+        One map+reduce job: each map task reads a split of either input,
+        applies that side's pipeline, tags the record with its side and
+        emits it under the join key; reducers separate the two sides per
+        key and produce the cartesian product (Section 2.2.1).
+
+        A skew join (:attr:`PhysJoin.heavy_keys` non-empty) adds the side
+        channel: map tasks hash-load only the build rows of the heavy
+        keys, probe rows carrying a heavy key are joined in place and
+        emitted with ``key=None`` -- the runtime routes them straight to
+        the job's output, bypassing the shuffle -- and build rows of heavy
+        keys are dropped from the shuffle (they already live in the
+        broadcast build), so no pair is joined twice.
         """
         left = self._compile_node(node.left, jobs)
         right = self._compile_node(node.right, jobs)
-        probe_refs = [
-            condition.side_for(node.left.aliases)
-            for condition in node.conditions
+        side_refs = [
+            [condition.side_for(side) for condition in node.conditions]
+            for side in (node.left.aliases, node.right.aliases)
         ]
-        build_refs = [
-            condition.side_for(node.right.aliases)
-            for condition in node.conditions
-        ]
-        heavy_build, right = self._skew_build_side(
-            node, right, jobs, build_refs,
-        )
-        sides = (left, right)
-        side_refs = [probe_refs, build_refs]
         predicates = node.applied_predicates
         pred_cpu = sum(p.cpu_seconds_per_row for p in predicates)
         probe_cpu = self.config.cluster.probe_seconds_per_record
         heavy_set = frozenset(node.heavy_keys)
-        hash_holder: dict[str, object] = {}
+        builds = left.builds + right.builds
+        heavy_probe = None
+        if heavy_set:
+            heavy_build, right = self._skew_build_side(
+                node, right, jobs, side_refs[1])
+            builds = builds + [heavy_build]
+            heavy_probe = _hash_probe(heavy_build, side_refs[1],
+                                      predicates, pred_cpu)
+        side_transforms = (left.transform, right.transform)
+        side_files = (frozenset(left.input_files),
+                      frozenset(right.input_files))
 
-        def heavy_table() -> dict:
-            table = hash_holder.get("table")
-            if table is None or \
-                    hash_holder.get("source") is not heavy_build.rows:
-                table = {}
-                for build_row in heavy_build.built_rows():
-                    key = tuple(ref.evaluate(build_row)
-                                for ref in build_refs)
-                    if None in key:
-                        continue
-                    table.setdefault(key, []).append(build_row)
-                hash_holder["table"] = table
-                hash_holder["source"] = heavy_build.rows
-            return table
-
-        def mapper(context: TaskContext, source: str,
-                   rows: list[Row]) -> None:
-            for side_index, side in enumerate(sides):
-                if source not in side.input_files:
+        def mapper(context: TaskContext, source: str, batch) -> BatchEmit:
+            out_keys: list = []
+            out_rows: list[Row] = []
+            out_sizes: list[int] = []
+            append_key = out_keys.append
+            append_row = out_rows.append
+            append_size = out_sizes.append
+            for side_index in (0, 1):
+                if source not in side_files[side_index]:
                     continue
-                refs = side_refs[side_index]
-                transform = side.transform
-                emit = context.emit
-                charge_cpu = context.charge_cpu
-                if side_index == 0:
-                    table_get = heavy_table().get
-                    for row in rows:
-                        for out in transform(context, row):
-                            key = tuple(ref.evaluate(out) for ref in refs)
-                            if None in key:
-                                continue
-                            if key in heavy_set:
-                                charge_cpu(probe_cpu)
-                                bucket = table_get(key)
-                                if bucket is None:
-                                    continue
-                                for build_row in bucket:
-                                    merged = {**out, **build_row}
-                                    if pred_cpu:
-                                        charge_cpu(pred_cpu)
-                                    if not predicates or all(
-                                            p.evaluate(merged)
-                                            for p in predicates):
-                                        emit(None, merged)
-                            else:
-                                emit(key, {"s": 0, "r": out})
-                else:
-                    for row in rows:
-                        for out in transform(context, row):
-                            key = tuple(ref.evaluate(out) for ref in refs)
-                            if None in key:
-                                continue
-                            if key in heavy_set:
-                                continue  # lives in the heavy build
-                            emit(key, {"s": 1, "r": out})
-
-        reducer = _make_join_reducer(predicates, pred_cpu)
-
-        batch_mapper = None
-        batch_reducer = None
-        if self._columnar and all(
-                side.batch_transform is not None for side in sides):
-            batch_sides = tuple(side.batch_transform for side in sides)
-            side_files = tuple(frozenset(side.input_files) for side in sides)
-            batch_holder: dict[str, object] = {}
-
-            def heavy_batch_table() -> dict:
-                table = batch_holder.get("table")
-                if table is None or \
-                        batch_holder.get("source") is not heavy_build.rows:
-                    table = {}
-                    for build_row in heavy_build.built_rows():
-                        key = tuple(ref.evaluate(build_row)
-                                    for ref in build_refs)
-                        if None in key:
-                            continue
-                        table.setdefault(key, []).append(
-                            (build_row, estimate_dict_size(build_row),
-                             len(build_row))
-                        )
-                    batch_holder["table"] = table
-                    batch_holder["source"] = heavy_build.rows
-                return table
-
-            def batch_mapper(context: TaskContext, source: str,
-                             batch) -> BatchEmit:
-                # Same record stream as the row mapper: heavy probe rows
-                # become merged outputs keyed None (direct output), the
-                # tail becomes 16-byte-framed tagged shuffle records.
-                out_keys: list = []
-                out_rows: list[Row] = []
-                out_sizes: list[int] = []
-                for side_index in (0, 1):
-                    if source not in side_files[side_index]:
+                out = side_transforms[side_index](context, batch)
+                rows = out.rows
+                if not rows:
+                    continue
+                sizes = out.ensure_sizes()
+                keys = _join_keys(out, side_refs[side_index])
+                if heavy_probe is not None and side_index == 0:
+                    heavy = [i for i, key in enumerate(keys)
+                             if key in heavy_set]
+                    if heavy:
+                        if probe_cpu:
+                            context.charge_cpu(probe_cpu * len(heavy))
+                        joined = heavy_probe(
+                            context, [rows[i] for i in heavy],
+                            [sizes[i] for i in heavy],
+                            [keys[i] for i in heavy])
+                        out_keys.extend([None] * len(joined))
+                        out_rows.extend(joined.rows)
+                        out_sizes.extend(joined.sizes)
+                # Tagged shuffle records: ``{"s": side, "r": row}`` sizes
+                # to 16 + size(row) (two one-char keys, one 8-byte int).
+                for i, key in enumerate(keys):
+                    if key is None or key in heavy_set:
                         continue
-                    out = batch_sides[side_index](context, batch)
-                    rows = out.rows
-                    if not rows:
-                        continue
-                    sizes = out.ensure_sizes()
-                    resolver = ColumnResolver(out)
-                    refs = side_refs[side_index]
-                    if len(refs) == 1:
-                        column = resolver.values(refs[0])
-                        keys = [
-                            None if (value := column[i]) is None
-                            else (value,)
-                            for i in range(len(rows))
-                        ]
-                    else:
-                        key_columns = [resolver.values(ref) for ref in refs]
-                        keys = [
-                            None if None in
-                            (key := tuple(column[i]
-                                          for column in key_columns))
-                            else key
-                            for i in range(len(rows))
-                        ]
-                    append_key = out_keys.append
-                    append_row = out_rows.append
-                    append_size = out_sizes.append
-                    if side_index == 0:
-                        table_get = heavy_batch_table().get
-                        heavy_count = 0
-                        candidates = 0
-                        for i, key in enumerate(keys):
-                            if key is None:
-                                continue
-                            if key in heavy_set:
-                                heavy_count += 1
-                                bucket = table_get(key)
-                                if bucket is None:
-                                    continue
-                                probe_row = rows[i]
-                                probe_size = sizes[i]
-                                probe_len = len(probe_row)
-                                for build_row, build_size, build_len \
-                                        in bucket:
-                                    merged = {**probe_row, **build_row}
-                                    candidates += 1
-                                    if not predicates or all(
-                                            p.evaluate(merged)
-                                            for p in predicates):
-                                        append_key(None)
-                                        append_row(merged)
-                                        if len(merged) == \
-                                                probe_len + build_len:
-                                            append_size(
-                                                probe_size + build_size - 2)
-                                        else:
-                                            append_size(
-                                                estimate_value_size(merged))
-                            else:
-                                append_key(key)
-                                append_row({"s": 0, "r": rows[i]})
-                                append_size(16 + sizes[i])
-                        if probe_cpu and heavy_count:
-                            context.charge_cpu(probe_cpu * heavy_count)
-                        if pred_cpu and candidates:
-                            context.charge_cpu(pred_cpu * candidates)
-                    else:
-                        for i, key in enumerate(keys):
-                            if key is None or key in heavy_set:
-                                continue
-                            append_key(key)
-                            append_row({"s": 1, "r": rows[i]})
-                            append_size(16 + sizes[i])
-                return BatchEmit(rows=out_rows, sizes=out_sizes,
-                                 keys=out_keys)
+                    append_key(key)
+                    append_row({"s": side_index, "r": rows[i]})
+                    append_size(16 + sizes[i])
+            return BatchEmit(rows=out_rows, sizes=out_sizes, keys=out_keys)
 
-            batch_reducer = _make_join_batch_reducer(predicates, pred_cpu)
-
-        name = self._next_name("sjoin")
+        name = self._next_name("sjoin" if heavy_set else "rjoin")
         output = f"{name}.out"
         inputs = sorted(set(left.input_files) | set(right.input_files))
         estimated_input_bytes = (
             node.left.est_bytes + node.right.est_bytes
         )
-        builds = left.builds + right.builds + [heavy_build]
+        description = f"{node.method} join over {sorted(node.aliases)}"
+        if heavy_set:
+            description += f" ({len(heavy_set)} heavy keys)"
         job = MapReduceJob(
             name=name,
             inputs=inputs,
             mapper=mapper,
-            reducer=reducer,
+            reducer=_join_reducer(predicates, pred_cpu),
             num_reducers=self._reducers_for(inputs, estimated_input_bytes),
             output_name=output,
             output_schema=_intermediate_schema(),
             broadcast_builds=builds,
-            description=(f"skew join over {sorted(node.aliases)}"
-                         f" ({len(node.heavy_keys)} heavy keys)"),
+            description=description,
             memory_demand_bytes=self._memory_demand(builds),
-            batch_mapper=batch_mapper,
-            batch_reducer=batch_reducer,
-            map_side_output=True,
+            map_side_output=bool(heavy_set),
         )
         depends = _dedupe(
             [up.name for up in left.upstream + right.upstream]
@@ -1153,22 +730,10 @@ class PlanCompiler:
         output = f"{name}.out"
         transform = stream.transform
 
-        def mapper(context: TaskContext, source: str,
-                   rows: list[Row]) -> None:
-            emit = context.emit
-            for row in rows:
-                for out in transform(context, row):
-                    emit(None, out)
-
-        batch_mapper = None
-        if self._columnar and stream.batch_transform is not None:
-            stream_batch = stream.batch_transform
-
-            def batch_mapper(context: TaskContext, source: str,
-                             batch) -> BatchEmit:
-                out = stream_batch(context, batch)
-                return BatchEmit(rows=out.rows, sizes=out.ensure_sizes(),
-                                 columns=out)
+        def mapper(context: TaskContext, source: str, batch) -> BatchEmit:
+            out = transform(context, batch)
+            return BatchEmit(rows=out.rows, sizes=out.ensure_sizes(),
+                             columns=out)
 
         job = MapReduceJob(
             name=name,
@@ -1179,7 +744,6 @@ class PlanCompiler:
             broadcast_builds=list(stream.builds),
             description=f"map-only pipeline over {sorted(stream.aliases)}",
             memory_demand_bytes=self._memory_demand(stream.builds),
-            batch_mapper=batch_mapper,
         )
         node_cost = stream.node.cost if stream.node is not None else 0.0
         compiled = CompiledJob(
@@ -1237,12 +801,12 @@ class PlanCompiler:
 
 
 def _fold_aggregate(aggregate: Aggregate, values: list[Row]):
-    """Columnar fold of one aggregate over a group's rows.
+    """Fold of one aggregate over a group's rows.
 
-    Replicates ``initial()``/``step()``/``final()`` exactly, including the
-    float fold order (left fold from 0.0 for sum/avg) and min/max keeping
-    the earliest value on ties, so results are bit-identical to the row
-    reducer's state machine.
+    Replicates ``Aggregate.initial()``/``step()``/``final()`` (the
+    interpreter's state machine) exactly, including the float fold order
+    (left fold from 0.0 for sum/avg) and min/max keeping the earliest
+    value on ties.
     """
     op = aggregate.op
     if op == "count":

@@ -1,14 +1,15 @@
 """Vectorized predicate evaluation over column batches.
 
-The row engine evaluates predicates one row-dict at a time; the columnar
-path evaluates them as *selections*: a predicate maps a list of candidate
-row indices to the sublist that passes. Semantics are exactly those of
-``Predicate.evaluate`` on qualified rows:
+Predicates are evaluated as *selections*: a predicate maps a list of
+candidate row indices to the sublist that passes. Semantics are exactly
+those of ``Predicate.evaluate`` on qualified rows:
 
 * a ``None`` operand fails a comparison;
 * a ``TypeError`` from a comparison counts as False (mixed-type data);
 * ``And`` narrows sequentially, ``Or`` unions its branches (a row passes
-  if any branch passes), UDFs are applied per surviving index.
+  if any branch passes), UDFs are applied per surviving index;
+* any other ``Predicate`` subclass is applied through its ``evaluate``
+  per surviving row.
 
 Comparisons against literals over None-free ``int64``/``float64`` columns
 can use numpy boolean masks; the mask is converted straight back to a
@@ -31,6 +32,7 @@ from repro.jaql.expr import (
     Predicate,
     UdfPredicate,
     _COMPARATORS,
+    qualify_row,
 )
 
 try:  # optional accelerator (see repro.data.columns)
@@ -55,42 +57,36 @@ if _np is not None:
 _FLOAT_EXACT_INT = 1 << 53
 
 
-def supports_vector(predicates: Sequence[Predicate]) -> bool:
-    """True when every predicate is a known, vectorizable node type."""
-    return all(_supported(predicate) for predicate in predicates)
-
-
-def _supported(predicate: Predicate) -> bool:
-    kind = type(predicate)
-    if kind is Comparison or kind is UdfPredicate:
-        return True
-    if kind is And or kind is Or:
-        return supports_vector(predicate.parts)
-    return False
-
-
 class ColumnResolver:
     """Per-batch cache of ``ColumnRef -> column values`` (and arrays).
 
-    ``raw`` selects the unqualified field name (``ref.column``) -- the leaf
-    scan evaluates predicates over base-table rows *before* qualification,
-    which is equivalent because qualification renames every field 1:1.
+    ``raw_alias`` marks the batch as unqualified base-table rows of that
+    alias and selects the unqualified field name (``ref.column``) -- the
+    leaf scan evaluates predicates *before* qualification, which is
+    equivalent because qualification renames every field 1:1.
     ``use_numpy`` gates the mask path; arrays only exist for step-free
     refs over batches that expose them (DFS split batches).
     """
 
-    __slots__ = ("_batch", "_raw", "_use_numpy", "_values", "_arrays")
+    __slots__ = ("_batch", "_raw_alias", "_use_numpy", "_values", "_arrays")
 
-    def __init__(self, batch: Any, raw: bool = False,
+    def __init__(self, batch: Any, raw_alias: str | None = None,
                  use_numpy: bool = False):
         self._batch = batch
-        self._raw = raw
+        self._raw_alias = raw_alias
         self._use_numpy = use_numpy
         self._values: dict[ColumnRef, list[Any]] = {}
         self._arrays: dict[ColumnRef, Any] = {}
 
     def _name(self, ref: ColumnRef) -> str:
-        return ref.column if self._raw else ref.qualified
+        return ref.qualified if self._raw_alias is None else ref.column
+
+    def row(self, index: int) -> Any:
+        """Row ``index`` as ``Predicate.evaluate`` expects it (qualified)."""
+        row = self._batch.rows[index]
+        if self._raw_alias is None:
+            return row
+        return qualify_row(self._raw_alias, row)
 
     def values(self, ref: ColumnRef) -> list[Any]:
         values = self._values.get(ref)
@@ -170,9 +166,9 @@ def _apply(predicate: Predicate, indices: Sequence[int],
             i for i in indices
             if udf(*(column[i] for column in arg_columns))
         ]
-    raise TypeError(
-        f"cannot vectorize predicate type {kind.__name__}"
-    )
+    # A Predicate subclass this module does not know: its contract is
+    # evaluate(), so it runs per surviving row instead of per column.
+    return [i for i in indices if predicate.evaluate(columns.row(i))]
 
 
 def _apply_comparison(predicate: Comparison, indices: Sequence[int],
@@ -195,7 +191,7 @@ def _apply_comparison(predicate: Comparison, indices: Sequence[int],
             return _guarded_pair_scan(comparator, left_values, right_values,
                                       indices)
     if right is None:
-        # `col op None` is False for every row in the row engine.
+        # `col op None` is False for every row (Comparison.evaluate).
         return []
     array = columns.array(predicate.left)
     if array is not None:

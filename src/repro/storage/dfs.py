@@ -275,14 +275,8 @@ class DistributedFileSystem:
 
     # -- data-path operations ---------------------------------------------
 
-    def read_split(self, split: Split) -> list[Row]:
-        rows = self.open(split.file_name).split_rows(split)
-        with self._accounting_lock:
-            self.bytes_read += split.size_bytes
-        return rows
-
     def read_split_batch(self, split: Split) -> SplitBatch:
-        """Columnar read of one split; charges bytes like :meth:`read_split`."""
+        """One split as a column batch; charges its bytes as read."""
         batch = self.open(split.file_name).split_batch(split)
         with self._accounting_lock:
             self.bytes_read += split.size_bytes

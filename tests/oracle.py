@@ -144,15 +144,6 @@ def faulted_config(plan: FaultPlan, base: DynoConfig = DEFAULT_CONFIG,
     return config
 
 
-def columnar_config(base: DynoConfig = DEFAULT_CONFIG,
-                    parallel: bool = False) -> DynoConfig:
-    """Config with the columnar batch data path enabled."""
-    config = base.with_columnar()
-    if parallel:
-        config = config.with_parallel_execution()
-    return config
-
-
 def canonical_value(value, float_places: int = 6):
     if isinstance(value, float):
         return round(value, float_places)

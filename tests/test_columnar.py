@@ -1,18 +1,20 @@
-"""Columnar batch data path: byte-identity oracle and unit equivalences.
+"""Batch data path: unit equivalences and backend byte-identity.
 
-The columnar engine must be *indistinguishable* from the row engine in
-everything except wall-clock time: same result rows in the same order,
-same DFS block layout and byte counters, same collected statistics, same
-spill accounting. These tests pin that down layer by layer (sizers,
-vectorized predicates, stats ingestion) and end-to-end (execution
-fingerprints across workloads, strategies, parallelism and the PR-2
-fault matrix).
+Everything in the data path that has a second, independent definition is
+pinned against it here: O(1) size arithmetic against
+``estimate_value_size``, vectorized selection against
+``Predicate.evaluate``, column-wise statistics ingest against row-wise,
+and the numpy column-array backend against the pure-Python one (execution
+fingerprints across workloads, parallelism and the fault matrix). Result
+correctness against the interpreter lives in
+``test_workload_differential.py``.
 """
+
+from dataclasses import replace
 
 import pytest
 
 from repro.config import DEFAULT_CONFIG
-from repro.core.dyno import Dyno
 from repro.data.columns import (
     RowBatch,
     column_index,
@@ -29,13 +31,19 @@ from repro.data.schema import (
     STRING,
     FLOAT,
 )
-from repro.jaql.expr import And, ColumnRef, Comparison, Or, UdfPredicate
+from repro.jaql.expr import (
+    And,
+    ColumnRef,
+    Comparison,
+    Or,
+    Predicate,
+    UdfPredicate,
+)
 from repro.jaql.functions import Udf
-from repro.jaql.vector import ColumnResolver, select, supports_vector
+from repro.jaql.vector import ColumnResolver, select
 from repro.stats.statistics import RunningStats, composite_name
 from tests.oracle import (
     ORACLE_QUERIES,
-    columnar_config,
     fault_matrix,
     faulted_config,
     fingerprint,
@@ -186,8 +194,6 @@ class TestColumnPlumbing:
         assert resolve_backend("auto") == numpy_available()
         with pytest.raises(ValueError):
             resolve_backend("fortran")
-        with pytest.raises(ValueError):
-            DEFAULT_CONFIG.with_columnar(backend="fortran")
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +214,17 @@ PREDICATE_ROWS = [
 
 IS_SHORT = Udf("is_short", lambda s: s is not None and len(s) <= 1)
 
+
+class OddA(Predicate):
+    """A Predicate subclass the vectorizer has never heard of."""
+
+    def evaluate(self, row):
+        return row.get("t.a") is not None and row["t.a"] % 2 == 1
+
+    def signature(self):
+        return "odd(t.a)"
+
+
 PREDICATE_CASES = [
     Comparison(ref("a"), ">", 0),
     Comparison(ref("a"), "=", None),
@@ -218,6 +235,7 @@ PREDICATE_CASES = [
     And((Comparison(ref("a"), ">", -2), Comparison(ref("b"), "<", 6))),
     Or((Comparison(ref("a"), "=", 7), Comparison(ref("s"), "=", "a"))),
     UdfPredicate(IS_SHORT, (ref("s"),)),
+    OddA(),                                        # evaluate() fallback
 ]
 
 
@@ -225,7 +243,6 @@ class TestVectorSelect:
     @pytest.mark.parametrize("predicate", PREDICATE_CASES,
                              ids=[p.signature() for p in PREDICATE_CASES])
     def test_matches_row_evaluation(self, predicate):
-        assert supports_vector([predicate])
         batch = RowBatch(PREDICATE_ROWS)
         resolver = ColumnResolver(batch)
         got = select([predicate], resolver, len(batch))
@@ -240,6 +257,17 @@ class TestVectorSelect:
         want = [i for i, row in enumerate(PREDICATE_ROWS)
                 if all(p.evaluate(row) for p in PREDICATE_CASES)]
         assert got == want
+
+    def test_raw_batches_qualify_rows_for_the_evaluate_fallback(self):
+        # The leaf scan selects over unqualified base-table rows; an
+        # unknown predicate must still see qualified field names.
+        raw = [{key.split(".", 1)[1]: value for key, value in row.items()}
+               for row in PREDICATE_ROWS]
+        resolver = ColumnResolver(RowBatch(raw), raw_alias="t")
+        predicates = [Comparison(ref("a"), ">", -2), OddA()]
+        assert select(predicates, resolver, len(raw)) == \
+            [i for i, row in enumerate(PREDICATE_ROWS)
+             if all(p.evaluate(row) for p in predicates)]
 
     @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
     def test_numpy_mask_matches_python_loop(self):
@@ -322,82 +350,50 @@ class TestStatsFromColumns:
 
 
 # ---------------------------------------------------------------------------
-# end-to-end byte identity: row engine vs columnar engine
+# end-to-end byte identity: pure-Python column lists vs the numpy backend
 # ---------------------------------------------------------------------------
+
+#: the reference side of every fingerprint test below. The other side is
+#: "auto", the default everything else in tier-1 runs under (numpy when
+#: importable; CI also runs the suite without numpy, where both coincide).
+PYTHON_BACKEND = replace(DEFAULT_CONFIG, columnar_backend="python")
+
 
 @pytest.fixture(scope="module")
 def tables():
     return oracle_tables()
 
 
+def assert_backends_agree(tables, query, configure=lambda config: config,
+                          accelerated=DEFAULT_CONFIG):
+    python, other = (
+        fingerprint(*run_workload(tables, query, config=configure(config)))
+        for config in (PYTHON_BACKEND, accelerated)
+    )
+    assert python == other
+
+
 class TestColumnarFingerprints:
     @pytest.mark.parametrize("query", sorted(ORACLE_QUERIES))
     def test_serial_identical(self, tables, query):
-        row_dyno, row_exec = run_workload(tables, query)
-        col_dyno, col_exec = run_workload(tables, query,
-                                          config=columnar_config())
-        assert fingerprint(row_dyno, row_exec) == \
-            fingerprint(col_dyno, col_exec)
+        assert_backends_agree(tables, query)
 
     @pytest.mark.parametrize("query", ["Q8'", "Q10"])
     def test_parallel_identical(self, tables, query):
-        row_dyno, row_exec = run_workload(
-            tables, query, config=DEFAULT_CONFIG.with_parallel_execution())
-        col_dyno, col_exec = run_workload(
-            tables, query, config=columnar_config(parallel=True))
-        assert fingerprint(row_dyno, row_exec) == \
-            fingerprint(col_dyno, col_exec)
+        assert_backends_agree(
+            tables, query, lambda config: config.with_parallel_execution())
 
     @pytest.mark.parametrize("plan", fault_matrix(),
                              ids=[plan.name for plan in fault_matrix()])
     @pytest.mark.parametrize("query", ["Q8'", "Q10"])
     def test_fault_matrix_identical(self, tables, plan, query):
-        row_dyno, row_exec = run_workload(
-            tables, query, config=faulted_config(plan))
-        col_dyno, col_exec = run_workload(
-            tables, query,
-            config=faulted_config(plan, base=DEFAULT_CONFIG.with_columnar()))
-        assert fingerprint(row_dyno, row_exec) == \
-            fingerprint(col_dyno, col_exec)
+        assert_backends_agree(
+            tables, query, lambda config: faulted_config(plan, base=config))
 
     @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
     def test_backends_identical(self, tables):
-        py_dyno, py_exec = run_workload(
+        """"numpy" *requires* the accelerator where "auto" merely prefers
+        it."""
+        assert_backends_agree(
             tables, "Q8'",
-            config=DEFAULT_CONFIG.with_columnar(backend="python"))
-        np_dyno, np_exec = run_workload(
-            tables, "Q8'",
-            config=DEFAULT_CONFIG.with_columnar(backend="numpy"))
-        assert fingerprint(py_dyno, py_exec) == \
-            fingerprint(np_dyno, np_exec)
-
-
-SPILL_SQL = """
-    SELECT o.o_orderkey AS okey, c.c_name AS cname
-    FROM orders o, customer c
-    WHERE o.o_custkey = c.c_custkey
-"""
-
-
-class TestColumnarSpillParity:
-    """Hybrid-join spill: identical spill-byte accounting per engine."""
-
-    def run(self, tables, columnar):
-        config = DEFAULT_CONFIG.with_memory(task_memory_bytes=8192)
-        if columnar:
-            config = config.with_columnar()
-        dyno = Dyno(tables, config=config)
-        spec = dyno.parse(SPILL_SQL, name="QSPILL")
-        execution = dyno.execute(spec, mode="dynopt", strategy="UNC-1")
-        return dyno, execution
-
-    def test_spill_accounting_identical(self, tpch_tables):
-        row_dyno, row_exec = self.run(tpch_tables, columnar=False)
-        col_dyno, col_exec = self.run(tpch_tables, columnar=True)
-        assert row_dyno.dfs.spill_bytes_written > 0
-        assert col_dyno.dfs.spill_bytes_written == \
-            row_dyno.dfs.spill_bytes_written
-        assert col_dyno.dfs.spill_bytes_read == \
-            row_dyno.dfs.spill_bytes_read
-        assert fingerprint(row_dyno, row_exec) == \
-            fingerprint(col_dyno, col_exec)
+            accelerated=replace(DEFAULT_CONFIG, columnar_backend="numpy"))

@@ -108,7 +108,7 @@ class TestSplits:
         dfs = make_dfs(block_size=200)
         dfs.write_table(make_table(50))
         split = dfs.file_splits("data")[1]
-        rows = dfs.read_split(split)
+        rows = dfs.read_split_batch(split).rows
         assert rows[0]["id"] == split.start_row
         assert len(rows) == split.row_count
 
@@ -140,7 +140,7 @@ class TestAccounting:
         dfs.write_table(make_table(50))
         split = dfs.file_splits("data")[0]
         before = dfs.bytes_read
-        dfs.read_split(split)
+        dfs.read_split_batch(split)
         assert dfs.bytes_read == before + split.size_bytes
 
     def test_as_table_round_trip(self):

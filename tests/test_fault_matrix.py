@@ -149,12 +149,78 @@ class TestSkewJoinFaultMatrix:
         plan = plan_named("chaos")
         runs = []
         for parallel in (False, True):
-            config = faulted_config(plan, parallel=parallel).with_columnar()
+            config = faulted_config(plan, parallel=parallel)
             dyno, execution = run_workload(skew_tables, "SkewJoin",
                                            "UNC-1", config=config)
             runs.append((fingerprint(dyno, execution),
                          dyno.runtime.fault_injector.snapshot()))
         assert runs[0] == runs[1]
+
+
+def shuffle_joins_feeding_a_join(plan) -> set[str]:
+    """Methods of the repartition/skew joins whose *output file* another
+    join of the same static plan reads (as probe or build input)."""
+    from repro.optimizer.plans import REPARTITION, SKEW, PhysJoin
+
+    found = set()
+
+    def walk(node):
+        if not isinstance(node, PhysJoin):
+            return
+        for child in node.children():
+            if isinstance(child, PhysJoin) and \
+                    child.method in (REPARTITION, SKEW):
+                found.add(child.method)
+            walk(child)
+
+    walk(plan)
+    return found
+
+
+class TestJoinsStackedOnShuffleOutputs:
+    """DYNOPT-SIMPLE runs one static multi-job plan per block, so a join
+    can read the output of a shuffle join compiled in the same graph: Q7
+    stacks a broadcast join on a repartition output, SkewFunnel on a skew
+    output. The stacked job's pipeline starts from an intermediate file
+    rather than a leaf scan; it must survive the whole fault matrix.
+
+    A static plan cannot replan, so schedules that fail jobs permanently
+    (exhausted task retries, doomed broadcasts) run the same graph
+    all-at-once under DYNOPT instead, where ban-and-replan exists."""
+
+    CASES = {"Q7": "repartition", "SkewFunnel": "skew"}
+
+    @pytest.fixture(scope="class")
+    def stacked_baselines(self, tables, skew_tables):
+        baselines = {}
+        for query, method in self.CASES.items():
+            data = skew_tables if method == "skew" else tables
+            dyno, execution = run_workload(data, query, "SIMPLE_MO",
+                                           mode="simple")
+            stacked = set().union(*(
+                shuffle_joins_feeding_a_join(plan)
+                for block in execution.block_results
+                for plan in block.plans))
+            assert method in stacked, (
+                f"{query}: SIMPLE_MO plan stacks no join on a {method} "
+                f"join output -- the legs below would be vacuous")
+            baselines[query] = (data, fingerprint(dyno, execution))
+        return baselines
+
+    @pytest.mark.parametrize("plan_name", PLAN_NAMES)
+    @pytest.mark.parametrize("query", sorted(CASES))
+    def test_fault_schedule_is_result_invisible(
+            self, stacked_baselines, query, plan_name):
+        data, baseline = stacked_baselines[query]
+        plan = plan_named(plan_name)
+        permanent = plan.task_failure_rate or plan.broadcast_failure_rate
+        strategy, mode = (("ALL", "dynopt") if permanent
+                          else ("SIMPLE_MO", "simple"))
+        dyno, execution = run_workload(data, query, strategy, mode=mode,
+                                       config=faulted_config(plan))
+        diff = fault_visible_diff(baseline, fingerprint(dyno, execution))
+        assert not diff, (
+            f"fault plan {plan_name!r} changed {strategy} {query}: {diff}")
 
 
 class TestDeterminism:

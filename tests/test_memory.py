@@ -17,7 +17,7 @@ import threading
 import pytest
 
 from repro.cluster.counters import Counters
-from repro.cluster.job import BroadcastBuild, MapReduceJob, TaskContext
+from repro.cluster.job import BroadcastBuild, MapReduceJob
 from repro.cluster.runtime import ClusterRuntime
 from repro.cluster.scheduler import ScheduledJob, SlotScheduler
 from repro.config import DEFAULT_CONFIG, ClusterConfig, DynoConfig
@@ -31,6 +31,7 @@ from repro.optimizer.plans import summarize_plan
 from repro.optimizer.search import JoinOptimizer
 from repro.service import QueryRequest, QueryService
 from repro.storage.dfs import DistributedFileSystem
+from tests.jobs import record_mapper
 
 SCHEMA = Schema.of(key=INT, value=STRING)
 
@@ -190,7 +191,8 @@ def spill_runtime(task_memory=4096):
 def join_job(runtime):
     build = BroadcastBuild("build", lambda rows: list(rows))
 
-    def mapper(context: TaskContext, source: str, rows) -> None:
+    @record_mapper
+    def mapper(context, source: str, rows) -> None:
         table = {row["key"]: row for row in build.built_rows()}
         for row in rows:
             match = table.get(row["key"])

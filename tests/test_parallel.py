@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.cluster.job import BroadcastBuild, MapReduceJob, TaskContext
+from repro.cluster.job import BroadcastBuild, MapReduceJob
 from repro.cluster.parallel import (
     JobSkipped,
     ParallelJobExecutor,
@@ -28,6 +28,7 @@ from repro.errors import BroadcastBuildOverflowError, JobError
 from repro.storage.dfs import DistributedFileSystem
 from repro.workloads.queries import q8_prime
 from tests.conftest import assert_same_rows
+from tests.jobs import identity_mapper, keyed_mapper, record_reducer
 
 SCHEMA = Schema.of(key=INT, value=STRING)
 
@@ -156,17 +157,8 @@ def make_runtime(config: DynoConfig) -> ClusterRuntime:
     return ClusterRuntime(dfs, config)
 
 
-def identity_mapper(context: TaskContext, source: str, rows) -> None:
-    for row in rows:
-        context.emit(None, row)
-
-
-def keyed_mapper(context: TaskContext, source: str, rows) -> None:
-    for row in rows:
-        context.emit(row["key"], row)
-
-
-def counting_reducer(context: TaskContext, key, values) -> None:
+@record_reducer
+def counting_reducer(context, key, values) -> None:
     context.emit(None, {"key": key, "value": f"n{len(values)}"})
 
 
@@ -268,7 +260,7 @@ class TestRuntimeEquivalence:
     def test_failed_batch_finalizes_no_successor(self):
         """Jobs after a failure are never finalized (no output files)."""
 
-        def exploding_mapper(context, source, rows):
+        def exploding_mapper(context, source, batch):
             raise ValueError("mapper exploded")
 
         jobs = [

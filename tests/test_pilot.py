@@ -233,3 +233,50 @@ class TestCrossQueryReuse:
         assert "table:customer|" in reused
         assert "table:nation|" in reused
         assert second_report.jobs_run < first_report.jobs_run + 4
+
+
+class TestPilotSharesThePlanScan:
+    def test_pilot_and_plan_job_agree_on_a_filtered_leaf(
+            self, dyno_factory, restaurant_tables):
+        """A pilot job and a compiled plan job over the same leaf are the
+        same scan+filter: identical rows, per-row sizes, byte counters,
+        task seconds (i.e. charged UDF CPU) and collected statistics.
+        Q1's leaves carry comparison, nested-path and costed UDF
+        predicates."""
+        from repro.cluster.counters import Counters
+        from repro.jaql.compiler import PlanCompiler
+        from repro.optimizer.plans import PhysLeaf
+
+        workload = q1_restaurants()
+        dyno = dyno_factory(udfs=workload.udfs, tables=restaurant_tables)
+        block = dyno.prepare(workload.final_spec).block
+        runner = make_runner(dyno)
+        leaves = block.base_leaves()
+        assert any(leaf.cpu_seconds_per_row for leaf in leaves)
+        filtered = 0
+        for index, leaf in enumerate(leaves):
+            pilot_job, _gate = runner._leaf_job(block, leaf, index,
+                                                len(leaves), PILR_ST)
+            pilot = dyno.runtime.execute(pilot_job)  # ungated: whole file
+            graph = PlanCompiler(dyno.dfs, dyno.config, f"plan{index}") \
+                .compile_block(PhysLeaf(leaf.aliases, 0.0, 0.0, 0.0,
+                                        leaf=leaf))
+            plan_job = graph.jobs[0].job
+            plan_job.stats_columns = pilot_job.stats_columns
+            plan = dyno.runtime.execute(plan_job)
+
+            pilot_file = dyno.dfs.open(pilot.output_name)
+            plan_file = dyno.dfs.open(plan.output_name)
+            assert pilot_file.rows == plan_file.rows
+            assert plan_file.rows
+            filtered += (len(plan_file.rows)
+                         < len(restaurant_tables[leaf.source_name].rows))
+            for counter in (Counters.MAP_INPUT_RECORDS,
+                            Counters.MAP_OUTPUT_RECORDS,
+                            Counters.MAP_OUTPUT_BYTES):
+                assert pilot.counters.get("map", counter) == \
+                    plan.counters.get("map", counter)
+            assert pilot.map_task_seconds == plan.map_task_seconds
+            assert pilot.collected_stats.to_dict() == \
+                plan.collected_stats.to_dict()
+        assert filtered, "no leaf of Q1 filtered anything"

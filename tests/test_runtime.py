@@ -14,6 +14,12 @@ from repro.errors import (
     TaskRetriesExhaustedError,
 )
 from repro.storage.dfs import DistributedFileSystem
+from tests.jobs import (
+    identity_mapper,
+    keyed_mapper,
+    record_mapper,
+    record_reducer,
+)
 
 SCHEMA = Schema.of(key=INT, value=STRING)
 
@@ -33,17 +39,8 @@ def make_runtime(rows=100, config=None):
     return ClusterRuntime(dfs, config)
 
 
-def identity_mapper(context: TaskContext, source: str, rows) -> None:
-    for row in rows:
-        context.emit(None, row)
-
-
-def keyed_mapper(context: TaskContext, source: str, rows) -> None:
-    for row in rows:
-        context.emit(row["key"], row)
-
-
-def counting_reducer(context: TaskContext, key, values) -> None:
+@record_reducer
+def counting_reducer(context, key, values) -> None:
     context.emit(None, {"key": key, "count": len(values)})
 
 
@@ -77,6 +74,7 @@ class TestMapOnly:
     def test_filtering_mapper(self):
         runtime = make_runtime(100)
 
+        @record_mapper
         def mapper(context, source, rows):
             for row in rows:
                 if row["key"] == 0:
@@ -134,6 +132,7 @@ class TestMapReduce:
     def test_list_keys_are_groupable(self):
         runtime = make_runtime(20)
 
+        @record_mapper
         def mapper(context, source, rows):
             for row in rows:
                 context.emit([row["key"], "fixed"], row)
@@ -152,6 +151,7 @@ class TestBroadcastBuilds:
             description="whole input",
         )
 
+        @record_mapper
         def mapper(context, source, rows):
             table = {r["key"] for r in build.built_rows()}
             for row in rows:
@@ -215,6 +215,7 @@ class TestBatches:
     def test_batch_with_dependencies_runs_in_order(self):
         runtime = make_runtime(30)
 
+        @record_mapper
         def consumer_mapper(context, source, rows):
             for row in rows:
                 context.emit(None, {"key": row["key"], "value": "seen"})

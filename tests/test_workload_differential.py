@@ -8,6 +8,8 @@ leaf-job executor -- and demanding row-identical results is therefore an
 end-to-end differential oracle for the whole engine stack.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.config import DEFAULT_CONFIG
@@ -21,20 +23,30 @@ from repro.workloads.skewed import SKEWED_WORKLOADS
 from tests.conftest import assert_same_rows
 from tests.oracle import oracle_tables, run_workload, skewed_oracle_tables
 
-#: (label, mode, strategy, parallel, columnar) for every engine path;
-#: the columnar legs run the same queries over the batch data path.
+#: (label, mode, strategy, parallel, columnar_backend) for every engine
+#: path. The default backend is "auto" (numpy selection masks when numpy
+#: imports); the ``-columnar`` legs pin the pure-Python column lists, so
+#: both backends face the interpreter whichever way numpy is installed.
 ENGINE_PATHS = [
-    ("dynopt-unc1", "dynopt", "UNC-1", False, False),
-    ("dynopt-cheap1", "dynopt", "CHEAP-1", False, False),
-    ("dynopt-all-at-once", "dynopt", "ALL", False, False),
-    ("simple-so", "simple", "SIMPLE_SO", False, False),
-    ("simple-mo", "simple", "SIMPLE_MO", False, False),
-    ("dynopt-parallel", "dynopt", "UNC-1", True, False),
-    ("dynopt-columnar", "dynopt", "UNC-1", False, True),
-    ("dynopt-columnar-cheap1", "dynopt", "CHEAP-1", False, True),
-    ("simple-so-columnar", "simple", "SIMPLE_SO", False, True),
-    ("dynopt-columnar-parallel", "dynopt", "UNC-1", True, True),
+    ("dynopt-unc1", "dynopt", "UNC-1", False, "auto"),
+    ("dynopt-cheap1", "dynopt", "CHEAP-1", False, "auto"),
+    ("dynopt-all-at-once", "dynopt", "ALL", False, "auto"),
+    ("simple-so", "simple", "SIMPLE_SO", False, "auto"),
+    ("simple-mo", "simple", "SIMPLE_MO", False, "auto"),
+    ("dynopt-parallel", "dynopt", "UNC-1", True, "auto"),
+    ("dynopt-columnar", "dynopt", "UNC-1", False, "python"),
+    ("dynopt-columnar-cheap1", "dynopt", "CHEAP-1", False, "python"),
+    ("simple-so-columnar", "simple", "SIMPLE_SO", False, "python"),
+    ("dynopt-columnar-parallel", "dynopt", "UNC-1", True, "python"),
+    # Static multi-job plans: Q7 stacks a join on a repartition output,
+    # SkewFunnel on a skew output (shape asserted in test_fault_matrix).
+    ("simple-mo-columnar", "simple", "SIMPLE_MO", False, "python"),
 ]
+
+
+def engine_config(parallel: bool, backend: str):
+    config = replace(DEFAULT_CONFIG, columnar_backend=backend)
+    return config.with_parallel_execution() if parallel else config
 
 
 def interpreter_reference(tables, workload):
@@ -63,23 +75,19 @@ def reference_cache():
     return {}
 
 
-@pytest.mark.parametrize("label,mode,strategy,parallel,columnar",
+@pytest.mark.parametrize("label,mode,strategy,parallel,backend",
                          ENGINE_PATHS,
                          ids=[path[0] for path in ENGINE_PATHS])
 @pytest.mark.parametrize("query", sorted(TPCH_WORKLOADS))
 def test_engine_matches_interpreter(tables, reference_cache, query,
                                     label, mode, strategy, parallel,
-                                    columnar):
+                                    backend):
     if query not in reference_cache:
         reference_cache[query] = interpreter_reference(
             tables, TPCH_WORKLOADS[query]())
-    config = DEFAULT_CONFIG
-    if columnar:
-        config = config.with_columnar()
-    if parallel:
-        config = config.with_parallel_execution()
     _, execution = run_workload(tables, query, strategy,
-                                config=config, mode=mode)
+                                config=engine_config(parallel, backend),
+                                mode=mode)
     assert_same_rows(execution.rows, reference_cache[query])
 
 
@@ -93,38 +101,33 @@ def skew_reference_cache():
     return {}
 
 
-@pytest.mark.parametrize("label,mode,strategy,parallel,columnar",
+@pytest.mark.parametrize("label,mode,strategy,parallel,backend",
                          ENGINE_PATHS,
                          ids=[path[0] for path in ENGINE_PATHS])
 @pytest.mark.parametrize("query", sorted(SKEWED_WORKLOADS))
 def test_skewed_engine_matches_interpreter(skew_tables,
                                            skew_reference_cache, query,
                                            label, mode, strategy,
-                                           parallel, columnar):
+                                           parallel, backend):
     """The hot-key workloads through every engine path vs the interpreter.
 
     The dynopt paths plan these with a skew join (asserted below), so
     this sweep differentially proves the whole SKEWJOIN pipeline --
     heavy-hitter stats, costing, split-routing compilation, and the
-    map-side-output runtime -- on both data paths, serial and parallel.
+    map-side-output runtime -- on both backends, serial and parallel.
     """
     from repro.optimizer.plans import summarize_plan
 
     if query not in skew_reference_cache:
         skew_reference_cache[query] = interpreter_reference(
             skew_tables, SKEWED_WORKLOADS[query]())
-    config = DEFAULT_CONFIG
-    if columnar:
-        config = config.with_columnar()
-    if parallel:
-        config = config.with_parallel_execution()
     _, execution = run_workload(skew_tables, query, strategy,
-                                config=config, mode=mode)
+                                config=engine_config(parallel, backend),
+                                mode=mode)
     assert_same_rows(execution.rows, skew_reference_cache[query])
     if mode == "dynopt":
         # Pilot statistics expose the hot keys, so the dynamic optimizer
-        # must pick the skew join; the static 'simple' plans (no pilot)
-        # legitimately fall back to repartition.
+        # must pick the skew join.
         skew_joins = sum(summarize_plan(plan).skew_joins
                          for block in execution.block_results
                          for plan in block.plans)
