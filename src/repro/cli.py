@@ -20,10 +20,10 @@ import argparse
 import sys
 
 from repro.config import DEFAULT_CONFIG
-from repro.core.dyno import Dyno
 from repro.data.tpch import PAPER_SCALE_FACTORS, generate_tpch
 from repro.errors import DynoError
 from repro.obs import JsonLinesSink, MetricsRegistry, Tracer
+from repro.stats.metastore import StatisticsMetastore
 from repro.workloads.queries import TPCH_WORKLOADS, q3
 from repro.workloads.skewed import SKEWED_WORKLOADS, generate_skewed
 
@@ -227,39 +227,107 @@ def _resolve_workload(args: argparse.Namespace):
     return None
 
 
-def _apply_memory(config, args: argparse.Namespace):
-    """Apply --task-memory / --cluster-memory overrides, if any."""
-    if args.task_memory is None and args.cluster_memory is None:
-        return config
-    return config.with_memory(task_memory_bytes=args.task_memory,
-                              cluster_memory_bytes=args.cluster_memory)
+def _dataset(args: argparse.Namespace, out):
+    """Tables, UDF registry and driver-thread count for the chosen mode."""
+    if args.batch:
+        from repro.workloads.mixed import mixed_tables, mixed_udfs
+
+        scale_factor = _scale_factor(args)
+        print(f"generating TPC-H + weblogs at scale factor {scale_factor} "
+              "...", file=out)
+        return (mixed_tables(scale_factor, seed=args.seed), mixed_udfs(),
+                args.service_workers)
+    if args.standing:
+        from repro.workloads.changing import changing_tables, changing_udfs
+
+        scale_factor = _scale_factor(args)
+        print(f"generating weblogs at scale factor {scale_factor} ...",
+              file=out)
+        return (changing_tables(scale_factor, seed=args.seed),
+                changing_udfs(), args.service_workers)
+    workload = _resolve_workload(args)
+    udfs = workload.udfs if workload else None
+    if args.skew or args.workload in SKEWED_WORKLOADS:
+        scale_factor = _scale_factor(args, default=1.0)
+        print(f"generating skewed hot-key dataset at scale factor "
+              f"{scale_factor} ...", file=out)
+        return generate_skewed(scale_factor, seed=args.seed), udfs, 1
+    scale_factor = _scale_factor(args)
+    print(f"generating TPC-H at scale factor {scale_factor} ...", file=out)
+    return generate_tpch(scale_factor, seed=args.seed).tables, udfs, 1
 
 
-def _build_feedback(args: argparse.Namespace, out):
-    """Construct the feedback store when any --feedback* flag asks for it."""
-    if not (args.feedback or args.feedback_report
+def _open_session(args: argparse.Namespace, out):
+    """Build the one stack every mode runs against: dataset, config,
+    feedback store, statistics, tracer, metrics and the QueryService.
+
+    Everything read from a user-named file is loaded before the trace
+    sink is opened, so a bad path fails with nothing left open.
+    """
+    from repro.service import QueryService
+
+    tables, udfs, workers = _dataset(args, out)
+    config = DEFAULT_CONFIG.with_backend(args.backend).with_memory(
+        task_memory_bytes=args.task_memory,
+        cluster_memory_bytes=args.cluster_memory)  # None: keep default
+    if args.parallel:
+        config = config.with_parallel_execution()
+    if args.fault_plan:
+        from repro.cluster.faults import FaultPlan
+        try:
+            with open(args.fault_plan) as handle:
+                plan = FaultPlan.from_json(handle.read())
+        except (OSError, DynoError) as error:
+            raise DynoError(f"cannot load fault plan: {error}") from error
+        config = config.with_fault_plan(plan)
+        print(f"armed fault plan {plan.name or '<unnamed>'} "
+              f"(seed {plan.seed})", file=out)
+
+    feedback = None
+    if (args.feedback or args.feedback_report
             or args.load_feedback or args.save_feedback):
-        return None
-    from repro.feedback import FeedbackStore
+        from repro.feedback import FeedbackStore
 
-    if args.load_feedback:
-        feedback = FeedbackStore.load(args.load_feedback)
-        print(f"loaded feedback store from {args.load_feedback} "
-              f"({len(feedback)} correction key(s))", file=out)
-    else:
-        feedback = FeedbackStore()
-    return feedback
+        if args.load_feedback:
+            feedback = FeedbackStore.load(args.load_feedback)
+            print(f"loaded feedback store from {args.load_feedback} "
+                  f"({len(feedback)} correction key(s))", file=out)
+        else:
+            feedback = FeedbackStore()
+    metastore = None
+    if args.load_stats:
+        metastore = StatisticsMetastore.load(args.load_stats)
+        print(f"loaded {len(metastore)} statistics entries from "
+              f"{args.load_stats}", file=out)
+
+    tracer = Tracer(JsonLinesSink(args.trace)) if args.trace else None
+    metrics = MetricsRegistry() if (args.metrics or args.profile) else None
+    return QueryService(tables, config=config, udfs=udfs,
+                        metastore=metastore, tracer=tracer, metrics=metrics,
+                        workers=workers, feedback=feedback,
+                        result_cache=args.result_cache)
 
 
-def _finish_feedback(feedback, args: argparse.Namespace, out) -> None:
-    """Report / persist the feedback store after a run."""
-    if feedback is None:
-        return
-    if args.feedback_report:
-        print("\n" + feedback.report(), file=out)
-    if args.save_feedback:
-        feedback.save(args.save_feedback)
-        print(f"saved feedback store to {args.save_feedback}", file=out)
+def _close_session(service, args: argparse.Namespace, out) -> None:
+    """What every mode writes after a completed run."""
+    injector = service.dyno.runtime.fault_injector
+    if injector is not None:
+        print(f"\nfault injection: {injector.summary()}", file=out)
+    if args.metrics:
+        service.metrics.save(args.metrics)
+        print(f"wrote metrics summary to {args.metrics}", file=out)
+    if args.profile:
+        _print_profile(service.metrics.summary(), out)
+    if args.save_stats:
+        service.dyno.save_statistics(args.save_stats)
+        print(f"saved statistics to {args.save_stats}", file=out)
+    if service.feedback is not None:
+        if args.feedback_report:
+            print("\n" + service.feedback.report(), file=out)
+        if args.save_feedback:
+            service.feedback.save(args.save_feedback)
+            print(f"saved feedback store to {args.save_feedback}",
+                  file=out)
 
 
 def _print_tenant_stats(outcomes, out) -> None:
@@ -280,64 +348,68 @@ def _print_tenant_stats(outcomes, out) -> None:
               f"{sum(waits) / len(waits):>9.4f}s {p99:>11.4f}s", file=out)
 
 
-def _run_service(args: argparse.Namespace, out) -> int:
-    """--batch: execute a mixed workload through the QueryService."""
-    from repro.service import QueryService
+def _run_query(service, args: argparse.Namespace, out) -> int:
+    """--workload / --sql / --sql-file: one request through the service."""
+    from repro.service import QueryRequest
+
+    workload = _resolve_workload(args)
+    if workload:
+        name, stages = workload.name, list(workload.stages)
+    else:
+        sql = args.sql
+        if args.sql_file:
+            try:
+                with open(args.sql_file) as handle:
+                    sql = handle.read()
+            except OSError as error:
+                raise DynoError(f"cannot load SQL file: {error}") from error
+        name, stages = "cli", [(service.dyno.parse(sql, name="cli"), None)]
+    final_spec = stages[-1][0]
+    if args.explain:
+        print(service.dyno.explain(final_spec), file=out)
+        return 0
+    [outcome] = service.run_batch([QueryRequest(
+        name, stages, mode=args.mode, strategy=args.strategy,
+        pilot_mode=args.pilot_mode,
+    )])
+    if not outcome.ok:
+        # "<ErrorType>: <message>"; main reports the message, as it does
+        # for errors raised outside the service.
+        raise DynoError(outcome.error.partition(": ")[2])
+    # The service ran the query under a per-request prefix; the report
+    # names blocks, jobs and files the way the user named the query.
+    prefix = outcome.query_name.removesuffix(final_spec.name)
+    _report(outcome.execution, prefix, args, out)
+    return 0
+
+
+def _run_batch(service, args: argparse.Namespace, out) -> int:
+    """--batch: a mixed workload, all at once or paced at --qps."""
     from repro.workloads.mixed import (
+        MIXED_SEQUENCE,
         mixed_batch,
-        mixed_tables,
         mixed_tenant_batch,
     )
 
-    scale_factor = _scale_factor(args)
-    print(f"generating TPC-H + weblogs at scale factor {scale_factor} ...",
-          file=out)
-    tables = mixed_tables(scale_factor, seed=args.seed)
     if args.tenants > 1:
-        base, udfs = mixed_batch()
-        requests, _ = mixed_tenant_batch(len(base) * args.tenants,
-                                         args.tenants)
+        requests, _ = mixed_tenant_batch(
+            len(MIXED_SEQUENCE) * args.tenants, args.tenants)
     else:
-        requests, udfs = mixed_batch()
+        requests, _ = mixed_batch()
     for request in requests:
         request.mode = args.mode
         request.strategy = args.strategy
         request.pilot_mode = args.pilot_mode
-
-    config = _apply_memory(DEFAULT_CONFIG.with_backend(args.backend), args)
-    if args.parallel:
-        config = config.with_parallel_execution()
-    tracer = Tracer(JsonLinesSink(args.trace)) if args.trace else None
-    metrics = MetricsRegistry() if (args.metrics or args.profile) else None
-    feedback = _build_feedback(args, out)
-    service = QueryService(tables, config=config, udfs=udfs,
-                           tracer=tracer, metrics=metrics,
-                           workers=args.service_workers,
-                           feedback=feedback,
-                           result_cache=args.result_cache)
-    if args.load_stats:
-        count = service.dyno.load_statistics(args.load_stats)
-        print(f"loaded {count} statistics entries from "
-              f"{args.load_stats}", file=out)
 
     mode = (f"sustained at {args.qps} qps" if args.qps
             else "as one batch")
     print(f"running {len(requests)} queries from {args.tenants} "
           f"tenant(s) {mode} on {args.service_workers} driver "
           f"thread(s) ...", file=out)
-    try:
-        if args.qps:
-            outcomes = service.scheduler.run_sustained(requests,
-                                                       qps=args.qps)
-        else:
-            outcomes = service.run_batch(requests)
-    except DynoError as error:
-        print(f"error: {error}", file=out)
-        return 1
-    finally:
-        if tracer is not None:
-            tracer.close()
-            print(f"wrote trace to {args.trace}", file=out)
+    if args.qps:
+        outcomes = service.scheduler.run_sustained(requests, qps=args.qps)
+    else:
+        outcomes = service.run_batch(requests)
 
     print(f"\n{'query':<20} {'tenant':<12} {'rows':>6} {'pilots':>7} "
           f"{'skipped':>8} {'plan hits':>10} {'cached':>7}", file=out)
@@ -367,55 +439,28 @@ def _run_service(args: argparse.Namespace, out) -> int:
               f"{rcache['entries']} entries", file=out)
     print(f"metastore: {len(service.metastore)} statistics entries",
           file=out)
-
-    if args.metrics:
-        metrics.save(args.metrics)
-        print(f"wrote metrics summary to {args.metrics}", file=out)
-    if args.profile:
-        _print_profile(metrics.summary(), out)
-    if args.save_stats:
-        service.dyno.save_statistics(args.save_stats)
-        print(f"saved statistics to {args.save_stats}", file=out)
-    _finish_feedback(feedback, args, out)
     return 1 if failed else 0
 
 
-def _run_standing(args: argparse.Namespace, out) -> int:
+def _run_standing(service, args: argparse.Namespace, out) -> int:
     """--standing: the changing-data scenario (docs/incremental.md)."""
     import itertools
 
+    from repro.core.dyno import Dyno
     from repro.incremental import (
         ChangeGenerator,
         StandingQueryManager,
         apply_change_batch,
     )
-    from repro.service import QueryRequest, QueryService
+    from repro.service import QueryRequest
     from repro.validation import canonical_rows
     from repro.workloads.changing import (
         DEFAULT_STEPS,
         KEY_COLUMNS,
-        changing_tables,
         changing_udfs,
         standing_workloads,
     )
     from repro.workloads.weblogs import weblog_premium_blink
-
-    scale_factor = _scale_factor(args)
-    print(f"generating weblogs at scale factor {scale_factor} ...",
-          file=out)
-    tables = changing_tables(scale_factor, seed=args.seed)
-
-    config = _apply_memory(DEFAULT_CONFIG.with_backend(args.backend), args)
-    if args.parallel:
-        config = config.with_parallel_execution()
-    tracer = Tracer(JsonLinesSink(args.trace)) if args.trace else None
-    metrics = MetricsRegistry() if (args.metrics or args.profile) else None
-    feedback = _build_feedback(args, out)
-    service = QueryService(tables, config=config, udfs=changing_udfs(),
-                           tracer=tracer, metrics=metrics,
-                           workers=args.service_workers,
-                           feedback=feedback,
-                           result_cache=args.result_cache)
 
     workloads = standing_workloads()
     manager = StandingQueryManager(service)
@@ -425,85 +470,69 @@ def _run_standing(args: argparse.Namespace, out) -> int:
     steps = list(itertools.islice(itertools.cycle(DEFAULT_STEPS), count))
 
     exit_code = 0
-    try:
-        for workload in workloads:
-            standing = manager.register(workload.name, workload.final_spec)
-            print(f"registered {workload.name}: "
-                  f"{len(standing.state)} state row(s), reads "
-                  f"{', '.join(sorted(standing.base_tables))}", file=out)
+    for workload in workloads:
+        standing = manager.register(workload.name, workload.final_spec)
+        print(f"registered {workload.name}: "
+              f"{len(standing.state)} state row(s), reads "
+              f"{', '.join(sorted(standing.base_tables))}", file=out)
 
-        generators = {
-            table: ChangeGenerator(service.dyno.tables[table],
-                                   KEY_COLUMNS[table], seed=args.seed)
-            for table in KEY_COLUMNS
-        }
-        delta_total = full_total = 0
-        for step in steps:
-            rate = args.change_rate or step.change_rate
-            batch = generators[step.table].next_batch(rate, step.mix)
-            applied = apply_change_batch(service.dyno, batch,
-                                         KEY_COLUMNS[step.table])
-            adhoc = [QueryRequest.from_workload(adhoc_workload,
-                                                tenant="adhoc")]
-            report = manager.refresh(applied, adhoc=adhoc)
-            print(f"\nchange batch {batch.describe()} "
-                  f"({applied.delta_rows} delta row(s)):", file=out)
-            for outcome in report.outcomes:
-                if not outcome.ok:
+    generators = {
+        table: ChangeGenerator(service.dyno.tables[table],
+                               KEY_COLUMNS[table], seed=args.seed)
+        for table in KEY_COLUMNS
+    }
+    delta_total = full_total = 0
+    for step in steps:
+        rate = args.change_rate or step.change_rate
+        batch = generators[step.table].next_batch(rate, step.mix)
+        applied = apply_change_batch(service.dyno, batch,
+                                     KEY_COLUMNS[step.table])
+        adhoc = [QueryRequest.from_workload(adhoc_workload,
+                                            tenant="adhoc")]
+        report = manager.refresh(applied, adhoc=adhoc)
+        print(f"\nchange batch {batch.describe()} "
+              f"({applied.delta_rows} delta row(s)):", file=out)
+        for outcome in report.outcomes:
+            if not outcome.ok:
+                exit_code = 1
+                print(f"  {outcome.query:<20} ERROR {outcome.error}",
+                      file=out)
+                continue
+            decision = outcome.decision
+            print(f"  {outcome.query:<20} strategy={decision.strategy}"
+                  f" ratio={decision.ratio:6.1%} rows={outcome.rows}"
+                  f" sim={outcome.simulated_seconds:.1f}s", file=out)
+        for outcome in report.adhoc:
+            status = ("ok" if outcome.ok
+                      else f"ERROR {outcome.error}")
+            print(f"  adhoc {outcome.name:<14} {status} "
+                  f"rows={len(outcome.rows)}", file=out)
+        delta_total += report.delta_count
+        full_total += report.full_count
+
+        if not args.no_verify:
+            for workload in workloads:
+                # The independent from-scratch oracle: its own stack,
+                # deliberately not the session's service.
+                fresh = Dyno(dict(service.dyno.tables),
+                             udfs=changing_udfs())
+                expected = fresh.execute(workload.final_spec).rows
+                maintained = manager.result(workload.name)
+                if canonical_rows(maintained, float_places=6) \
+                        != canonical_rows(expected, float_places=6):
                     exit_code = 1
-                    print(f"  {outcome.query:<20} ERROR {outcome.error}",
-                          file=out)
-                    continue
-                decision = outcome.decision
-                print(f"  {outcome.query:<20} strategy={decision.strategy}"
-                      f" ratio={decision.ratio:6.1%} rows={outcome.rows}"
-                      f" sim={outcome.simulated_seconds:.1f}s", file=out)
-            for outcome in report.adhoc:
-                status = ("ok" if outcome.ok
-                          else f"ERROR {outcome.error}")
-                print(f"  adhoc {outcome.name:<14} {status} "
-                      f"rows={len(outcome.rows)}", file=out)
-            delta_total += report.delta_count
-            full_total += report.full_count
+                    print(f"  VERIFY FAILED {workload.name}: "
+                          "maintained result diverged from "
+                          "recompute", file=out)
+                else:
+                    print(f"  verified {workload.name}: maintained "
+                          "== recompute "
+                          f"({len(maintained)} row(s))", file=out)
 
-            if not args.no_verify:
-                for workload in workloads:
-                    fresh = Dyno(dict(service.dyno.tables),
-                                 udfs=changing_udfs())
-                    expected = fresh.execute(workload.final_spec).rows
-                    maintained = manager.result(workload.name)
-                    if canonical_rows(maintained, float_places=6) \
-                            != canonical_rows(expected, float_places=6):
-                        exit_code = 1
-                        print(f"  VERIFY FAILED {workload.name}: "
-                              "maintained result diverged from "
-                              "recompute", file=out)
-                    else:
-                        print(f"  verified {workload.name}: maintained "
-                              "== recompute "
-                              f"({len(maintained)} row(s))", file=out)
-
-        print(f"\nrefresh summary: {delta_total} delta, {full_total} "
-              f"full across {len(steps)} change batch(es)", file=out)
-        print(f"metastore: {len(service.metastore)} statistics entries",
-              file=out)
-    except DynoError as error:
-        print(f"error: {error}", file=out)
-        return 1
-    finally:
-        if tracer is not None:
-            tracer.close()
-            print(f"wrote trace to {args.trace}", file=out)
-
-    if args.metrics:
-        metrics.save(args.metrics)
-        print(f"wrote metrics summary to {args.metrics}", file=out)
-    if args.profile:
-        _print_profile(metrics.summary(), out)
-    if args.save_stats:
-        service.dyno.save_statistics(args.save_stats)
-        print(f"saved statistics to {args.save_stats}", file=out)
-    _finish_feedback(feedback, args, out)
+    print(f"\nrefresh summary: {delta_total} delta, {full_total} "
+          f"full across {len(steps)} change batch(es)", file=out)
+    print(f"metastore: {len(service.metastore)} statistics entries",
+          file=out)
     return exit_code
 
 
@@ -511,98 +540,21 @@ def main(argv: list[str] | None = None,
          out=None) -> int:
     out = out or sys.stdout
     args = build_parser().parse_args(argv)
-
-    if args.batch:
-        return _run_service(args, out)
-    if args.standing:
-        return _run_standing(args, out)
-
-    skewed = args.skew or args.workload in SKEWED_WORKLOADS
-    if skewed:
-        scale_factor = _scale_factor(args, default=1.0)
-        print(f"generating skewed hot-key dataset at scale factor "
-              f"{scale_factor} ...", file=out)
-        tables = generate_skewed(scale_factor, seed=args.seed)
-    else:
-        scale_factor = _scale_factor(args)
-        print(f"generating TPC-H at scale factor {scale_factor} ...",
-              file=out)
-        tables = generate_tpch(scale_factor, seed=args.seed).tables
-
-    workload = _resolve_workload(args)
-    config = _apply_memory(DEFAULT_CONFIG.with_backend(args.backend), args)
-    if args.parallel:
-        config = config.with_parallel_execution()
-    if args.fault_plan:
-        from repro.cluster.faults import FaultPlan
-        try:
-            with open(args.fault_plan) as handle:
-                plan = FaultPlan.from_json(handle.read())
-        except (OSError, DynoError) as error:
-            print(f"error: cannot load fault plan: {error}", file=out)
-            return 1
-        config = config.with_fault_plan(plan)
-        print(f"armed fault plan {plan.name or '<unnamed>'} "
-              f"(seed {plan.seed})", file=out)
-
-    tracer = Tracer(JsonLinesSink(args.trace)) if args.trace else None
-    metrics = MetricsRegistry() if (args.metrics or args.profile) else None
-    feedback = _build_feedback(args, out)
-    dyno = Dyno(tables, config=config,
-                udfs=workload.udfs if workload else None,
-                tracer=tracer, metrics=metrics, feedback=feedback)
-
-    if args.load_stats:
-        count = dyno.load_statistics(args.load_stats)
-        print(f"loaded {count} statistics entries from "
-              f"{args.load_stats}", file=out)
-
-    if args.sql_file:
-        with open(args.sql_file) as handle:
-            query_text = handle.read()
-    else:
-        query_text = args.sql
-
+    run = (_run_batch if args.batch
+           else _run_standing if args.standing else _run_query)
+    service = None
     try:
-        if args.explain:
-            query = workload.final_spec if workload else query_text
-            print(dyno.explain(query, name="cli"), file=out)
-        elif workload and len(workload.stages) > 1:
-            execution = dyno.execute_multi(
-                workload.stages, mode=args.mode, strategy=args.strategy,
-                pilot_mode=args.pilot_mode,
-            )
-            _report(execution, args, out)
-        else:
-            query = workload.final_spec if workload else query_text
-            execution = dyno.execute(
-                query, mode=args.mode, strategy=args.strategy,
-                pilot_mode=args.pilot_mode, name="cli",
-            )
-            _report(execution, args, out)
+        service = _open_session(args, out)
+        code = run(service, args, out)
     except DynoError as error:
         print(f"error: {error}", file=out)
         return 1
     finally:
-        if tracer is not None:
-            tracer.close()
+        if service is not None and args.trace:
+            service.tracer.close()
             print(f"wrote trace to {args.trace}", file=out)
-
-    injector = dyno.runtime.fault_injector
-    if injector is not None:
-        print(f"\nfault injection: {injector.summary()}", file=out)
-
-    if args.metrics:
-        metrics.save(args.metrics)
-        print(f"wrote metrics summary to {args.metrics}", file=out)
-    if args.profile:
-        _print_profile(metrics.summary(), out)
-
-    if args.save_stats:
-        dyno.save_statistics(args.save_stats)
-        print(f"saved statistics to {args.save_stats}", file=out)
-    _finish_feedback(feedback, args, out)
-    return 0
+    _close_session(service, args, out)
+    return code
 
 
 def _print_profile(summary: dict, out) -> None:
@@ -647,7 +599,8 @@ def _print_profile(summary: dict, out) -> None:
             print(f"  {name:<26} {value}", file=out)
 
 
-def _report(execution, args: argparse.Namespace, out) -> None:
+def _report(execution, prefix: str, args: argparse.Namespace,
+            out) -> None:
     rows = execution.rows
     print(f"\n{len(rows)} result row(s); showing up to {args.limit}:",
           file=out)
@@ -663,13 +616,15 @@ def _report(execution, args: argparse.Namespace, out) -> None:
     print(f"  total          {execution.total_seconds:10.1f} s", file=out)
 
     if args.show_plans:
+        lines = []
         for block_result in execution.block_results:
-            print(f"\nblock {block_result.block_name}:", file=out)
+            lines.append(f"\nblock {block_result.block_name}:")
             for record in block_result.iterations:
-                print(f"-- iteration {record.index} "
-                      f"({record.makespan_seconds:.1f}s, jobs "
-                      f"{record.jobs_executed}) --", file=out)
-                print(record.plan_text, file=out)
+                lines.append(f"-- iteration {record.index} "
+                             f"({record.makespan_seconds:.1f}s, jobs "
+                             f"{record.jobs_executed}) --")
+                lines.append(record.plan_text)
+        print("\n".join(lines).replace(prefix, ""), file=out)
 
 
 if __name__ == "__main__":  # pragma: no cover - module entry

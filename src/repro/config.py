@@ -43,7 +43,6 @@ class ClusterConfig:
     #: (Scaled with the datasets: the paper uses 128 MB blocks on 100 GB+
     #: tables; we keep the same blocks-per-table ratios.)
     block_size_bytes: int = 16 * 1024
-    replication: int = 1
 
     #: --- analytic time model (seconds / bytes-per-second) ---
     #: Rates are scaled to the downscaled datasets so that the *ratios*

@@ -127,7 +127,9 @@ class Dyno:
         # The metastore must exist before the first register_table call:
         # registration bumps the table's data epoch (the result cache keys
         # off it -- see repro.stats.metastore).
-        self.metastore = metastore or StatisticsMetastore()
+        # (`or` would discard a caller's *empty* shared store: len 0.)
+        self.metastore = metastore if metastore is not None \
+            else StatisticsMetastore()
         self.tables: dict[str, Table] = {}
         for name, table in tables.items():
             self.register_table(name, table)

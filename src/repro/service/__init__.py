@@ -2,9 +2,10 @@
 
 See :mod:`repro.service.service` for the QueryService,
 :mod:`repro.service.scheduler` for the multi-tenant submission queue,
-:mod:`repro.service.plan_cache` for the sharded plan cache and
+:mod:`repro.service.plan_cache` for the plan cache,
 :mod:`repro.service.result_cache` for the result-set cache shared across
-queries. ``docs/serving.md`` walks through the design.
+queries and :mod:`repro.service.lru` for the sharded LRU store both hold.
+``docs/serving.md`` walks through the design.
 """
 
 from repro.service.plan_cache import (

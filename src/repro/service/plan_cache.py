@@ -35,7 +35,6 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
-import zlib
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 
@@ -43,6 +42,7 @@ from repro.feedback.keys import canonical_block_key
 from repro.feedback.keys import leaf_identity as _leaf_identity
 from repro.jaql.blocks import JoinBlock
 from repro.optimizer.plans import PhysicalNode, PhysJoin, PhysLeaf
+from repro.service.lru import ShardedLRU
 from repro.stats.statistics import TableStats
 
 
@@ -100,89 +100,39 @@ def statistics_fingerprint(block: JoinBlock,
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
-@dataclass
-class _Entry:
-    plan: PhysicalNode
-    cost: float
-    #: base-leaf statistics signatures this plan's estimates came from;
-    #: an update to any of them evicts the entry.
-    contributing: frozenset[str]
-
-
-class _Shard:
-    """One lock + one LRU segment of the plan cache."""
-
-    __slots__ = ("lock", "entries", "capacity",
-                 "hits", "misses", "invalidations")
-
-    def __init__(self, capacity: int) -> None:
-        self.lock = threading.Lock()
-        self.entries: OrderedDict[tuple[str, str], _Entry] = OrderedDict()
-        self.capacity = capacity
-        self.hits = 0
-        self.misses = 0
-        self.invalidations = 0
+#: ``hits_by_block`` keeps this many recent block names (see PlanCache).
+MAX_BLOCK_STATS = 512
 
 
 class PlanCache:
     """Thread-safe (block key, statistics fingerprint) -> plan store.
 
-    Sharded by canonical-block-key hash: each shard has its own lock and
-    its own LRU segment, so N driver threads looking up N different
-    recurring blocks no longer serialize on one cache lock. Small caches
-    (``max_entries`` < 64) stay single-shard, which preserves exact
-    global-LRU capacity semantics where they are observable; at serving
-    sizes the per-shard capacity split is the standard trade (a skewed
-    key distribution may evict slightly early).
+    Entries live in a :class:`~repro.service.lru.ShardedLRU` routed by
+    canonical block key (sharding, LRU eviction and invalidation are
+    documented there); what is the plan cache's own is the key
+    derivation, the remap of a cached plan onto the probing block's
+    leaves, and per-query hit attribution.
 
-    Eviction is true LRU per shard: a lookup hit and a re-store of an
-    existing key both refresh the entry's recency, so under sustained
-    traffic the hottest recurring plans survive and the cold tail is
-    what falls out. ``hits_by_block`` is LRU-capped at
-    ``max_block_stats`` entries -- block names are per-query prefixed in
-    the service, so an unbounded map is a slow memory leak; the cap
-    keeps the recent (in-flight) queries readable, which is all the
-    service's per-query attribution needs. It stays a single map under
-    its own lock (attribution reads want one consistent view and the
-    map is touched only on hits).
+    ``hits_by_block`` is LRU-capped at ``MAX_BLOCK_STATS`` entries --
+    block names are per-query prefixed in the service, so an unbounded
+    map is a slow memory leak; the cap keeps the recent (in-flight)
+    queries readable, which is all the service's per-query attribution
+    needs. It stays a single map under its own lock (attribution reads
+    want one consistent view and the map is touched only on hits).
     """
 
-    def __init__(self, max_entries: int = 256,
-                 max_block_stats: int = 512,
-                 shards: int = 4) -> None:
-        if max_entries < 1:
-            raise ValueError("PlanCache needs max_entries >= 1")
-        self.max_entries = max_entries
-        self.max_block_stats = max_block_stats
-        shard_count = max(1, min(shards, max_entries // 32))
-        capacity = -(-max_entries // shard_count)  # ceil division
-        self._shards = [_Shard(capacity) for _ in range(shard_count)]
+    def __init__(self, max_entries: int = 256) -> None:
+        #: (block key, fingerprint) -> (plan, cost).
+        self._lru: ShardedLRU[tuple[PhysicalNode, float]] = \
+            ShardedLRU(max_entries)
         self._stats_lock = threading.Lock()
         #: per-block-name hit counts; block names are query-prefixed in the
         #: service, so this attributes hits to queries (recent ones only --
         #: see the class docstring for the bound).
         self.hits_by_block: OrderedDict[str, int] = OrderedDict()
 
-    def _shard(self, block_key: str) -> _Shard:
-        # crc32, not hash(): str.__hash__ is per-process salted and shard
-        # routing must be reproducible across runs.
-        return self._shards[zlib.crc32(block_key.encode("utf-8"))
-                            % len(self._shards)]
-
     def __len__(self) -> int:
-        return sum(len(shard.entries) for shard in self._shards)
-
-    @property
-    def hits(self) -> int:
-        return sum(shard.hits for shard in self._shards)
-
-    @property
-    def misses(self) -> int:
-        return sum(shard.misses for shard in self._shards)
-
-    @property
-    def invalidations(self) -> int:
-        return sum(shard.invalidations for shard in self._shards)
+        return len(self._lru)
 
     # -- lookup / store -------------------------------------------------------
 
@@ -190,28 +140,20 @@ class PlanCache:
                leaf_stats: dict[str, TableStats],
                salt: str = "") -> CachedOptimization | None:
         block_key = canonical_block_key(block)
-        shard = self._shard(block_key)
+        # A missing leaf's fingerprint is None; no entry is ever stored
+        # under it, so the probe below counts the miss.
         fingerprint = statistics_fingerprint(block, leaf_stats, salt)
-        if fingerprint is None:
-            with shard.lock:
-                shard.misses += 1
+        entry = self._lru.get((block_key, fingerprint), block_key)
+        if entry is None:
             return None
-        key = (block_key, fingerprint)
-        with shard.lock:
-            entry = shard.entries.get(key)
-            if entry is None:
-                shard.misses += 1
-                return None
-            shard.entries.move_to_end(key)
-            shard.hits += 1
         with self._stats_lock:
             self.hits_by_block[block.name] = \
                 self.hits_by_block.get(block.name, 0) + 1
             self.hits_by_block.move_to_end(block.name)
-            while len(self.hits_by_block) > self.max_block_stats:
+            while len(self.hits_by_block) > MAX_BLOCK_STATS:
                 self.hits_by_block.popitem(last=False)
-        plan = _remap_plan(entry.plan, block)
-        return CachedOptimization(plan=plan, cost=entry.cost)
+        plan, cost = entry
+        return CachedOptimization(plan=_remap_plan(plan, block), cost=cost)
 
     def store(self, block: JoinBlock, leaf_stats: dict[str, TableStats],
               plan: PhysicalNode, cost: float, salt: str = "") -> None:
@@ -219,40 +161,19 @@ class PlanCache:
         if fingerprint is None:
             return
         block_key = canonical_block_key(block)
-        key = (block_key, fingerprint)
+        # Base-leaf statistics signatures this plan's estimates came
+        # from; an update to any of them evicts the entry.
         contributing = frozenset(
             identity for identity in map(_leaf_identity, block.leaves)
             if identity.startswith("table:")
         )
-        shard = self._shard(block_key)
-        with shard.lock:
-            shard.entries[key] = _Entry(plan, cost, contributing)
-            shard.entries.move_to_end(key)
-            while len(shard.entries) > shard.capacity:
-                shard.entries.popitem(last=False)
-
-    # -- invalidation ---------------------------------------------------------
+        self._lru.put((block_key, fingerprint), block_key, (plan, cost),
+                      contributing)
 
     def on_stats_update(self, signature: str,
                         stats: TableStats | None) -> None:
-        """Metastore listener: a leaf's statistics were (re)collected, or
-        invalidated (``stats is None`` -- a CDC delta dropped the entry).
-
-        Only base-leaf entries matter -- ``intermediate:`` signatures are
-        per-query scratch that never contributes to a cache key's
-        fingerprint identity across queries. The stats payload itself is
-        irrelevant: any change to a contributing signature's state voids
-        the fingerprint the entry was stored under.
-        """
-        if not signature.startswith("table:"):
-            return
-        for shard in self._shards:
-            with shard.lock:
-                stale = [key for key, entry in shard.entries.items()
-                         if signature in entry.contributing]
-                for key in stale:
-                    del shard.entries[key]
-                shard.invalidations += len(stale)
+        """Metastore listener (see :meth:`ShardedLRU.invalidate`)."""
+        self._lru.invalidate(signature, stats)
 
     def hits_for_prefix(self, prefix: str) -> int:
         """Total hits attributed to block names starting with ``prefix``.
@@ -266,13 +187,7 @@ class PlanCache:
                        if block.startswith(prefix))
 
     def summary(self) -> dict[str, int]:
-        return {
-            "entries": len(self),
-            "hits": self.hits,
-            "misses": self.misses,
-            "invalidations": self.invalidations,
-            "shards": len(self._shards),
-        }
+        return self._lru.summary()
 
 
 def _remap_plan(plan: PhysicalNode, block: JoinBlock) -> PhysicalNode:

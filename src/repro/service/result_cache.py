@@ -37,26 +37,21 @@ The identity has three parts:
   keying identically to the plan cache keeps the two caches' lifetimes
   aligned and costs nothing.)
 
-Invalidation mirrors the plan cache exactly: the cache subscribes to the
-metastore, and a statistics update for any contributing base-leaf
-signature evicts every dependent entry (:meth:`ResultCache.on_stats_update`).
-
-The store is sharded by key hash -- per-shard locks, per-shard LRU -- so
-driver threads serving different queries do not serialize on one lock;
-``summary()`` aggregates across shards.
+Storage, eviction and invalidation are the plan cache's, literally: both
+hold a :class:`~repro.service.lru.ShardedLRU`, both subscribe its
+``invalidate`` to the metastore, so a statistics update for any
+contributing base-leaf signature evicts every dependent entry of either.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import threading
-import zlib
-from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.data.table import Row
 from repro.feedback.keys import canonical_block_key, leaf_identity
+from repro.service.lru import ShardedLRU
 
 __all__ = ["RequestIdentity", "ResultCache", "request_identity"]
 
@@ -151,112 +146,38 @@ def request_identity(dyno, stages) -> RequestIdentity | None:
     )
 
 
-@dataclass
-class _Entry:
-    rows: tuple[Row, ...]
-    contributing: frozenset[str]
-
-
-class _Shard:
-    """One lock + one LRU segment of the cache."""
-
-    __slots__ = ("lock", "entries", "capacity",
-                 "hits", "misses", "invalidations")
-
-    def __init__(self, capacity: int) -> None:
-        self.lock = threading.Lock()
-        self.entries: OrderedDict[str, _Entry] = OrderedDict()
-        self.capacity = capacity
-        self.hits = 0
-        self.misses = 0
-        self.invalidations = 0
-
-
 class ResultCache:
-    """Sharded, thread-safe key -> result-rows store with LRU eviction.
+    """Thread-safe key -> result-rows store.
 
-    Rows are copied on store AND on read: cached rows are shared state,
-    and post-join stages / clients mutate row dicts freely. Eviction is
-    per-shard LRU; ``max_entries`` is split evenly across shards, so a
-    pathologically skewed key distribution may evict earlier than a
-    single global LRU would -- an accepted trade for lock-free-ish reads
-    across driver threads.
+    Entries live in a :class:`~repro.service.lru.ShardedLRU` routed by
+    the key itself (sharding, LRU eviction and invalidation are
+    documented there). What is the result cache's own: rows are copied on
+    store AND on read -- cached rows are shared state, and post-join
+    stages / clients mutate row dicts freely.
     """
 
-    def __init__(self, max_entries: int = 128, shards: int = 4) -> None:
-        if max_entries < 1:
-            raise ValueError("ResultCache needs max_entries >= 1")
-        shard_count = max(1, min(shards, max_entries))
-        capacity = -(-max_entries // shard_count)  # ceil division
-        self._shards = [_Shard(capacity) for _ in range(shard_count)]
-        self.max_entries = max_entries
-
-    def _shard(self, key: str) -> _Shard:
-        # crc32 is stable across processes (str.__hash__ is salted).
-        return self._shards[zlib.crc32(key.encode("utf-8"))
-                            % len(self._shards)]
+    def __init__(self, max_entries: int = 128) -> None:
+        self._lru: ShardedLRU[tuple[Row, ...]] = ShardedLRU(max_entries)
 
     def __len__(self) -> int:
-        return sum(len(shard.entries) for shard in self._shards)
+        return len(self._lru)
 
     def lookup(self, key: str) -> list[Row] | None:
-        shard = self._shard(key)
-        with shard.lock:
-            entry = shard.entries.get(key)
-            if entry is None:
-                shard.misses += 1
-                return None
-            shard.entries.move_to_end(key)
-            shard.hits += 1
-            rows = entry.rows
+        rows = self._lru.get(key, key)
+        if rows is None:
+            return None
         return [dict(row) for row in rows]
 
     def store(self, key: str, rows: list[Row],
               contributing: frozenset[str]) -> None:
-        frozen = tuple(dict(row) for row in rows)
-        shard = self._shard(key)
-        with shard.lock:
-            shard.entries[key] = _Entry(frozen, contributing)
-            shard.entries.move_to_end(key)
-            while len(shard.entries) > shard.capacity:
-                shard.entries.popitem(last=False)
+        self._lru.put(key, key, tuple(dict(row) for row in rows),
+                      contributing)
 
     def on_stats_update(self, signature: str, stats) -> None:
-        """Metastore listener: statistics were (re)collected for a leaf,
-        or invalidated (``stats is None`` -- e.g. a CDC delta batch).
-
-        Same contract as ``PlanCache.on_stats_update``: any entry whose
-        result was computed over the old statistics for ``signature`` is
-        dropped, so a cached result never outlives the statistics state
-        it was keyed under.
-        """
-        if not signature.startswith("table:"):
-            return
-        for shard in self._shards:
-            with shard.lock:
-                stale = [key for key, entry in shard.entries.items()
-                         if signature in entry.contributing]
-                for key in stale:
-                    del shard.entries[key]
-                shard.invalidations += len(stale)
-
-    @property
-    def hits(self) -> int:
-        return sum(shard.hits for shard in self._shards)
-
-    @property
-    def misses(self) -> int:
-        return sum(shard.misses for shard in self._shards)
-
-    @property
-    def invalidations(self) -> int:
-        return sum(shard.invalidations for shard in self._shards)
+        """Metastore listener (see :meth:`ShardedLRU.invalidate`): a
+        cached result never outlives the statistics state it was keyed
+        under, exactly as for cached plans."""
+        self._lru.invalidate(signature, stats)
 
     def summary(self) -> dict[str, int]:
-        return {
-            "entries": len(self),
-            "hits": self.hits,
-            "misses": self.misses,
-            "invalidations": self.invalidations,
-            "shards": len(self._shards),
-        }
+        return self._lru.summary()

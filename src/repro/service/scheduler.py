@@ -12,8 +12,8 @@ Fairness policy
 ---------------
 
 Tenants are visited round-robin in order of first appearance in the
-queue. On each visit a tenant's *deficit* grows by ``quantum`` times the
-priority of its head-of-queue request (clamped to >= 1), and it
+queue. On each visit a tenant's *deficit* grows by the priority of its
+head-of-queue request (clamped to >= 1), and it
 dispatches one query per unit of deficit until the deficit or its queue
 runs out. A tenant whose queue empties forfeits its remaining deficit,
 so idle tenants cannot hoard credit and burst later. Consequences:
@@ -50,7 +50,6 @@ __all__ = ["QueryScheduler", "dispatch_order"]
 
 def dispatch_order(
     entries: list[tuple[int, str, int]],
-    quantum: float = 1.0,
     deficits: dict[str, float] | None = None,
 ) -> list[int]:
     """Pure DWRR ordering of queued requests.
@@ -76,8 +75,7 @@ def dispatch_order(
             queue = queues[tenant]
             if not queue:
                 continue
-            deficits[tenant] = deficits.get(tenant, 0.0) \
-                + quantum * queue[0][1]
+            deficits[tenant] = deficits.get(tenant, 0.0) + queue[0][1]
             while queue and deficits[tenant] >= 1.0:
                 ticket, _ = queue.pop(0)
                 order.append(ticket)
@@ -104,11 +102,8 @@ class QueryScheduler:
     lock before dispatch ordering).
     """
 
-    def __init__(self, service, quantum: float = 1.0):
-        if quantum <= 0:
-            raise ValueError("scheduler quantum must be positive")
+    def __init__(self, service):
         self._service = service
-        self.quantum = quantum
         self._lock = threading.Lock()
         self._pending: dict[int, _Pending] = {}
         self._next_ticket = 0
@@ -172,7 +167,6 @@ class QueryScheduler:
             order = dispatch_order(
                 [(t, taken[t].request.tenant, taken[t].request.priority)
                  for t in scoped],
-                self.quantum,
                 self._deficits,
             )
             depth = len(self._pending)

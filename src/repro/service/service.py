@@ -286,10 +286,10 @@ class QueryService:
         #: entirely, so reuse evidence like pilot/plan-cache counters no
         #: longer accrues for them). ``True`` builds a default cache.
         self.result_cache: ResultCache | None
-        if result_cache is True:
-            self.result_cache = ResultCache()
-        else:
-            self.result_cache = result_cache or None
+        if isinstance(result_cache, bool) or result_cache is None:
+            self.result_cache = ResultCache() if result_cache else None
+        else:  # an instance, possibly still empty (len 0 is falsy)
+            self.result_cache = result_cache
         if self.result_cache is not None:
             self.metastore.subscribe(self.result_cache.on_stats_update)
         # Admission is a critical section: batch ids and memory-gate

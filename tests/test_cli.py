@@ -181,6 +181,58 @@ class TestFaultPlanFlag:
         assert "error: cannot load fault plan" in output
 
 
+    def test_batch_arms_the_plan_and_matches_fault_free_rows(self,
+                                                             tmp_path):
+        """Regression: --fault-plan was parsed but never read under
+        --batch, so "faulted" batches ran fault-free."""
+        batch = ("--batch", "mixed", "--scale-factor", "0.02",
+                 "--service-workers", "1")
+        code, clean = run_cli(*batch)
+        faulted_code, faulted = run_cli(
+            *batch, "--fault-plan", str(self._plan_file(tmp_path)))
+        assert code == faulted_code == 0
+        assert "armed fault plan cli-chaos (seed 67)" in faulted
+        assert "fault injection:" in faulted
+        assert "0 fault event(s), 0 task retries" not in faulted
+
+        def row_counts(output):
+            # query name, tenant, result rows of every outcome line.
+            table = output.split("plan hits")[1].split("plan cache:")[0]
+            return [line.split()[:3] for line in table.splitlines()[1:]
+                    if line.strip()]
+
+        assert len(row_counts(clean)) == 7
+        assert row_counts(faulted) == row_counts(clean)
+
+    @pytest.mark.parametrize("mode", [("--batch", "mixed"),
+                                      ("--standing",)],
+                             ids=["batch", "standing"])
+    def test_concurrent_drivers_refuse_a_plan_cleanly(self, tmp_path,
+                                                      mode):
+        code, output = run_cli(
+            *mode, "--scale-factor", "0.02", "--service-workers", "2",
+            "--fault-plan", str(self._plan_file(tmp_path)))
+        assert code == 1
+        assert "error: fault injection is driver-global" in output
+
+
+class TestMissingInputFiles:
+    @pytest.mark.parametrize("flags", [
+        ("--sql-file", "{missing}"),
+        ("--workload", "Q10", "--load-stats", "{missing}"),
+        ("--workload", "Q10", "--load-feedback", "{missing}"),
+        ("--batch", "mixed", "--load-stats", "{missing}"),
+    ], ids=["sql-file", "load-stats", "load-feedback", "batch-load-stats"])
+    def test_reported_like_a_missing_fault_plan(self, tmp_path, flags):
+        missing = str(tmp_path / "nope")
+        code, output = run_cli(
+            *(flag.format(missing=missing) for flag in flags),
+            "--scale-factor", "0.02")
+        assert code == 1
+        assert "error: cannot load" in output
+        assert "nope" in output
+
+
 class TestObservabilityFlags:
     def test_trace_writes_parseable_json_lines(self, tmp_path):
         import json

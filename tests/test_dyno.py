@@ -208,3 +208,22 @@ class TestStatisticsPersistence:
         execution = second.execute(workload.final_spec)
         # Every base-leaf signature was found: no pilot jobs ran.
         assert execution.pilot_seconds == 0.0
+
+
+class TestSharedMetastore:
+    def test_an_initially_empty_shared_store_is_shared(self, tpch_tables):
+        """Regression: ``metastore or StatisticsMetastore()`` replaced a
+        caller's *empty* store (``len() == 0``) with a private one, so
+        the statistics of one Dyno never reached the other."""
+        from repro.core.dyno import Dyno
+        from repro.stats.metastore import StatisticsMetastore
+        from repro.workloads.queries import q10 as q10_factory
+
+        workload = q10_factory()
+        shared = StatisticsMetastore()
+        first = Dyno(tpch_tables, udfs=workload.udfs, metastore=shared)
+        second = Dyno(tpch_tables, udfs=workload.udfs, metastore=shared)
+        assert first.metastore is shared and second.metastore is shared
+        assert first.execute(workload.final_spec).pilot_seconds > 0.0
+        # Every base-leaf signature is already there: no pilot jobs run.
+        assert second.execute(workload.final_spec).pilot_seconds == 0.0

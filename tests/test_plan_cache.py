@@ -21,7 +21,11 @@ import pytest
 
 from repro.core.dyno import Dyno
 from repro.data.tpch import generate_tpch
-from repro.service.plan_cache import PlanCache, statistics_fingerprint
+from repro.service.plan_cache import (
+    MAX_BLOCK_STATS,
+    PlanCache,
+    statistics_fingerprint,
+)
 from repro.stats.statistics import TableStats
 
 
@@ -116,14 +120,14 @@ class TestHitsByBlockBound:
     def test_many_prefixed_queries_stay_bounded(self, dyno):
         """Regression: per-query prefixed block names accumulated in
         ``hits_by_block`` forever (a slow leak in a long-lived service)."""
-        cache = PlanCache(max_block_stats=50)
+        cache = PlanCache()
         block = make_block(dyno, "ASIA")
         stats = stats_for(block)
         cache.store(block, stats, plan="plan", cost=1.0)
         for query in range(2000):
             prefixed = replace(block, name=f"b0.q{query:04d}.Q")
             assert cache.lookup(prefixed, stats) is not None
-        assert len(cache.hits_by_block) <= 50
+        assert len(cache.hits_by_block) <= MAX_BLOCK_STATS
         # Attribution still works for the *recent* (in-flight) names.
         assert cache.hits_for_prefix("b0.q1999.") == 1
         assert cache.summary()["hits"] == 2000

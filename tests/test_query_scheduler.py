@@ -263,7 +263,7 @@ class TestResultCacheDifferential:
         _, first, second, service = differential
         assert all(o.result_cache_hit for o in second)
         assert all(o.execution is None for o in second)
-        assert service.result_cache.hits >= 7
+        assert service.result_cache.summary()["hits"] >= 7
         assert not first[0].result_cache_hit
 
     def test_copy_on_read_protects_the_cache(self):
@@ -276,6 +276,19 @@ class TestResultCacheDifferential:
         (again,) = service.run_batch([QueryRequest.from_workload(q3())])
         assert again.result_cache_hit
         assert "poisoned" not in again.rows[0]
+
+
+    def test_a_supplied_empty_cache_is_kept(self):
+        """Regression: ``result_cache or None`` dropped a caller's fresh
+        instance, because an empty cache has ``len() == 0``."""
+        cache = ResultCache(max_entries=8)
+        service = QueryService(small_tables(), workers=1,
+                               result_cache=cache)
+        assert service.result_cache is cache
+        service.run_batch([QueryRequest.from_workload(q3())])
+        (repeat,) = service.run_batch([QueryRequest.from_workload(q3())])
+        assert repeat.result_cache_hit
+        assert cache.summary()["hits"] == 1
 
 
 class TestResultCacheInvalidation:
@@ -298,14 +311,14 @@ class TestResultCacheInvalidation:
         signature = self.contributing_signature(service)
         service.metastore.put("intermediate:scratch.out",
                               service.metastore.get(signature))
-        assert service.result_cache.invalidations == 0
-        assert service.plan_cache.invalidations == 0
+        assert service.result_cache.summary()["invalidations"] == 0
+        assert service.plan_cache.summary()["invalidations"] == 0
 
         # A contributing base-leaf update evicts from both.
         service.metastore.put(signature,
                               service.metastore.get(signature))
-        assert service.result_cache.invalidations > 0
-        assert service.plan_cache.invalidations > 0
+        assert service.result_cache.summary()["invalidations"] > 0
+        assert service.plan_cache.summary()["invalidations"] > 0
         assert len(service.result_cache) == 0
 
     def test_stale_identity_misses_and_recomputes_correctly(self):
@@ -322,7 +335,7 @@ class TestResultCacheInvalidation:
 
 class TestResultCacheUnit:
     def test_lru_capacity_per_shard(self):
-        cache = ResultCache(max_entries=4, shards=1)
+        cache = ResultCache(max_entries=4)
         for key in "abcdef":
             cache.store(key, [{"k": key}], frozenset({"table:t"}))
         assert len(cache) == 4
@@ -330,7 +343,7 @@ class TestResultCacheUnit:
         assert cache.lookup("f") == [{"k": "f"}]
 
     def test_summary_aggregates_shards(self):
-        cache = ResultCache(max_entries=64, shards=4)
+        cache = ResultCache(max_entries=128)
         for index in range(16):
             cache.store(f"key-{index}", [], frozenset())
         summary = cache.summary()
