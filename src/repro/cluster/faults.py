@@ -204,7 +204,7 @@ class JobAttempt:
             injector.record(f"broadcast-kill job={self.job_name} "
                             f"attempt={self.incarnation}")
             raise TaskRetriesExhaustedError(
-                self.job_name, 0,
+                self.job_name, None,
                 detail="injected permanent broadcast failure")
         if plan.job_failure_rate <= 0.0 \
                 or name not in plan.job_failure_boundaries:

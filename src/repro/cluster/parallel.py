@@ -26,8 +26,7 @@ jobs after it are never finalized.
 from __future__ import annotations
 
 import os
-import pickle
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Sequence
 
 from repro.config import ExecutorConfig
@@ -147,7 +146,13 @@ class ParallelJobExecutor:
                             failure = exc
                 else:
                     if pool is None:
-                        pool = self._make_pool(data_pass, level[0])
+                        # Threads, not processes: compiled jobs close
+                        # over DFS handles, coordination counters and
+                        # broadcast hash tables, none of which pickle.
+                        pool = ThreadPoolExecutor(
+                            max_workers=self._max_workers(),
+                            thread_name_prefix="dyno-job",
+                        )
                     futures = [
                         pool.submit(data_pass, job, gates.get(job.name))
                         for job in level
@@ -200,22 +205,3 @@ class ParallelJobExecutor:
         if self.config.max_workers is not None:
             return self.config.max_workers
         return min(32, (os.cpu_count() or 1) * 4)
-
-    def _make_pool(self, data_pass: DataPass, sample_job: Any):
-        """Build the configured pool; degrade process -> thread gracefully.
-
-        Compiled jobs close over DFS handles, coordination counters and
-        broadcast hash tables, none of which pickle -- a process pool only
-        works for self-contained jobs. Rather than fail the batch, fall
-        back to threads when the work is not picklable.
-        """
-        workers = self._max_workers()
-        if self.config.pool == "process":
-            try:
-                pickle.dumps((data_pass, sample_job))
-                return ProcessPoolExecutor(max_workers=workers)
-            except Exception:  # noqa: BLE001 - any pickling failure
-                pass
-        return ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="dyno-job"
-        )

@@ -228,12 +228,9 @@ class ExecutorConfig:
     slot scheduler, never from the driver's wall-clock.
     """
 
-    #: run independent jobs of a batch concurrently.
+    #: run independent jobs of a batch concurrently (on a thread pool:
+    #: compiled jobs close over DFS handles, which do not pickle).
     parallel_jobs: bool = False
-    #: "thread" or "process". Process pools require picklable jobs; the
-    #: executor degrades to threads when a job cannot be pickled (compiled
-    #: mapper closures generally cannot).
-    pool: str = "thread"
     #: worker count; None picks a small multiple of the CPU count.
     max_workers: int | None = None
     #: dependency levels narrower than this run inline (pool dispatch
@@ -241,8 +238,6 @@ class ExecutorConfig:
     min_parallel_jobs: int = 2
 
     def __post_init__(self) -> None:
-        if self.pool not in ("thread", "process"):
-            raise ValueError(f"unknown executor pool: {self.pool!r}")
         if self.max_workers is not None and self.max_workers <= 0:
             raise ValueError("max_workers must be positive")
         if self.min_parallel_jobs < 2:
@@ -260,18 +255,15 @@ class DynoConfig:
     #: execution backend: "jaql" (build loaded per task) or "hive"
     #: (DistributedCache: build loaded once per node). Section 6.6.
     backend: str = "jaql"
-    #: re-optimize after every executed job (the paper's default policy).
-    reoptimize_every_job: bool = True
-    #: threshold on |observed - estimated| / estimated cardinality beyond
-    #: which re-optimization triggers when the every-job policy is off.
-    reoptimization_threshold: float = 0.5
-    #: mid-job re-optimization trigger: after any job of a batch lands, a
-    #: q-error (max of rows/bytes, >= 1.0) at or above this threshold
-    #: aborts the rest of the compiled graph and re-optimizes immediately
-    #: with the fresh statistics -- without waiting for the per-iteration
-    #: policy above. ``inf`` (the default) disables the trigger and
-    #: reproduces the pre-trigger execution exactly.
-    midjob_qerror_threshold: float = float("inf")
+    #: the re-optimization condition (Section 5.1) as a q-error: after a
+    #: round of jobs, with jobs of the compiled graph still pending, the
+    #: executor re-optimizes iff some executed job's
+    #: ``max(q_error(rows), q_error(bytes))`` reached this value. ``1.0``
+    #: (every estimate "misses") is the paper's re-optimize-after-every-
+    #: job policy; a finite value above it re-optimizes only on a
+    #: surprise; ``inf`` never re-optimizes voluntarily (what
+    #: ``mode="simple"`` sets for its block).
+    reoptimization_qerror_threshold: float = 1.0
     #: armed fault schedule, or None (the default: no fault machinery on
     #: the hot path at all). See :class:`repro.cluster.faults.FaultPlan`.
     fault_plan: "FaultPlan | None" = None
@@ -284,20 +276,24 @@ class DynoConfig:
     #: accounting are identical either way; only driver wall-clock changes.
     columnar_backend: str = "auto"
 
+    def __post_init__(self) -> None:
+        if not self.reoptimization_qerror_threshold >= 1.0:
+            raise ValueError(
+                "reoptimization_qerror_threshold is a q-error: it must be "
+                ">= 1.0 (1.0 means a perfect estimate)")
+
     def with_backend(self, backend: str) -> "DynoConfig":
         if backend not in ("jaql", "hive"):
             raise ValueError(f"unknown backend: {backend!r}")
         return replace(self, backend=backend)
 
     def with_parallel_execution(self, enabled: bool = True,
-                                pool: str | None = None,
                                 max_workers: int | None = None,
                                 ) -> "DynoConfig":
         """Config with the parallel data-path executor toggled."""
         executor = replace(
             self.executor,
             parallel_jobs=enabled,
-            pool=pool if pool is not None else self.executor.pool,
             max_workers=(max_workers if max_workers is not None
                          else self.executor.max_workers),
         )
@@ -327,17 +323,6 @@ class DynoConfig:
             cluster = replace(cluster,
                               cluster_memory_bytes=cluster_memory_bytes)
         return replace(self, cluster=cluster, optimizer=optimizer)
-
-    def with_midjob_trigger(self, qerror_threshold: float) -> "DynoConfig":
-        """Config with the mid-job re-optimization trigger armed.
-
-        ``qerror_threshold`` is a q-error (>= 1.0); ``float("inf")``
-        disarms the trigger (the default behaviour).
-        """
-        if qerror_threshold < 1.0:
-            raise ValueError("midjob q-error threshold must be >= 1.0 "
-                             "(1.0 means a perfect estimate)")
-        return replace(self, midjob_qerror_threshold=qerror_threshold)
 
     def with_fault_plan(self, plan: "FaultPlan | None") -> "DynoConfig":
         """Config with a fault schedule armed (or disarmed with None)."""

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.cluster.coordination import CoordinationService
 from repro.cluster.runtime import ClusterRuntime
@@ -38,11 +39,15 @@ from repro.data.schema import (
 )
 from repro.data.table import Row, Table
 from repro.errors import PlanError
-from repro.jaql.blocks import ExtractedQuery, extract_query
+from repro.jaql.blocks import (
+    ExtractedQuery,
+    JoinBlock,
+    apply_client_stage,
+    extract_query,
+)
 from repro.jaql.compiler import PlanCompiler
-from repro.jaql.expr import GroupBy, OrderBy, Project, QuerySpec
+from repro.jaql.expr import GroupBy, QuerySpec
 from repro.jaql.functions import UdfRegistry, default_registry
-from repro.jaql.interpreter import order_key
 from repro.jaql.parser import SqlParser
 from repro.jaql.rewrites import push_down_filters
 from repro.obs.metrics import MetricsRegistry, NULL_METRICS
@@ -53,6 +58,8 @@ from repro.core.dynopt import (
     DynoptExecutor,
     MODE_DYNOPT,
 )
+from repro.feedback.keys import block_feedback_context
+from repro.optimizer.plans import render_plan
 
 
 @dataclass
@@ -190,12 +197,10 @@ class Dyno:
                 run_pilots: bool = True, reuse_statistics: bool = True,
                 leaf_stats_override=None, collect_column_stats: bool = True,
                 name: str = "query") -> QueryExecution:
-        wall_start = time.perf_counter() if self.metrics.enabled else 0.0
-        with self.tracer.span("query", name=name, mode=mode,
-                              strategy=str(strategy)) as span:
-            extracted = self.prepare(query, name)
-            block_result = self.executor.execute_block(
-                extracted.block,
+        return self._execute(
+            query, name, mode, str(strategy),
+            lambda block: self.executor.execute_block(
+                block,
                 mode=mode,
                 strategy=strategy,
                 pilot_mode=pilot_mode,
@@ -203,7 +208,32 @@ class Dyno:
                 reuse_statistics=reuse_statistics,
                 leaf_stats_override=leaf_stats_override,
                 collect_column_stats=collect_column_stats,
-            )
+            ),
+        )
+
+    def execute_with_plan(self, query: QuerySpec | str, plan,
+                          name: str = "query") -> QueryExecution:
+        """Execute a caller-provided physical plan (baseline replay path).
+
+        The plan's join order/methods are taken as-is -- the paper's
+        "hand-written" and "hand-coded" plans; post-join stages still run.
+        """
+        return self._execute(
+            query, name, "static", "SIMPLE_MO",
+            lambda block: self.executor.execute_physical_plan(
+                block, plan, label="static"),
+        )
+
+    def _execute(self, query: QuerySpec | str, name: str, mode: str,
+                 strategy: str,
+                 run_block: Callable[[JoinBlock], BlockExecutionResult],
+                 ) -> QueryExecution:
+        """Prepare, run the join block with ``run_block``, run the stages."""
+        wall_start = time.perf_counter() if self.metrics.enabled else 0.0
+        with self.tracer.span("query", name=name, mode=mode,
+                              strategy=strategy) as span:
+            extracted = self.prepare(query, name)
+            block_result = run_block(extracted.block)
             execution = QueryExecution(extracted.spec.name, [],
                                        [block_result])
             execution.rows = self._run_stages(
@@ -232,10 +262,6 @@ class Dyno:
         step 3 of Figure 1); otherwise ground-truth oracle statistics are
         used.
         """
-        from repro.jaql.compiler import PlanCompiler
-        from repro.optimizer.plans import render_plan
-        from repro.optimizer.search import JoinOptimizer
-
         extracted = self.prepare(query, name)
         block = extracted.block
         lines = [block.describe(), ""]
@@ -260,8 +286,13 @@ class Dyno:
                 f"~{stats.size_bytes:.0f} bytes"
             )
 
-        result = JoinOptimizer(block, leaf_stats,
-                               self.config.optimizer).optimize()
+        # The executor's own planning call, so learned corrections shape
+        # the reported plan exactly as they would shape the executed one.
+        context = (block_feedback_context(block)
+                   if self.feedback is not None else None)
+        result = self.executor._optimize(block, feedback_context=context,
+                                         leaf_stats=leaf_stats,
+                                         record=False)
         lines += ["", f"best plan (estimated cost {result.cost:.0f}, "
                       f"{result.plans_considered} candidates):",
                   render_plan(result.plan, show_estimates=True)]
@@ -287,22 +318,6 @@ class Dyno:
             self.metastore.put(signature, loaded.get(signature))
             count += 1
         return count
-
-    def execute_with_plan(self, query: QuerySpec | str, plan,
-                          name: str = "query") -> QueryExecution:
-        """Execute a caller-provided physical plan (baseline replay path).
-
-        The plan's join order/methods are taken as-is -- the paper's
-        "hand-written" and "hand-coded" plans; post-join stages still run.
-        """
-        extracted = self.prepare(query, name)
-        block_result = self.executor.execute_physical_plan(
-            extracted.block, plan, label="static"
-        )
-        execution = QueryExecution(extracted.spec.name, [], [block_result])
-        execution.rows = self._run_stages(extracted, block_result.output_file,
-                                          execution)
-        return execution
 
     def execute_multi(self, stages: list[tuple[QuerySpec | str, str | None]],
                       **execute_kwargs) -> QueryExecution:
@@ -360,49 +375,14 @@ class Dyno:
                     f"{extracted.spec.name}.stage",
                 )
                 compiled = compiler.compile_group_by(current_file, stage)
-                batch = self._execute_stage_job(compiled.job, execution)
-                execution.stage_seconds += batch.makespan
-                current_file = compiled.job.output_name
-            elif isinstance(stage, OrderBy):
-                rows = self._client_rows(current_file, rows)
-                rows = sorted(
-                    rows,
-                    key=lambda row: tuple(
-                        order_key(ref.evaluate(row)) for ref in stage.keys
-                    ),
-                    reverse=stage.descending,
-                )
-                if stage.limit is not None:
-                    rows = rows[: stage.limit]
-            elif isinstance(stage, Project):
-                rows = self._client_rows(current_file, rows)
-                rows = [stage.project_row(row) for row in rows]
-            else:  # pragma: no cover - extract_query only yields these
-                raise PlanError(
-                    f"unsupported stage {type(stage).__name__}"
-                )
+                stage_result = self.executor.execute_stage_job(
+                    compiled, extracted.spec.name)
+                execution.stage_seconds += stage_result.execution_seconds
+                current_file = stage_result.output_file
+            else:
+                rows = apply_client_stage(
+                    stage, self._client_rows(current_file, rows))
         return self._client_rows(current_file, rows)
-
-    def _execute_stage_job(self, job, execution: QueryExecution):
-        """Run one post-join stage job, retrying injected permanent kills.
-
-        Stage jobs have no alternative plan to fall back to, so a
-        ``TaskRetriesExhaustedError`` under fault injection is handled by
-        resubmitting the job (a fresh incarnation draws fresh faults), up
-        to the cluster's ``max_job_attempts``.
-        """
-        from repro.errors import TaskRetriesExhaustedError
-        from repro.stats.collector import stats_scope
-
-        attempts = 0
-        while True:
-            try:
-                return self.runtime.execute_batch([job])
-            except TaskRetriesExhaustedError:
-                attempts += 1
-                if attempts >= self.config.cluster.max_job_attempts:
-                    raise
-                self.runtime.coordination.clear_scope(stats_scope(job.name))
 
     def _client_rows(self, current_file: str,
                      rows: list[Row] | None) -> list[Row]:

@@ -1,20 +1,25 @@
 """DYNOPT: dynamic plan execution with re-optimization (Alg. 2, Section 5).
 
-Each iteration: optimize the remaining join block with the cost-based
-optimizer, compile the best plan to a MapReduce job graph, execute only the
-leaf jobs picked by the execution strategy, collect statistics over their
-materialized outputs, substitute the executed sub-plans by intermediate
-leaves, and loop until the block is fully executed.
+One loop serves every way a job graph gets executed: obtain a plan
+(cost-based optimization of the remaining join block, or a plan or job
+the caller fixed), compile it to a MapReduce job graph, execute the jobs
+the execution strategy picks, substitute the executed sub-plans by
+intermediate leaves, and -- where an executed job's estimate missed by at
+least ``DynoConfig.reoptimization_qerror_threshold`` while jobs of the
+graph are still pending -- go back for a new plan.
 
-``mode="simple"`` gives DYNOPT-SIMPLE (Section 6.1): pilot runs feed one
-optimization, the resulting plan executes to completion with no statistics
-collection and no re-optimization -- either one job at a time (SIMPLE_SO)
-or with every ready job overlapped (SIMPLE_MO).
+``mode="simple"`` gives DYNOPT-SIMPLE (Section 6.1): that loop with the
+threshold at ``inf`` for the block. Everything else follows from there:
+no statistics are collected (nothing would read them), and a strategy of
+unbounded parallelism (SIMPLE_MO) gets the whole graph as one batch,
+because no re-optimization point can split it. Static-plan replay and
+the post-join GROUP BY job are the same loop over a fixed graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import inf
 
 from repro.cluster.job import MapReduceJob
 from repro.cluster.runtime import ClusterRuntime, JobResult
@@ -33,7 +38,7 @@ from repro.feedback.keys import (
     group_key,
 )
 from repro.jaql.blocks import JoinBlock
-from repro.jaql.compiler import CompiledJob, PlanCompiler
+from repro.jaql.compiler import CompiledJob, JobGraph, PlanCompiler
 from repro.obs.metrics import q_error
 from repro.optimizer.plans import PhysicalNode, plan_signature, render_plan
 from repro.optimizer.search import JoinOptimizer
@@ -75,6 +80,17 @@ class _RecoveryState:
     provenance: dict[str, MapReduceJob] = field(default_factory=dict)
 
 
+@dataclass(frozen=True)
+class _Planned:
+    """One compiled plan, as the rounds that execute it record it."""
+
+    graph: JobGraph
+    signature: str = ""
+    text: str = ""
+    cost: float = 0.0
+    optimizer_seconds: float = 0.0
+
+
 @dataclass
 class IterationRecord:
     """One optimize-execute round."""
@@ -113,9 +129,9 @@ class BlockExecutionResult:
     lost_outputs: list[str] = field(default_factory=list)
     #: permanent job failures the executor replanned around.
     replanned_failures: list[str] = field(default_factory=list)
-    #: mid-job replan triggers that fired: the estimate audit's q-error
-    #: crossed ``DynoConfig.midjob_qerror_threshold`` while jobs of the
-    #: current graph were still pending, forcing a re-optimization.
+    #: re-optimization triggers that fired: a job whose estimate audit
+    #: reached the re-optimization q-error threshold while jobs of its
+    #: graph were still pending (every such job, under the default 1.0).
     midjob_replans: list[str] = field(default_factory=list)
 
     @property
@@ -138,7 +154,7 @@ class BlockExecutionResult:
 
 
 class DynoptExecutor:
-    """Executes join blocks under DYNOPT or DYNOPT-SIMPLE."""
+    """Executes join blocks, static plans and stage jobs: one loop."""
 
     def __init__(self, runtime: ClusterRuntime,
                  metastore: StatisticsMetastore, config: DynoConfig):
@@ -195,11 +211,12 @@ class DynoptExecutor:
                 result.pilot_seconds = report.simulated_seconds
                 block = self._apply_reusable_outputs(block, report)
 
-            if mode == MODE_SIMPLE:
-                self._execute_simple(block, strategy, result)
-            else:
-                self._execute_dynamic(block, strategy, result,
-                                      collect_column_stats)
+            self._run(
+                block.name, strategy, result, block=block,
+                threshold=(inf if mode == MODE_SIMPLE
+                           else self.config.reoptimization_qerror_threshold),
+                collect_column_stats=collect_column_stats,
+            )
             span.set(
                 iterations=len(result.iterations),
                 sim_total_s=round(result.total_seconds, 6),
@@ -208,196 +225,250 @@ class DynoptExecutor:
             )
         return result
 
-    # -- DYNOPT loop ------------------------------------------------------------------
+    def execute_physical_plan(
+        self,
+        block: JoinBlock,
+        plan: PhysicalNode,
+        strategy: ExecutionStrategy | str = "SIMPLE_MO",
+        estimated_cost: float | None = None,
+        label: str = "plan",
+    ) -> BlockExecutionResult:
+        """Execute a caller-provided physical plan without optimization.
 
-    def _execute_dynamic(self, block: JoinBlock,
-                         strategy: ExecutionStrategy,
-                         result: BlockExecutionResult,
-                         collect_column_stats: bool = True) -> None:
-        """The optimize-execute loop of Algorithm 2.
+        Used by the baselines (BESTSTATICJAQL hand-written plans, RELOPT
+        plans "hand-coded to a Jaql script", Section 6.1).
+        """
+        if isinstance(strategy, str):
+            strategy = strategy_named(strategy)
+        result = BlockExecutionResult(block.name, MODE_SIMPLE)
+        result.plans.append(plan)
+        fixed = self._compile(
+            block.name, label, plan,
+            estimated_cost if estimated_cost is not None else plan.cost,
+        )
+        self._run(block.name, strategy, result, block=block, fixed=fixed)
+        return result
 
-        With ``reoptimize_every_job`` (the paper's default policy) every
-        completed step re-invokes the optimizer. Otherwise re-optimization
-        is *conditional* (Section 5.1): the current job graph keeps
-        executing as long as each job's observed output cardinality stays
-        within ``reoptimization_threshold`` of its estimate.
+    def execute_stage_job(self, compiled: CompiledJob,
+                          name: str) -> BlockExecutionResult:
+        """Run one post-join stage job (a compiled GROUP BY).
+
+        There is no join block behind it -- nothing to substitute, audit
+        or re-optimize -- but submission, the trace records and the
+        resubmission of a job whose tasks exhausted their retries are the
+        loop's, like any other job's.
+        """
+        result = BlockExecutionResult(name, MODE_SIMPLE)
+        graph = JobGraph([compiled], compiled.job.output_name)
+        self._run(name, strategy_named("SIMPLE_SO"), result,
+                  fixed=_Planned(graph))
+        return result
+
+    # -- the loop ---------------------------------------------------------------------
+
+    def _run(self, name: str, strategy: ExecutionStrategy,
+             result: BlockExecutionResult,
+             block: JoinBlock | None = None,
+             fixed: _Planned | None = None,
+             threshold: float = inf,
+             collect_column_stats: bool = True) -> None:
+        """The optimize-compile-execute-substitute loop of Algorithm 2.
+
+        Three inputs set every variant apart. The *plan source*: with
+        ``fixed`` None the optimizer plans what remains of ``block`` each
+        time round (jobs compile under ``<name>.it<iteration>``, or
+        ``.s<iteration>`` when nothing will be re-optimized); otherwise the caller's compiled plan or job is all there is. The
+        *strategy* picks the jobs of a round. The *threshold* is Section
+        5.1's re-optimization condition as a q-error: after a round, with
+        jobs of the graph still pending, the loop goes back to the plan
+        source iff some executed job's ``max(q_error(rows),
+        q_error(bytes))`` reached it. ``1.0`` is the paper's every-job
+        policy; at ``inf`` nothing can fire, so no statistics are
+        collected, and a strategy of unbounded parallelism gets the
+        whole remaining graph, dependencies included, as one batch.
 
         This loop is also where failures recover (Section 1: materialized
         checkpoints make re-optimization fault-tolerant). A *permanent*
         job failure (task retries exhausted, broadcast build overflow)
-        discards the current graph and re-optimizes -- with the failed
-        broadcast's alias set banned, so the replan falls back to a
-        repartition join. A *lost* intermediate relation (node loss) is
-        rebuilt by re-running just its producing sub-plan, found through
-        the provenance map.
+        goes back to the plan source: the optimizer replans what remains
+        with the failed broadcast's alias set banned, so the new plan
+        repartitions that join; a fixed graph resubmits its unfinished
+        jobs -- unless the failed job is a broadcast join, which no
+        resubmission can save, so the failure re-raises. A *lost*
+        intermediate relation (node loss) is rebuilt by re-running just
+        its producing sub-plan, found through the provenance map.
         """
         recovery = _RecoveryState()
         iteration = 0
-        # Snapshot the block's identities before any substitution: audit
-        # ingestion and correction lookups key off the original shape.
+        tag = "s" if threshold == inf else "it"
+        # Learned corrections describe this optimizer's estimates; a plan
+        # costed elsewhere must not teach the store. The snapshot is taken
+        # before any substitution: keys use the original block's shape.
         feedback_context = (block_feedback_context(block)
-                            if self.feedback is not None else None)
+                            if fixed is None and self.feedback is not None
+                            else None)
+        planned, planned_block, completed = fixed, block, set()
         while True:
-            finished = self._finished_output(block)
-            if finished is not None:
-                self._ensure_relations([finished], recovery, result)
-                result.output_file = finished
-                return
-
-            optimization = self._optimize(block, recovery.banned_broadcast,
-                                          iteration=iteration,
-                                          feedback_context=feedback_context)
-            result.optimizer_seconds += optimization.simulated_seconds
-            result.plans.append(optimization.plan)
-
-            compiler = self._compiler(f"{block.name}.it{iteration}")
-            graph = compiler.compile_block(optimization.plan)
-            if self.tracer.enabled:
-                self.tracer.event("compile", block=block.name,
-                                  iteration=iteration,
-                                  jobs=graph.job_count,
-                                  trivial=graph.trivial)
-            if graph.trivial:
-                self._ensure_relations([graph.final_output], recovery,
-                                       result)
-                result.output_file = graph.final_output
-                return
-
-            completed: set[str] = set()
+            if fixed is None:
+                optimization = self._optimize(
+                    block, recovery.banned_broadcast, iteration=iteration,
+                    feedback_context=feedback_context)
+                result.optimizer_seconds += optimization.simulated_seconds
+                result.plans.append(optimization.plan)
+                planned = self._compile(
+                    name, f"{tag}{iteration}", optimization.plan,
+                    optimization.cost, optimization.simulated_seconds,
+                    iteration)
+                planned_block, completed = block, set()
+            graph = planned.graph
             while len(completed) < graph.job_count:
                 ready = graph.leaf_jobs(completed)
-                chosen = strategy.choose(ready)
-                if not chosen:
+                if not ready:
                     raise PlanError(
-                        f"no ready jobs in block {block.name!r} "
+                        f"no ready jobs in {name!r} "
                         f"(graph: {graph.describe()})"
                     )
-                last_round = (len(completed) + len(chosen)
-                              == graph.job_count)
-                if not last_round and collect_column_stats:
+                dependencies = None
+                if threshold == inf and strategy.parallelism is None \
+                        and not recovery.replans:
+                    # No re-optimization point can split the graph and the
+                    # strategy overlaps all it is given: one batch. (Only
+                    # while nothing has failed -- a failed batch returns no
+                    # results, so from then on every round is a checkpoint.)
+                    chosen = [compiled for compiled in graph.jobs
+                              if compiled.name not in completed]
+                    dependencies = {
+                        compiled.name: [dep for dep in compiled.depends_on
+                                        if dep not in completed]
+                        for compiled in chosen
+                    }
+                else:
+                    chosen = strategy.choose(ready)
+                # Statistics are for the next optimization: none follows
+                # the graph's last round, or any round at ``inf``.
+                collect = threshold != inf and \
+                    len(completed) + len(chosen) < graph.job_count
+                if collect and collect_column_stats:
                     for compiled in chosen:
                         compiled.job.stats_columns = self._stats_columns(
                             block, chosen, compiled
                         )
 
-                self._ensure_relations(
-                    self._required_inputs([c.job for c in chosen]),
-                    recovery, result,
-                )
+                jobs = [compiled.job for compiled in chosen]
                 try:
+                    # Re-running a lost input's producer can fail for good
+                    # like any other job.
+                    self._ensure_relations(self._required_inputs(jobs),
+                                           recovery, result)
                     with self.tracer.span(
-                        "execute", block=block.name, iteration=iteration,
+                        "execute", block=name, iteration=iteration,
                         jobs=[c.name for c in chosen],
                     ) as span:
-                        batch = self.runtime.execute_batch(
-                            [c.job for c in chosen]
-                        )
+                        batch = self.runtime.execute_batch(jobs,
+                                                           dependencies)
                         span.set(makespan_s=round(batch.makespan, 6))
                 except PERMANENT_JOB_FAILURES as failure:
                     self._replan_around_failure(failure, chosen, recovery,
-                                                result)
-                    break  # back to the optimizer; the block is unchanged
+                                                result,
+                                                replannable=fixed is None)
+                    break  # back to the plan source; nothing was folded in
                 result.execution_seconds += batch.makespan
-                stats_records = sum(
-                    batch[c.name].output_rows for c in chosen
-                    if c.job.stats_columns
-                )
                 result.iterations.append(IterationRecord(
                     index=iteration,
-                    plan_signature=plan_signature(optimization.plan),
-                    plan_text=render_plan(optimization.plan),
-                    estimated_cost=optimization.cost,
+                    plan_signature=planned.signature,
+                    plan_text=planned.text,
+                    estimated_cost=planned.cost,
                     jobs_executed=[c.name for c in chosen],
                     makespan_seconds=batch.makespan,
-                    optimizer_seconds=(optimization.simulated_seconds
+                    optimizer_seconds=(planned.optimizer_seconds
                                        if not completed else 0.0),
-                    collected_statistics=not last_round,
-                    stats_records=stats_records,
+                    collected_statistics=collect,
+                    stats_records=sum(
+                        batch[c.name].output_rows for c in chosen
+                        if c.job.stats_columns
+                    ),
                 ))
-                iteration += 1
-
-                if self.feedback is not None:
-                    # Keys must come from the pre-substitution block (the
-                    # shape the estimates were computed over), so audits
-                    # are ingested before the substitution loop below.
+                completed.update(c.name for c in chosen)
+                fired: list[tuple[str, float]] = []
+                if block is not None:
                     for compiled in chosen:
-                        self._ingest_feedback(feedback_context, block,
-                                              compiled,
-                                              batch[compiled.name])
-
-                surprised = False
-                qerror_threshold = self.config.midjob_qerror_threshold
-                triggered: list[tuple[str, float]] = []
-                for compiled in chosen:
-                    job_result = batch[compiled.name]
-                    recovery.provenance[compiled.job.output_name] = \
-                        compiled.job
-                    block = self._substitute(block, compiled, job_result)
-                    completed.add(compiled.name)
-                    missed = self._estimate_missed(compiled, job_result)
-                    self._audit_estimate(compiled, job_result,
-                                         iteration - 1, missed)
-                    if missed:
-                        surprised = True
-                    if qerror_threshold != float("inf"):
-                        worst = max(
-                            q_error(compiled.estimated_rows,
-                                    job_result.output_rows),
-                            q_error(compiled.estimated_bytes,
-                                    job_result.output_bytes),
-                        )
-                        if worst >= qerror_threshold:
-                            triggered.append((compiled.name, worst))
-                # A node loss may eat any freshly materialized output;
-                # recovery happens lazily, when something needs it again.
-                self._inject_node_losses([c.job for c in chosen], result)
-                if len(completed) == graph.job_count:
-                    break
-                if triggered:
-                    # Mid-job replan: the audit's q-error crossed the
-                    # configured threshold with jobs still pending --
-                    # abandon the rest of this graph and re-optimize with
-                    # the fresh statistics (the block substitutions above
-                    # checkpoint everything already executed).
-                    for job_name, worst in triggered:
+                        job_result = batch[compiled.name]
+                        if feedback_context is not None:
+                            self._ingest_feedback(feedback_context,
+                                                  planned_block, compiled,
+                                                  job_result)
+                        recovery.provenance[compiled.job.output_name] = \
+                            compiled.job
+                        block = self._substitute(block, compiled,
+                                                 job_result)
+                        missed_by = self._audit_estimate(
+                            compiled, job_result, iteration, threshold)
+                        if missed_by is not None:
+                            fired.append((compiled.name, missed_by))
+                    # A node loss may eat any freshly materialized output;
+                    # recovery happens lazily, when something needs it again.
+                    self._inject_node_losses(jobs, result)
+                iteration += 1
+                if fired and len(completed) < graph.job_count:
+                    # Re-optimization point: abandon the rest of this graph
+                    # and plan again with the fresh statistics (the block
+                    # substitutions above checkpoint everything executed).
+                    for job_name, worst in fired:
                         result.midjob_replans.append(job_name)
                         if self.tracer.enabled:
                             self.tracer.event(
-                                "midjob_replan",
-                                job=job_name,
+                                "midjob_replan", job=job_name,
                                 q_error=round(worst, 6),
-                                threshold=qerror_threshold,
+                                threshold=threshold,
                             )
                         if self.metrics.enabled:
                             self.metrics.inc("dynopt.midjob_replans")
-                    break  # back to the optimizer with fresh statistics
-                if self.config.reoptimize_every_job or surprised:
-                    break  # back to the optimizer with fresh statistics
+                    break
+            else:
+                self._ensure_relations([graph.final_output], recovery,
+                                       result)
+                result.output_file = graph.final_output
+                return
+
+    def _compile(self, name: str, label: str, plan: PhysicalNode,
+                 cost: float, optimizer_seconds: float = 0.0,
+                 iteration: int = 0) -> _Planned:
+        compiler = PlanCompiler(self.runtime.dfs, self.config,
+                                f"{name}.{label}")
+        graph = compiler.compile_block(plan)
+        if self.tracer.enabled:
+            self.tracer.event("compile", block=name, iteration=iteration,
+                              jobs=graph.job_count, trivial=graph.trivial)
+        return _Planned(graph, plan_signature(plan), render_plan(plan),
+                        cost, optimizer_seconds)
 
     # -- fault recovery ---------------------------------------------------------------
 
     def _replan_around_failure(self, failure: Exception,
                                chosen: list[CompiledJob],
                                recovery: _RecoveryState,
-                               result: BlockExecutionResult) -> None:
-        """A job of the current graph failed permanently: replan.
+                               result: BlockExecutionResult,
+                               replannable: bool) -> None:
+        """A job of the current graph failed permanently: plan around it.
 
         The executed part of the block is already substituted (its
-        checkpoints are safe in the DFS); only the *remaining* block is
-        re-optimized. A failed broadcast join additionally bans its alias
-        set, so the optimizer's next plan repartitions that join instead
-        -- the paper's "re-optimization routes around the failure".
+        checkpoints are safe in the DFS); only what *remains* runs again.
+        A failed broadcast join additionally bans its alias set, so the
+        optimizer's next plan repartitions that join instead -- the
+        paper's "re-optimization routes around the failure". A fixed
+        graph (``replannable`` False) cannot honour a ban, so there the
+        failed broadcast re-raises.
         """
         recovery.replans += 1
-        if recovery.replans > self.config.max_recovery_replans:
-            raise failure
         job_name = getattr(failure, "job_name", "")
         failed = next((c for c in chosen if c.name == job_name), None)
-        banned_now = False
-        if failed is not None and failed.job.is_broadcast_join:
+        banned_now = failed is not None and failed.job.is_broadcast_join
+        if recovery.replans > self.config.max_recovery_replans \
+                or (banned_now and not replannable):
+            raise failure
+        if banned_now:
             recovery.banned_broadcast = recovery.banned_broadcast | \
                 {frozenset(failed.output_aliases)}
-            banned_now = True
         result.replanned_failures.append(
             f"{job_name or '<batch>'}: {type(failure).__name__}")
         if self.tracer.enabled:
@@ -428,11 +499,13 @@ class DynoptExecutor:
             result.lost_outputs.append(name)
 
     def _required_inputs(self, jobs: list[MapReduceJob]) -> list[str]:
+        """Relations ``jobs`` read that must already be materialized."""
+        produced = {job.output_name for job in jobs}
         names: list[str] = []
         for job in jobs:
             names.extend(job.inputs)
             names.extend(build.input_file for build in job.broadcast_builds)
-        return names
+        return [name for name in names if name not in produced]
 
     def _ensure_relations(self, names: list[str],
                           recovery: _RecoveryState,
@@ -466,28 +539,22 @@ class DynoptExecutor:
         result.recovered_jobs.append(producer.name)
         self.metrics.inc("dynopt.recovered_jobs")
 
-    def _estimate_missed(self, compiled: CompiledJob,
-                         job_result: JobResult) -> bool:
-        """Did the observed cardinality deviate beyond the threshold?"""
-        estimated = max(compiled.estimated_rows, 1.0)
-        observed = float(job_result.output_rows)
-        deviation = abs(observed - estimated) / estimated
-        return deviation > self.config.reoptimization_threshold
-
     def _audit_estimate(self, compiled: CompiledJob, job_result: JobResult,
-                        iteration: int, missed: bool) -> None:
+                        iteration: int, threshold: float) -> float | None:
         """Record estimated-vs-actual for one executed sub-plan.
 
         The q-error per executed job is the paper's core feedback signal
         (observed statistics replacing estimates); surfacing it is what
-        makes a DYNOPT replan explainable from a trace.
+        makes a DYNOPT replan explainable from a trace. Returns the job's
+        worst q-error when it reached ``threshold`` -- the estimate
+        *missed*, which is the one re-optimization condition -- else None.
         """
-        tracer = self.tracer
-        metrics = self.metrics
-        if not (tracer.enabled or metrics.enabled):
-            return
         rows_q = q_error(compiled.estimated_rows, job_result.output_rows)
         bytes_q = q_error(compiled.estimated_bytes, job_result.output_bytes)
+        worst = max(rows_q, bytes_q)
+        missed = worst >= threshold
+        tracer = self.tracer
+        metrics = self.metrics
         if tracer.enabled:
             tracer.event(
                 "estimate",
@@ -508,6 +575,7 @@ class DynoptExecutor:
             metrics.inc("dynopt.subplans_executed")
             if missed:
                 metrics.inc("dynopt.estimate_misses")
+        return worst if missed else None
 
     def _ingest_feedback(self, context: BlockFeedbackContext,
                          block: JoinBlock, compiled: CompiledJob,
@@ -544,131 +612,22 @@ class DynoptExecutor:
                 signatures=sorted(escalated),
             )
 
-    # -- DYNOPT-SIMPLE ------------------------------------------------------------------
-
-    def execute_physical_plan(
-        self,
-        block: JoinBlock,
-        plan: PhysicalNode,
-        strategy: ExecutionStrategy | str = "SIMPLE_MO",
-        estimated_cost: float | None = None,
-        label: str = "plan",
-    ) -> BlockExecutionResult:
-        """Execute a caller-provided physical plan without optimization.
-
-        Used by the baselines (BESTSTATICJAQL hand-written plans, RELOPT
-        plans "hand-coded to a Jaql script", Section 6.1).
-        """
-        if isinstance(strategy, str):
-            strategy = strategy_named(strategy)
-        result = BlockExecutionResult(block.name, MODE_SIMPLE)
-        result.plans.append(plan)
-        self._run_graph(
-            block, plan,
-            estimated_cost if estimated_cost is not None else plan.cost,
-            0.0, strategy, result, label,
-        )
-        return result
-
-    def _execute_simple(self, block: JoinBlock,
-                        strategy: ExecutionStrategy,
-                        result: BlockExecutionResult) -> None:
-        finished = self._finished_output(block)
-        if finished is not None:
-            result.output_file = finished
-            return
-
-        feedback_context = (block_feedback_context(block)
-                            if self.feedback is not None else None)
-        optimization = self._optimize(block,
-                                      feedback_context=feedback_context)
-        result.optimizer_seconds += optimization.simulated_seconds
-        result.plans.append(optimization.plan)
-        self._run_graph(
-            block, optimization.plan, optimization.cost,
-            optimization.simulated_seconds, strategy, result, "s0",
-        )
-
-    def _run_graph(self, block: JoinBlock, plan: PhysicalNode,
-                   estimated_cost: float, optimizer_seconds: float,
-                   strategy: ExecutionStrategy,
-                   result: BlockExecutionResult, label: str) -> None:
-        compiler = self._compiler(f"{block.name}.{label}")
-        graph = compiler.compile_block(plan)
-        if self.tracer.enabled:
-            self.tracer.event("compile", block=block.name, label=label,
-                              jobs=graph.job_count, trivial=graph.trivial)
-        if graph.trivial:
-            result.output_file = graph.final_output
-            return
-
-        if strategy.parallelism is None:
-            # MO: one batch, the scheduler overlaps independent jobs.
-            dependencies = {
-                compiled.name: list(compiled.depends_on)
-                for compiled in graph.jobs
-            }
-            with self.tracer.span(
-                "execute", block=block.name, label=label,
-                jobs=[compiled.name for compiled in graph.jobs],
-            ) as span:
-                batch = self.runtime.execute_batch(
-                    [compiled.job for compiled in graph.jobs], dependencies
-                )
-                span.set(makespan_s=round(batch.makespan, 6))
-            result.execution_seconds += batch.makespan
-            result.iterations.append(IterationRecord(
-                index=0,
-                plan_signature=plan_signature(plan),
-                plan_text=render_plan(plan),
-                estimated_cost=estimated_cost,
-                jobs_executed=[compiled.name for compiled in graph.jobs],
-                makespan_seconds=batch.makespan,
-                optimizer_seconds=optimizer_seconds,
-                collected_statistics=False,
-            ))
-        else:
-            completed: set[str] = set()
-            index = 0
-            while len(completed) < graph.job_count:
-                ready = graph.leaf_jobs(completed)
-                chosen = strategy.choose(ready)
-                if not chosen:
-                    raise PlanError(
-                        f"stuck executing block {block.name!r}: no ready jobs"
-                    )
-                with self.tracer.span(
-                    "execute", block=block.name, label=label,
-                    jobs=[compiled.name for compiled in chosen],
-                ) as span:
-                    batch = self.runtime.execute_batch(
-                        [compiled.job for compiled in chosen]
-                    )
-                    span.set(makespan_s=round(batch.makespan, 6))
-                result.execution_seconds += batch.makespan
-                result.iterations.append(IterationRecord(
-                    index=index,
-                    plan_signature=plan_signature(plan),
-                    plan_text=render_plan(plan),
-                    estimated_cost=estimated_cost,
-                    jobs_executed=[compiled.name for compiled in chosen],
-                    makespan_seconds=batch.makespan,
-                    optimizer_seconds=(
-                        optimizer_seconds if index == 0 else 0.0
-                    ),
-                    collected_statistics=False,
-                ))
-                completed.update(compiled.name for compiled in chosen)
-                index += 1
-        result.output_file = graph.final_output
-
     # -- helpers --------------------------------------------------------------------------
 
     def _optimize(self, block: JoinBlock,
                   banned_broadcast: frozenset = frozenset(),
                   iteration: int = 0,
-                  feedback_context: BlockFeedbackContext | None = None):
-        leaf_stats = self._leaf_stats(block)
+                  feedback_context: BlockFeedbackContext | None = None,
+                  leaf_stats: dict[str, TableStats] | None = None,
+                  record: bool = True):
+        """The one planning call: corrections and bans applied.
+
+        ``record`` False plans without leaving a trace in the plan cache
+        or the feedback store's choice log (``Dyno.explain``: explaining
+        must not teach); ``leaf_stats`` replaces the metastore's.
+        """
+        if leaf_stats is None:
+            leaf_stats = self._leaf_stats(block)
         feedback = self.feedback
         # Learned corrections change this block's estimates without
         # changing the statistics; salting the fingerprint keeps plans
@@ -679,7 +638,7 @@ class DynoptExecutor:
                 feedback_context.alias_identity)
         # Recovery replans carry banned broadcasts that are not part of the
         # cache key; bypass the cache entirely on that (rare) path.
-        cache = self.plan_cache if not banned_broadcast else None
+        cache = self.plan_cache if record and not banned_broadcast else None
         if cache is not None:
             cached = cache.lookup(block, leaf_stats, salt=salt)
             if self.tracer.enabled:
@@ -719,14 +678,11 @@ class DynoptExecutor:
         if cache is not None:
             cache.store(block, leaf_stats, optimization.plan,
                         optimization.cost, salt=salt)
-        if feedback is not None:
+        if record and feedback is not None:
             feedback.record_choice(canonical_block_key(block),
                                    plan_signature(optimization.plan),
                                    optimization.cost)
         return optimization
-
-    def _compiler(self, prefix: str) -> PlanCompiler:
-        return PlanCompiler(self.runtime.dfs, self.config, prefix)
 
     def _leaf_stats(self, block: JoinBlock) -> dict[str, TableStats]:
         stats: dict[str, TableStats] = {}
@@ -740,15 +696,6 @@ class DynoptExecutor:
                 )
             stats[signature] = entry
         return stats
-
-    def _finished_output(self, block: JoinBlock) -> str | None:
-        if len(block.leaves) == 1 and not block.leaves[0].is_base:
-            if block.non_local_predicates or block.conditions:
-                raise PlanError(
-                    f"block {block.name!r} fully merged but work remains"
-                )
-            return block.leaves[0].source_name
-        return None
 
     def _apply_reusable_outputs(self, block: JoinBlock,
                                 report: PilotReport) -> JoinBlock:

@@ -58,15 +58,17 @@ class TaskRetriesExhaustedError(JobError):
     :meth:`repro.core.dynopt.DynoptExecutor`.
     """
 
-    def __init__(self, job_name: str, attempts: int, detail: str = ""):
+    def __init__(self, job_name: str, attempts: int | None,
+                 detail: str = ""):
         self.job_name = job_name
+        #: the exhausted budget; None when the task fails on every attempt
+        #: whatever the budget (an injected permanent fault).
         self.attempts = attempts
         self.detail = detail
         extra = f": {detail}" if detail else ""
-        super().__init__(
-            f"job {job_name!r} failed: a task exhausted all "
-            f"{attempts} attempt(s){extra}"
-        )
+        budget = ("failed on every attempt" if attempts is None
+                  else f"exhausted all {attempts} attempt(s)")
+        super().__init__(f"job {job_name!r} failed: a task {budget}{extra}")
 
 
 class JobFaultInjectedError(JobError):

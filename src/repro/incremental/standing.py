@@ -43,8 +43,8 @@ from typing import Any, Sequence
 from repro.data.table import Row
 from repro.errors import PlanError
 from repro.incremental.cdc import AppliedChange
+from repro.jaql.blocks import apply_client_stage
 from repro.jaql.expr import GroupBy, OrderBy, Project, QuerySpec
-from repro.jaql.interpreter import order_key
 from repro.jaql.rewrites import substitute_scan
 from repro.optimizer.cardinality import CardinalityModel
 from repro.service.service import QueryOutcome, QueryRequest
@@ -499,19 +499,7 @@ class StandingQueryManager:
                     rows: list[Row]) -> list[Row]:
         current = list(rows)
         for stage in reversed(standing.tail):
-            if isinstance(stage, OrderBy):
-                current = sorted(
-                    current,
-                    key=lambda row: tuple(
-                        order_key(ref.evaluate(row))
-                        for ref in stage.keys
-                    ),
-                    reverse=stage.descending,
-                )
-                if stage.limit is not None:
-                    current = current[: stage.limit]
-            else:
-                current = [stage.project_row(row) for row in current]
+            current = apply_client_stage(stage, current)
         return [dict(row) for row in current]
 
     def _get(self, name: str) -> StandingQuery:

@@ -43,6 +43,7 @@ from repro.jaql.expr import (
     conjuncts,
     qualify_row,
 )
+from repro.jaql.interpreter import order_key
 
 #: Where a leaf's rows come from.
 SOURCE_TABLE = "table"
@@ -332,6 +333,27 @@ def extract_query(spec: QuerySpec) -> ExtractedQuery:
         tuple(non_local),
     )
     return ExtractedQuery(spec, block, tuple(stages))
+
+
+def apply_client_stage(stage: Expr, rows: list[Row]) -> list[Row]:
+    """Evaluate one client-side stage (ORDER BY or the final projection).
+
+    Jaql runs non-parallelizable expressions locally (Section 2.1): the
+    engine's post-join tail and a standing query's maintained result go
+    through here alike.
+    """
+    if isinstance(stage, OrderBy):
+        rows = sorted(
+            rows,
+            key=lambda row: tuple(
+                order_key(ref.evaluate(row)) for ref in stage.keys
+            ),
+            reverse=stage.descending,
+        )
+        return rows if stage.limit is None else rows[: stage.limit]
+    if isinstance(stage, Project):
+        return [stage.project_row(row) for row in rows]
+    raise PlanError(f"not a client-side stage: {type(stage).__name__}")
 
 
 def _collect(node: Expr, filters_above: list[Predicate],

@@ -67,7 +67,20 @@ class TestBackendSwitch:
             DEFAULT_CONFIG.backend = "hive"  # type: ignore[misc]
 
     def test_default_reoptimizes_every_job(self):
-        assert DynoConfig().reoptimize_every_job
+        # q-error 1.0 = every estimate "misses" = the paper's policy.
+        assert DynoConfig().reoptimization_qerror_threshold == 1.0
+
+    def test_reoptimization_threshold_is_a_q_error(self):
+        from dataclasses import replace
+
+        for bad in (0.99, 0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError):
+                DynoConfig(reoptimization_qerror_threshold=bad)
+        with pytest.raises(ValueError):
+            replace(DEFAULT_CONFIG, reoptimization_qerror_threshold=0.5)
+        never = replace(DEFAULT_CONFIG,
+                        reoptimization_qerror_threshold=float("inf"))
+        assert never.reoptimization_qerror_threshold == float("inf")
 
 
 class TestExecutorConfig:
@@ -75,11 +88,8 @@ class TestExecutorConfig:
         assert not DEFAULT_CONFIG.executor.parallel_jobs
 
     def test_with_parallel_execution(self):
-        config = DEFAULT_CONFIG.with_parallel_execution(
-            pool="process", max_workers=3
-        )
+        config = DEFAULT_CONFIG.with_parallel_execution(max_workers=3)
         assert config.executor.parallel_jobs
-        assert config.executor.pool == "process"
         assert config.executor.max_workers == 3
         # everything else is untouched
         assert config.cluster == DEFAULT_CONFIG.cluster
@@ -92,8 +102,11 @@ class TestExecutorConfig:
         ).executor.parallel_jobs
 
     def test_unknown_pool_rejected(self):
-        with pytest.raises(ValueError):
-            ExecutorConfig(pool="fork-bomb")
+        # There is one pool (threads): the kind is not a setting at all.
+        with pytest.raises(TypeError):
+            ExecutorConfig(pool="process")
+        with pytest.raises(TypeError):
+            DEFAULT_CONFIG.with_parallel_execution(pool="process")
 
     def test_bad_worker_counts_rejected(self):
         with pytest.raises(ValueError):

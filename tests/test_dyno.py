@@ -192,6 +192,38 @@ class TestExplain:
         assert outputs == []
 
 
+    def test_explain_plans_like_execute_under_learned_corrections(
+            self, tpch_tables, tmp_path):
+        """Explain goes through the executor's planning call, so a store
+        with an active correction shapes the reported plan exactly as it
+        shapes the plan ``execute`` runs next -- and explaining leaves
+        the store as it found it."""
+        from repro.feedback import FeedbackStore, block_feedback_context
+        from repro.workloads.queries import q10 as q10_factory
+
+        workload = q10_factory()
+        feedback = FeedbackStore()
+        dyno = Dyno(tpch_tables, udfs=workload.udfs, feedback=feedback)
+        for run in range(3):
+            dyno.execute(workload.final_spec, name=f"warm{run}")
+        block = dyno.prepare(workload.final_spec).block
+        context = block_feedback_context(block)
+        assert feedback.correction_token(context.alias_identity), \
+            "three runs should have left an active correction"
+
+        feedback.save(tmp_path / "before.json")
+        report = dyno.explain(workload.final_spec)
+        feedback.save(tmp_path / "after.json")
+        # Explaining must not teach: no audit, no recorded plan choice.
+        assert (tmp_path / "after.json").read_text() == \
+            (tmp_path / "before.json").read_text()
+
+        executed = dyno.execute(workload.final_spec, name="after")
+        root = executed.block_results[0].plans[0]
+        assert (f"[~{root.est_rows:.0f} rows, cost {root.cost:.1f}]"
+                in report.split("best plan")[1].splitlines()[1])
+
+
 class TestStatisticsPersistence:
     def test_round_trip_skips_pilots(self, dyno_factory, tmp_path):
         from repro.workloads.queries import q10 as q10_factory

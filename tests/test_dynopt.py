@@ -156,17 +156,15 @@ class TestConditionalReoptimization:
     difference between the estimated result size and the observed one'."""
 
     def _config(self, threshold):
-        return replace(
-            TIGHT_CONFIG,
-            reoptimize_every_job=False,
-            reoptimization_threshold=threshold,
-        )
+        """``threshold`` is a q-error: 1.5 tolerates estimates off by 50%."""
+        return replace(TIGHT_CONFIG,
+                       reoptimization_qerror_threshold=threshold)
 
     def test_generous_threshold_skips_reoptimization(self, dyno_factory,
                                                      tpch_tables):
         workload = q10()
         dyno = dyno_factory(udfs=workload.udfs,
-                            config=self._config(threshold=1e9))
+                            config=self._config(threshold=1e12))
         execution = dyno.execute(workload.final_spec, mode=MODE_DYNOPT)
         result = execution.block_results[0]
         # One optimizer call: all iterations share the first plan.
@@ -183,7 +181,7 @@ class TestConditionalReoptimization:
         assumes selectivity 1.0), so a tight threshold must trigger."""
         workload = q8_prime(udf_selectivity=0.3)
         dyno = dyno_factory(udfs=workload.udfs,
-                            config=self._config(threshold=0.05))
+                            config=self._config(threshold=1.05))
         execution = dyno.execute(workload.final_spec, mode=MODE_DYNOPT)
         result = execution.block_results[0]
         assert len(result.plans) >= 2
@@ -195,7 +193,7 @@ class TestConditionalReoptimization:
                               config=TIGHT_CONFIG).execute(
             workload.final_spec, mode=MODE_DYNOPT)
         conditional = dyno_factory(udfs=workload.udfs,
-                                   config=self._config(0.5)).execute(
+                                   config=self._config(1.5)).execute(
             workload.final_spec, mode=MODE_DYNOPT)
         assert_same_rows(always.rows, conditional.rows)
 

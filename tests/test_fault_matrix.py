@@ -10,6 +10,8 @@ for node-loss recovery and retries-exhausted-then-replan.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from tests.oracle import (
@@ -128,7 +130,8 @@ class TestSkewJoinFaultMatrix:
         audited job) *and* the chaos fault plan: replans racing faults
         must still be result-invisible."""
         plan = plan_named("chaos")
-        config = faulted_config(plan).with_midjob_trigger(1.0)
+        config = replace(faulted_config(plan),
+                         reoptimization_qerror_threshold=1.0)
         dyno, execution = run_workload(skew_tables, query, "UNC-1",
                                        config=config)
         fired = [name for block in execution.block_results
@@ -182,11 +185,10 @@ class TestJoinsStackedOnShuffleOutputs:
     can read the output of a shuffle join compiled in the same graph: Q7
     stacks a broadcast join on a repartition output, SkewFunnel on a skew
     output. The stacked job's pipeline starts from an intermediate file
-    rather than a leaf scan; it must survive the whole fault matrix.
-
-    A static plan cannot replan, so schedules that fail jobs permanently
-    (exhausted task retries, doomed broadcasts) run the same graph
-    all-at-once under DYNOPT instead, where ban-and-replan exists."""
+    rather than a leaf scan; it must survive the whole fault matrix --
+    schedules that fail jobs permanently (exhausted task retries, doomed
+    broadcasts) included: SIMPLE walks the same loop as DYNOPT, so it
+    bans, replans what remains and carries on."""
 
     CASES = {"Q7": "repartition", "SkewFunnel": "skew"}
 
@@ -213,14 +215,12 @@ class TestJoinsStackedOnShuffleOutputs:
             self, stacked_baselines, query, plan_name):
         data, baseline = stacked_baselines[query]
         plan = plan_named(plan_name)
-        permanent = plan.task_failure_rate or plan.broadcast_failure_rate
-        strategy, mode = (("ALL", "dynopt") if permanent
-                          else ("SIMPLE_MO", "simple"))
-        dyno, execution = run_workload(data, query, strategy, mode=mode,
+        dyno, execution = run_workload(data, query, "SIMPLE_MO",
+                                       mode="simple",
                                        config=faulted_config(plan))
         diff = fault_visible_diff(baseline, fingerprint(dyno, execution))
         assert not diff, (
-            f"fault plan {plan_name!r} changed {strategy} {query}: {diff}")
+            f"fault plan {plan_name!r} changed SIMPLE_MO {query}: {diff}")
 
 
 class TestDeterminism:
@@ -293,3 +293,91 @@ class TestRequiredScenarios:
             "expected at least one job to exhaust task retries and be "
             f"replanned; got {replanned}")
         assert execution.rows  # and the query still completed
+
+    @pytest.mark.parametrize("strategy", ["SIMPLE_SO", "SIMPLE_MO"])
+    def test_simple_node_loss_of_materialized_output_recovers(
+            self, tables, strategy):
+        """DYNOPT-SIMPLE considers node losses too, and re-runs the lost
+        output's producer from the provenance map."""
+        plan = plan_named("node-loss")
+        dyno, execution = run_workload(tables, "Q7", strategy,
+                                       mode="simple",
+                                       config=faulted_config(plan))
+        lost = [name for block in execution.block_results
+                for name in block.lost_outputs]
+        recovered = [name for block in execution.block_results
+                     for name in block.recovered_jobs]
+        assert lost, "node-loss plan deleted no materialized output"
+        assert recovered, "lost outputs were never re-materialized"
+        assert dyno.runtime.fault_injector.snapshot()["node_losses"] == \
+            len(lost)
+        _, clean = run_workload(tables, "Q7", strategy, mode="simple")
+        assert execution.rows == clean.rows
+
+    @pytest.mark.parametrize("strategy", ["SIMPLE_SO", "SIMPLE_MO"])
+    def test_simple_retries_exhausted_then_replan(self, tables, strategy):
+        plan = plan_named("task-flaky")
+        _, execution = run_workload(tables, "Q10", strategy, mode="simple",
+                                    config=faulted_config(plan))
+        replanned = [entry for block in execution.block_results
+                     for entry in block.replanned_failures]
+        assert any("TaskRetriesExhaustedError" in entry
+                   for entry in replanned), (
+            "expected at least one job to exhaust task retries and be "
+            f"replanned; got {replanned}")
+        assert execution.rows  # and the query still completed
+
+    def test_failed_rerun_of_a_lost_output_is_replanned_around(
+            self, skew_tables):
+        """Chaos eats SkewFunnel's first join output *and* kills the
+        re-run of its producer: that failure, too, goes back to the plan
+        source instead of escaping the loop."""
+        plan = plan_named("chaos")
+        _, clean = run_workload(skew_tables, "SkewFunnel", "SIMPLE_SO",
+                                mode="simple")
+        _, execution = run_workload(skew_tables, "SkewFunnel", "SIMPLE_SO",
+                                    mode="simple",
+                                    config=faulted_config(plan))
+        (block,) = execution.block_results
+        assert block.lost_outputs and block.recovered_jobs
+        assert block.replanned_failures
+        assert execution.rows == clean.rows
+
+    def static_q7(self, tables, fault_plan):
+        """Q7 with a plan fixed up front, under ``fault_plan``."""
+        from repro.core.dyno import Dyno
+        from tests.oracle import ORACLE_WORKLOADS
+        from tests.test_static_digests import static_plan
+
+        workload = ORACLE_WORKLOADS["Q7"]()
+        dyno = Dyno(tables, udfs=workload.udfs,
+                    config=faulted_config(fault_plan))
+        plan = static_plan(dyno, dyno.prepare(workload.final_spec).block)
+        return dyno, workload.final_spec, plan
+
+    def test_static_plan_reraises_a_doomed_broadcast(self, tables):
+        """A fixed plan has no alternative to route around a broadcast
+        join that cannot succeed: the failure surfaces, by design."""
+        from repro.errors import TaskRetriesExhaustedError
+
+        dyno, spec, plan = self.static_q7(tables,
+                                          plan_named("broadcast-doom"))
+        with pytest.raises(TaskRetriesExhaustedError,
+                           match="failed on every attempt"):
+            dyno.execute_with_plan(spec, plan, name="Q7")
+
+    def test_static_plan_resubmits_jobs_that_exhausted_retries(
+            self, tables):
+        """A repartition job killed by flaky tasks needs no other plan:
+        the unfinished jobs of the fixed graph run again as fresh
+        incarnations (seed picked so that Q7's rjoin1 is the casualty)."""
+        from repro.cluster.faults import FaultPlan
+
+        dyno, spec, plan = self.static_q7(
+            tables, FaultPlan(seed=13, name="static-flaky",
+                              task_failure_rate=0.25))
+        execution = dyno.execute_with_plan(spec, plan, name="Q7")
+        assert execution.block_results[0].replanned_failures == \
+            ["Q7.static.rjoin1: TaskRetriesExhaustedError"]
+        _, clean = run_workload(tables, "Q7", "SIMPLE_MO", mode="simple")
+        assert execution.rows == clean.rows

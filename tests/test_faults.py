@@ -203,6 +203,10 @@ class TestJobAttempt:
             with pytest.raises(TaskRetriesExhaustedError) as excinfo:
                 attempt.boundary("map")
             assert "broadcast" in excinfo.value.detail
+            # No budget was exhausted -- the task fails whatever it is --
+            # so the message must not count "all 0 attempt(s)".
+            assert "failed on every attempt" in str(excinfo.value)
+            assert "attempt(s)" not in str(excinfo.value)
 
     def test_repartition_jobs_never_doomed(self):
         plan = FaultPlan(seed=1, broadcast_failure_rate=1.0)

@@ -283,6 +283,37 @@ class TestDifferential:
         assert len(feedback) > 0, "the loop must actually have learned"
 
 
+class TestSimpleModeAuditsAndLearns:
+    """DYNOPT-SIMPLE consumes corrections, so it must also produce them:
+    its jobs are audited and ingested by the same loop as DYNOPT's."""
+
+    @pytest.mark.parametrize("strategy", ["SIMPLE_SO", "SIMPLE_MO"])
+    def test_one_estimate_per_join_job_and_a_nonempty_store(self, tables,
+                                                            strategy):
+        from repro.obs import MemorySink, Tracer
+        from tests.oracle import ORACLE_WORKLOADS
+
+        workload = ORACLE_WORKLOADS["Q7"]()
+        sink = MemorySink()
+        feedback = FeedbackStore()
+        dyno = Dyno(tables, udfs=workload.udfs, feedback=feedback,
+                    tracer=Tracer(sink))
+        execution = dyno.execute(workload.final_spec, mode="simple",
+                                 strategy=strategy, name="Q7")
+        (block,) = execution.block_results
+        executed = [name for record in block.iterations
+                    for name in record.jobs_executed]
+        assert len(executed) > 1  # a multi-job static plan
+        estimates = [record["attrs"] for record in sink.records
+                     if record["name"] == "estimate"]
+        assert [attrs["job"] for attrs in estimates] == executed
+        assert all(attrs["joins"] >= 1 for attrs in estimates)
+        # inf for the block: nothing can miss, nothing re-optimizes.
+        assert not any(attrs["missed"] for attrs in estimates)
+        assert len(block.plans) == 1 and block.midjob_replans == []
+        assert len(feedback) > 0, "a SIMPLE run must feed the store"
+
+
 class TestServiceIntegration:
     SCALE = 0.02
     EVENTS = 1200

@@ -93,14 +93,11 @@ class TestSchedulerDetermination:
 
 class TestEstimateMissed:
     def test_threshold_boundary(self, dyno_factory):
-        from dataclasses import replace
-
+        """The one re-optimization predicate: an estimate misses when
+        ``max(q_error(rows), q_error(bytes))`` *reaches* the threshold."""
         from repro.jaql.compiler import CompiledJob
 
-        dyno = dyno_factory()
-        executor = dyno.executor
-        executor.config = replace(executor.config,
-                                  reoptimization_threshold=0.5)
+        executor = dyno_factory().executor
 
         class _Job:
             name = "x"
@@ -108,13 +105,24 @@ class TestEstimateMissed:
         compiled = CompiledJob(
             job=_Job(), depends_on=[], output_aliases=frozenset(("a",)),
             applied_predicates=(), join_count=1, estimated_cost=0.0,
-            estimated_rows=100.0,
+            estimated_rows=100.0, estimated_bytes=1000.0,
         )
 
         class _Result:
-            def __init__(self, rows):
+            def __init__(self, rows, size=1000):
                 self.output_rows = rows
+                self.output_bytes = size
 
-        assert not executor._estimate_missed(compiled, _Result(140))
-        assert executor._estimate_missed(compiled, _Result(151))
-        assert executor._estimate_missed(compiled, _Result(40))
+        def missed_by(result, threshold=1.5):
+            return executor._audit_estimate(compiled, result, 0, threshold)
+
+        assert missed_by(_Result(149)) is None
+        assert missed_by(_Result(150)) == 1.5  # reaching it counts
+        assert missed_by(_Result(67)) is None  # symmetric: 100/67 < 1.5
+        assert missed_by(_Result(66)) == pytest.approx(100 / 66)
+        # Bytes alone can miss; the worse of the two is reported.
+        assert missed_by(_Result(100, size=400)) == 2.5
+        # A perfect estimate still "misses" the every-job floor ...
+        assert missed_by(_Result(100), threshold=1.0) == 1.0
+        # ... and nothing reaches the never-re-optimize ceiling.
+        assert missed_by(_Result(10 ** 9), threshold=float("inf")) is None

@@ -121,16 +121,16 @@ class TestExecutorOutcomes:
         assert outcomes == {"a": "gate-a", "b": "gate-b"}
 
     def test_process_pool_degrades_to_threads_on_unpicklable_work(self):
-        executor = ParallelJobExecutor(
-            ExecutorConfig(parallel_jobs=True, pool="process")
-        )
+        """The pool is threads, so work that could never be pickled for
+        a process pool -- as compiled jobs cannot -- runs as it is."""
+        executor = ParallelJobExecutor(ExecutorConfig(parallel_jobs=True))
         captured = []
         levels = [[_Named("a"), _Named("b")]]
         outcomes = executor.run(
             levels, {}, lambda job, gate: captured.append(job.name) or job.name
         )
-        # A closure over `captured` cannot be pickled; the thread fallback
-        # shares memory so the appends are visible here.
+        # A closure over `captured` cannot be pickled; threads share
+        # memory, so the appends are visible here.
         assert outcomes == {"a": "a", "b": "b"}
         assert sorted(captured) == ["a", "b"]
 
@@ -287,10 +287,6 @@ def parallel_variants():
     return [
         pytest.param(DEFAULT_CONFIG, id="serial"),
         pytest.param(DEFAULT_CONFIG.with_parallel_execution(), id="threads"),
-        pytest.param(
-            DEFAULT_CONFIG.with_parallel_execution(pool="process"),
-            id="process-degraded",
-        ),
     ]
 
 

@@ -134,34 +134,49 @@ def test_skewed_engine_matches_interpreter(skew_tables,
         assert skew_joins >= 1, f"{label}: no skew join planned"
 
 
+def with_threshold(qerror: float, base=DEFAULT_CONFIG):
+    return replace(base, reoptimization_qerror_threshold=qerror)
+
+
 class TestMidjobReplanTrigger:
-    """DynoConfig.midjob_qerror_threshold semantics."""
+    """DynoConfig.reoptimization_qerror_threshold semantics."""
 
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
-            DEFAULT_CONFIG.with_midjob_trigger(0.99)
+            with_threshold(0.99)
 
     def test_unreachable_threshold_is_execution_identical(self,
                                                           skew_tables):
-        """A finite-but-huge threshold exercises the audit arithmetic on
-        every job yet never fires: plans, iteration structure and rows
-        must be exactly the default run's."""
+        """The two ends of the one knob. The floor (1.0: every estimate
+        "misses") *is* the default run -- plans, iteration structure and
+        rows exactly the paper's every-job policy. A finite-but-huge
+        threshold exercises the audit arithmetic on every job yet never
+        fires: one optimizer call, the same rows."""
+        from tests.oracle import fingerprint
+
         baseline_dyno, baseline = run_workload(skew_tables, "SkewFunnel",
                                                "UNC-1")
-        armed_dyno, armed = run_workload(
-            skew_tables, "SkewFunnel", "UNC-1",
-            config=DEFAULT_CONFIG.with_midjob_trigger(1e12))
-        for base_block, armed_block in zip(baseline.block_results,
-                                           armed.block_results):
-            assert armed_block.midjob_replans == []
-            assert ([it.plan_signature for it in armed_block.iterations]
+        floor_dyno, floor = run_workload(skew_tables, "SkewFunnel", "UNC-1",
+                                         config=with_threshold(1.0))
+        for base_block, floor_block in zip(baseline.block_results,
+                                           floor.block_results):
+            assert ([it.plan_signature for it in floor_block.iterations]
                     == [it.plan_signature
                         for it in base_block.iterations])
-            assert ([it.jobs_executed for it in armed_block.iterations]
+            assert ([it.jobs_executed for it in floor_block.iterations]
                     == [it.jobs_executed for it in base_block.iterations])
-        from tests.oracle import fingerprint
-        assert fingerprint(armed_dyno, armed) == \
+        assert floor.total_seconds == baseline.total_seconds
+        assert fingerprint(floor_dyno, floor) == \
             fingerprint(baseline_dyno, baseline)
+
+        armed_dyno, armed = run_workload(skew_tables, "SkewFunnel", "UNC-1",
+                                         config=with_threshold(1e12))
+        for armed_block in armed.block_results:
+            assert armed_block.midjob_replans == []
+            assert len(armed_block.plans) == 1
+            assert len(armed_block.iterations) > 1
+        assert fingerprint(armed_dyno, armed)["rows"] == \
+            fingerprint(baseline_dyno, baseline)["rows"]
 
     def test_trigger_fires_on_misestimates_and_results_match(
             self, skew_tables, skew_reference_cache):
@@ -179,7 +194,7 @@ class TestMidjobReplanTrigger:
         metrics = MetricsRegistry()
         workload = SKEWED_WORKLOADS["SkewFunnel"]()
         dyno = Dyno(skew_tables,
-                    config=DEFAULT_CONFIG.with_midjob_trigger(1.0),
+                    config=with_threshold(1.0),
                     udfs=workload.udfs, tracer=Tracer(sink),
                     metrics=metrics)
         execution = dyno.execute(workload.final_spec, mode="dynopt",
