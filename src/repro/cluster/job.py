@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.data.schema import Schema, estimate_value_size
+from repro.data.schema import Schema
 from repro.data.table import Row
 from repro.errors import JobError
 from repro.storage.dfs import Split
@@ -22,6 +22,7 @@ from repro.storage.dfs import Split
 __all__ = [
     "BatchEmit",
     "BroadcastBuild",
+    "BuildLoader",
     "MapReduceJob",
     "Mapper",
     "Reducer",
@@ -46,7 +47,8 @@ class TaskContext:
 class BatchEmit:
     """Output of one mapper/reducer call.
 
-    ``sizes[i]`` must equal ``estimate_value_size(rows[i])``: producers
+    ``sizes[i]`` must be the value-exact size of ``rows[i]`` (the schema
+    module's recursive value estimator is the definition): producers
     derive sizes in O(1) from their inputs (merged-row arithmetic, carried
     split sizes) so the runtime's byte counters never re-walk a dict.
     ``keys`` is parallel to ``rows`` in map+reduce jobs (ignored in
@@ -69,24 +71,31 @@ Mapper = Callable[[TaskContext, str, Any], BatchEmit]
 Reducer = Callable[
     [TaskContext, list[tuple[Any, list[Row], list[int]]]], BatchEmit
 ]
+#: A build loader turns the build file, read as one column batch, into
+#: the batch of rows the job's hash tables hold: batch -> batch, both of
+#: the :mod:`repro.data.columns` protocol (``rows``, ``ensure_sizes()``).
+BuildLoader = Callable[[Any], Any]
 
 
 @dataclass
 class BroadcastBuild:
     """One broadcast-join build side attached to a job.
 
-    The runtime reads ``input_file`` (accounting the read), applies
-    ``loader`` -- which qualifies rows and applies the build side's local
-    predicates while the hash table is loaded, exactly like Jaql's broadcast
-    join -- and stores the resulting rows in :attr:`rows` for the job's
+    The runtime reads ``input_file`` as one batch (accounting the read),
+    applies ``loader`` -- which qualifies rows and applies the build side's
+    local predicates while the hash table is loaded, exactly like Jaql's
+    broadcast join -- and stores the resulting rows and their value-exact
+    sizes (carried through by the loader, never re-walked) for the job's
     mapper closures to probe. The memory check applies to the *loaded*
     (post-predicate) size, since that is what actually occupies task memory.
     """
 
     input_file: str
-    loader: Callable[[list[Row]], list[Row]]
+    loader: BuildLoader
     description: str = ""
     rows: list[Row] | None = None
+    #: parallel to ``rows`` once loaded.
+    sizes: list[int] = field(default_factory=list)
     loaded_bytes: int = 0
     #: True when the plan chose the spillable hybrid hash join for this
     #: build: overflowing task memory is *expected* and handled by
@@ -96,9 +105,11 @@ class BroadcastBuild:
     #: feeds the job's declared memory demand before execution.
     declared_bytes: int = 0
 
-    def load(self, raw_rows: list[Row]) -> None:
-        self.rows = self.loader(raw_rows)
-        self.loaded_bytes = sum(estimate_value_size(row) for row in self.rows)
+    def load(self, batch: Any) -> None:
+        loaded = self.loader(batch)
+        self.rows = loaded.rows
+        self.sizes = loaded.ensure_sizes()
+        self.loaded_bytes = sum(self.sizes)
 
     def built_rows(self) -> list[Row]:
         if self.rows is None:

@@ -434,8 +434,7 @@ class ClusterRuntime:
         loaded_bytes = 0
         loaded_records = 0
         for build in job.broadcast_builds:
-            raw_rows = self.dfs.read_all(build.input_file)
-            build.load(raw_rows)
+            build.load(self.dfs.read_file_batch(build.input_file))
             read_bytes += self.dfs.file_size(build.input_file)
             loaded_bytes += build.loaded_bytes
             loaded_records += len(build.built_rows())

@@ -32,7 +32,7 @@ from repro.config import DynoConfig
 from repro.data.columns import resolve_backend
 from repro.errors import PlanError
 from repro.jaql.blocks import BlockLeaf, JoinBlock
-from repro.jaql.compiler import leaf_scan
+from repro.jaql.compiler import intermediate_schema, leaf_scan
 from repro.stats.metastore import StatisticsMetastore
 from repro.stats.statistics import TableStats
 from repro.storage.dfs import Split
@@ -366,7 +366,9 @@ class PilotRunner:
             inputs=[input_file],
             mapper=mapper,
             output_name=f"{block.name}.pilr{index}.out",
-            output_schema=self.dfs.open(input_file).schema,
+            # Qualified rows, like every compiled job's output: no key
+            # matches the raw table's typed schema.
+            output_schema=intermediate_schema(),
             splits=splits,
             stats_columns=self._columns_for_signature(block, leaf),
             description=f"pilot run for {leaf.describe()}",

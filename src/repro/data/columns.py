@@ -9,9 +9,9 @@ per column instead of a dict probe per row per field.
 Two batch shapes share one duck-typed protocol (``rows``, ``column(name)``,
 ``array(name)``, ``ensure_sizes()``, ``__len__``):
 
-* :class:`SplitBatch` -- a view over one DFS split, sharing the owning
-  file's per-column caches (and its per-row sizes, whenever the file can
-  prove they equal ``estimate_value_size`` exactly);
+* :class:`SplitBatch` -- a view over a row range of a DFS file (one
+  split, or the whole file for a broadcast build load), sharing the
+  owning file's per-column caches and its value-exact per-row sizes;
 * :class:`RowBatch` -- a materialized operator output (filtered/joined
   rows) with lazily gathered columns.
 
@@ -139,17 +139,13 @@ class RowBatch:
             self.sizes = estimate_dict_sizes(self.rows)
         return self.sizes
 
-    def cheap_sizes(self) -> list[int] | None:
-        """Sizes if already known, else None (never triggers a re-walk)."""
-        return self.sizes
-
 
 class SplitBatch:
-    """Columnar view over one split of a DFS file.
+    """Columnar view over a ``[start, stop)`` row range of a DFS file.
 
-    Column gathers and numpy arrays are delegated to the owning file so
-    every split (and every re-read of the file) shares one cache; the
-    batch only slices its ``[start, stop)`` row range out of them.
+    Column gathers, numpy arrays and row sizes are delegated to the
+    owning file so every split (and every re-read of the file) shares
+    one cache; the batch only slices its row range out of them.
     """
 
     __slots__ = ("rows", "_file", "_start", "_stop")
@@ -173,22 +169,9 @@ class SplitBatch:
         return array[self._start:self._stop]
 
     def ensure_sizes(self) -> list[int]:
-        """Per-row ``estimate_value_size`` for the split's rows.
-
-        Files whose stored sizes are value-exact (schema-free
-        intermediates, finalize-sized outputs, and typed files whose
-        columns pass the one-time conformance scan) hand out slices of
-        the stored sizes; everything else re-derives them.
-        """
-        if self._file.sizes_are_value_exact:
-            return self._file.row_sizes[self._start:self._stop]
-        return estimate_dict_sizes(self.rows)
-
-    def cheap_sizes(self) -> list[int] | None:
-        """Stored-size slice when value-exact, else None (no re-walk)."""
-        if self._file.sizes_are_value_exact:
-            return self._file.row_sizes[self._start:self._stop]
-        return None
+        """Per-row ``estimate_value_size``: a slice of the file's
+        value-exact sizes (see ``DFSFile.value_sizes``), never a re-walk."""
+        return self._file.value_sizes()[self._start:self._stop]
 
 
 __all__ = [

@@ -29,6 +29,7 @@ from typing import Any, Callable
 from repro.cluster.job import (
     BatchEmit,
     BroadcastBuild,
+    BuildLoader,
     MapReduceJob,
     TaskContext,
 )
@@ -64,7 +65,7 @@ BatchTransform = Callable[[TaskContext, Any], Any]
 #: Schema attached to intermediate files. Intermediates carry qualified
 #: (flattened) rows whose exact field set varies per plan; a permissive
 #: schema keeps size accounting consistent without re-deriving field types.
-def _intermediate_schema() -> Schema:
+def intermediate_schema() -> Schema:
     return Schema(())
 
 
@@ -161,42 +162,42 @@ def _identity_transform(context: TaskContext, batch: Any) -> Any:
     return batch
 
 
-def _leaf_filter(leaf: BlockLeaf,
-                 use_numpy: bool) -> Callable[[Any], RowBatch]:
+def _identity_loader(batch: Any) -> Any:
+    """Build loader of a materialized (qualified, filtered) input file."""
+    return batch
+
+
+def _leaf_filter(leaf: BlockLeaf, use_numpy: bool) -> BuildLoader:
     """Vectorized scan+filter over raw rows of one base leaf.
 
     Predicates are evaluated over the *raw* (unqualified) columns --
     qualification renames fields 1:1, so ``ref.column`` addresses the
     same values ``ref.qualified`` would after :func:`qualify_row` -- and
-    only the surviving rows are qualified, in input order.
+    only the surviving rows are qualified, in input order. The scan is
+    also the build loader of a base leaf: handed the whole build file as
+    one batch, it runs the predicates over the file's cached columns.
     """
     predicates = leaf.predicates
     alias = leaf.alias
     # Qualifying prefixes every key with ``alias.``: each key's length
     # enters the value-size arithmetic exactly once, so a qualified
-    # row's size is the raw size plus ``len(row) * (len(alias) + 1)``.
-    # When the input batch already knows its sizes (value-exact DFS
-    # files), the output sizes come from that O(1) delta.
+    # row's size is the raw size plus ``len(row) * (len(alias) + 1)``
+    # -- an O(1) delta on the sizes every input batch carries.
     key_delta = len(alias) + 1
 
     def scan(batch: Any) -> RowBatch:
         rows = batch.rows
-        in_sizes = batch.cheap_sizes()
+        sizes = batch.ensure_sizes()
         if predicates:
             resolver = ColumnResolver(batch, raw_alias=alias,
                                       use_numpy=use_numpy)
             selection = select(predicates, resolver, len(rows))
             if len(selection) != len(rows):
                 rows = [rows[i] for i in selection]
-                if in_sizes is not None:
-                    in_sizes = [in_sizes[i] for i in selection]
-        qualified = [qualify_row(alias, row) for row in rows]
-        if in_sizes is None:
-            return RowBatch(qualified)
+                sizes = [sizes[i] for i in selection]
         return RowBatch(
-            qualified,
-            [size + len(row) * key_delta
-             for size, row in zip(in_sizes, rows)],
+            [qualify_row(alias, row) for row in rows],
+            [size + len(row) * key_delta for size, row in zip(sizes, rows)],
         )
 
     return scan
@@ -268,13 +269,12 @@ def _hash_probe(build: BroadcastBuild, build_refs: list[ColumnRef],
         table = holder.get("table")
         if table is None or holder.get("source") is not build.rows:
             table = {}
-            for build_row in build.built_rows():
+            for build_row, size in zip(build.built_rows(), build.sizes):
                 key = tuple(ref.evaluate(build_row) for ref in build_refs)
                 if None in key:
                     continue
                 table.setdefault(key, []).append(
-                    (build_row, estimate_dict_size(build_row),
-                     len(build_row))
+                    (build_row, size, len(build_row))
                 )
             holder["table"] = table
             holder["source"] = build.rows
@@ -398,7 +398,7 @@ class PlanCompiler:
             reducer=reducer,
             num_reducers=self._reducers_for([input_file]),
             output_name=output,
-            output_schema=_intermediate_schema(),
+            output_schema=intermediate_schema(),
             description=f"group by over {input_file}",
         )
         return CompiledJob(
@@ -524,7 +524,7 @@ class PlanCompiler:
             raw_bytes = (self.dfs.file_size(input_file)
                          if self.dfs.exists(input_file) else 0)
             budget = self.config.cluster.task_memory_bytes
-            loader = list
+            loader = _identity_loader
             description = leaf.describe()
             if leaf.is_base and leaf.predicates and raw_bytes > budget:
                 filtered = self._materialize(self._leaf_stream(node), jobs)
@@ -532,10 +532,7 @@ class PlanCompiler:
                 input_file = filtered.job.output_name
                 description += " (pre-filtered)"
             elif leaf.is_base:
-                scan = _leaf_filter(leaf, self._use_numpy)
-
-                def loader(raw_rows: list[Row]) -> list[Row]:
-                    return scan(RowBatch(raw_rows)).rows
+                loader = _leaf_filter(leaf, self._use_numpy)
         else:
             # Join subtree: materialize it, then broadcast its output.
             subtree = self._compile_node(node, jobs)
@@ -544,7 +541,7 @@ class PlanCompiler:
             probe.upstream.extend(subtree.upstream)
             probe.upstream_cost += node.cost
             input_file = subtree.input_files[0]
-            loader = list
+            loader = _identity_loader
             description = f"build from {input_file}"
         return BroadcastBuild(
             input_file=input_file,
@@ -579,13 +576,16 @@ class PlanCompiler:
             scan = None  # an intermediate: already qualified and filtered
             description = f"heavy keys of {right.input_files[0]}"
 
-        def loader(raw_rows: list[Row]) -> list[Row]:
-            batch = RowBatch(raw_rows)
+        def loader(batch: Any) -> RowBatch:
             if scan is not None:
                 batch = scan(batch)
-            return [row for row, key
-                    in zip(batch.rows, _join_keys(batch, build_refs))
-                    if key in heavy_set]
+            rows = batch.rows
+            sizes = batch.ensure_sizes()
+            heavy = [i for i, key
+                     in enumerate(_join_keys(batch, build_refs))
+                     if key in heavy_set]
+            return RowBatch([rows[i] for i in heavy],
+                            [sizes[i] for i in heavy])
 
         return BroadcastBuild(
             input_file=right.input_files[0],
@@ -689,7 +689,7 @@ class PlanCompiler:
             reducer=_join_reducer(predicates, pred_cpu),
             num_reducers=self._reducers_for(inputs, estimated_input_bytes),
             output_name=output,
-            output_schema=_intermediate_schema(),
+            output_schema=intermediate_schema(),
             broadcast_builds=builds,
             description=description,
             memory_demand_bytes=self._memory_demand(builds),
@@ -740,7 +740,7 @@ class PlanCompiler:
             inputs=list(stream.input_files),
             mapper=mapper,
             output_name=output,
-            output_schema=_intermediate_schema(),
+            output_schema=intermediate_schema(),
             broadcast_builds=list(stream.builds),
             description=f"map-only pipeline over {sorted(stream.aliases)}",
             memory_demand_bytes=self._memory_demand(stream.builds),

@@ -363,8 +363,14 @@ class QueryService:
                     ticket=next(self._admission_tickets),
                 )
                 try:
-                    admission.stages = self._isolate_stages(prefix,
-                                                            request.stages)
+                    # Parse each SQL stage once; isolation and the
+                    # result-cache identity both read the parsed specs.
+                    parsed = [
+                        (self.dyno.parse(spec, name="query")
+                         if isinstance(spec, str) else spec, output)
+                        for spec, output in request.stages
+                    ]
+                    admission.stages = self._isolate_stages(prefix, parsed)
                     seen: set[str] = set()
                     for spec, _ in admission.stages:
                         extracted = self.dyno.prepare(spec)
@@ -386,7 +392,7 @@ class QueryService:
                                 admission.wait_for.append(event)
                     if self.result_cache is not None:
                         admission.identity = request_identity(
-                            self.dyno, request.stages
+                            self.dyno, parsed
                         )
                 except DynoError as error:
                     # A malformed query fails alone, not the whole batch.
@@ -441,7 +447,7 @@ class QueryService:
 
     def _isolate_stages(
         self, prefix: str,
-        stages: list[tuple[QuerySpec | str, str | None]],
+        stages: list[tuple[QuerySpec, str | None]],
     ) -> list[tuple[QuerySpec, str | None]]:
         """Rename specs (and intermediate tables) under a per-query prefix.
 
@@ -463,8 +469,6 @@ class QueryService:
 
         isolated: list[tuple[QuerySpec, str | None]] = []
         for spec, output in stages:
-            if isinstance(spec, str):
-                spec = self.dyno.parse(spec, name="query")
             root = transform_bottom_up(spec.root, rename_scans)
             isolated.append((
                 QuerySpec(f"{prefix}.{spec.name}", root, spec.description),

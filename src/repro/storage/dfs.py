@@ -14,7 +14,11 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from repro.data.columns import SplitBatch, column_index, to_column_array
-from repro.data.schema import Schema, column_values_conform
+from repro.data.schema import (
+    Schema,
+    column_values_conform,
+    estimate_dict_sizes,
+)
 from repro.data.table import Row, Table
 from repro.errors import StorageError
 
@@ -58,6 +62,10 @@ class DFSFile:
     _sizes_exact: bool | None = field(
         init=False, repr=False, compare=False, default=None
     )
+    #: memo for :meth:`value_sizes` (None until first asked).
+    _value_sizes: list[int] | None = field(
+        init=False, repr=False, compare=False, default=None
+    )
 
     def __post_init__(self) -> None:
         if self.block_size_bytes <= 0:
@@ -98,24 +106,49 @@ class DFSFile:
         return len(self.rows)
 
     def split_rows(self, split: Split) -> list[Row]:
+        return self.split_batch(split).rows
+
+    def _batch(self, start: int, stop: int) -> SplitBatch:
+        return SplitBatch(self.rows[start:stop], self, start, stop)
+
+    def split_batch(self, split: Split) -> SplitBatch:
+        """Columnar view of one split (shares the file's column caches)."""
         if split.file_name != self.name:
             raise StorageError(
                 f"split {split.describe()} does not belong to {self.name}"
             )
-        return self.rows[split.start_row:split.start_row + split.row_count]
+        return self._batch(split.start_row,
+                           split.start_row + split.row_count)
 
-    def split_batch(self, split: Split) -> SplitBatch:
-        """Columnar view of one split (shares the file's column caches)."""
-        start = split.start_row
-        stop = start + split.row_count
-        return SplitBatch(self.split_rows(split), self, start, stop)
+    def file_batch(self) -> SplitBatch:
+        """Columnar view of the whole file (broadcast build loads)."""
+        return self._batch(0, len(self.rows))
+
+    def value_sizes(self) -> list[int]:
+        """``estimate_value_size`` of every row, for *every* file.
+
+        Files whose stored sizes are provably value-exact (see
+        :attr:`sizes_are_value_exact`) answer with ``row_sizes`` itself;
+        the rest (nested struct/array columns, non-canonical dates,
+        non-conforming values) pay one ``estimate_dict_sizes`` sweep on
+        first ask -- never at load -- and keep the result for the file's
+        lifetime. The sweep is idempotent, so racing worker threads of
+        the parallel executor at worst compute it twice, exactly like
+        the ``_sizes_exact`` memo.
+        """
+        sizes = self._value_sizes
+        if sizes is None:
+            sizes = (self.row_sizes if self.sizes_are_value_exact
+                     else estimate_dict_sizes(self.rows))
+            self._value_sizes = sizes
+        return sizes
 
     @property
     def sizes_are_value_exact(self) -> bool:
         """True when stored row sizes equal ``estimate_value_size`` per row.
 
-        Three ways a file earns this (the invariant :class:`SplitBatch`
-        relies on to reuse stored sizes for batch byte accounting):
+        Three ways a file earns this (and :meth:`value_sizes` hands out
+        the stored sizes for free):
 
         * an empty schema sends every field through the schema-free
           fallback of :meth:`Schema.estimated_row_size`, which *is* the
@@ -127,7 +160,7 @@ class DFSFile:
           per-column type scan confirms every stored value conforms.
 
         The scan result is memoized, so typed base-table files pay one
-        column sweep instead of re-sizing every row on every batch read.
+        column sweep instead of a sizing sweep over every row.
         """
         exact = self._sizes_exact
         if exact is None:
@@ -282,11 +315,17 @@ class DistributedFileSystem:
             self.bytes_read += split.size_bytes
         return batch
 
-    def read_all(self, name: str) -> list[Row]:
+    def read_file_batch(self, name: str) -> SplitBatch:
+        """A whole file as one column batch (the broadcast-build read);
+        charges its bytes as read. The batch's row list is a copy."""
         dfs_file = self.open(name)
         with self._accounting_lock:
             self.bytes_read += dfs_file.size_bytes
-        return list(dfs_file.rows)
+        return dfs_file.file_batch()
+
+    def read_all(self, name: str) -> list[Row]:
+        """A whole file as a row list (the client-side result fetch)."""
+        return self.read_file_batch(name).rows
 
     def charge_spill(self, bytes_written: int, bytes_read: int) -> None:
         """Account spill traffic (thread-safe; callable from task code)."""

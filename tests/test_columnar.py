@@ -157,6 +157,28 @@ class TestSizers:
         smuggled = file_of(Schema.of(k=INT), [{"k": 1}, {"k": True}])
         assert not smuggled.sizes_are_value_exact
 
+    def test_nested_file_hands_out_value_sizes_after_one_sweep(self):
+        # Files that cannot prove their stored (schema) sizes value-exact
+        # still answer value_sizes(): one lazy sweep, kept on the file,
+        # sliced by every batch read.
+        from repro.data.schema import FieldType
+        from repro.storage.dfs import DFSFile
+        schema = Schema.of(k=INT, a=FieldType.array(INT),
+                           c=FieldType.struct(ua=STRING, n=INT))
+        rows = [
+            {"k": 1, "a": [1, 2], "c": {"ua": "x/1", "n": 3}},
+            {"k": 2, "a": [], "c": None},
+            {"k": None, "a": None, "c": {"ua": "", "n": None}},
+        ]
+        nested = DFSFile("f", schema, rows, block_size_bytes=1 << 16)
+        assert not nested.sizes_are_value_exact
+        sizes = nested.value_sizes()
+        assert sizes == [estimate_value_size(row) for row in rows]
+        assert sizes != nested.row_sizes
+        assert nested.value_sizes() is sizes
+        (split,) = nested.splits
+        assert nested.split_batch(split).ensure_sizes() == sizes
+
 
 # ---------------------------------------------------------------------------
 # column batch plumbing

@@ -189,7 +189,7 @@ def spill_runtime(task_memory=4096):
 
 
 def join_job(runtime):
-    build = BroadcastBuild("build", lambda rows: list(rows))
+    build = BroadcastBuild("build", lambda batch: batch)
 
     @record_mapper
     def mapper(context, source: str, rows) -> None:

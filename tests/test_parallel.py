@@ -23,6 +23,7 @@ from repro.cluster.runtime import ClusterRuntime
 from repro.config import DEFAULT_CONFIG, ClusterConfig, DynoConfig, ExecutorConfig
 from repro.core.dynopt import MODE_DYNOPT
 from repro.core.pilot import PILR_MT, PilotRunner
+from repro.data.columns import RowBatch
 from repro.data.schema import INT, STRING, Schema
 from repro.errors import BroadcastBuildOverflowError, JobError
 from repro.storage.dfs import DistributedFileSystem
@@ -236,9 +237,10 @@ class TestRuntimeEquivalence:
         def overflowing_jobs():
             build = BroadcastBuild(
                 input_file="input",
-                loader=lambda rows: [
-                    dict(row, value=row["value"] * 200) for row in rows
-                ],
+                loader=lambda batch: RowBatch([
+                    dict(row, value=row["value"] * 200)
+                    for row in batch.rows
+                ]),
                 description="oversized build",
             )
             bad = MapReduceJob("bad", ["input"], identity_mapper, "bad.out",

@@ -290,6 +290,31 @@ class TestResultCacheDifferential:
         assert repeat.result_cache_hit
         assert cache.summary()["hits"] == 1
 
+    def test_sql_stage_is_parsed_once_per_request(self, monkeypatch):
+        """Admission parses a SQL string once and hands the spec to both
+        isolation and the result-cache identity; a SQL string and its
+        repeat still share one cache entry."""
+        from repro.core.dyno import Dyno
+
+        parses = []
+        original = Dyno.parse
+
+        def counting_parse(self, sql, name="query"):
+            parses.append(sql)
+            return original(self, sql, name)
+
+        monkeypatch.setattr(Dyno, "parse", counting_parse)
+        sql = ("SELECT n.n_name AS n FROM nation n, region r "
+               "WHERE n.n_regionkey = r.r_regionkey")
+        service = QueryService(small_tables(), workers=1,
+                               result_cache=True)
+        (miss,) = service.run_batch([QueryRequest.single("a", sql)])
+        (hit,) = service.run_batch([QueryRequest.single("b", sql)])
+        assert miss.error is None and not miss.result_cache_hit
+        assert hit.result_cache_hit
+        assert rows_bytes(hit.rows) == rows_bytes(miss.rows)
+        assert parses == [sql, sql]
+
 
 class TestResultCacheInvalidation:
     def contributing_signature(self, service):

@@ -7,6 +7,7 @@ from repro.cluster.counters import Counters
 from repro.cluster.job import BroadcastBuild, MapReduceJob, TaskContext
 from repro.cluster.runtime import ClusterRuntime
 from repro.config import DEFAULT_CONFIG, ClusterConfig, DynoConfig
+from repro.data.columns import RowBatch
 from repro.data.schema import INT, STRING, Schema
 from repro.errors import (
     BroadcastBuildOverflowError,
@@ -147,7 +148,7 @@ class TestBroadcastBuilds:
     def _build_job(self, runtime, loader=None):
         build = BroadcastBuild(
             "input",
-            loader or (lambda rows: list(rows)),
+            loader or (lambda batch: batch),
             description="whole input",
         )
 
@@ -173,8 +174,9 @@ class TestBroadcastBuilds:
         config = small_config()
         runtime = make_runtime(2000, config)  # raw input >> task memory
 
-        def selective(rows):
-            return [row for row in rows if row["key"] == 0][:3]
+        def selective(batch):
+            return RowBatch(
+                [row for row in batch.rows if row["key"] == 0][:3])
 
         job, build = self._build_job(runtime, selective)
         result = runtime.execute(job)  # must not overflow
@@ -190,7 +192,7 @@ class TestBroadcastBuilds:
         assert excinfo.value.job_name == "j"
 
     def test_unloaded_build_rejects_access(self):
-        build = BroadcastBuild("input", lambda rows: rows)
+        build = BroadcastBuild("input", lambda batch: batch)
         with pytest.raises(JobError):
             build.built_rows()
 
