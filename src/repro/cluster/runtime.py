@@ -750,14 +750,16 @@ class ClusterRuntime:
         grouped: dict[object, tuple[list[Row], list[int]]] = {}
         get_group = grouped.get
         for key, value, size in map_outputs:
-            kind = type(key)
-            if kind is list or kind is tuple:
-                frozen = _freeze_key(key)
-            else:  # scalar keys freeze to themselves
-                frozen = key
-            entry = get_group(frozen)
+            # Compiled mappers emit hashable keys (scalars, flat tuples);
+            # only a list-valued or nested key fails the probe and pays
+            # for freezing -- into the tuple an equal hashable key is.
+            try:
+                entry = get_group(key)
+            except TypeError:
+                key = _freeze_key(key)
+                entry = get_group(key)
             if entry is None:
-                grouped[frozen] = ([value], [size])
+                grouped[key] = ([value], [size])
             else:
                 entry[0].append(value)
                 entry[1].append(size)

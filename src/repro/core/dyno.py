@@ -46,7 +46,7 @@ from repro.jaql.blocks import (
     extract_query,
 )
 from repro.jaql.compiler import PlanCompiler
-from repro.jaql.expr import GroupBy, QuerySpec
+from repro.jaql.expr import GroupBy, Project, QuerySpec
 from repro.jaql.functions import UdfRegistry, default_registry
 from repro.jaql.parser import SqlParser
 from repro.jaql.rewrites import push_down_filters
@@ -360,6 +360,8 @@ class Dyno:
                     execution: QueryExecution) -> list[Row]:
         current_file = block_output
         rows: list[Row] | None = None
+        #: True once a projection built dicts no DFS file holds.
+        fresh = False
         for stage in extracted.stages:
             if self.tracer.enabled:
                 self.tracer.event("stage",
@@ -382,7 +384,13 @@ class Dyno:
             else:
                 rows = apply_client_stage(
                     stage, self._client_rows(current_file, rows))
-        return self._client_rows(current_file, rows)
+                fresh = fresh or isinstance(stage, Project)
+        rows = self._client_rows(current_file, rows)
+        # Rows are engine-wide immutable and shared: the dicts of a file
+        # (or of a merely re-ordered read of it) are the ones later scans,
+        # the per-alias memo and other queries' outputs hold. This is the
+        # one place they leave the engine, so the caller gets its own.
+        return rows if fresh else [dict(row) for row in rows]
 
     def _client_rows(self, current_file: str,
                      rows: list[Row] | None) -> list[Row]:

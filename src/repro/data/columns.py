@@ -7,11 +7,13 @@ evaluation, join key extraction, statistics ingest -- run one tight loop
 per column instead of a dict probe per row per field.
 
 Two batch shapes share one duck-typed protocol (``rows``, ``column(name)``,
-``array(name)``, ``ensure_sizes()``, ``__len__``):
+``array(name)``, ``ensure_sizes()``, ``qualified(alias, selection)``,
+``__len__``):
 
 * :class:`SplitBatch` -- a view over a row range of a DFS file (one
   split, or the whole file for a broadcast build load), sharing the
-  owning file's per-column caches and its value-exact per-row sizes;
+  owning file's per-column caches, its value-exact per-row sizes and its
+  per-alias memo of qualified rows;
 * :class:`RowBatch` -- a materialized operator output (filtered/joined
   rows) with lazily gathered columns.
 
@@ -25,10 +27,10 @@ index lists via ``.tolist()``.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Sequence
 
 from repro.data.schema import estimate_dict_size, estimate_dict_sizes
-from repro.data.table import Row
+from repro.data.table import Row, qualify_row
 
 try:  # optional accelerator; the pure-Python path is always available
     import numpy as _np
@@ -139,13 +141,20 @@ class RowBatch:
             self.sizes = estimate_dict_sizes(self.rows)
         return self.sizes
 
+    def qualified(self, alias: str, selection: Sequence[int]) -> list[Row]:
+        """Rows at ``selection`` renamed ``alias.field``: fresh dicts --
+        a materialized batch has no file version to keep them with."""
+        rows = self.rows
+        return [qualify_row(alias, rows[i]) for i in selection]
+
 
 class SplitBatch:
     """Columnar view over a ``[start, stop)`` row range of a DFS file.
 
-    Column gathers, numpy arrays and row sizes are delegated to the
-    owning file so every split (and every re-read of the file) shares
-    one cache; the batch only slices its row range out of them.
+    Column gathers, numpy arrays, row sizes and qualified rows are
+    delegated to the owning file so every split (and every re-read of
+    the file) shares one cache; the batch only slices its row range out
+    of them.
     """
 
     __slots__ = ("rows", "_file", "_start", "_stop")
@@ -172,6 +181,12 @@ class SplitBatch:
         """Per-row ``estimate_value_size``: a slice of the file's
         value-exact sizes (see ``DFSFile.value_sizes``), never a re-walk."""
         return self._file.value_sizes()[self._start:self._stop]
+
+    def qualified(self, alias: str, selection: Sequence[int]) -> list[Row]:
+        """Rows at ``selection`` renamed ``alias.field``, out of the
+        file's per-alias memo (see ``DFSFile.qualified_rows``): shared,
+        immutable dicts, built once per file version."""
+        return self._file.qualified_rows(alias, self._start, selection)
 
 
 __all__ = [

@@ -15,6 +15,24 @@ from repro.errors import SchemaError
 
 Row = dict[str, Any]
 
+#: Bounded memo of qualified field-name tuples, keyed by (alias, raw field
+#: names). Rows of one table share identical key tuples, so qualification
+#: becomes one cache hit plus a C-level ``dict(zip(...))`` instead of one
+#: string format per field per row.
+_QUALIFIED_NAMES: dict[tuple[str, tuple[str, ...]], tuple[str, ...]] = {}
+_QUALIFIED_NAMES_LIMIT = 4096
+
+
+def qualify_row(alias: str, row: Row) -> Row:
+    """``row`` with every field renamed ``alias.field`` (a new dict)."""
+    cache_key = (alias, tuple(row))
+    names = _QUALIFIED_NAMES.get(cache_key)
+    if names is None:
+        names = tuple(f"{alias}.{name}" for name in row)
+        if len(_QUALIFIED_NAMES) < _QUALIFIED_NAMES_LIMIT:
+            _QUALIFIED_NAMES[cache_key] = names
+    return dict(zip(names, row.values()))
+
 
 @dataclass
 class Table:

@@ -40,15 +40,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
+from repro.cluster.job import TaskContext
+from repro.core.pilot import signature_stats_columns
+from repro.data.columns import resolve_backend
 from repro.data.table import Row
 from repro.errors import PlanError
 from repro.incremental.cdc import AppliedChange
-from repro.jaql.blocks import apply_client_stage
+from repro.jaql.blocks import BlockLeaf, JoinBlock, apply_client_stage
+from repro.jaql.compiler import leaf_scan
 from repro.jaql.expr import GroupBy, OrderBy, Project, QuerySpec
 from repro.jaql.rewrites import substitute_scan
 from repro.optimizer.cardinality import CardinalityModel
 from repro.service.service import QueryOutcome, QueryRequest
-from repro.stats.statistics import TableStats
+from repro.stats.statistics import RunningStats, TableStats
 
 __all__ = [
     "RefreshDecision",
@@ -338,28 +342,28 @@ class StandingQueryManager:
         dyno = self.service.dyno
         block = dyno.prepare(standing.core).block
         full_stats: dict[str, TableStats] = {}
-        missing: list[str] = []
+        missing: list[BlockLeaf] = []
         for leaf in block.base_leaves():
             signature = leaf.signature()
             stats = dyno.metastore.get(signature)
             if stats is None:
-                missing.append(signature)
+                missing.append(leaf)
             else:
                 full_stats[signature] = stats
-        if missing:
-            # The changed table's signatures are the first casualties of
-            # a delta batch (the metastore invalidates them). The ratio
-            # needs *column synopses* -- without distinct counts the
-            # model's join selectivities default asymmetrically and the
-            # delta/full ratio is noise -- so probe ground truth for the
-            # missing leaves only. Deliberately NOT published to the
-            # metastore: these are decision-local; the refresh query
-            # still re-pilots and republishes honestly.
-            from repro.core.baselines import oracle_leaf_stats
-
-            probed = oracle_leaf_stats(dyno.tables, block)
-            for signature in missing:
-                full_stats[signature] = probed[signature]
+        # The changed table's signatures are the first casualties of a
+        # delta batch (the metastore invalidates them). The ratio needs
+        # *column synopses* -- without distinct counts the model's join
+        # selectivities default asymmetrically and the delta/full ratio
+        # is noise -- so the missing leaves, and only those, are probed
+        # for ground truth: a full scan through the kernel and the batch
+        # ingest a pilot run uses. Deliberately NOT published to the
+        # metastore and not on the simulated clock: these are
+        # decision-local; the refresh query still re-pilots and
+        # republishes honestly.
+        for leaf in missing:
+            signature = leaf.signature()
+            if signature not in full_stats:  # self-joins share one
+                full_stats[signature] = self._probe_leaf(block, leaf)
         delta_stats = dict(full_stats)
         delta_rows = float(max(applied.delta_rows, 1))
         for leaf in block.base_leaves():
@@ -377,6 +381,17 @@ class StandingQueryManager:
         full_est = CardinalityModel(block, full_stats).estimate(aliases)
         delta_est = CardinalityModel(block, delta_stats).estimate(aliases)
         return delta_est.rows, full_est.rows
+
+    def _probe_leaf(self, block: JoinBlock, leaf: BlockLeaf) -> TableStats:
+        """Exact statistics of one base leaf's output (rows, synopses)."""
+        dyno = self.service.dyno
+        scan = leaf_scan(leaf, resolve_backend(dyno.config.columnar_backend))
+        out = scan(TaskContext(),
+                   dyno.dfs.open(leaf.source_name).file_batch())
+        running = RunningStats(signature_stats_columns(block, leaf),
+                               dyno.config.pilot.kmv_size)
+        running.update_columns(out, len(out), out.sizes)
+        return running.freeze(exact=True)
 
     # -- refresh execution ---------------------------------------------------
 

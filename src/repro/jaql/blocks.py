@@ -147,7 +147,8 @@ class BlockLeaf:
         )
         return f"table:{self.source_name}|" + ";".join(normalized)
 
-    # -- row-level behaviour (used by compiler closures and pilot runs) -------
+    # -- row-level behaviour (the oracle's row path: core.baselines and the
+    # tests' references; the engine scans through jaql.compiler.leaf_scan) ---
 
     def qualify_and_filter(self, row: Row) -> Row | None:
         """Apply this leaf to one raw input row; None when filtered out."""

@@ -39,13 +39,7 @@ from repro.data.schema import Schema, estimate_value_size
 from repro.data.table import Row
 from repro.errors import PlanError
 from repro.jaql.blocks import BlockLeaf
-from repro.jaql.expr import (
-    Aggregate,
-    ColumnRef,
-    GroupBy,
-    Predicate,
-    qualify_row,
-)
+from repro.jaql.expr import Aggregate, ColumnRef, GroupBy, Predicate
 from repro.jaql.vector import ColumnResolver, select
 from repro.optimizer.plans import (
     HYBRID,
@@ -172,10 +166,13 @@ def _leaf_filter(leaf: BlockLeaf, use_numpy: bool) -> BuildLoader:
 
     Predicates are evaluated over the *raw* (unqualified) columns --
     qualification renames fields 1:1, so ``ref.column`` addresses the
-    same values ``ref.qualified`` would after :func:`qualify_row` -- and
-    only the surviving rows are qualified, in input order. The scan is
-    also the build loader of a base leaf: handed the whole build file as
-    one batch, it runs the predicates over the file's cached columns.
+    same values ``ref.qualified`` would after qualification -- and only
+    the surviving rows are qualified, in input order, by the batch: a
+    DFS split hands out its file's per-alias memo (each row of a file
+    version is materialized once, however many pilots, jobs and requests
+    scan it), any other batch qualifies directly. The scan is also the
+    build loader of a base leaf: handed the whole build file as one
+    batch, it runs the predicates over the file's cached columns.
     """
     predicates = leaf.predicates
     alias = leaf.alias
@@ -186,17 +183,18 @@ def _leaf_filter(leaf: BlockLeaf, use_numpy: bool) -> BuildLoader:
     key_delta = len(alias) + 1
 
     def scan(batch: Any) -> RowBatch:
-        rows = batch.rows
+        count = len(batch)
         sizes = batch.ensure_sizes()
+        selection: Any = range(count)
         if predicates:
             resolver = ColumnResolver(batch, raw_alias=alias,
                                       use_numpy=use_numpy)
-            selection = select(predicates, resolver, len(rows))
-            if len(selection) != len(rows):
-                rows = [rows[i] for i in selection]
+            selection = select(predicates, resolver, count)
+            if len(selection) != count:
                 sizes = [sizes[i] for i in selection]
+        rows = batch.qualified(alias, selection)
         return RowBatch(
-            [qualify_row(alias, row) for row in rows],
+            rows,
             [size + len(row) * key_delta for size, row in zip(sizes, rows)],
         )
 
@@ -307,9 +305,8 @@ def _join_reducer(predicates: tuple[Predicate, ...], pred_cpu: float):
         for _key, values, value_sizes in groups:
             left_rows = []
             right_rows = []
-            for value, size in zip(values, value_sizes):
-                row = value["r"]
-                if value["s"] == 0:
+            for (side, row), size in zip(values, value_sizes):
+                if side == 0:
                     left_rows.append((row, size - 16))
                 else:
                     right_rows.append((row, size - 16, len(row)))
@@ -663,13 +660,15 @@ class PlanCompiler:
                         out_keys.extend([None] * len(joined))
                         out_rows.extend(joined.rows)
                         out_sizes.extend(joined.sizes)
-                # Tagged shuffle records: ``{"s": side, "r": row}`` sizes
-                # to 16 + size(row) (two one-char keys, one 8-byte int).
+                # Tagged shuffle records travel as ``(side, row)`` and are
+                # charged 16 + size(row): the framing of the two-field
+                # record Jaql would serialize (two one-char keys, one
+                # 8-byte int).
                 for i, key in enumerate(keys):
                     if key is None or key in heavy_set:
                         continue
                     append_key(key)
-                    append_row({"s": side_index, "r": rows[i]})
+                    append_row((side_index, rows[i]))
                     append_size(16 + sizes[i])
             return BatchEmit(rows=out_rows, sizes=out_sizes, keys=out_keys)
 

@@ -21,6 +21,9 @@ from typing import Any, Callable, Iterable, Sequence
 
 from repro.data.schema import FieldType, Schema
 from repro.data.table import Row
+# Qualification lives beside ``Row`` so storage and batches qualify without
+# importing jaql; re-exported from here, where callers have always found it.
+from repro.data.table import qualify_row as qualify_row  # noqa: F401
 from repro.errors import PlanError, SchemaError
 from repro.jaql.functions import Udf
 
@@ -89,24 +92,6 @@ def qualify_schema(alias: str, schema: Schema) -> Schema:
     return Schema(
         tuple((f"{alias}.{name}", ftype) for name, ftype in schema.fields)
     )
-
-
-#: Bounded memo of qualified field-name tuples, keyed by (alias, raw field
-#: names). Rows of one table share identical key tuples, so qualification
-#: becomes one cache hit plus a C-level ``dict(zip(...))`` instead of one
-#: string format per field per row.
-_QUALIFIED_NAMES: dict[tuple[str, tuple[str, ...]], tuple[str, ...]] = {}
-_QUALIFIED_NAMES_LIMIT = 4096
-
-
-def qualify_row(alias: str, row: Row) -> Row:
-    cache_key = (alias, tuple(row))
-    names = _QUALIFIED_NAMES.get(cache_key)
-    if names is None:
-        names = tuple(f"{alias}.{name}" for name in row)
-        if len(_QUALIFIED_NAMES) < _QUALIFIED_NAMES_LIMIT:
-            _QUALIFIED_NAMES[cache_key] = names
-    return dict(zip(names, row.values()))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from repro.data.columns import SplitBatch, column_index, to_column_array
 from repro.data.schema import (
@@ -19,8 +19,14 @@ from repro.data.schema import (
     column_values_conform,
     estimate_dict_sizes,
 )
-from repro.data.table import Row, Table
+from repro.data.table import Row, Table, qualify_row
 from repro.errors import StorageError
+
+#: Aliases one file version keeps qualified rows for (oldest dropped). A
+#: block scans a table under one alias, a self-join under two; four keeps
+#: interleaved queries over the same table from evicting each other
+#: without letting a file's memo grow with the number of queries it saw.
+QUALIFIED_ALIAS_LIMIT = 4
 
 
 @dataclass(frozen=True)
@@ -65,6 +71,14 @@ class DFSFile:
     #: memo for :meth:`value_sizes` (None until first asked).
     _value_sizes: list[int] | None = field(
         init=False, repr=False, compare=False, default=None
+    )
+    #: alias -> one slot per row: the row qualified under that alias, or
+    #: None until a scan first lets it through (see :meth:`qualified_rows`).
+    _qualified: dict[str, list[Row | None]] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
+    _qualified_lock: threading.Lock = field(
+        init=False, repr=False, compare=False, default_factory=threading.Lock
     )
 
     def __post_init__(self) -> None:
@@ -142,6 +156,52 @@ class DFSFile:
                      else estimate_dict_sizes(self.rows))
             self._value_sizes = sizes
         return sizes
+
+    def qualified_rows(self, alias: str, start: int,
+                       selection: Sequence[int]) -> list[Row]:
+        """``rows[start + i]`` for ``i`` in ``selection``, each renamed
+        ``alias.field`` -- materialized once per file version.
+
+        Every base leaf is scanned at least twice per query (its pilot
+        run, then the first real job) and again by every later request
+        under the same alias; the qualified dict of a row is a pure
+        function of ``(alias, row)``, so it is kept with the file, in a
+        slot filled the first time a scan lets the row through
+        (select-then-qualify: filtered-out rows never pay). The memo
+        dies with the file version -- ``write_rows(overwrite=True)``
+        installs a fresh :class:`DFSFile` -- and holds at most
+        :data:`QUALIFIED_ALIAS_LIMIT` aliases. The dicts are shared by
+        every scan output, pilot output and job output that carries the
+        row: rows are engine-wide immutable, and ``Dyno`` copies at the
+        client boundary.
+
+        Filling a slot is idempotent, so racing worker threads of the
+        parallel executor at worst qualify a row twice (into equal
+        dicts); only registering an alias is check-then-act and locked.
+        """
+        slots = self._qualified.get(alias)
+        if slots is None:
+            slots = self._register_alias(alias)
+        rows = self.rows
+        out: list[Row] = []
+        append = out.append
+        for i in selection:
+            position = start + i
+            row = slots[position]
+            if row is None:
+                row = slots[position] = qualify_row(alias, rows[position])
+            append(row)
+        return out
+
+    def _register_alias(self, alias: str) -> list[Row | None]:
+        with self._qualified_lock:
+            memo = self._qualified
+            slots = memo.get(alias)
+            if slots is None:
+                if len(memo) >= QUALIFIED_ALIAS_LIMIT:
+                    del memo[next(iter(memo))]
+                slots = memo[alias] = [None] * len(self.rows)
+            return slots
 
     @property
     def sizes_are_value_exact(self) -> bool:

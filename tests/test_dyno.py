@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.dyno import Dyno, infer_schema
 from repro.errors import PlanError
+from repro.jaql.expr import OrderBy, Project, QuerySpec, ref
 from repro.workloads.queries import q1_restaurants, q2, q10
 from tests.conftest import assert_same_rows, reference_rows
 
@@ -54,6 +55,38 @@ class TestSqlPath:
         expected = reference_rows(restaurant_tables, workload.final_spec)
         assert_same_rows(execution.rows, expected)
 
+
+class TestClientBoundary:
+    """Rows are engine-wide immutable and shared between DFS files, the
+    per-alias scan memo and later queries' outputs; what ``Dyno`` hands a
+    caller is the caller's own."""
+
+    SQL = ("SELECT n.n_name AS name FROM nation n, region r "
+           "WHERE n.n_regionkey = r.r_regionkey")
+
+    def core(self, dyno, ordered):
+        """The join without its projection (a standing query's core)."""
+        node = dyno.parse(self.SQL).root
+        while isinstance(node, Project):
+            node = node.children()[0]
+        if ordered:  # a tail that only re-orders the file's dicts
+            node = OrderBy(node, (ref("n", "n_name"),))
+        return QuerySpec("core", node)
+
+    @pytest.mark.parametrize("ordered", [False, True],
+                             ids=["file-rows", "re-ordered"])
+    def test_mutating_a_result_row_reaches_no_file(self, dyno_factory,
+                                                   ordered):
+        dyno = dyno_factory()
+        core = self.core(dyno, ordered)
+        first = dyno.execute(core)
+        original = dict(first.rows[0])
+        first.rows[0]["n.n_name"] = "MUTATED"
+        for name in dyno.dfs.list_files():
+            assert all(row.get("n.n_name") != "MUTATED"
+                       and row.get("n_name") != "MUTATED"
+                       for row in dyno.dfs.open(name).rows), name
+        assert dyno.execute(core).rows[0] == original
 
 class TestStages:
     def test_q10_full_pipeline(self, dyno_factory, tpch_tables):

@@ -143,6 +143,46 @@ class TestMapReduce:
         result = runtime.execute(job)
         assert result.output_rows == 10
 
+    def test_unhashable_keys_group_as_their_frozen_tuples_do(self):
+        """The shuffle probes its grouping table with the key as given;
+        a list-valued or nested key fails that probe and is frozen. Every
+        spelling of a key must land in the group -- and the partition --
+        of the flat tuple it freezes to."""
+        spellings = {
+            "frozen": lambda k: (k, (k % 3, "x")),
+            "nested": lambda k: (k, [k % 3, "x"]),
+            "list": lambda k: [k, [k % 3, "x"]],
+            "deep": lambda k: [k, (k % 3, "x")],
+        }
+
+        def run(spell):
+            runtime = make_runtime(60)
+
+            @record_mapper
+            def mapper(context, source, rows):
+                for row in rows:
+                    context.emit(spell(row), row)
+
+            job = MapReduceJob("j", ["input"], mapper, "out", SCHEMA,
+                               reducer=counting_reducer, num_reducers=3)
+            result = runtime.execute(job)
+            return (runtime.dfs.read_all("out"), result.reduce_task_seconds,
+                    result.counters.get("reduce", Counters.SHUFFLE_BYTES))
+
+        expected = run(lambda row: spellings["frozen"](row["key"]))
+        assert len(expected[0]) == 10
+        assert all(isinstance(row["key"], tuple)
+                   and isinstance(row["key"][1], tuple)
+                   for row in expected[0])
+        for name in ("nested", "list", "deep"):
+            assert run(lambda row: spellings[name](row["key"])) == \
+                expected, name
+        # one job mixing all four spellings still forms ten groups.
+        order = list(spellings)
+        mixed = run(lambda row: spellings[order[
+            int(row["value"][1:]) % len(order)]](row["key"]))
+        assert mixed == expected
+
 
 class TestBroadcastBuilds:
     def _build_job(self, runtime, loader=None):
