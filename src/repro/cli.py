@@ -152,9 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--backend", choices=["jaql", "hive"],
                         default="jaql")
     parser.add_argument("--pilot-mode", choices=["MT", "ST"], default="MT")
-    parser.add_argument("--parallel", action="store_true",
-                        help="run dependency-free leaf jobs on a worker "
-                             "pool (results identical to serial execution)")
     parser.add_argument("--task-memory", type=_positive_int, default=None,
                         metavar="BYTES",
                         help="per-task memory budget Mmax in bytes: caps "
@@ -270,8 +267,6 @@ def _open_session(args: argparse.Namespace, out):
     config = DEFAULT_CONFIG.with_backend(args.backend).with_memory(
         task_memory_bytes=args.task_memory,
         cluster_memory_bytes=args.cluster_memory)  # None: keep default
-    if args.parallel:
-        config = config.with_parallel_execution()
     if args.fault_plan:
         from repro.cluster.faults import FaultPlan
         try:

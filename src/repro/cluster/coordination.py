@@ -26,9 +26,9 @@ from repro.errors import CoordinationError
 class SharedCounter:
     """A named monotonically-updated counter (pilot-run k-counter).
 
-    Increments are atomic: tasks of concurrently-executing jobs (see
-    ``repro.cluster.parallel``) may share a counter, just as the paper's
-    map tasks share one ZooKeeper counter per leaf expression.
+    Increments are atomic, like the ZooKeeper counter the paper's map
+    tasks share per leaf expression: the driver threads of a
+    ``QueryService(workers>1)`` all work against one coordination service.
     """
 
     def __init__(self, name: str):
@@ -48,8 +48,9 @@ class CoordinationService:
     """Counters plus a hierarchical key/value registry of published entries.
 
     Thread-safe: counter creation and entry publication are guarded by a
-    lock so tasks of concurrently-executing jobs can publish their partial
-    statistics, mirroring ZooKeeper's own linearizable writes.
+    lock, mirroring ZooKeeper's own linearizable writes -- one service
+    driver sets up its pilot counters while another's job publishes
+    partial statistics.
     """
 
     def __init__(self) -> None:

@@ -32,10 +32,10 @@ what goes wrong during a run:
 Every random draw is derived from ``blake2b(seed, job-name, incarnation,
 channel)``, never from global RNG state or ``hash()`` (which is salted
 per process). Faults are therefore reproducible across runs *and*
-independent of the order in which the parallel executor interleaves job
-data passes -- the property the differential oracle in ``tests/oracle.py``
-relies on. Retried jobs get a fresh *incarnation* and hence fresh draws,
-so transient faults do not repeat deterministically forever.
+independent of the order in which jobs happen to run -- the property the
+differential oracle in ``tests/oracle.py`` relies on. Retried jobs get a
+fresh *incarnation* and hence fresh draws, so transient faults do not
+repeat deterministically forever.
 """
 
 from __future__ import annotations
@@ -174,8 +174,8 @@ class JobAttempt:
     """Per-(job, incarnation) fault draws for one data-pass attempt.
 
     All RNG streams are derived from ``(seed, job name, incarnation)``, so
-    the same attempt of the same job draws the same faults no matter which
-    worker thread runs it or in what order the batch interleaves jobs.
+    the same attempt of the same job draws the same faults no matter
+    what ran before it or which service driver submitted it.
     """
 
     __slots__ = ("_injector", "job_name", "incarnation", "doomed",
@@ -259,10 +259,12 @@ class JobAttempt:
 class FaultInjector:
     """Mutable per-run state of an armed :class:`FaultPlan`.
 
-    Thread-safe: the parallel executor calls into it from worker threads.
-    Holds the incarnation counters (fresh draws per retry), the fault
-    budgets, pending backoff penalties, and the event log the determinism
-    tests compare.
+    Thread-safe: the driver threads of a ``QueryService(workers>1)``
+    share one runtime and hence one injector; data passes are serialized
+    by the runtime's batch lock, node-loss draws between a query's
+    rounds are not. Holds the incarnation counters (fresh draws per
+    retry), the fault budgets, pending backoff penalties, and the event
+    log the determinism tests compare.
     """
 
     def __init__(self, plan: FaultPlan):

@@ -27,23 +27,17 @@ jobs queue (deterministic FIFO) when the pool is exhausted.
 
 from __future__ import annotations
 
-import random
 import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro.cluster.coordination import CoordinationService
 from repro.cluster.costmodel import ClusterCostModel, TaskWork
 from repro.cluster.counters import Counters
 from repro.cluster.faults import FaultInjector, JobAttempt
 from repro.cluster.job import BatchEmit, MapReduceJob, TaskContext
-from repro.cluster.parallel import (
-    JobSkipped,
-    ParallelJobExecutor,
-    dependency_levels,
-)
 from repro.cluster.scheduler import (
     JobTimeline,
     ScheduledJob,
@@ -56,7 +50,6 @@ from repro.errors import (
     BroadcastBuildOverflowError,
     JobError,
     JobFaultInjectedError,
-    TaskRetriesExhaustedError,
 )
 from repro.obs.metrics import MetricsRegistry, NULL_METRICS
 from repro.obs.tracer import NULL_TRACER, Tracer
@@ -117,7 +110,7 @@ class JobResult:
 class _JobDataPass:
     """Intermediate product of a job's data pass, before finalization.
 
-    Holds everything the worker side computed; the driver turns it into a
+    Holds everything one attempt computed; finalization turns it into a
     :class:`JobResult` by writing the output to DFS and merging published
     statistics (see :meth:`ClusterRuntime._finalize_job`).
     """
@@ -172,6 +165,42 @@ class BatchResult:
         )
 
 
+def dependency_levels(jobs: Sequence[MapReduceJob],
+                      dependencies: dict[str, list[str]],
+                      ) -> list[list[MapReduceJob]]:
+    """Partition a batch into dependency levels (Kahn's algorithm).
+
+    Level *n* holds the jobs whose dependencies all live in levels < *n*.
+    Within a level, batch submission order is preserved, so the
+    concatenation of levels is the deterministic topological order
+    :meth:`ClusterRuntime.execute_batch` runs jobs in. A dependency on a
+    job outside the batch, or a cycle, is a :class:`JobError`.
+    """
+    names = {job.name for job in jobs}
+    for job in jobs:
+        for dep in dependencies.get(job.name, []):
+            if dep not in names:
+                raise JobError(
+                    f"job {job.name!r} depends on {dep!r} not in batch"
+                )
+    levels: list[list[MapReduceJob]] = []
+    done: set[str] = set()
+    pending = list(jobs)
+    while pending:
+        level = [
+            job for job in pending
+            if all(dep in done for dep in dependencies.get(job.name, []))
+        ]
+        if not level:
+            raise JobError(
+                f"dependency cycle involving job {pending[0].name!r}"
+            )
+        levels.append(level)
+        done.update(job.name for job in level)
+        pending = [job for job in pending if job.name not in done]
+    return levels
+
+
 class ClusterRuntime:
     """Executes jobs and batches; owns the simulated clock."""
 
@@ -194,7 +223,6 @@ class ClusterRuntime:
             tracer=self.tracer,
             memory_pool_bytes=config.cluster.effective_cluster_memory_bytes,
         )
-        self._parallel = ParallelJobExecutor(config.executor)
         #: armed fault schedule, or None -- with no plan armed the fault
         #: machinery is entirely off the data-path hot loop.
         self.fault_injector: FaultInjector | None = None
@@ -277,36 +305,15 @@ class ClusterRuntime:
         dependencies = dependencies or {}
         gates = gates or {}
 
-        # Data pass: run jobs level by level so inputs are materialized
-        # before consumers read them. Independent jobs of a level run
-        # concurrently when the parallel executor is enabled; finalization
-        # (DFS writes, stats merges) always happens here, on the driver, in
-        # deterministic batch order -- so results are byte-identical either
-        # way.
-        levels = dependency_levels(jobs, dependencies)
+        # Data pass: jobs run one after another on the calling thread,
+        # in dependency order, each finalized (output written, statistics
+        # merged) before the next starts -- so a consumer always reads
+        # its inputs materialized, and a job that raises leaves every
+        # job before it finalized and every job after it untouched.
         results: dict[str, JobResult] = {}
-        if self._use_parallel(levels):
-            outcomes = self._parallel.run(
-                levels, gates, self._job_data_pass,
-                finalize=self._finalize_job,
-            )
-            for level in levels:
-                for job in level:
-                    outcome = outcomes[job.name]
-                    if isinstance(outcome, JobSkipped):
-                        raise JobError(
-                            f"job {job.name!r} skipped without a prior "
-                            f"failure"
-                        )  # pragma: no cover - defensive
-                    if isinstance(outcome, Exception):
-                        raise outcome
-                    results[job.name] = outcome
-        else:
-            for level in levels:
-                for job in level:
-                    results[job.name] = self._run_job_data(
-                        job, gates.get(job.name)
-                    )
+        for level in dependency_levels(jobs, dependencies):
+            for job in level:
+                results[job.name] = self._run_job(job, gates.get(job.name))
 
         # Time pass: schedule all tasks over the shared slot pools. Retry
         # backoff accumulated during the data pass is charged as extra
@@ -400,15 +407,6 @@ class ClusterRuntime:
     # data execution
     # ------------------------------------------------------------------
 
-    def _use_parallel(self, levels: list[list[MapReduceJob]]) -> bool:
-        """Parallel data pass only when some level is actually wide."""
-        executor = self.config.executor
-        if not executor.parallel_jobs:
-            return False
-        return any(
-            len(level) >= executor.min_parallel_jobs for level in levels
-        )
-
     def _load_broadcast_sides(
         self, job: MapReduceJob, counters: Counters, num_map_tasks: int
     ) -> _BuildLoad:
@@ -467,78 +465,31 @@ class ClusterRuntime:
             in_memory_bytes=min(loaded_bytes, budget),
         )
 
-    def _task_attempts(self, job_name: str,
-                       attempt: JobAttempt | None = None):
-        """Deterministic per-job task failure/straggler injector.
-
-        Returns a callable mapping one task attempt's duration to the
-        total duration including retried attempts (a failed attempt
-        re-executes from scratch, like Hadoop's task retry). A task that
-        burns through ``max_task_attempts`` kills the job with
-        :class:`TaskRetriesExhaustedError` -- Hadoop's
-        mapred.*.max.attempts semantics.
-        """
-        cluster = self.config.cluster
-        if attempt is not None:
-            return attempt.task_inflater(cluster.max_task_attempts,
-                                         cluster.task_startup_seconds)
-        rate = cluster.task_failure_rate
-        if rate <= 0.0:
-            return lambda seconds: seconds
-        rng = random.Random(f"failures/{job_name}")
-        max_attempts = cluster.max_task_attempts
-
-        def with_retries(seconds: float) -> float:
-            total = seconds
-            failures = 0
-            while rng.random() < rate:
-                failures += 1
-                if failures >= max_attempts:
-                    raise TaskRetriesExhaustedError(job_name, max_attempts)
-                total += seconds + cluster.task_startup_seconds
-            return total
-
-        return with_retries
-
-    def _run_job_data(self, job: MapReduceJob,
-                      gate: DispatchGate | None) -> JobResult:
-        return self._finalize_job(job, self._job_data_pass(job, gate))
-
     def _retry_backoff_seconds(self, failed_attempts: int) -> float:
         cluster = self.config.cluster
         backoff = cluster.job_retry_backoff_seconds * \
             (2.0 ** (failed_attempts - 1))
         return min(backoff, cluster.job_retry_backoff_cap_seconds)
 
-    def _job_data_pass(self, job: MapReduceJob,
-                       gate: DispatchGate | None) -> "_JobDataPass":
-        """Data pass with whole-job fault injection and bounded retries.
+    def _run_job(self, job: MapReduceJob,
+                 gate: DispatchGate | None) -> JobResult:
+        """Run one job to its :class:`JobResult`: data pass, then finalize.
 
-        Transient injected job faults (:class:`JobFaultInjectedError`) are
-        retried here -- *inside* the per-job callable the parallel
-        executor runs -- so serial and parallel execution recover
-        identically. Each retry is a fresh incarnation (fresh fault
-        draws, partial published stats cleared) and charges capped
-        exponential backoff to the job's simulated startup time.
+        With a fault plan armed, transient injected job faults
+        (:class:`JobFaultInjectedError`) are retried here. Each retry is
+        a fresh incarnation (fresh fault draws, partial published stats
+        cleared) and charges capped exponential backoff to the job's
+        simulated startup time.
         """
         observing = self.tracer.enabled or self.metrics.enabled
         wall_start = time.perf_counter() if observing else 0.0
-        data = self._job_data_pass_with_retries(job, gate)
-        if observing:
-            data.driver_wall_seconds = time.perf_counter() - wall_start
-        return data
-
-    def _job_data_pass_with_retries(self, job: MapReduceJob,
-                                    gate: DispatchGate | None,
-                                    ) -> "_JobDataPass":
         injector = self._active_injector()
-        if injector is None:
-            return self._run_data_pass(job, gate, None)
         failed_attempts = 0
         while True:
-            attempt = injector.begin_attempt(job)
+            attempt = injector.begin_attempt(job) if injector else None
             try:
-                return self._run_data_pass(job, gate, attempt)
+                data = self._run_data_pass(job, gate, attempt)
+                break
             except JobFaultInjectedError:
                 failed_attempts += 1
                 if failed_attempts >= self.config.cluster.max_job_attempts:
@@ -548,11 +499,15 @@ class ClusterRuntime:
                 self.coordination.clear_scope(stats_scope(job.name))
                 injector.add_penalty(
                     job.name, self._retry_backoff_seconds(failed_attempts))
+        if observing:
+            data.driver_wall_seconds = time.perf_counter() - wall_start
+        return self._finalize_job(job, data)
 
     def _run_data_pass(self, job: MapReduceJob, gate: DispatchGate | None,
                        attempt: JobAttempt | None) -> "_JobDataPass":
-        """Everything except DFS output writes and the client-side stats
-        merge -- safe to run off the driver thread (see cluster.parallel).
+        """One attempt at a job: everything except the DFS output write
+        and the client-side stats merge, which only a surviving attempt
+        reaches (see :meth:`_finalize_job`).
 
         Each emitted row is sized exactly *once*, by the operator that
         produced it: the size feeds the map output byte counter, travels
@@ -562,7 +517,14 @@ class ClusterRuntime:
         if attempt is not None:
             attempt.boundary("map")
         counters = Counters()
-        attempts = self._task_attempts(job.name, attempt)
+        # Maps one task attempt's duration to the total including
+        # retried attempts: the identity unless a fault plan is armed.
+        cluster = self.config.cluster
+        attempts = (
+            attempt.task_inflater(cluster.max_task_attempts,
+                                  cluster.task_startup_seconds)
+            if attempt is not None else lambda seconds: seconds
+        )
         splits = job.splits if job.splits is not None else self._all_splits(job)
         splits_total = len(splits)
 
@@ -668,9 +630,8 @@ class ClusterRuntime:
                 output_rows, output_sizes = reduce_rows, reduce_sizes
 
         if attempt is not None:
-            # Fired at the end of the (worker-side) data pass, modeling a
-            # failure while committing the job -- the driver-side finalize
-            # itself stays deterministic for the parallel executor.
+            # Models a failure while committing the job: fired before
+            # the output is written, so a killed attempt leaves no file.
             attempt.boundary("finalize")
         if probe_spill_bytes:
             counters.increment("map", Counters.SPILLED_BYTES,
@@ -690,7 +651,7 @@ class ClusterRuntime:
 
     def _finalize_job(self, job: MapReduceJob,
                       data: "_JobDataPass") -> JobResult:
-        """Driver-side completion: materialize output, merge statistics."""
+        """Complete a job: materialize its output, merge its statistics."""
         counters = data.counters
         output_rows = data.output_rows
         # Sizes computed during the pass equal the write-side estimate for

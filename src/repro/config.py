@@ -92,12 +92,9 @@ class ClusterConfig:
     #: paper) or "fair" (Section 6.3's future-work experiment).
     scheduler_policy: str = "fifo"
 
-    #: probability that a task attempt fails and is re-executed (Hadoop's
-    #: retry-on-failure; the checkpointing the paper leans on in Section 1
-    #: makes retries cheap). Deterministic per job. 0.0 disables.
-    task_failure_rate: float = 0.0
     #: attempt budget per task (Hadoop's mapred.*.max.attempts, default 4).
-    #: A task that fails this many times kills its job with
+    #: A task that fails this many times -- failures are injected by an
+    #: armed :class:`repro.cluster.faults.FaultPlan` -- kills its job with
     #: :class:`repro.errors.TaskRetriesExhaustedError`.
     max_task_attempts: int = 4
     #: how often the runtime retries a whole job that died from a
@@ -215,43 +212,12 @@ class PilotConfig:
 
 
 @dataclass(frozen=True)
-class ExecutorConfig:
-    """Data-path executor knobs (the *driver's* wall-clock, not simulated
-    time).
-
-    When ``parallel_jobs`` is on, :class:`repro.cluster.runtime.ClusterRuntime`
-    runs the data pass of dependency-free jobs of a batch concurrently on a
-    ``concurrent.futures`` pool and finalizes (DFS writes, statistics
-    merges) on the driver thread in deterministic batch order -- results
-    are byte-identical to serial execution. Simulated makespans are
-    unaffected either way: they come from the analytic cost model and the
-    slot scheduler, never from the driver's wall-clock.
-    """
-
-    #: run independent jobs of a batch concurrently (on a thread pool:
-    #: compiled jobs close over DFS handles, which do not pickle).
-    parallel_jobs: bool = False
-    #: worker count; None picks a small multiple of the CPU count.
-    max_workers: int | None = None
-    #: dependency levels narrower than this run inline (pool dispatch
-    #: overhead would exceed the win on one or two jobs).
-    min_parallel_jobs: int = 2
-
-    def __post_init__(self) -> None:
-        if self.max_workers is not None and self.max_workers <= 0:
-            raise ValueError("max_workers must be positive")
-        if self.min_parallel_jobs < 2:
-            raise ValueError("min_parallel_jobs must be >= 2")
-
-
-@dataclass(frozen=True)
 class DynoConfig:
     """Top-level configuration bundle."""
 
     cluster: ClusterConfig = field(default_factory=ClusterConfig)
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     pilot: PilotConfig = field(default_factory=PilotConfig)
-    executor: ExecutorConfig = field(default_factory=ExecutorConfig)
     #: execution backend: "jaql" (build loaded per task) or "hive"
     #: (DistributedCache: build loaded once per node). Section 6.6.
     backend: str = "jaql"
@@ -270,11 +236,6 @@ class DynoConfig:
     #: how many times the dynamic executor may replan around a permanent
     #: job failure (e.g. a doomed broadcast join) before re-raising.
     max_recovery_replans: int = 8
-    #: column-array backend of the batch data path: "auto" uses numpy for
-    #: selection masks when importable, "python" forces the pure-Python
-    #: column lists, "numpy" requires the accelerator. Results and byte
-    #: accounting are identical either way; only driver wall-clock changes.
-    columnar_backend: str = "auto"
 
     def __post_init__(self) -> None:
         if not self.reoptimization_qerror_threshold >= 1.0:
@@ -286,18 +247,6 @@ class DynoConfig:
         if backend not in ("jaql", "hive"):
             raise ValueError(f"unknown backend: {backend!r}")
         return replace(self, backend=backend)
-
-    def with_parallel_execution(self, enabled: bool = True,
-                                max_workers: int | None = None,
-                                ) -> "DynoConfig":
-        """Config with the parallel data-path executor toggled."""
-        executor = replace(
-            self.executor,
-            parallel_jobs=enabled,
-            max_workers=(max_workers if max_workers is not None
-                         else self.executor.max_workers),
-        )
-        return replace(self, executor=executor)
 
     def with_memory(self, task_memory_bytes: int | None = None,
                     cluster_memory_bytes: int | None = None,

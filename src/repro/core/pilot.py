@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from repro.cluster.job import BatchEmit, MapReduceJob, TaskContext
 from repro.cluster.runtime import ClusterRuntime, DispatchGate
 from repro.config import DynoConfig
-from repro.data.columns import resolve_backend
 from repro.errors import PlanError
 from repro.jaql.blocks import BlockLeaf, JoinBlock
 from repro.jaql.compiler import intermediate_schema, leaf_scan
@@ -311,7 +310,7 @@ class PilotRunner:
             boost = self.feedback.pilot_boost(leaf.signature())
             if boost > 1.0:
                 k_records = int(round(k_records * boost))
-        scan = leaf_scan(leaf, resolve_backend(self.config.columnar_backend))
+        scan = leaf_scan(leaf)
 
         def mapper(context: TaskContext, source: str, batch) -> BatchEmit:
             out = scan(context, batch)

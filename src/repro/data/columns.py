@@ -7,8 +7,7 @@ evaluation, join key extraction, statistics ingest -- run one tight loop
 per column instead of a dict probe per row per field.
 
 Two batch shapes share one duck-typed protocol (``rows``, ``column(name)``,
-``array(name)``, ``ensure_sizes()``, ``qualified(alias, selection)``,
-``__len__``):
+``ensure_sizes()``, ``qualified(alias, selection)``, ``__len__``):
 
 * :class:`SplitBatch` -- a view over a row range of a DFS file (one
   split, or the whole file for a broadcast build load), sharing the
@@ -17,12 +16,9 @@ Two batch shapes share one duck-typed protocol (``rows``, ``column(name)``,
 * :class:`RowBatch` -- a materialized operator output (filtered/joined
   rows) with lazily gathered columns.
 
-``array(name)`` optionally exposes a numpy ``int64``/``float64`` array for
-None-free, uniformly typed columns. numpy is strictly an accelerator for
-computing selection *masks*: numpy scalars never enter rows, keys, or
-statistics (``np.int64`` is not an exact ``int`` and would break the
-KMV canonicalizer), so every consumer converts masks back to plain Python
-index lists via ``.tolist()``.
+Columns are plain Python lists and selections plain index lists; the
+engine imports no array library (docs/performance.md, "Forks that were
+measured and removed", has the numbers behind that).
 """
 
 from __future__ import annotations
@@ -31,36 +27,6 @@ from typing import Any, Sequence
 
 from repro.data.schema import estimate_dict_size, estimate_dict_sizes
 from repro.data.table import Row, qualify_row
-
-try:  # optional accelerator; the pure-Python path is always available
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    _np = None  # type: ignore[assignment]
-
-
-def numpy_available() -> bool:
-    """True when the optional numpy backend can be used."""
-    return _np is not None
-
-
-def resolve_backend(backend: str) -> bool:
-    """Map a ``columnar_backend`` config value to "use numpy?".
-
-    ``"auto"`` opts in whenever numpy imports, ``"python"`` always uses the
-    pure-Python column lists, ``"numpy"`` requires the accelerator.
-    """
-    if backend == "python":
-        return False
-    if backend == "numpy":
-        if _np is None:
-            raise ValueError(
-                "columnar_backend='numpy' requested but numpy is not "
-                "importable; use 'auto' or 'python'"
-            )
-        return True
-    if backend != "auto":
-        raise ValueError(f"unknown columnar backend: {backend!r}")
-    return _np is not None
 
 
 # ---------------------------------------------------------------------------
@@ -82,26 +48,6 @@ def column_index(names: tuple[str, ...]) -> dict[str, int]:
         if len(_COLUMN_INDEX) < _COLUMN_INDEX_LIMIT:
             _COLUMN_INDEX[names] = index
     return index
-
-
-def to_column_array(values: list[Any]) -> Any:
-    """numpy array for a None-free, uniformly ``int`` or ``float`` column.
-
-    Exact-type checks (``type(v) is int``) keep bools and numpy scalars
-    out; ``int64`` overflow falls back to the Python path rather than
-    silently wrapping. Returns None when the column is not eligible.
-    """
-    if _np is None or not values:
-        return None
-    kinds = {type(value) for value in values}
-    if kinds == {int}:
-        try:
-            return _np.asarray(values, dtype=_np.int64)
-        except OverflowError:
-            return None
-    if kinds == {float}:
-        return _np.asarray(values, dtype=_np.float64)
-    return None
 
 
 class RowBatch:
@@ -131,10 +77,6 @@ class RowBatch:
             self._columns[name] = values
         return values
 
-    def array(self, name: str) -> Any:
-        """Materialized batches never carry numpy arrays."""
-        return None
-
     def ensure_sizes(self) -> list[int]:
         """Per-row ``estimate_value_size``, computing it once if missing."""
         if self.sizes is None:
@@ -151,10 +93,9 @@ class RowBatch:
 class SplitBatch:
     """Columnar view over a ``[start, stop)`` row range of a DFS file.
 
-    Column gathers, numpy arrays, row sizes and qualified rows are
-    delegated to the owning file so every split (and every re-read of
-    the file) shares one cache; the batch only slices its row range out
-    of them.
+    Column gathers, row sizes and qualified rows are delegated to the
+    owning file so every split (and every re-read of the file) shares
+    one cache; the batch only slices its row range out of them.
     """
 
     __slots__ = ("rows", "_file", "_start", "_stop")
@@ -170,12 +111,6 @@ class SplitBatch:
 
     def column(self, name: str) -> list[Any]:
         return self._file.column_values(name)[self._start:self._stop]
-
-    def array(self, name: str) -> Any:
-        array = self._file.column_array(name)
-        if array is None:
-            return None
-        return array[self._start:self._stop]
 
     def ensure_sizes(self) -> list[int]:
         """Per-row ``estimate_value_size``: a slice of the file's
@@ -195,7 +130,4 @@ __all__ = [
     "column_index",
     "estimate_dict_size",
     "estimate_dict_sizes",
-    "numpy_available",
-    "resolve_backend",
-    "to_column_array",
 ]

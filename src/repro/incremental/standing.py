@@ -42,7 +42,6 @@ from typing import Any, Sequence
 
 from repro.cluster.job import TaskContext
 from repro.core.pilot import signature_stats_columns
-from repro.data.columns import resolve_backend
 from repro.data.table import Row
 from repro.errors import PlanError
 from repro.incremental.cdc import AppliedChange
@@ -385,7 +384,7 @@ class StandingQueryManager:
     def _probe_leaf(self, block: JoinBlock, leaf: BlockLeaf) -> TableStats:
         """Exact statistics of one base leaf's output (rows, synopses)."""
         dyno = self.service.dyno
-        scan = leaf_scan(leaf, resolve_backend(dyno.config.columnar_backend))
+        scan = leaf_scan(leaf)
         out = scan(TaskContext(),
                    dyno.dfs.open(leaf.source_name).file_batch())
         running = RunningStats(signature_stats_columns(block, leaf),

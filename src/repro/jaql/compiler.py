@@ -34,7 +34,7 @@ from repro.cluster.job import (
     TaskContext,
 )
 from repro.config import DynoConfig
-from repro.data.columns import RowBatch, estimate_dict_size, resolve_backend
+from repro.data.columns import RowBatch, estimate_dict_size
 from repro.data.schema import Schema, estimate_value_size
 from repro.data.table import Row
 from repro.errors import PlanError
@@ -161,7 +161,7 @@ def _identity_loader(batch: Any) -> Any:
     return batch
 
 
-def _leaf_filter(leaf: BlockLeaf, use_numpy: bool) -> BuildLoader:
+def _leaf_filter(leaf: BlockLeaf) -> BuildLoader:
     """Vectorized scan+filter over raw rows of one base leaf.
 
     Predicates are evaluated over the *raw* (unqualified) columns --
@@ -187,8 +187,7 @@ def _leaf_filter(leaf: BlockLeaf, use_numpy: bool) -> BuildLoader:
         sizes = batch.ensure_sizes()
         selection: Any = range(count)
         if predicates:
-            resolver = ColumnResolver(batch, raw_alias=alias,
-                                      use_numpy=use_numpy)
+            resolver = ColumnResolver(batch, raw_alias=alias)
             selection = select(predicates, resolver, count)
             if len(selection) != count:
                 sizes = [sizes[i] for i in selection]
@@ -201,13 +200,13 @@ def _leaf_filter(leaf: BlockLeaf, use_numpy: bool) -> BuildLoader:
     return scan
 
 
-def leaf_scan(leaf: BlockLeaf, use_numpy: bool) -> BatchTransform:
+def leaf_scan(leaf: BlockLeaf) -> BatchTransform:
     """The one scan+filter stage of a base leaf (plan jobs and pilot runs).
 
     Charges the leaf's predicate/UDF CPU for every *input* row, then
     filters and qualifies the batch.
     """
-    scan = _leaf_filter(leaf, use_numpy)
+    scan = _leaf_filter(leaf)
     cpu_per_row = leaf.cpu_seconds_per_row
 
     def transform(context: TaskContext, batch: Any) -> RowBatch:
@@ -332,7 +331,6 @@ class PlanCompiler:
         #: base table name -> DFS file name (identity unless remapped).
         self.table_files = table_files or {}
         self._counter = 0
-        self._use_numpy = resolve_backend(config.columnar_backend)
 
     # -- public ---------------------------------------------------------------------
 
@@ -429,7 +427,7 @@ class PlanCompiler:
         leaf = node.leaf
         return _Stream(
             input_files=[self._file_of_leaf(leaf)],
-            transform=(leaf_scan(leaf, self._use_numpy) if leaf.is_base
+            transform=(leaf_scan(leaf) if leaf.is_base
                        else _identity_transform),
             aliases=node.aliases,
             node=node,
@@ -529,7 +527,7 @@ class PlanCompiler:
                 input_file = filtered.job.output_name
                 description += " (pre-filtered)"
             elif leaf.is_base:
-                loader = _leaf_filter(leaf, self._use_numpy)
+                loader = _leaf_filter(leaf)
         else:
             # Join subtree: materialize it, then broadcast its output.
             subtree = self._compile_node(node, jobs)
@@ -563,7 +561,7 @@ class PlanCompiler:
         heavy_set = frozenset(node.heavy_keys)
         right_node = node.right
         if isinstance(right_node, PhysLeaf) and right_node.leaf.is_base:
-            scan = _leaf_filter(right_node.leaf, self._use_numpy)
+            scan = _leaf_filter(right_node.leaf)
             description = f"{right_node.leaf.describe()} (heavy keys)"
         else:
             if not right.is_materialized:

@@ -38,9 +38,11 @@ from repro.jaql.expr import (
 )
 from repro.jaql.functions import UdfRegistry
 
+# The dialect has no arithmetic, so a sign directly before digits can
+# only be a negative literal (TPC-H account balances go below zero).
 _TOKEN_RE = re.compile(
     r"\s*(?:"
-    r"(?P<number>\d+\.\d+|\d+)"
+    r"(?P<number>-?(?:\d+\.\d+|\d+))"
     r"|(?P<string>'(?:[^'\\]|\\.)*')"
     r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<op><=|>=|!=|=|<|>)"
@@ -132,7 +134,7 @@ class SqlParser:
                 self._advance()
         if self._at_keyword("limit"):
             self._advance()
-            limit = int(self._expect("number").text)
+            limit = self._expect_count("LIMIT")
         self._expect("eof")
 
         root = self._build_tree(
@@ -327,7 +329,7 @@ class SqlParser:
                     steps.append(word)
             elif self._at_punct("["):
                 self._advance()
-                index = int(self._expect("number").text)
+                index = self._expect_count("array index")
                 self._expect_punct("]")
                 if column is None:
                     raise ParseError(
@@ -341,6 +343,15 @@ class SqlParser:
             # of an upstream block scanned under this query).
             return ColumnRef("", alias)
         return ColumnRef(alias, column, tuple(steps))
+
+    def _expect_count(self, what: str) -> int:
+        """A number token that is a plain non-negative integer."""
+        token = self._expect("number")
+        if not token.text.isdigit():
+            raise ParseError(
+                f"{what} must be a non-negative integer, found "
+                f"{token.text!r}", token.position)
+        return int(token.text)
 
     def _parse_value(self) -> Any:
         token = self._peek()

@@ -10,14 +10,6 @@ those of ``Predicate.evaluate`` on qualified rows:
   if any branch passes), UDFs are applied per surviving index;
 * any other ``Predicate`` subclass is applied through its ``evaluate``
   per surviving row.
-
-Comparisons against literals over None-free ``int64``/``float64`` columns
-can use numpy boolean masks; the mask is converted straight back to a
-Python index list (``flatnonzero(...).tolist()``) so numpy scalars never
-escape into rows, keys, or statistics. Mask eligibility is conservative:
-any pairing whose numpy comparison could differ from Python's exact
-semantics (e.g. ``int64`` column vs ``float`` literal, huge int literals
-past 2**53 against floats) falls back to the Python loop.
 """
 
 from __future__ import annotations
@@ -35,48 +27,22 @@ from repro.jaql.expr import (
     qualify_row,
 )
 
-try:  # optional accelerator (see repro.data.columns)
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    _np = None  # type: ignore[assignment]
-
-#: numpy comparison per operator; only built when numpy imports.
-_NP_OPS: dict[str, Any] = {}
-if _np is not None:
-    _NP_OPS = {
-        "=": _np.equal,
-        "!=": _np.not_equal,
-        "<": _np.less,
-        "<=": _np.less_equal,
-        ">": _np.greater,
-        ">=": _np.greater_equal,
-    }
-
-#: int literals past this magnitude are not exactly representable as
-#: float64; comparing them against a float column via numpy could round.
-_FLOAT_EXACT_INT = 1 << 53
-
 
 class ColumnResolver:
-    """Per-batch cache of ``ColumnRef -> column values`` (and arrays).
+    """Per-batch cache of ``ColumnRef -> column values``.
 
     ``raw_alias`` marks the batch as unqualified base-table rows of that
     alias and selects the unqualified field name (``ref.column``) -- the
     leaf scan evaluates predicates *before* qualification, which is
     equivalent because qualification renames every field 1:1.
-    ``use_numpy`` gates the mask path; arrays only exist for step-free
-    refs over batches that expose them (DFS split batches).
     """
 
-    __slots__ = ("_batch", "_raw_alias", "_use_numpy", "_values", "_arrays")
+    __slots__ = ("_batch", "_raw_alias", "_values")
 
-    def __init__(self, batch: Any, raw_alias: str | None = None,
-                 use_numpy: bool = False):
+    def __init__(self, batch: Any, raw_alias: str | None = None):
         self._batch = batch
         self._raw_alias = raw_alias
-        self._use_numpy = use_numpy
         self._values: dict[ColumnRef, list[Any]] = {}
-        self._arrays: dict[ColumnRef, Any] = {}
 
     def _name(self, ref: ColumnRef) -> str:
         return ref.qualified if self._raw_alias is None else ref.column
@@ -96,15 +62,6 @@ class ColumnResolver:
                 values = _walk_steps(values, ref.steps)
             self._values[ref] = values
         return values
-
-    def array(self, ref: ColumnRef) -> Any:
-        if not self._use_numpy or ref.steps:
-            return None
-        if ref in self._arrays:
-            return self._arrays[ref]
-        array = self._batch.array(self._name(ref))
-        self._arrays[ref] = array
-        return array
 
 
 def _walk_steps(values: list[Any], steps: tuple[str | int, ...]) -> list[Any]:
@@ -193,13 +150,6 @@ def _apply_comparison(predicate: Comparison, indices: Sequence[int],
     if right is None:
         # `col op None` is False for every row (Comparison.evaluate).
         return []
-    array = columns.array(predicate.left)
-    if array is not None:
-        mask = _literal_mask(array, predicate.op, right)
-        if mask is not None:
-            if type(indices) is range and len(indices) == len(mask):
-                return _np.flatnonzero(mask).tolist()
-            return [i for i in indices if mask[i]]
     left_values = columns.values(predicate.left)
     try:
         return [
@@ -241,28 +191,3 @@ def _guarded_literal_scan(comparator, left_values, right,
         except TypeError:
             pass
     return out
-
-
-def _literal_mask(array: Any, op: str, literal: Any) -> Any:
-    """Boolean mask for ``array op literal``, or None when not exact.
-
-    The array is None-free ``int64`` or ``float64`` by construction
-    (:func:`repro.data.columns.to_column_array`). Only literal/dtype
-    pairings whose numpy comparison provably matches Python's exact
-    semantics take the mask path.
-    """
-    kind = type(literal)
-    dtype_kind = array.dtype.kind
-    if dtype_kind == "i":
-        # int64 column: only exact-int literals that fit comfortably.
-        if kind is not int or abs(literal) > (1 << 62):
-            return None
-    elif dtype_kind == "f":
-        if kind is int:
-            if abs(literal) > _FLOAT_EXACT_INT:
-                return None
-        elif kind is not float:
-            return None
-    else:  # pragma: no cover - to_column_array only emits i/f
-        return None
-    return _NP_OPS[op](array, literal)

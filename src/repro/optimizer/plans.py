@@ -26,7 +26,7 @@ changes across re-optimization points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.errors import PlanError
 from repro.jaql.blocks import BlockLeaf
@@ -149,10 +149,6 @@ class PhysJoin(PhysicalNode):
 
     def symbol(self) -> str:
         return _SYMBOLS[self.method]
-
-
-def replace_cost(node: PhysicalNode, cost: float) -> PhysicalNode:
-    return replace(node, cost=cost)
 
 
 def pipeline_build_bytes(node: PhysicalNode) -> float:

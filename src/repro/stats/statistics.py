@@ -613,7 +613,7 @@ class RunningColumn:
         Only available while the exact count table survived its budget;
         ties break by first observation, so the result is a pure function
         of the (order-preserving) merged value stream and therefore
-        deterministic across serial/parallel execution and column backends.
+        deterministic.
         """
         counts = self.value_counts
         non_null = self.total_count - self.null_count

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
-from repro.data.columns import SplitBatch, column_index, to_column_array
+from repro.data.columns import SplitBatch, column_index
 from repro.data.schema import (
     Schema,
     column_values_conform,
@@ -59,9 +59,6 @@ class DFSFile:
     row_sizes: list[int] | None = None
     #: lazy column caches shared by every split/read of this file.
     _columns: dict[str, list] = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
-    _arrays: dict[str, object] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
     #: memo for :meth:`sizes_are_value_exact` (None until first asked).
@@ -119,9 +116,6 @@ class DFSFile:
     def row_count(self) -> int:
         return len(self.rows)
 
-    def split_rows(self, split: Split) -> list[Row]:
-        return self.split_batch(split).rows
-
     def _batch(self, start: int, stop: int) -> SplitBatch:
         return SplitBatch(self.rows[start:stop], self, start, stop)
 
@@ -146,9 +140,10 @@ class DFSFile:
         the rest (nested struct/array columns, non-canonical dates,
         non-conforming values) pay one ``estimate_dict_sizes`` sweep on
         first ask -- never at load -- and keep the result for the file's
-        lifetime. The sweep is idempotent, so racing worker threads of
-        the parallel executor at worst compute it twice, exactly like
-        the ``_sizes_exact`` memo.
+        lifetime. The sweep is idempotent, so service drivers racing on
+        a shared file (a data pass against the refresh-decision probe,
+        which runs outside the batch lock) at worst compute it twice,
+        exactly like the ``_sizes_exact`` memo.
         """
         sizes = self._value_sizes
         if sizes is None:
@@ -175,9 +170,10 @@ class DFSFile:
         row: rows are engine-wide immutable, and ``Dyno`` copies at the
         client boundary.
 
-        Filling a slot is idempotent, so racing worker threads of the
-        parallel executor at worst qualify a row twice (into equal
-        dicts); only registering an alias is check-then-act and locked.
+        Filling a slot is idempotent, so service drivers racing on a
+        shared file (a data pass against the refresh-decision probe)
+        at worst qualify a row twice (into equal dicts); only
+        registering an alias is check-then-act and locked.
         """
         slots = self._qualified.get(alias)
         if slots is None:
@@ -254,18 +250,6 @@ class DFSFile:
             self._columns[name] = values
         return values
 
-    def column_array(self, name: str) -> object:
-        """numpy array of ``name`` when eligible (cached), else None."""
-        arrays = self._arrays
-        if name in arrays:
-            return arrays[name]
-        array = to_column_array(self.column_values(name))
-        arrays[name] = array
-        return array
-
-    def iter_rows(self) -> Iterator[Row]:
-        return iter(self.rows)
-
     def as_table(self) -> Table:
         return Table(self.name, self.schema, list(self.rows))
 
@@ -273,10 +257,11 @@ class DFSFile:
 class DistributedFileSystem:
     """Namespace of :class:`DFSFile` objects plus byte accounting.
 
-    Byte accounting is lock-protected: the data passes of concurrently
-    executing jobs (``repro.cluster.parallel``) read splits from worker
-    threads, and ``int`` read-modify-write is not atomic under free
-    threading. Namespace *writes* stay driver-only by construction.
+    Byte accounting is lock-protected: the driver threads of a
+    ``QueryService(workers>1)`` share one DFS, and while the runtime's
+    batch lock serializes their data passes, result fetches
+    (:meth:`read_all`) and change-batch writes happen outside it --
+    ``int`` read-modify-write is not atomic under free threading.
     """
 
     def __init__(self, block_size_bytes: int = 64 * 1024):
@@ -287,9 +272,8 @@ class DistributedFileSystem:
         self.bytes_written = 0
         self.bytes_read = 0
         #: bytes written/re-read by spilling hybrid-hash-join tasks.
-        #: Spill partitions are task-local scratch, not namespace files
-        #: (worker threads must never mutate the namespace), so only the
-        #: byte traffic is recorded here.
+        #: Spill partitions are task-local scratch, not namespace files,
+        #: so only the byte traffic is recorded here.
         self.spill_bytes_written = 0
         self.spill_bytes_read = 0
         self._accounting_lock = threading.Lock()

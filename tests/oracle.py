@@ -129,12 +129,9 @@ def run_workload(tables, query_name: str, strategy: str = "UNC-1",
     return dyno, execution
 
 
-def faulted_config(plan: FaultPlan, base: DynoConfig = DEFAULT_CONFIG,
-                   parallel: bool = False) -> DynoConfig:
-    """Config with ``plan`` armed (and optionally the parallel executor)."""
-    config = base.with_fault_plan(plan)
-    if parallel:
-        config = config.with_parallel_execution()
+def faulted_config(plan: FaultPlan) -> DynoConfig:
+    """The default config with ``plan`` armed."""
+    config = DEFAULT_CONFIG.with_fault_plan(plan)
     if plan.straggler_rate > 0.0:
         # Stragglers are countered by speculative execution; turning it on
         # exercises the scheduler's backup-copy modeling under the oracle.

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.cluster.faults import FaultPlan
 from repro.config import DEFAULT_CONFIG
 from repro.core.dyno import Dyno
 from repro.validation import verify_workload
@@ -33,18 +34,21 @@ def test_fair_scheduler_matches_oracle(tpch_tables, factory):
     assert report.matches, report.describe()
 
 
-# The legacy config-level failure knob now consumes the task-attempt
-# budget (an exhausted task kills its job); a generous budget keeps these
-# equivalence tests exercising pure time inflation. Exhaustion-at-default
+# Failed task attempts consume the task-attempt budget (an exhausted
+# task kills its job); a generous budget keeps these equivalence tests
+# exercising pure time inflation. Exhaustion-at-default
 # is covered in tests/test_runtime.py, end-to-end recovery in
 # tests/test_fault_matrix.py.
+def flaky_tasks(rate: float):
+    return replace(
+        DEFAULT_CONFIG,
+        cluster=replace(DEFAULT_CONFIG.cluster, max_task_attempts=64),
+    ).with_fault_plan(FaultPlan(seed=5, task_failure_rate=rate))
+
+
 def test_failure_injection_matches_oracle(tpch_tables):
     workload = q10()
-    config = replace(
-        DEFAULT_CONFIG,
-        cluster=replace(DEFAULT_CONFIG.cluster, task_failure_rate=0.3,
-                        max_task_attempts=64),
-    )
+    config = flaky_tasks(0.3)
     dyno = Dyno(tpch_tables, config=config, udfs=workload.udfs)
     report = verify_workload(dyno, workload.final_spec)
     assert report.matches, report.describe()
@@ -55,12 +59,8 @@ def test_failure_injection_costs_time_not_rows(tpch_tables):
     clean_dyno = Dyno(tpch_tables, udfs=workload.udfs)
     clean = clean_dyno.execute(workload.final_spec, mode="simple")
 
-    flaky_config = replace(
-        DEFAULT_CONFIG,
-        cluster=replace(DEFAULT_CONFIG.cluster, task_failure_rate=0.4,
-                        max_task_attempts=64),
-    )
-    flaky_dyno = Dyno(tpch_tables, config=flaky_config, udfs=workload.udfs)
+    flaky_dyno = Dyno(tpch_tables, config=flaky_tasks(0.4),
+                      udfs=workload.udfs)
     flaky = flaky_dyno.execute(workload.final_spec, mode="simple")
     assert flaky.execution_seconds > clean.execution_seconds
     assert len(flaky.rows) == len(clean.rows)

@@ -67,15 +67,6 @@ class TestExecution:
         assert "result row(s)" in output
         assert "pilot runs" in output
 
-    def test_parallel_flag_matches_serial_output(self):
-        code, serial = run_cli("--workload", "Q10",
-                               "--scale-factor", "0.05")
-        parallel_code, parallel = run_cli("--workload", "Q10",
-                                          "--scale-factor", "0.05",
-                                          "--parallel")
-        assert code == parallel_code == 0
-        assert parallel == serial
-
     def test_sql_run_with_plans(self):
         code, output = run_cli(
             "--sql",

@@ -1,27 +1,16 @@
-"""Batch data path: unit equivalences and backend byte-identity.
+"""Batch data path: unit equivalences.
 
 Everything in the data path that has a second, independent definition is
 pinned against it here: O(1) size arithmetic against
 ``estimate_value_size``, vectorized selection against
-``Predicate.evaluate``, column-wise statistics ingest against row-wise,
-and the numpy column-array backend against the pure-Python one (execution
-fingerprints across workloads, parallelism and the fault matrix). Result
-correctness against the interpreter lives in
+``Predicate.evaluate``, column-wise statistics ingest against row-wise.
+Result correctness against the interpreter lives in
 ``test_workload_differential.py``.
 """
 
-from dataclasses import replace
-
 import pytest
 
-from repro.config import DEFAULT_CONFIG
-from repro.data.columns import (
-    RowBatch,
-    column_index,
-    numpy_available,
-    resolve_backend,
-    to_column_array,
-)
+from repro.data.columns import RowBatch, column_index
 from repro.data.schema import (
     estimate_dict_size,
     estimate_dict_sizes,
@@ -42,14 +31,6 @@ from repro.jaql.expr import (
 from repro.jaql.functions import Udf
 from repro.jaql.vector import ColumnResolver, select
 from repro.stats.statistics import RunningStats, composite_name
-from tests.oracle import (
-    ORACLE_QUERIES,
-    fault_matrix,
-    faulted_config,
-    fingerprint,
-    oracle_tables,
-    run_workload,
-)
 
 # ---------------------------------------------------------------------------
 # sizing identities
@@ -198,25 +179,6 @@ class TestColumnPlumbing:
         assert len(batch) == 3
         assert batch.ensure_sizes() == estimate_dict_sizes(rows)
 
-    def test_to_column_array_eligibility(self):
-        if not numpy_available():
-            assert to_column_array([1, 2, 3]) is None
-            return
-        assert to_column_array([1, 2, 3]) is not None
-        assert to_column_array([1.0, 2.5]) is not None
-        assert to_column_array([1, 2.5]) is None          # mixed kinds
-        assert to_column_array([1, None]) is None         # nulls
-        assert to_column_array([True, False]) is None     # bools excluded
-        assert to_column_array(["a"]) is None
-        assert to_column_array([1, 10**30]) is None       # int64 overflow
-        assert to_column_array([]) is None
-
-    def test_resolve_backend(self):
-        assert resolve_backend("python") is False
-        assert resolve_backend("auto") == numpy_available()
-        with pytest.raises(ValueError):
-            resolve_backend("fortran")
-
 
 # ---------------------------------------------------------------------------
 # vectorized predicates vs row evaluation
@@ -291,31 +253,6 @@ class TestVectorSelect:
             [i for i, row in enumerate(PREDICATE_ROWS)
              if all(p.evaluate(row) for p in predicates)]
 
-    @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
-    def test_numpy_mask_matches_python_loop(self):
-        rows = [{"t.a": value} for value in range(-50, 50)]
-        rows_f = [{"t.a": value / 4} for value in range(-50, 50)]
-        for dataset in (rows, rows_f):
-            batch = RowBatch(dataset)
-
-            class ArrayBatch(RowBatch):
-                def array(self, name):
-                    return to_column_array(self.column(name))
-
-            arrays = ArrayBatch(dataset)
-            for op in ("=", "!=", "<", "<=", ">", ">="):
-                for literal in (-3, 0, 2.5, 10**20):
-                    predicate = Comparison(ref("a"), op, literal)
-                    plain = select([predicate],
-                                   ColumnResolver(batch), len(batch))
-                    masked = select(
-                        [predicate],
-                        ColumnResolver(arrays, use_numpy=True),
-                        len(arrays),
-                    )
-                    assert plain == masked, (op, literal, dataset is rows_f)
-                    assert all(type(i) is int for i in masked)
-
 
 # ---------------------------------------------------------------------------
 # statistics ingestion from columns
@@ -369,53 +306,3 @@ class TestStatsFromColumns:
         assert left.row_count == right.row_count
         assert left.size_bytes == right.size_bytes
         assert left.columns == right.columns
-
-
-# ---------------------------------------------------------------------------
-# end-to-end byte identity: pure-Python column lists vs the numpy backend
-# ---------------------------------------------------------------------------
-
-#: the reference side of every fingerprint test below. The other side is
-#: "auto", the default everything else in tier-1 runs under (numpy when
-#: importable; CI also runs the suite without numpy, where both coincide).
-PYTHON_BACKEND = replace(DEFAULT_CONFIG, columnar_backend="python")
-
-
-@pytest.fixture(scope="module")
-def tables():
-    return oracle_tables()
-
-
-def assert_backends_agree(tables, query, configure=lambda config: config,
-                          accelerated=DEFAULT_CONFIG):
-    python, other = (
-        fingerprint(*run_workload(tables, query, config=configure(config)))
-        for config in (PYTHON_BACKEND, accelerated)
-    )
-    assert python == other
-
-
-class TestColumnarFingerprints:
-    @pytest.mark.parametrize("query", sorted(ORACLE_QUERIES))
-    def test_serial_identical(self, tables, query):
-        assert_backends_agree(tables, query)
-
-    @pytest.mark.parametrize("query", ["Q8'", "Q10"])
-    def test_parallel_identical(self, tables, query):
-        assert_backends_agree(
-            tables, query, lambda config: config.with_parallel_execution())
-
-    @pytest.mark.parametrize("plan", fault_matrix(),
-                             ids=[plan.name for plan in fault_matrix()])
-    @pytest.mark.parametrize("query", ["Q8'", "Q10"])
-    def test_fault_matrix_identical(self, tables, plan, query):
-        assert_backends_agree(
-            tables, query, lambda config: faulted_config(plan, base=config))
-
-    @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
-    def test_backends_identical(self, tables):
-        """"numpy" *requires* the accelerator where "auto" merely prefers
-        it."""
-        assert_backends_agree(
-            tables, "Q8'",
-            accelerated=replace(DEFAULT_CONFIG, columnar_backend="numpy"))

@@ -1,12 +1,13 @@
 """Configuration invariants the paper's setup depends on."""
 
+from dataclasses import fields, is_dataclass
+
 import pytest
 
 from repro.config import (
     DEFAULT_CONFIG,
     ClusterConfig,
     DynoConfig,
-    ExecutorConfig,
     OptimizerConfig,
     PilotConfig,
 )
@@ -83,36 +84,17 @@ class TestBackendSwitch:
         assert never.reoptimization_qerror_threshold == float("inf")
 
 
-class TestExecutorConfig:
-    def test_serial_by_default(self):
-        assert not DEFAULT_CONFIG.executor.parallel_jobs
+def leaf_fields(config) -> int:
+    return sum(
+        leaf_fields(value) if is_dataclass(value) else 1
+        for value in (getattr(config, f.name) for f in fields(config))
+    )
 
-    def test_with_parallel_execution(self):
-        config = DEFAULT_CONFIG.with_parallel_execution(max_workers=3)
-        assert config.executor.parallel_jobs
-        assert config.executor.max_workers == 3
-        # everything else is untouched
-        assert config.cluster == DEFAULT_CONFIG.cluster
-        assert not DEFAULT_CONFIG.executor.parallel_jobs  # original intact
 
-    def test_can_toggle_off(self):
-        config = DEFAULT_CONFIG.with_parallel_execution()
-        assert not config.with_parallel_execution(
-            enabled=False
-        ).executor.parallel_jobs
-
-    def test_unknown_pool_rejected(self):
-        # There is one pool (threads): the kind is not a setting at all.
-        with pytest.raises(TypeError):
-            ExecutorConfig(pool="process")
-        with pytest.raises(TypeError):
-            DEFAULT_CONFIG.with_parallel_execution(pool="process")
-
-    def test_bad_worker_counts_rejected(self):
-        with pytest.raises(ValueError):
-            ExecutorConfig(max_workers=0)
-        with pytest.raises(ValueError):
-            ExecutorConfig(min_parallel_jobs=1)
+def test_knob_count_is_edited_in_the_open():
+    """Every independently settable value multiplies the configurations
+    tests and benchmarks must cover: a PR that adds one edits this line."""
+    assert leaf_fields(DEFAULT_CONFIG) == 48
 
 
 class TestCalibration:

@@ -118,7 +118,7 @@ class TestSplits:
         dfs.write_rows("other", SCHEMA, [{"id": 1, "payload": "y"}])
         split = dfs.file_splits("data")[0]
         with pytest.raises(StorageError):
-            dfs.open("other").split_rows(split)
+            dfs.open("other").split_batch(split)
 
 
 class TestAccounting:

@@ -1,7 +1,12 @@
 """Dyno facade: SQL execution, stages, multi-block queries."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.core.dyno import Dyno, infer_schema
 from repro.errors import PlanError
 from repro.jaql.expr import OrderBy, Project, QuerySpec, ref
@@ -292,3 +297,27 @@ class TestSharedMetastore:
         assert first.execute(workload.final_spec).pilot_seconds > 0.0
         # Every base-leaf signature is already there: no pilot jobs run.
         assert second.execute(workload.final_spec).pilot_seconds == 0.0
+
+
+def test_the_engine_imports_no_numpy():
+    """``pyproject.toml`` declares ``dependencies = []``: importing the
+    package and running a query end to end must not pull numpy in, even
+    where it is installed (only ``benchmarks.suite run`` imports it, to
+    record its version)."""
+    script = (
+        "import sys\n"
+        "import repro\n"
+        "dyno = repro.Dyno(repro.generate_tpch(0.01).tables)\n"
+        "rows = dyno.execute(\n"
+        "    'SELECT n.n_name AS name FROM nation n, region r '\n"
+        "    'WHERE n.n_regionkey = r.r_regionkey AND n.n_nationkey > 3'\n"
+        ").rows\n"
+        "assert rows\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    source_root = os.path.dirname(os.path.dirname(repro.__file__))
+    done = subprocess.run([sys.executable, "-c", script],
+                          env=dict(os.environ, PYTHONPATH=source_root),
+                          capture_output=True, text=True, check=True,
+                          timeout=60)
+    assert done.stdout.strip() == "False"

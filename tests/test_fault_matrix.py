@@ -147,18 +147,6 @@ class TestSkewJoinFaultMatrix:
         assert not diff, (
             f"mid-job replans under chaos changed skewed {query}: {diff}")
 
-    def test_skew_parallel_columnar_identical_under_chaos(self,
-                                                          skew_tables):
-        plan = plan_named("chaos")
-        runs = []
-        for parallel in (False, True):
-            config = faulted_config(plan, parallel=parallel)
-            dyno, execution = run_workload(skew_tables, "SkewJoin",
-                                           "UNC-1", config=config)
-            runs.append((fingerprint(dyno, execution),
-                         dyno.runtime.fault_injector.snapshot()))
-        assert runs[0] == runs[1]
-
 
 def shuffle_joins_feeding_a_join(plan) -> set[str]:
     """Methods of the repartition/skew joins whose *output file* another
@@ -248,24 +236,6 @@ class TestDeterminism:
                              config=faulted_config(other))
         assert (d1.runtime.fault_injector.snapshot()
                 != d2.runtime.fault_injector.snapshot())
-
-
-class TestParallelUnderFaults:
-    def test_parallel_byte_identical_to_serial_under_same_plan(self,
-                                                               tables):
-        plan = plan_named("chaos")
-        serial_dyno, serial = run_workload(
-            tables, "Q8'", "UNC-2", config=faulted_config(plan))
-        parallel_dyno, parallel = run_workload(
-            tables, "Q8'", "UNC-2",
-            config=faulted_config(plan, parallel=True))
-        assert fingerprint(serial_dyno, serial) == \
-            fingerprint(parallel_dyno, parallel)
-        # The fault draws are order-independent (blake2b-derived per job
-        # incarnation), so even the *time* accounting is identical.
-        assert serial.total_seconds == parallel.total_seconds
-        assert (serial_dyno.runtime.fault_injector.snapshot()
-                == parallel_dyno.runtime.fault_injector.snapshot())
 
 
 class TestRequiredScenarios:

@@ -372,7 +372,6 @@ class TestDecisions:
 class TestDifferentialOracle:
     @pytest.mark.parametrize("leg,config,workers", [
         ("serial", DEFAULT_CONFIG, 2),
-        ("parallel", DEFAULT_CONFIG.with_parallel_execution(), 2),
     ], ids=lambda v: v if isinstance(v, str) else "")
     def test_maintained_equals_recompute(self, leg, config, workers):
         service = fresh_service(config=config, workers=workers)

@@ -7,8 +7,8 @@ so it lives with the :class:`DFSFile` (``qualified_rows``), filled for
 the rows a scan lets through and dropped with the file version. Five
 angles: (i) the qualification budget of a cold and a warm request,
 (ii) a change batch installs a new version and scans see it, (iii) the
-per-file alias bound evicts without changing answers, (iv) racing worker
-threads reach byte-identical results, (v) the standing-query refresh
+per-file alias bound evicts without changing answers, (iv) racing
+threads never get a wrong row, (v) the standing-query refresh
 decision, which probes missing leaves through the same scan, estimates
 exactly what the row-at-a-time oracle does.
 """
@@ -16,7 +16,6 @@ exactly what the row-at-a-time oracle does.
 import sys
 import threading
 
-from repro.config import DEFAULT_CONFIG
 from repro.core.baselines import oracle_leaf_stats
 from repro.core.dyno import Dyno
 from repro.data import table as table_module
@@ -37,7 +36,7 @@ from repro.workloads.changing import (
     premium_sessions,
     standing_workloads,
 )
-from repro.workloads.queries import q7, q10
+from repro.workloads.queries import q10
 from tests.conftest import assert_same_rows, reference_rows
 
 
@@ -151,33 +150,10 @@ class TestAliasBound:
 
 
 # ---------------------------------------------------------------------------
-# (iv) worker threads racing the memo
+# (iv) threads racing the memo
 # ---------------------------------------------------------------------------
 
 class TestRacingTheMemo:
-    def test_serial_and_parallel_outputs_are_byte_identical(
-            self, tpch_tables):
-        """Q7 scans ``nation`` under two aliases; with the parallel
-        executor its independent leaf jobs fill the file memos from
-        worker threads (first run: cold memo; second: warm)."""
-        workload = q7()
-        outcomes = []
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for config in (DEFAULT_CONFIG,
-                           DEFAULT_CONFIG.with_parallel_execution()):
-                dyno = Dyno(tpch_tables, config=config, udfs=workload.udfs)
-                for _ in range(2):
-                    dyno.metastore.clear()
-                    execution = dyno.execute_multi(workload.stages)
-                    outcomes.append((repr(execution.rows),
-                                     execution.total_seconds))
-        finally:
-            sys.setswitchinterval(interval)
-        assert outcomes[0][0] != "[]"
-        assert len(set(outcomes)) == 1
-
     def test_thread_hammer_never_hands_out_a_wrong_row(self):
         """More threads than cores, more aliases than the bound: every
         answer equals a fresh qualification and the bound holds."""

@@ -16,6 +16,7 @@ from repro.jaql.expr import (
 )
 from repro.jaql.functions import Udf, UdfRegistry
 from repro.jaql.parser import parse_query
+from tests.conftest import reference_rows
 
 
 def registry():
@@ -67,6 +68,37 @@ class TestBasics:
         predicate = next(node.predicate for node in walk(spec.root)
                          if isinstance(node, Filter))
         assert predicate.right == "it's"
+
+    @pytest.mark.parametrize("op", ["=", "!=", "<", "<=", ">", ">="])
+    def test_negative_numeric_literals(self, op):
+        """No arithmetic in the dialect: a sign before digits is a
+        negative literal, with or without a space after the operator."""
+        spec = parse_query(
+            f"SELECT t.a FROM tbl t WHERE t.a {op} -808.93 AND t.b {op}-7"
+        )
+        predicates = [node.predicate for node in walk(spec.root)
+                      if isinstance(node, Filter)]
+        assert {(pred.op, repr(pred.right)) for pred in predicates} == \
+            {(op, "-808.93"), (op, "-7")}
+
+    def test_negative_supplier_balances_can_be_queried(self, tpch_tables):
+        """End to end: TPC-H account balances go below zero."""
+        spec = parse_query(
+            "SELECT s.s_name AS name, s.s_acctbal AS balance "
+            "FROM supplier s, nation n "
+            "WHERE s.s_nationkey = n.n_nationkey AND s.s_acctbal >= -808.93 "
+            "AND s.s_acctbal < -0.5"
+        )
+        rows = reference_rows(tpch_tables, spec)
+        assert rows and all(-808.93 <= row["balance"] < -0.5 for row in rows)
+
+    def test_counts_stay_unsigned(self):
+        with pytest.raises(ParseError, match="LIMIT"):
+            parse_query("SELECT t.a FROM tbl t LIMIT -1")
+        with pytest.raises(ParseError, match="LIMIT"):
+            parse_query("SELECT t.a FROM tbl t LIMIT 2.5")
+        with pytest.raises(ParseError, match="array index"):
+            parse_query("SELECT t.a[-1] FROM tbl t")
 
     def test_parse_error_reports_position(self):
         with pytest.raises(ParseError):

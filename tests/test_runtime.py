@@ -4,6 +4,7 @@ import pytest
 
 from repro.cluster.costmodel import ClusterCostModel, TaskWork
 from repro.cluster.counters import Counters
+from repro.cluster.faults import FaultPlan
 from repro.cluster.job import BroadcastBuild, MapReduceJob, TaskContext
 from repro.cluster.runtime import ClusterRuntime
 from repro.config import DEFAULT_CONFIG, ClusterConfig, DynoConfig
@@ -380,9 +381,8 @@ class TestFailureInjection:
         # inflation* of retries; exhaustion semantics are tested below.
         config = DynoConfig(cluster=ClusterConfig(
             block_size_bytes=256, task_memory_bytes=4096,
-            task_failure_rate=failure_rate,
             max_task_attempts=max_task_attempts,
-        ))
+        )).with_fault_plan(FaultPlan(seed=5, task_failure_rate=failure_rate))
         runtime = make_runtime(400, config)
         job = MapReduceJob("j", ["input"], keyed_mapper, "out", SCHEMA,
                            reducer=counting_reducer, num_reducers=3)

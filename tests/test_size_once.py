@@ -11,7 +11,6 @@ not a freshly aggregated row.
 """
 
 import sys
-from dataclasses import replace
 
 import pytest
 
@@ -156,37 +155,30 @@ def checking(monkeypatch):
     return CheckingRuntime
 
 
-def engine_config(parallel: bool):
-    return replace(
-        DEFAULT_CONFIG,
-        executor=replace(DEFAULT_CONFIG.executor, parallel_jobs=parallel),
-    )
-
-
-@pytest.mark.parametrize("parallel", [False, True],
-                         ids=["serial", "parallel"])
+# One leg: jobs run one way. (The "serial" id is the name these tests
+# are tracked under.)
+@pytest.mark.parametrize("config", [DEFAULT_CONFIG], ids=["serial"])
 class TestEngineSweep:
-    def run(self, tables, workload, parallel):
-        dyno = Dyno(tables, config=engine_config(parallel),
-                    udfs=workload.udfs)
+    def run(self, tables, workload, config):
+        dyno = Dyno(tables, config=config, udfs=workload.udfs)
         assert isinstance(dyno.runtime, CheckingRuntime)
         return dyno.execute_multi(workload.stages)
 
-    def test_q10(self, checking, tpch_tables, parallel):
-        execution = self.run(tpch_tables, q10(), parallel)
+    def test_q10(self, checking, tpch_tables, config):
+        execution = self.run(tpch_tables, q10(), config)
         assert execution.rows
         assert checking.builds_checked > 0
         assert {"pilr", "groupby"} <= checking.labels
 
     def test_weblog_query_over_the_nested_table(self, checking, weblogs,
-                                                parallel):
-        execution = self.run(weblogs, weblog_engagement(), parallel)
+                                                config):
+        execution = self.run(weblogs, weblog_engagement(), config)
         assert execution.rows
         assert checking.builds_checked > 0
         assert "pilr" in checking.labels
 
-    def test_skew_join(self, checking, parallel):
-        execution = self.run(skewed_oracle_tables(), skewed_join(), parallel)
+    def test_skew_join(self, checking, config):
+        execution = self.run(skewed_oracle_tables(), skewed_join(), config)
         assert execution.rows
         # the heavy-key build slice went through the selection loader.
         assert "sjoin" in checking.labels

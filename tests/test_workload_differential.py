@@ -3,9 +3,10 @@
 The Jaql interpreter evaluates a query tree directly over in-memory
 tables; it shares no code with the MapReduce compilation, the optimizer,
 or the cluster runtime. Running every paper workload through every
-execution path -- DYNOPT, DYNOPT-SIMPLE (SO and MO), and the parallel
-leaf-job executor -- and demanding row-identical results is therefore an
-end-to-end differential oracle for the whole engine stack.
+execution path a user can select -- DYNOPT under each strategy, pilot
+mode, backend, trigger threshold and a spilling memory budget, and
+DYNOPT-SIMPLE (SO and MO) -- and demanding row-identical results is
+therefore an end-to-end differential oracle for the whole engine stack.
 """
 
 from dataclasses import replace
@@ -23,30 +24,32 @@ from repro.workloads.skewed import SKEWED_WORKLOADS
 from tests.conftest import assert_same_rows
 from tests.oracle import oracle_tables, run_workload, skewed_oracle_tables
 
-#: (label, mode, strategy, parallel, columnar_backend) for every engine
-#: path. The default backend is "auto" (numpy selection masks when numpy
-#: imports); the ``-columnar`` legs pin the pure-Python column lists, so
-#: both backends face the interpreter whichever way numpy is installed.
-ENGINE_PATHS = [
-    ("dynopt-unc1", "dynopt", "UNC-1", False, "auto"),
-    ("dynopt-cheap1", "dynopt", "CHEAP-1", False, "auto"),
-    ("dynopt-all-at-once", "dynopt", "ALL", False, "auto"),
-    ("simple-so", "simple", "SIMPLE_SO", False, "auto"),
-    ("simple-mo", "simple", "SIMPLE_MO", False, "auto"),
-    ("dynopt-parallel", "dynopt", "UNC-1", True, "auto"),
-    ("dynopt-columnar", "dynopt", "UNC-1", False, "python"),
-    ("dynopt-columnar-cheap1", "dynopt", "CHEAP-1", False, "python"),
-    ("simple-so-columnar", "simple", "SIMPLE_SO", False, "python"),
-    ("dynopt-columnar-parallel", "dynopt", "UNC-1", True, "python"),
+def with_threshold(qerror: float):
+    return replace(DEFAULT_CONFIG, reoptimization_qerror_threshold=qerror)
+
+
+#: label -> what the leg passes to ``run_workload`` on top of its
+#: defaults (DYNOPT, UNC-1, PILR_MT, ``DEFAULT_CONFIG``). One leg per
+#: setting of an option, so no two legs run the same configuration.
+ENGINE_PATHS = {
+    "dynopt-unc1": dict(strategy="UNC-1"),
+    "dynopt-cheap1": dict(strategy="CHEAP-1"),
+    "dynopt-all-at-once": dict(strategy="ALL"),
+    "simple-so": dict(mode="simple", strategy="SIMPLE_SO"),
     # Static multi-job plans: Q7 stacks a join on a repartition output,
     # SkewFunnel on a skew output (shape asserted in test_fault_matrix).
-    ("simple-mo-columnar", "simple", "SIMPLE_MO", False, "python"),
-]
-
-
-def engine_config(parallel: bool, backend: str):
-    config = replace(DEFAULT_CONFIG, columnar_backend=backend)
-    return config.with_parallel_execution() if parallel else config
+    "simple-mo": dict(mode="simple", strategy="SIMPLE_MO"),
+    "dynopt-pilr-st": dict(pilot_mode="ST"),
+    "dynopt-unc2": dict(strategy="UNC-2"),
+    "dynopt-cheap2": dict(strategy="CHEAP-2"),
+    # A finite trigger: re-optimize only when an estimate missed 2x.
+    "dynopt-threshold2": dict(config=with_threshold(2.0)),
+    "dynopt-hive": dict(config=DEFAULT_CONFIG.with_backend("hive")),
+    # A quarter of the default Mmax: Q7 and Q10 plan hybrid joins whose
+    # builds spill.
+    "dynopt-tight-memory": dict(config=DEFAULT_CONFIG.with_memory(
+        task_memory_bytes=24 * 1024)),
+}
 
 
 def interpreter_reference(tables, workload):
@@ -75,19 +78,13 @@ def reference_cache():
     return {}
 
 
-@pytest.mark.parametrize("label,mode,strategy,parallel,backend",
-                         ENGINE_PATHS,
-                         ids=[path[0] for path in ENGINE_PATHS])
+@pytest.mark.parametrize("label", ENGINE_PATHS)
 @pytest.mark.parametrize("query", sorted(TPCH_WORKLOADS))
-def test_engine_matches_interpreter(tables, reference_cache, query,
-                                    label, mode, strategy, parallel,
-                                    backend):
+def test_engine_matches_interpreter(tables, reference_cache, query, label):
     if query not in reference_cache:
         reference_cache[query] = interpreter_reference(
             tables, TPCH_WORKLOADS[query]())
-    _, execution = run_workload(tables, query, strategy,
-                                config=engine_config(parallel, backend),
-                                mode=mode)
+    _, execution = run_workload(tables, query, **ENGINE_PATHS[label])
     assert_same_rows(execution.rows, reference_cache[query])
 
 
@@ -101,41 +98,33 @@ def skew_reference_cache():
     return {}
 
 
-@pytest.mark.parametrize("label,mode,strategy,parallel,backend",
-                         ENGINE_PATHS,
-                         ids=[path[0] for path in ENGINE_PATHS])
+@pytest.mark.parametrize("label", ENGINE_PATHS)
 @pytest.mark.parametrize("query", sorted(SKEWED_WORKLOADS))
 def test_skewed_engine_matches_interpreter(skew_tables,
                                            skew_reference_cache, query,
-                                           label, mode, strategy,
-                                           parallel, backend):
+                                           label):
     """The hot-key workloads through every engine path vs the interpreter.
 
     The dynopt paths plan these with a skew join (asserted below), so
     this sweep differentially proves the whole SKEWJOIN pipeline --
     heavy-hitter stats, costing, split-routing compilation, and the
-    map-side-output runtime -- on both backends, serial and parallel.
+    map-side-output runtime.
     """
     from repro.optimizer.plans import summarize_plan
 
     if query not in skew_reference_cache:
         skew_reference_cache[query] = interpreter_reference(
             skew_tables, SKEWED_WORKLOADS[query]())
-    _, execution = run_workload(skew_tables, query, strategy,
-                                config=engine_config(parallel, backend),
-                                mode=mode)
+    path = ENGINE_PATHS[label]
+    _, execution = run_workload(skew_tables, query, **path)
     assert_same_rows(execution.rows, skew_reference_cache[query])
-    if mode == "dynopt":
+    if path.get("mode", "dynopt") == "dynopt":
         # Pilot statistics expose the hot keys, so the dynamic optimizer
         # must pick the skew join.
         skew_joins = sum(summarize_plan(plan).skew_joins
                          for block in execution.block_results
                          for plan in block.plans)
         assert skew_joins >= 1, f"{label}: no skew join planned"
-
-
-def with_threshold(qerror: float, base=DEFAULT_CONFIG):
-    return replace(base, reoptimization_qerror_threshold=qerror)
 
 
 class TestMidjobReplanTrigger:
