@@ -72,11 +72,15 @@ def _run_condition(scale: float, seed: int, events: int,
     metrics = MetricsRegistry()
     feedback = FeedbackStore() if with_feedback else None
     service = QueryService(tables, udfs=udfs, metrics=metrics,
-                           workers=1, feedback=feedback)
+                           feedback=feedback)
+
+    def run_all():
+        scheduler = service.scheduler
+        return scheduler.drain([scheduler.submit(r) for r in requests])
 
     # Warmup: fill metastore + plan cache, then forget what was learned
     # so measured run 1 is a warm, unlearned baseline in both conditions.
-    service.run_batch(requests)
+    run_all()
     if feedback is not None:
         feedback.clear()
 
@@ -86,7 +90,7 @@ def _run_condition(scale: float, seed: int, events: int,
     qerror_before = _observation(metrics, "qerror.rows")
     regret_before = _observation(metrics, "feedback.regret")
     for _run in range(MEASURED_RUNS):
-        outcomes = service.run_batch(requests)
+        outcomes = run_all()
         errors = [outcome.error for outcome in outcomes if outcome.error]
         if errors:
             raise SystemExit(f"batch failed: {errors}")

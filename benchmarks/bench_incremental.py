@@ -75,7 +75,7 @@ def run_refresh(scale_factor: float, change_rate: float,
     the manager executes when it decides that way itself.
     """
     tables = changing_tables(scale_factor, seed=23)
-    service = QueryService(tables, udfs=changing_udfs(), workers=1)
+    service = QueryService(tables, udfs=changing_udfs())
     threshold = 1.0 if strategy == "delta" else 1e-9
     manager = StandingQueryManager(service, full_threshold=threshold)
     workload = weblog_engagement()

@@ -8,8 +8,10 @@ wall-clock bound: each workload runs once at the pinned seed and length
 with ``--trace 1`` (one untraced pass, one traced) in a fresh
 interpreter; ``sim_s_per_op`` of the untraced pass must match its pin to
 ``rel_tol=1e-9`` and every pinned per-layer count of the traced pass
-must match exactly. A change that trips the gate without meaning to has
-changed a byte size, a plan or the amount of data a job touches; one
+must match exactly, as must the plan- and result-cache counts of the
+serving and standing workloads. A change that trips the gate without
+meaning to has changed a byte size, a plan, the amount of data a job
+touches or what the caches reuse; one
 that means to re-pins what it moved (``--write`` rewrites the pins of
 the workloads it ran from what it measured -- review the diff).
 """
@@ -34,6 +36,12 @@ PINNED_COUNTS = ("runtime.jobs", "runtime.map_input_records",
                  "pilot.jobs_run", "dynopt.iterations")
 EXTRA_COUNTS = {"standing_refresh": ("standing.delta_count",
                                      "standing.full_count")}
+#: cache hit/miss/invalidation counts, read from the record's ``counts``;
+#: exact because the service runs every request on one driver thread.
+CACHE_COUNTS = tuple(f"{cache}.{kind}"
+                     for cache in ("plan_cache", "result_cache")
+                     for kind in ("hits", "misses", "invalidations"))
+CACHED_WORKLOADS = ("serving_uncached", "serving_cached", "standing_refresh")
 
 
 def measure(workload: str, seed: int, seconds: float) -> dict:
@@ -55,8 +63,11 @@ def measure(workload: str, seed: int, seconds: float) -> dict:
 
 def measured_pins(workload: str, record: dict) -> tuple[float, dict]:
     names = PINNED_COUNTS + EXTRA_COUNTS.get(workload, ())
-    return (record["counts"]["sim_s_per_op"],
-            {name: int(record["metrics"][name]["value"]) for name in names})
+    counts = {name: int(record["metrics"][name]["value"]) for name in names}
+    if workload in CACHED_WORKLOADS:
+        counts.update({name: int(record["counts"][name])
+                       for name in CACHE_COUNTS})
+    return record["counts"]["sim_s_per_op"], counts
 
 
 def main(argv: list[str]) -> int:

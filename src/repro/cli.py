@@ -79,9 +79,9 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--sql-file", help="file containing SQL text")
     source.add_argument(
         "--batch", choices=["mixed"],
-        help="run a query batch through the QueryService (concurrent "
-             "drivers, shared metastore, pilot skipping, plan cache); "
-             "'mixed' is TPC-H + weblogs with repeats",
+        help="run a query batch through the QueryService (shared "
+             "metastore, pilot skipping, plan cache); 'mixed' is TPC-H "
+             "+ weblogs with repeats",
     )
     source.add_argument(
         "--standing", action="store_true",
@@ -104,11 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-verify", action="store_true",
         help="skip the per-batch differential check of --standing "
              "(maintained result vs from-scratch recompute)",
-    )
-    parser.add_argument(
-        "--service-workers", type=int, default=4, metavar="N",
-        help="driver threads for --batch (default 4; results are "
-             "identical at any worker count)",
     )
     parser.add_argument(
         "--tenants", type=_positive_int, default=1, metavar="N",
@@ -160,8 +155,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--cluster-memory", type=_positive_int, default=None,
                         metavar="BYTES",
                         help="cluster-wide memory pool in bytes, governing "
-                             "concurrent job and query admission (default: "
-                             "map slots x task memory)")
+                             "concurrent job admission (default: map slots "
+                             "x task memory)")
     parser.add_argument("--fault-plan", metavar="PATH",
                         help="arm a JSON fault plan (see docs/testing.md): "
                              "inject deterministic task/job failures, "
@@ -225,33 +220,31 @@ def _resolve_workload(args: argparse.Namespace):
 
 
 def _dataset(args: argparse.Namespace, out):
-    """Tables, UDF registry and driver-thread count for the chosen mode."""
+    """Tables and UDF registry for the chosen mode."""
     if args.batch:
         from repro.workloads.mixed import mixed_tables, mixed_udfs
 
         scale_factor = _scale_factor(args)
         print(f"generating TPC-H + weblogs at scale factor {scale_factor} "
               "...", file=out)
-        return (mixed_tables(scale_factor, seed=args.seed), mixed_udfs(),
-                args.service_workers)
+        return mixed_tables(scale_factor, seed=args.seed), mixed_udfs()
     if args.standing:
         from repro.workloads.changing import changing_tables, changing_udfs
 
         scale_factor = _scale_factor(args)
         print(f"generating weblogs at scale factor {scale_factor} ...",
               file=out)
-        return (changing_tables(scale_factor, seed=args.seed),
-                changing_udfs(), args.service_workers)
+        return changing_tables(scale_factor, seed=args.seed), changing_udfs()
     workload = _resolve_workload(args)
     udfs = workload.udfs if workload else None
     if args.skew or args.workload in SKEWED_WORKLOADS:
         scale_factor = _scale_factor(args, default=1.0)
         print(f"generating skewed hot-key dataset at scale factor "
               f"{scale_factor} ...", file=out)
-        return generate_skewed(scale_factor, seed=args.seed), udfs, 1
+        return generate_skewed(scale_factor, seed=args.seed), udfs
     scale_factor = _scale_factor(args)
     print(f"generating TPC-H at scale factor {scale_factor} ...", file=out)
-    return generate_tpch(scale_factor, seed=args.seed).tables, udfs, 1
+    return generate_tpch(scale_factor, seed=args.seed).tables, udfs
 
 
 def _open_session(args: argparse.Namespace, out):
@@ -263,7 +256,7 @@ def _open_session(args: argparse.Namespace, out):
     """
     from repro.service import QueryService
 
-    tables, udfs, workers = _dataset(args, out)
+    tables, udfs = _dataset(args, out)
     config = DEFAULT_CONFIG.with_backend(args.backend).with_memory(
         task_memory_bytes=args.task_memory,
         cluster_memory_bytes=args.cluster_memory)  # None: keep default
@@ -299,7 +292,7 @@ def _open_session(args: argparse.Namespace, out):
     metrics = MetricsRegistry() if (args.metrics or args.profile) else None
     return QueryService(tables, config=config, udfs=udfs,
                         metastore=metastore, tracer=tracer, metrics=metrics,
-                        workers=workers, feedback=feedback,
+                        feedback=feedback,
                         result_cache=args.result_cache)
 
 
@@ -363,10 +356,11 @@ def _run_query(service, args: argparse.Namespace, out) -> int:
     if args.explain:
         print(service.dyno.explain(final_spec), file=out)
         return 0
-    [outcome] = service.run_batch([QueryRequest(
+    ticket = service.scheduler.submit(QueryRequest(
         name, stages, mode=args.mode, strategy=args.strategy,
         pilot_mode=args.pilot_mode,
-    )])
+    ))
+    [outcome] = service.scheduler.drain([ticket])
     if not outcome.ok:
         # "<ErrorType>: <message>"; main reports the message, as it does
         # for errors raised outside the service.
@@ -378,7 +372,7 @@ def _run_query(service, args: argparse.Namespace, out) -> int:
     return 0
 
 
-def _run_batch(service, args: argparse.Namespace, out) -> int:
+def _run_mixed(service, args: argparse.Namespace, out) -> int:
     """--batch: a mixed workload, all at once or paced at --qps."""
     from repro.workloads.mixed import (
         MIXED_SEQUENCE,
@@ -399,12 +393,12 @@ def _run_batch(service, args: argparse.Namespace, out) -> int:
     mode = (f"sustained at {args.qps} qps" if args.qps
             else "as one batch")
     print(f"running {len(requests)} queries from {args.tenants} "
-          f"tenant(s) {mode} on {args.service_workers} driver "
-          f"thread(s) ...", file=out)
+          f"tenant(s) {mode} ...", file=out)
     if args.qps:
         outcomes = service.scheduler.run_sustained(requests, qps=args.qps)
     else:
-        outcomes = service.run_batch(requests)
+        outcomes = service.scheduler.drain(
+            [service.scheduler.submit(request) for request in requests])
 
     print(f"\n{'query':<20} {'tenant':<12} {'rows':>6} {'pilots':>7} "
           f"{'skipped':>8} {'plan hits':>10} {'cached':>7}", file=out)
@@ -535,7 +529,7 @@ def main(argv: list[str] | None = None,
          out=None) -> int:
     out = out or sys.stdout
     args = build_parser().parse_args(argv)
-    run = (_run_batch if args.batch
+    run = (_run_mixed if args.batch
            else _run_standing if args.standing else _run_query)
     service = None
     try:

@@ -27,8 +27,7 @@ class SharedCounter:
     """A named monotonically-updated counter (pilot-run k-counter).
 
     Increments are atomic, like the ZooKeeper counter the paper's map
-    tasks share per leaf expression: the driver threads of a
-    ``QueryService(workers>1)`` all work against one coordination service.
+    tasks share per leaf expression.
     """
 
     def __init__(self, name: str):
@@ -48,9 +47,8 @@ class CoordinationService:
     """Counters plus a hierarchical key/value registry of published entries.
 
     Thread-safe: counter creation and entry publication are guarded by a
-    lock, mirroring ZooKeeper's own linearizable writes -- one service
-    driver sets up its pilot counters while another's job publishes
-    partial statistics.
+    lock, mirroring ZooKeeper's own linearizable writes, so callers on
+    several threads may share one service.
     """
 
     def __init__(self) -> None:

@@ -259,10 +259,9 @@ class JobAttempt:
 class FaultInjector:
     """Mutable per-run state of an armed :class:`FaultPlan`.
 
-    Thread-safe: the driver threads of a ``QueryService(workers>1)``
-    share one runtime and hence one injector; data passes are serialized
-    by the runtime's batch lock, node-loss draws between a query's
-    rounds are not. Holds the incarnation counters (fresh draws per
+    Thread-safe: everything that runs on one runtime shares its
+    injector, and while data passes are serialized by the runtime's
+    batch lock, node-loss draws between a query's rounds are not. Holds the incarnation counters (fresh draws per
     retry), the fault budgets, pending backoff penalties, and the event
     log the determinism tests compare.
     """

@@ -230,10 +230,10 @@ class ClusterRuntime:
             self.fault_injector = config.fault_plan.arm()
             self.fault_injector.bind(self.tracer, self.metrics)
         self._faults_suspended = 0
-        #: serializes whole batches: concurrent query drivers (the
-        #: multi-query service) share one runtime, and both the slot
-        #: scheduler pass and the ``clock_seconds`` read-modify-write below
-        #: assume exclusive access for the duration of a batch.
+        #: serializes whole batches: callers on several threads may share
+        #: one runtime, and both the slot scheduler pass and the
+        #: ``clock_seconds`` read-modify-write below assume exclusive
+        #: access for the duration of a batch.
         self._batch_lock = threading.Lock()
         #: cumulative simulated time of everything executed through
         #: :meth:`execute` / :meth:`execute_batch`.
@@ -283,7 +283,7 @@ class ClusterRuntime:
         batch) that must finish before it starts -- used by PILR_ST's
         sequential submission and by multi-job plan steps.
 
-        Batches are mutually exclusive: concurrent driver threads queue on
+        Batches are mutually exclusive: callers on other threads queue on
         the batch lock, so each batch sees a consistent cluster (scheduler
         state, clock, DFS writes of its own jobs) exactly as if submitted
         to one JobTracker.

@@ -102,9 +102,8 @@ class _CallState:
     """Per-``schedule()`` bookkeeping.
 
     Kept off the scheduler instance so concurrent ``schedule()`` calls
-    (the multi-query service shares one :class:`SlotScheduler` across
-    driver threads) never observe each other's freed-slot counts or
-    speculative phantom tasks.
+    (callers on several threads sharing one runtime) never observe each
+    other's freed-slot counts or speculative phantom tasks.
     """
 
     freed_map: int = 0

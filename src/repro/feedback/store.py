@@ -18,7 +18,7 @@ signal). This store closes the loop on three channels:
   base-leaf signatures: their next pilot runs with a boosted ``k`` and is
   forced even though the metastore already has the signature. Re-piloting
   (rather than invalidating the metastore) keeps the old statistics live
-  for concurrent drivers until the fresh ones replace them;
+  until the fresh ones replace them;
 * **plan-choice regret** -- per canonical block key, each optimizer
   choice is compared with the best (cheapest) cost ever recorded for that
   key. ``regret = chosen_cost / best_known - 1`` (0 = picked the best
@@ -31,8 +31,8 @@ ones: :meth:`correction_token` hashes the quantized corrections relevant
 to a block, and the DYNOPT executor salts the plan cache's statistics
 fingerprint with it.
 
-Thread-safe like the metastore (one service-wide store shared by all
-driver threads) and persisted with the same atomic tmp-then-replace
+Thread-safe like the metastore (a caller may share one store between
+services or threads) and persisted with the same atomic tmp-then-replace
 discipline.
 """
 

@@ -204,11 +204,12 @@ class StandingQueryManager:
             tenant=tenant or self.tenant,
             priority=priority or self.priority,
         )
-        outcome, = self.service.run_batch([
+        scheduler = self.service.scheduler
+        outcome, = scheduler.drain([scheduler.submit(
             QueryRequest.single(f"{name}.seed", core,
                                 tenant=standing.tenant,
                                 priority=standing.priority)
-        ])
+        )])
         if not outcome.ok:
             raise PlanError(
                 f"seeding standing query {name!r} failed: {outcome.error}"
@@ -282,7 +283,10 @@ class StandingQueryManager:
                         f"incremental.refresh_{decision.strategy}"
                     )
 
-            outcomes = self.service.run_batch(requests + list(adhoc))
+            scheduler = self.service.scheduler
+            outcomes = scheduler.drain(
+                [scheduler.submit(request)
+                 for request in requests + list(adhoc)])
             report.adhoc = outcomes[len(requests):]
 
             for standing, decision, slots in plan:

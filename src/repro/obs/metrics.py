@@ -12,8 +12,8 @@ kinds keep it dependency-free and cheap:
   estimated-vs-actual audit in aggregate form.
 
 ``summary()`` renders everything as one plain dict, ``save()`` writes it
-as JSON (the CLI's ``--metrics PATH``). Thread-safe; the driver threads
-of a ``QueryService(workers>1)`` report into one registry.
+as JSON (the CLI's ``--metrics PATH``). Thread-safe, so callers on
+several threads may report into one registry.
 
 Like the tracer, the registry has a disabled twin: :data:`NULL_METRICS`
 advertises ``enabled = False`` and turns every method into a no-op, so

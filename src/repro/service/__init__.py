@@ -1,4 +1,4 @@
-"""Serving layer: concurrent multi-query execution with cross-query reuse.
+"""Serving layer: multi-tenant query execution with cross-query reuse.
 
 See :mod:`repro.service.service` for the QueryService,
 :mod:`repro.service.scheduler` for the multi-tenant submission queue,

@@ -6,12 +6,13 @@ on and what they hand back; how entries are held is the same and lives
 here, once:
 
 * **shards** -- the store is split into segments, each with its own lock,
-  its own ``OrderedDict`` and its own share of ``max_entries``, so driver
-  threads serving different keys do not serialize on one lock. Caches
+  its own ``OrderedDict`` and its own share of ``max_entries``; the locks
+  keep a store that callers share between threads consistent. Caches
   below ``2 * MIN_SHARD_ENTRIES`` entries stay one shard, which keeps
   exact global-LRU semantics where they are observable; at serving sizes
   the per-shard capacity split is the standard trade (a skewed key
-  distribution may evict slightly early);
+  distribution may evict slightly early), and shard placement decides
+  eviction order, hence hit counts;
 * **routing** -- ``crc32`` of the caller's route string, not ``hash()``:
   ``str.__hash__`` is salted per process and shard placement (hence
   eviction order, hence hit ratios) must be reproducible across runs;
@@ -80,7 +81,11 @@ class ShardedLRU(Generic[V]):
                             % len(self._shards)]
 
     def __len__(self) -> int:
-        return sum(len(shard.entries) for shard in self._shards)
+        total = 0
+        for shard in self._shards:
+            with shard.lock:
+                total += len(shard.entries)
+        return total
 
     def get(self, key: Hashable, route: str) -> V | None:
         """The value stored under ``key`` (now most recent), or None;
@@ -98,13 +103,15 @@ class ShardedLRU(Generic[V]):
     def put(self, key: Hashable, route: str, value: V,
             contributing: frozenset[str]) -> None:
         """Store ``value`` as the shard's most recent entry, evicting
-        its least recent ones past capacity."""
+        its least recent ones first to make room: a shard never holds
+        more than its capacity, not even mid-``put``."""
         shard = self._shard(route)
         with shard.lock:
+            if key not in shard.entries:
+                while len(shard.entries) >= shard.capacity:
+                    shard.entries.popitem(last=False)
             shard.entries[key] = (value, contributing)
             shard.entries.move_to_end(key)
-            while len(shard.entries) > shard.capacity:
-                shard.entries.popitem(last=False)
 
     def invalidate(self, signature: str, stats: object = None) -> None:
         """Metastore listener: ``signature``'s statistics were

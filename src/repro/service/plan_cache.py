@@ -81,8 +81,8 @@ def statistics_fingerprint(block: JoinBlock,
     correction token), so corrected estimates never resurrect plans
     cached under uncorrected ones. Returns None when a contributing
     leaf's statistics are missing -- the caller must treat that as a
-    cache miss, not a crash (a concurrent invalidation or a caller bug
-    may leave a leaf unstated; degrading keeps the driver thread alive).
+    cache miss, not a crash (an invalidation or a caller bug may leave a
+    leaf unstated; degrading keeps the query alive).
     """
     payload = {}
     for leaf in block.leaves:

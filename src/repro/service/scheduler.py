@@ -1,12 +1,10 @@
 """Multi-tenant queued admission for :class:`~repro.service.service.QueryService`.
 
-The service used to be a one-shot batch runner: ``run_batch`` admitted a
-list all at once and the only fairness was FIFO. This module turns it
-into a front door: callers ``submit()`` requests -- each tagged with a
-``tenant`` and ``priority`` -- into a long-lived queue, and ``drain()``
-dispatches the queued work through a **deficit weighted round robin**
-(DWRR) scheduler before handing it to the service's existing admission
-pipeline (pilot claims, memory gate, driver pool).
+Callers ``submit()`` requests -- each tagged with a ``tenant`` and
+``priority`` -- into a long-lived queue, and ``drain()`` dispatches the
+queued work through a **deficit weighted round robin** (DWRR) scheduler
+before handing it, in that order, to the service's admission and
+execution pass on the calling thread.
 
 Fairness policy
 ---------------
@@ -23,22 +21,17 @@ so idle tenants cannot hoard credit and burst later. Consequences:
 * **weighted** -- over a long backlog, tenants receive admission slots
   proportional to their priorities;
 * **deterministic** -- the dispatch order is a pure function of the
-  submitted (ticket, tenant, priority) sequence; thread timing never
-  changes it. Within one tenant, requests dispatch strictly FIFO.
+  submitted (ticket, tenant, priority) sequence. Within one tenant,
+  requests dispatch strictly FIFO.
 
-Dispatch order decides *admission* order -- and with it pilot-claim
-ownership and memory-gate ticket order -- but never results: plans and
+Dispatch order decides execution order -- and with it which copy of a
+query runs the pilots the others reuse -- but never results: plans and
 caches are answer-invariant, so a drain is byte-identical to running the
 same queries serially in any order.
-
-``run_batch`` remains as a thin submit-all-then-drain wrapper; since a
-drain can be scoped to an explicit ticket list, concurrent ``run_batch``
-callers sharing the one scheduler never steal each other's outcomes.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass
 
@@ -94,17 +87,11 @@ class _Pending:
 
 
 class QueryScheduler:
-    """Long-lived submission queue + DWRR dispatcher over one service.
-
-    Thread-safe: many producers may ``submit()`` while consumers
-    ``drain()``; a queued request is dispatched by exactly one drain
-    (entries are popped from the queue atomically under the scheduler
-    lock before dispatch ordering).
-    """
+    """Long-lived submission queue + DWRR dispatcher over one service,
+    driven by the service's one thread."""
 
     def __init__(self, service):
         self._service = service
-        self._lock = threading.Lock()
         self._pending: dict[int, _Pending] = {}
         self._next_ticket = 0
         self._deficits: dict[str, float] = {}
@@ -120,14 +107,13 @@ class QueryScheduler:
     def submit(self, request) -> int:
         """Enqueue one request; returns its submission ticket.
 
-        Tickets are globally monotonic in submission order and scope a
-        later ``drain`` to exactly this caller's requests.
+        Tickets are monotonic in submission order and scope a later
+        ``drain`` to exactly this caller's requests.
         """
-        with self._lock:
-            ticket = self._next_ticket
-            self._next_ticket += 1
-            self._pending[ticket] = _Pending(request, time.perf_counter())
-            depth = len(self._pending)
+        ticket = self._next_ticket
+        self._next_ticket += 1
+        self._pending[ticket] = _Pending(request, time.perf_counter())
+        depth = len(self._pending)
         if self._metrics.enabled:
             self._metrics.observe("service.queue_depth", depth)
         if self._tracer.enabled:
@@ -142,36 +128,30 @@ class QueryScheduler:
         return ticket
 
     def queue_depth(self) -> int:
-        with self._lock:
-            return len(self._pending)
+        return len(self._pending)
 
     def drain(self, tickets: list[int] | None = None):
         """Dispatch queued requests to completion; outcomes in
         submission order.
 
         With ``tickets`` the drain is scoped to those submissions (ones
-        already drained elsewhere are skipped) and each outcome's
-        ``index`` is the ticket's position in the list -- so
-        ``run_batch`` keeps its 0..n-1 indices. Without, everything
-        currently queued is drained and ``index`` is the global ticket.
+        already drained are skipped) and each outcome's ``index`` is the
+        ticket's position in the list. Without, everything currently
+        queued is drained and ``index`` is the global ticket.
         """
-        # The guard must fire before the queue is touched: a refused
-        # drain leaves the submissions queued, not half-admitted.
-        self._service._check_fault_guard()
-        with self._lock:
-            if tickets is None:
-                scoped = sorted(self._pending)
-            else:
-                scoped = [t for t in tickets if t in self._pending]
-            taken = {t: self._pending.pop(t) for t in scoped}
-            order = dispatch_order(
-                [(t, taken[t].request.tenant, taken[t].request.priority)
-                 for t in scoped],
-                self._deficits,
-            )
-            depth = len(self._pending)
+        if tickets is None:
+            scoped = sorted(self._pending)
+        else:
+            scoped = [t for t in tickets if t in self._pending]
+        taken = {t: self._pending.pop(t) for t in scoped}
+        order = dispatch_order(
+            [(t, taken[t].request.tenant, taken[t].request.priority)
+             for t in scoped],
+            self._deficits,
+        )
         if not order:
             return []
+        depth = len(self._pending)
         if self._metrics.enabled:
             self._metrics.observe("service.queue_depth", depth)
         if self._tracer.enabled:
@@ -186,50 +166,41 @@ class QueryScheduler:
         else:
             index_of = {ticket: position
                         for position, ticket in enumerate(tickets)}
-        admissions = self._service._admit(
-            [taken[ticket].request for ticket in order],
-            indices=[index_of[ticket] for ticket in order],
-        )
-        for admission, ticket in zip(admissions, order):
-            admission.submitted_at = taken[ticket].submitted_at
+        admissions = self._service._admit([
+            (index_of[ticket], taken[ticket].request,
+             taken[ticket].submitted_at)
+            for ticket in order
+        ])
         outcomes = self._service._execute_admissions(admissions)
         return sorted(outcomes, key=lambda outcome: outcome.index)
 
     def run_sustained(self, requests, qps: float | None = None):
-        """Paced open-loop load: submit at ``qps`` while a background
-        drainer executes; returns outcomes in submission order.
+        """Paced open-loop load on the calling thread; returns outcomes in
+        submission order.
 
-        This is the CLI/bench entry point for sustained traffic -- the
-        queue genuinely builds depth whenever the submission rate beats
-        the service, which is what exercises the fair dispatcher.
-        ``qps=None`` submits as fast as possible.
+        Request ``i`` arrives at ``start + i / qps`` (``qps=None``: all at
+        once). The pump submits every request whose arrival has passed,
+        drains the queue, and sleeps only while the queue is empty. Wait
+        and latency count from each request's scheduled arrival, not from
+        when the pump got round to submitting it, so a drain that falls
+        behind shows up as queue wait instead of being hidden
+        (coordinated omission).
         """
+        requests = list(requests)
+        interval = 1.0 / qps if qps else 0.0
+        start = time.perf_counter()
         outcomes = []
-        collected = threading.Lock()
-        done_submitting = threading.Event()
-
-        def drainer() -> None:
-            while True:
-                drained = self.drain()
-                if drained:
-                    with collected:
-                        outcomes.extend(drained)
-                elif done_submitting.is_set():
-                    if self.queue_depth() == 0:
-                        return
-                else:
-                    time.sleep(0.0005)
-
-        thread = threading.Thread(target=drainer,
-                                  name="scheduler-drainer")
-        thread.start()
-        interval = 1.0 / qps if qps and qps > 0 else 0.0
-        try:
-            for request in requests:
-                self.submit(request)
-                if interval:
-                    time.sleep(interval)
-        finally:
-            done_submitting.set()
-            thread.join()
+        submitted = 0
+        while submitted < len(requests) or self._pending:
+            now = time.perf_counter()
+            while (submitted < len(requests)
+                   and start + submitted * interval <= now):
+                ticket = self.submit(requests[submitted])
+                self._pending[ticket].submitted_at = \
+                    start + submitted * interval
+                submitted += 1
+            if self._pending:
+                outcomes.extend(self.drain())
+            else:
+                time.sleep(start + submitted * interval - now)
         return sorted(outcomes, key=lambda outcome: outcome.index)

@@ -6,10 +6,10 @@ queries -- or the same relation+predicates appearing in different queries --
 skip redundant pilot runs. The paper stores statistics in a file; we do the
 same (JSON), with an in-memory dict as the hot path.
 
-The store is shared by every driver thread of a
-:class:`~repro.service.QueryService`, so all accessors take a lock and
-``save()`` serializes a snapshot -- a concurrent ``put()`` used to blow up
-the save with "dict changed size during iteration". Listeners registered
+A caller may share one store between services or threads, so all
+accessors take a lock and ``save()`` serializes a snapshot -- a
+concurrent ``put()`` used to blow up the save with "dict changed size
+during iteration". Listeners registered
 with :meth:`subscribe` observe every ``put`` *and* every ``invalidate``
 (the service's plan and result caches use this to drop entries whose
 contributing leaf statistics changed; an invalidation passes ``None`` as
@@ -58,8 +58,9 @@ def bare_table_signature(table: str) -> str:
 class StatisticsMetastore:
     """Signature-keyed store of :class:`TableStats` with file persistence.
 
-    Thread-safe: all accessors hold an internal lock, so concurrent query
-    drivers can ``put``/``get``/``save`` without corrupting the store.
+    Thread-safe: all accessors hold an internal lock, so callers on
+    several threads can ``put``/``get``/``save`` without corrupting the
+    store.
     """
 
     def __init__(self) -> None:

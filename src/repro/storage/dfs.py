@@ -140,8 +140,8 @@ class DFSFile:
         the rest (nested struct/array columns, non-canonical dates,
         non-conforming values) pay one ``estimate_dict_sizes`` sweep on
         first ask -- never at load -- and keep the result for the file's
-        lifetime. The sweep is idempotent, so service drivers racing on
-        a shared file (a data pass against the refresh-decision probe,
+        lifetime. The sweep is idempotent, so callers on two threads
+        sharing the file (a data pass and the refresh-decision probe,
         which runs outside the batch lock) at worst compute it twice,
         exactly like the ``_sizes_exact`` memo.
         """
@@ -170,10 +170,10 @@ class DFSFile:
         row: rows are engine-wide immutable, and ``Dyno`` copies at the
         client boundary.
 
-        Filling a slot is idempotent, so service drivers racing on a
-        shared file (a data pass against the refresh-decision probe)
-        at worst qualify a row twice (into equal dicts); only
-        registering an alias is check-then-act and locked.
+        Filling a slot is idempotent, so callers on two threads sharing
+        the file (a data pass and the refresh-decision probe) at worst
+        qualify a row twice (into equal dicts); only registering an
+        alias is check-then-act and locked.
         """
         slots = self._qualified.get(alias)
         if slots is None:
@@ -257,11 +257,11 @@ class DFSFile:
 class DistributedFileSystem:
     """Namespace of :class:`DFSFile` objects plus byte accounting.
 
-    Byte accounting is lock-protected: the driver threads of a
-    ``QueryService(workers>1)`` share one DFS, and while the runtime's
-    batch lock serializes their data passes, result fetches
-    (:meth:`read_all`) and change-batch writes happen outside it --
-    ``int`` read-modify-write is not atomic under free threading.
+    Byte accounting is lock-protected: callers on several threads may
+    share one DFS, and while the runtime's batch lock serializes data
+    passes, result fetches (:meth:`read_all`) and change-batch writes
+    happen outside it -- ``int`` read-modify-write is not atomic under
+    free threading.
     """
 
     def __init__(self, block_size_bytes: int = 64 * 1024):

@@ -23,6 +23,14 @@ class TestParser:
             build_parser().parse_args(["--workload", "Q10",
                                        "--sql", "SELECT 1"])
 
+    def test_service_workers_flag_is_gone(self, capsys):
+        """The service runs one driver thread; there is nothing to set."""
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["--batch", "mixed",
+                                       "--service-workers", "2"])
+        assert exit_info.value.code == 2
+        assert "--service-workers" in capsys.readouterr().err
+
     def test_paper_sf_choices(self):
         args = build_parser().parse_args(["--workload", "Q10",
                                           "--paper-sf", "100"])
@@ -172,12 +180,19 @@ class TestFaultPlanFlag:
         assert "error: cannot load fault plan" in output
 
 
+    @staticmethod
+    def row_counts(output):
+        # query name, tenant, result rows of every outcome line.
+        table = output.split("plan hits")[1].split("\ntenant ")[0]
+        table = table.split("plan cache:")[0]
+        return [line.split()[:3] for line in table.splitlines()[1:]
+                if line.strip()]
+
     def test_batch_arms_the_plan_and_matches_fault_free_rows(self,
                                                              tmp_path):
         """Regression: --fault-plan was parsed but never read under
         --batch, so "faulted" batches ran fault-free."""
-        batch = ("--batch", "mixed", "--scale-factor", "0.02",
-                 "--service-workers", "1")
+        batch = ("--batch", "mixed", "--scale-factor", "0.02")
         code, clean = run_cli(*batch)
         faulted_code, faulted = run_cli(
             *batch, "--fault-plan", str(self._plan_file(tmp_path)))
@@ -185,26 +200,24 @@ class TestFaultPlanFlag:
         assert "armed fault plan cli-chaos (seed 67)" in faulted
         assert "fault injection:" in faulted
         assert "0 fault event(s), 0 task retries" not in faulted
+        assert len(self.row_counts(clean)) == 7
+        assert self.row_counts(faulted) == self.row_counts(clean)
 
-        def row_counts(output):
-            # query name, tenant, result rows of every outcome line.
-            table = output.split("plan hits")[1].split("plan cache:")[0]
-            return [line.split()[:3] for line in table.splitlines()[1:]
-                    if line.strip()]
-
-        assert len(row_counts(clean)) == 7
-        assert row_counts(faulted) == row_counts(clean)
-
-    @pytest.mark.parametrize("mode", [("--batch", "mixed"),
-                                      ("--standing",)],
-                             ids=["batch", "standing"])
-    def test_concurrent_drivers_refuse_a_plan_cleanly(self, tmp_path,
-                                                      mode):
-        code, output = run_cli(
-            *mode, "--scale-factor", "0.02", "--service-workers", "2",
-            "--fault-plan", str(self._plan_file(tmp_path)))
-        assert code == 1
-        assert "error: fault injection is driver-global" in output
+    def test_multi_tenant_batch_under_a_plan_matches_fault_free_rows(
+            self, tmp_path):
+        """Faults under multi-tenant traffic: three tenants' requests,
+        interleaved by the fair dispatcher, all come back with the
+        fault-free rows."""
+        batch = ("--batch", "mixed", "--scale-factor", "0.02",
+                 "--tenants", "3")
+        code, clean = run_cli(*batch)
+        faulted_code, faulted = run_cli(
+            *batch, "--fault-plan", str(self._plan_file(tmp_path)))
+        assert code == faulted_code == 0
+        assert "armed fault plan cli-chaos (seed 67)" in faulted
+        assert "0 fault event(s), 0 task retries" not in faulted
+        assert len(self.row_counts(clean)) == 21
+        assert self.row_counts(faulted) == self.row_counts(clean)
 
 
 class TestMissingInputFiles:

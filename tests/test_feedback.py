@@ -39,6 +39,7 @@ from .oracle import (
     oracle_tables,
     run_workload,
 )
+from .serving import run_requests
 
 IDENTITY = (("l", "table:lineitem|"), ("o", "table:orders|"))
 
@@ -338,15 +339,15 @@ class TestServiceIntegration:
         metrics = MetricsRegistry()
         feedback = FeedbackStore()
         service = QueryService(tables, udfs=udfs, metrics=metrics,
-                               workers=3, feedback=feedback)
-        baseline = QueryService(tables, udfs=udfs, workers=1)
+                               feedback=feedback)
+        baseline = QueryService(tables, udfs=udfs)
         expected = [canonical_rows(outcome.rows)
-                    for outcome in baseline.run_batch(requests)]
+                    for outcome in run_requests(baseline, requests)]
 
         before = {"count": 0, "total": 0.0}
         means = []
         for _batch in range(3):
-            outcomes = service.run_batch(requests)
+            outcomes = run_requests(service, requests)
             assert [outcome.error for outcome in outcomes] == [None] * 7
             assert [canonical_rows(outcome.rows)
                     for outcome in outcomes] == expected
@@ -361,9 +362,8 @@ class TestServiceIntegration:
     def test_feedback_report_renders(self):
         tables, requests, udfs = self.mixed()
         feedback = FeedbackStore()
-        service = QueryService(tables, udfs=udfs, workers=2,
-                               feedback=feedback)
-        service.run_batch(requests)
+        service = QueryService(tables, udfs=udfs, feedback=feedback)
+        run_requests(service, requests)
         report = feedback.report()
         assert "feedback report:" in report
         assert "correction keys" in report

@@ -16,6 +16,7 @@ import json
 
 import pytest
 
+from tests.conftest import assert_same_rows, reference_rows
 from tests.oracle import canonical_rows, fault_matrix, faulted_config
 from repro.config import DEFAULT_CONFIG
 from repro.core.dyno import Dyno
@@ -38,14 +39,14 @@ from repro.workloads.changing import (
 )
 
 SCALE = 0.03
-#: smaller dataset for the 6-plan fault sweep (workers=1 is slower).
+#: smaller dataset for the 6-plan fault sweep.
 FAULT_SCALE = 0.02
 
 
-def fresh_service(scale=SCALE, config=DEFAULT_CONFIG, workers=2,
+def fresh_service(scale=SCALE, config=DEFAULT_CONFIG,
                   **kwargs) -> QueryService:
     return QueryService(changing_tables(scale), config=config,
-                        udfs=changing_udfs(), workers=workers, **kwargs)
+                        udfs=changing_udfs(), **kwargs)
 
 
 def recompute(service: QueryService, workload):
@@ -370,11 +371,11 @@ class TestDecisions:
 
 
 class TestDifferentialOracle:
-    @pytest.mark.parametrize("leg,config,workers", [
-        ("serial", DEFAULT_CONFIG, 2),
+    @pytest.mark.parametrize("leg,config,result_cache", [
+        ("serial", DEFAULT_CONFIG, False),
     ], ids=lambda v: v if isinstance(v, str) else "")
-    def test_maintained_equals_recompute(self, leg, config, workers):
-        service = fresh_service(config=config, workers=workers)
+    def test_maintained_equals_recompute(self, leg, config, result_cache):
+        service = fresh_service(config=config, result_cache=result_cache)
         delta_total, full_total = run_sweep(service)
         assert delta_total >= 1, "decision rule never picked delta"
         assert full_total >= 1, "decision rule never picked full"
@@ -382,9 +383,8 @@ class TestDifferentialOracle:
     @pytest.mark.parametrize("plan", fault_matrix(),
                              ids=lambda plan: plan.name)
     def test_fault_matrix_legs(self, plan):
-        # Fault injection is deterministic only single-threaded.
         service = fresh_service(scale=FAULT_SCALE,
-                                config=faulted_config(plan), workers=1)
+                                config=faulted_config(plan))
         delta_total, full_total = run_sweep(service)
         assert delta_total >= 1 and full_total >= 1
 
@@ -427,13 +427,14 @@ class TestDeleteSubtraction:
 
 class TestResultCacheFreshness:
     def outcome(self, service, name="PremiumSessions"):
-        request = QueryRequest.from_workload(premium_sessions())
-        result, = service.run_batch([request])
+        scheduler = service.scheduler
+        result, = scheduler.drain([scheduler.submit(
+            QueryRequest.from_workload(premium_sessions()))])
         assert result.ok, result.error
         return result
 
     def test_cdc_batch_invalidates_cached_results(self):
-        service = fresh_service(workers=1, result_cache=True)
+        service = fresh_service(result_cache=True)
         first = self.outcome(service)
         repeat = self.outcome(service)
         assert repeat.result_cache_hit
@@ -455,7 +456,7 @@ class TestResultCacheFreshness:
         unchanged, and the cache served rows computed over the previous
         contents. The per-table epoch (bumped by every register_table)
         closes the hole."""
-        service = fresh_service(workers=1, result_cache=True)
+        service = fresh_service(result_cache=True)
         self.outcome(service)
         assert self.outcome(service).result_cache_hit
 
@@ -471,3 +472,29 @@ class TestResultCacheFreshness:
             "cache returned rows for the table's previous contents"
         assert canonical_rows(after.rows) == \
             canonical_rows(recompute(service, premium_sessions()))
+
+    def test_a_change_landing_in_the_queue_is_read_at_drain(self):
+        """The snapshot rule (docs/incremental.md): a request reads the
+        table versions and data epochs current when the drain that runs
+        it starts. A change batch applied while the request sits in the
+        queue is visible to it: no stale cache hit, the interpreter's
+        rows over the changed tables, and the plan cache invalidated."""
+        service = fresh_service(result_cache=True)
+        workload = premium_sessions()
+        self.outcome(service)
+        assert self.outcome(service).result_cache_hit
+        invalidations = service.plan_cache.summary()["invalidations"]
+
+        scheduler = service.scheduler
+        ticket = scheduler.submit(QueryRequest.from_workload(workload))
+        generator = ChangeGenerator(service.dyno.tables["pageviews"],
+                                    "eventid")
+        apply_change_batch(service.dyno, generator.next_batch(0.2),
+                           "eventid")
+        queued, = scheduler.drain([ticket])
+
+        assert queued.ok, queued.error
+        assert not queued.result_cache_hit
+        assert service.plan_cache.summary()["invalidations"] > invalidations
+        assert_same_rows(queued.rows, reference_rows(service.dyno.tables,
+                                                     workload.final_spec))

@@ -17,6 +17,7 @@ import pytest
 
 import repro
 from repro.service.lru import MAX_SHARDS, MIN_SHARD_ENTRIES, ShardedLRU
+from repro.stats.metastore import StatisticsMetastore
 
 T = frozenset({"table:t|"})
 
@@ -130,6 +131,29 @@ class TestRoutingAndSummary:
             survivors.add(done.stdout)
         assert len(survivors) == 1
         assert 0 < len(json.loads(survivors.pop())) <= 128
+
+
+class TestSingleDriver:
+    def test_length_stays_within_capacity_inside_a_subscriber(self, sized):
+        """The serving path on one thread: stores interleave with
+        metastore puts, whose subscribers -- the store's invalidation
+        listener, then a reader -- run mid-sequence. The reader never
+        sees more than ``max_entries`` and agrees with ``summary()``."""
+        lru, _ = sized
+        metastore = StatisticsMetastore()
+        seen = []
+        metastore.subscribe(lru.invalidate)
+        metastore.subscribe(
+            lambda signature, stats: seen.append(
+                (len(lru), lru.summary()["entries"])))
+        for step in range(3 * lru.max_entries):
+            key = f"k{step}"
+            lru.put(key, key, step, frozenset({f"table:t{step % 7}|"}))
+            metastore.put(f"table:t{step % 11}|", object())
+        assert len(seen) == 3 * lru.max_entries
+        assert all(length == entries <= lru.max_entries
+                   for length, entries in seen)
+        assert max(length for length, _ in seen) > 0
 
 
 class TestConcurrency:

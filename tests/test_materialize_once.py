@@ -197,8 +197,7 @@ class TestRacingTheMemo:
 class TestRefreshDecisionProbe:
     def test_estimate_equals_the_oracles_on_every_default_step(
             self, monkeypatch):
-        service = QueryService(changing_tables(0.03), udfs=changing_udfs(),
-                               workers=1)
+        service = QueryService(changing_tables(0.03), udfs=changing_udfs())
         dyno = service.dyno
         manager = StandingQueryManager(service)
         for workload in standing_workloads():

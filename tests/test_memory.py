@@ -7,12 +7,10 @@ trace shows ``spill`` events and no ``BroadcastBuildOverflowError`` --
 and produce exactly the rows of a repartition-only plan. Around that
 scenario, these tests pin down each layer: the coherent memory config,
 the hybrid cost formulas, the optimizer's choice, the runtime's
-degrade-in-place, the scheduler's cluster memory pool, and the service's
-admission backpressure.
+degrade-in-place and the scheduler's cluster memory pool.
 """
 
 import json
-import threading
 
 import pytest
 
@@ -29,7 +27,6 @@ from repro.obs import MemorySink, Tracer
 from repro.optimizer.cost import JoinCostModel
 from repro.optimizer.plans import summarize_plan
 from repro.optimizer.search import JoinOptimizer
-from repro.service import QueryRequest, QueryService
 from repro.storage.dfs import DistributedFileSystem
 from tests.jobs import record_mapper
 
@@ -349,65 +346,3 @@ class TestEndToEndSpill:
         assert summary.repartition_joins == 1
         assert summary.hybrid_joins == 0
         assert canonical(execution.rows) == canonical(repartition.rows)
-
-
-# ---------------------------------------------------------------------------
-# service admission backpressure
-# ---------------------------------------------------------------------------
-
-
-class TestServiceBackpressure:
-    def requests(self, demand):
-        return [
-            QueryRequest.single(f"S{index}", SPILL_SQL,
-                                memory_demand_bytes=demand)
-            for index in range(3)
-        ]
-
-    def run_batch(self, tables, workers, pool, demand, sink=None):
-        config = DEFAULT_CONFIG.with_memory(cluster_memory_bytes=pool)
-        tracer = Tracer(sink) if sink is not None else None
-        service = QueryService(tables, config=config, workers=workers,
-                               tracer=tracer)
-        return service.run_batch(self.requests(demand))
-
-    def test_backpressure_preserves_results(self, tpch_tables):
-        # A pool of 100 KB admits one 60 KB query at a time.
-        serial = self.run_batch(tpch_tables, 1, 100 * 1024, 60 * 1024)
-        concurrent = self.run_batch(tpch_tables, 3, 100 * 1024, 60 * 1024)
-        assert [outcome.error for outcome in concurrent] == [None] * 3
-        for left, right in zip(serial, concurrent):
-            assert canonical(left.rows) == canonical(right.rows)
-
-    def test_waits_are_traced_as_admission_spans(self, tpch_tables):
-        # Occupy most of the pool up front so the first query *must*
-        # block -- forcing contention deterministically instead of hoping
-        # the worker threads overlap (a fast engine can finish one query
-        # before the next thread even reaches admission).
-        sink = MemorySink()
-        config = DEFAULT_CONFIG.with_memory(cluster_memory_bytes=100 * 1024)
-        service = QueryService(tpch_tables, config=config, workers=3,
-                               tracer=Tracer(sink))
-        gate = service._memory_gate
-        held = 60 * 1024
-        assert gate.try_acquire(held)
-        releaser = threading.Timer(0.05, gate.release, args=(held,))
-        releaser.start()
-        try:
-            outcomes = service.run_batch(self.requests(60 * 1024))
-        finally:
-            releaser.join()
-        assert [outcome.error for outcome in outcomes] == [None] * 3
-        waits = [record for record in sink.records
-                 if record["kind"] == "span_end"
-                 and record["name"] == "admission_wait"]
-        assert waits, "expected blocked queries to trace admission_wait"
-        for span in waits:
-            assert span["attrs"]["demand_bytes"] == 60 * 1024
-            assert span["attrs"]["waited_s"] >= 0.0
-
-    def test_undeclared_queries_never_wait(self, tpch_tables):
-        sink = MemorySink()
-        self.run_batch(tpch_tables, 3, 100 * 1024, 0, sink=sink)
-        assert not [record for record in sink.records
-                    if record["name"] == "admission_wait"]

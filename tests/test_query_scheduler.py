@@ -28,6 +28,7 @@ from repro.service import (
 from repro.workloads.mixed import mixed_batch, mixed_tables
 from repro.workloads.queries import q3
 from repro.workloads.weblogs import weblog_engagement
+from tests.serving import run_requests
 
 SCALE = 0.02
 EVENTS = 1200
@@ -128,7 +129,7 @@ class TestDispatchOrder:
 
 class TestSchedulerQueue:
     def test_submit_drain_round_trip(self):
-        service = QueryService(small_tables(), workers=2)
+        service = QueryService(small_tables())
         scheduler = service.scheduler
         tickets = [scheduler.submit(QueryRequest.from_workload(q3())),
                    scheduler.submit(
@@ -140,7 +141,7 @@ class TestSchedulerQueue:
         assert [o.index for o in outcomes] == [0, 1]
 
     def test_scoped_drain_leaves_other_submissions_queued(self):
-        service = QueryService(small_tables(), workers=1)
+        service = QueryService(small_tables())
         scheduler = service.scheduler
         mine = scheduler.submit(QueryRequest.from_workload(q3()))
         other = scheduler.submit(QueryRequest.from_workload(q3()))
@@ -154,42 +155,18 @@ class TestSchedulerQueue:
     def test_outcomes_return_in_submission_order_not_dispatch_order(self):
         """Tenant weights reorder dispatch; the caller still sees its
         submission order, with per-outcome tenant attribution."""
-        service = QueryService(small_tables(), workers=2)
+        service = QueryService(small_tables())
         requests = [QueryRequest.from_workload(
             q3(), tenant=f"t{i % 3}", priority=3 - i % 3)
             for i in range(6)]
-        outcomes = service.run_batch(requests)
+        outcomes = run_requests(service, requests)
         assert [o.index for o in outcomes] == list(range(6))
         assert [o.tenant for o in outcomes] == \
             [f"t{i % 3}" for i in range(6)]
         assert len({rows_bytes(o.rows) for o in outcomes}) == 1
 
-    def test_concurrent_submitters_never_steal_outcomes(self):
-        service = QueryService(small_tables(), workers=2)
-        barrier = threading.Barrier(3)
-        results = {}
-
-        def client(key):
-            barrier.wait()
-            request = QueryRequest.from_workload(
-                q3(), tenant=f"client-{key}")
-            results[key] = service.run_batch([request])
-
-        threads = [threading.Thread(target=client, args=(k,))
-                   for k in range(3)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        for key, outcomes in results.items():
-            assert len(outcomes) == 1
-            assert outcomes[0].tenant == f"client-{key}"
-        assert len({rows_bytes(o[0].rows)
-                    for o in results.values()}) == 1
-
     def test_run_sustained_drains_everything_in_order(self):
-        service = QueryService(small_tables(), workers=2,
-                               result_cache=True)
+        service = QueryService(small_tables(), result_cache=True)
         requests = [QueryRequest.from_workload(
             q3(), tenant=f"t{i % 3}") for i in range(9)]
         outcomes = service.scheduler.run_sustained(requests, qps=200)
@@ -200,11 +177,30 @@ class TestSchedulerQueue:
         assert all(o.latency_seconds >= o.wait_seconds >= 0.0
                    for o in outcomes)
 
+    def test_the_front_door_starts_no_thread(self, monkeypatch):
+        """Paced three-tenant traffic and a submit/drain batch both run
+        on the calling thread: they complete with ``Thread.start``
+        made to raise."""
+        def refuse(thread):
+            raise AssertionError(f"started thread {thread.name!r}")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        service = QueryService(small_tables(), result_cache=True)
+        sustained = service.scheduler.run_sustained(
+            [QueryRequest.from_workload(
+                weblog_engagement() if i % 2 else q3(), tenant=f"t{i % 3}")
+             for i in range(9)],
+            qps=200)
+        batch = run_requests(service, [
+            QueryRequest.from_workload(q3(), tenant=f"t{i}")
+            for i in range(3)])
+        assert [o.error for o in sustained + batch] == [None] * 12
+        assert all(o.result_cache_hit for o in batch)
+
     def test_queue_depth_and_wait_metrics_are_recorded(self):
         metrics = MetricsRegistry()
-        service = QueryService(small_tables(), workers=1,
-                               metrics=metrics)
-        service.run_batch([
+        service = QueryService(small_tables(), metrics=metrics)
+        run_requests(service, [
             QueryRequest.from_workload(q3(), tenant="acme"),
             QueryRequest.from_workload(q3(), tenant="umbrella"),
         ])
@@ -216,9 +212,8 @@ class TestSchedulerQueue:
 
     def test_tenant_and_ticket_reach_the_tracer(self):
         sink = MemorySink()
-        service = QueryService(small_tables(), tracer=Tracer(sink),
-                               workers=1)
-        service.run_batch([QueryRequest.from_workload(
+        service = QueryService(small_tables(), tracer=Tracer(sink))
+        run_requests(service, [QueryRequest.from_workload(
             q3(), tenant="acme", priority=2)])
         submits = [r for r in sink.records
                    if r["kind"] == "event"
@@ -228,8 +223,9 @@ class TestSchedulerQueue:
                   and r["name"] == "service.admit"]
         assert submits[0]["attrs"]["tenant"] == "acme"
         assert submits[0]["attrs"]["priority"] == 2
+        assert isinstance(submits[0]["attrs"]["ticket"], int)
         assert admits[0]["attrs"]["tenant"] == "acme"
-        assert isinstance(admits[0]["attrs"]["ticket"], int)
+        assert admits[0]["attrs"]["index"] == 0
 
 
 class TestResultCacheDifferential:
@@ -239,16 +235,15 @@ class TestResultCacheDifferential:
     @pytest.fixture(scope="class")
     def differential(self):
         requests, udfs = mixed_batch()
-        baseline_service = QueryService(small_tables(), udfs=udfs,
-                                        workers=2)
-        baseline = baseline_service.run_batch(requests)
+        baseline_service = QueryService(small_tables(), udfs=udfs)
+        baseline = run_requests(baseline_service, requests)
 
         requests2, udfs2 = mixed_batch()
         cached_service = QueryService(small_tables(), udfs=udfs2,
-                                      workers=2, result_cache=True)
-        first = cached_service.run_batch(requests2)
+                                      result_cache=True)
+        first = run_requests(cached_service, requests2)
         requests3, _ = mixed_batch()
-        second = cached_service.run_batch(requests3)
+        second = run_requests(cached_service, requests3)
         return baseline, first, second, cached_service
 
     def test_cache_on_off_byte_identical(self, differential):
@@ -267,13 +262,12 @@ class TestResultCacheDifferential:
         assert not first[0].result_cache_hit
 
     def test_copy_on_read_protects_the_cache(self):
-        service = QueryService(small_tables(), workers=1,
-                               result_cache=True)
-        service.run_batch([QueryRequest.from_workload(q3())])
-        (hit,) = service.run_batch([QueryRequest.from_workload(q3())])
+        service = QueryService(small_tables(), result_cache=True)
+        run_requests(service, [QueryRequest.from_workload(q3())])
+        (hit,) = run_requests(service, [QueryRequest.from_workload(q3())])
         assert hit.result_cache_hit
         hit.rows[0]["poisoned"] = True
-        (again,) = service.run_batch([QueryRequest.from_workload(q3())])
+        (again,) = run_requests(service, [QueryRequest.from_workload(q3())])
         assert again.result_cache_hit
         assert "poisoned" not in again.rows[0]
 
@@ -282,11 +276,10 @@ class TestResultCacheDifferential:
         """Regression: ``result_cache or None`` dropped a caller's fresh
         instance, because an empty cache has ``len() == 0``."""
         cache = ResultCache(max_entries=8)
-        service = QueryService(small_tables(), workers=1,
-                               result_cache=cache)
+        service = QueryService(small_tables(), result_cache=cache)
         assert service.result_cache is cache
-        service.run_batch([QueryRequest.from_workload(q3())])
-        (repeat,) = service.run_batch([QueryRequest.from_workload(q3())])
+        run_requests(service, [QueryRequest.from_workload(q3())])
+        (repeat,) = run_requests(service, [QueryRequest.from_workload(q3())])
         assert repeat.result_cache_hit
         assert cache.summary()["hits"] == 1
 
@@ -306,10 +299,9 @@ class TestResultCacheDifferential:
         monkeypatch.setattr(Dyno, "parse", counting_parse)
         sql = ("SELECT n.n_name AS n FROM nation n, region r "
                "WHERE n.n_regionkey = r.r_regionkey")
-        service = QueryService(small_tables(), workers=1,
-                               result_cache=True)
-        (miss,) = service.run_batch([QueryRequest.single("a", sql)])
-        (hit,) = service.run_batch([QueryRequest.single("b", sql)])
+        service = QueryService(small_tables(), result_cache=True)
+        (miss,) = run_requests(service, [QueryRequest.single("a", sql)])
+        (hit,) = run_requests(service, [QueryRequest.single("b", sql)])
         assert miss.error is None and not miss.result_cache_hit
         assert hit.result_cache_hit
         assert rows_bytes(hit.rows) == rows_bytes(miss.rows)
@@ -326,9 +318,8 @@ class TestResultCacheInvalidation:
     def test_results_invalidate_exactly_when_plans_do(self):
         """One statistics put must evict both the dependent plans and
         the dependent results -- same listener path, same trigger."""
-        service = QueryService(small_tables(), workers=1,
-                               result_cache=True)
-        service.run_batch([QueryRequest.from_workload(q3())])
+        service = QueryService(small_tables(), result_cache=True)
+        run_requests(service, [QueryRequest.from_workload(q3())])
         assert len(service.result_cache) > 0
         assert len(service.plan_cache) > 0
 
@@ -347,13 +338,12 @@ class TestResultCacheInvalidation:
         assert len(service.result_cache) == 0
 
     def test_stale_identity_misses_and_recomputes_correctly(self):
-        service = QueryService(small_tables(), workers=1,
-                               result_cache=True)
-        (first,) = service.run_batch([QueryRequest.from_workload(q3())])
+        service = QueryService(small_tables(), result_cache=True)
+        (first,) = run_requests(service, [QueryRequest.from_workload(q3())])
         signature = self.contributing_signature(service)
         service.metastore.put(signature,
                               service.metastore.get(signature))
-        (second,) = service.run_batch([QueryRequest.from_workload(q3())])
+        (second,) = run_requests(service, [QueryRequest.from_workload(q3())])
         assert not second.result_cache_hit
         assert rows_bytes(second.rows) == rows_bytes(first.rows)
 

@@ -1,14 +1,13 @@
-"""QueryService: concurrent batches, statistics reuse, plan caching.
+"""QueryService: batches, statistics reuse, plan caching, faults.
 
 The acceptance scenario of the serving layer: a mixed TPC-H + weblogs
 batch with repeated queries must produce byte-identical results to
-standalone runs, at any worker count, with tracer-verifiable evidence
-that repeats ran zero pilot jobs and hit the plan cache.
+standalone runs, with tracer-verifiable evidence that repeats ran zero
+pilot jobs and hit the plan cache -- also with three tenants under an
+armed fault plan.
 """
 
 import json
-import threading
-import time
 
 import pytest
 
@@ -17,9 +16,16 @@ from repro.core.dyno import Dyno
 from repro.errors import PlanError
 from repro.obs import MemorySink, Tracer
 from repro.service import PlanCache, QueryRequest, QueryService
-from repro.workloads.mixed import MIXED_SEQUENCE, mixed_batch, mixed_tables
+from repro.workloads.mixed import (
+    MIXED_SEQUENCE,
+    mixed_batch,
+    mixed_tables,
+    mixed_tenant_batch,
+)
 from repro.workloads.queries import q3
 from repro.workloads.weblogs import weblog_engagement
+from tests.oracle import canonical_rows, plan_named
+from tests.serving import run_requests
 
 SCALE = 0.02
 EVENTS = 1200
@@ -43,8 +49,8 @@ class TestBatchCorrectness:
     @pytest.fixture(scope="class")
     def batch_outcomes(self):
         requests, udfs = mixed_batch()
-        service = QueryService(small_tables(), udfs=udfs, workers=3)
-        return service.run_batch(requests)
+        service = QueryService(small_tables(), udfs=udfs)
+        return run_requests(service, requests)
 
     def test_all_queries_succeed(self, batch_outcomes):
         assert [o.error for o in batch_outcomes] == [None] * 7
@@ -79,26 +85,20 @@ class TestBatchCorrectness:
 
 
 class TestDeterminism:
-    def run_batch(self, workers):
+    def run_mixed(self):
         requests, udfs = mixed_batch()
-        service = QueryService(small_tables(), udfs=udfs, workers=workers)
-        return service.run_batch(requests)
-
-    def test_worker_count_never_changes_results_or_reuse(self):
-        serial = self.run_batch(1)
-        for workers in (2, 4):
-            concurrent = self.run_batch(workers)
-            for left, right in zip(serial, concurrent):
-                assert rows_bytes(left.rows) == rows_bytes(right.rows)
-                assert left.pilot_jobs == right.pilot_jobs
-                assert left.pilots_skipped == right.pilots_skipped
-                assert left.plan_cache_hits == right.plan_cache_hits
+        service = QueryService(small_tables(), udfs=udfs)
+        return run_requests(service, requests)
 
     def test_repeated_batches_are_reproducible(self):
-        first = self.run_batch(3)
-        second = self.run_batch(3)
+        first = self.run_mixed()
+        second = self.run_mixed()
         assert [rows_bytes(o.rows) for o in first] == \
             [rows_bytes(o.rows) for o in second]
+        assert [(o.pilot_jobs, o.pilots_skipped, o.plan_cache_hits)
+                for o in first] == \
+            [(o.pilot_jobs, o.pilots_skipped, o.plan_cache_hits)
+             for o in second]
 
 
 class TestTracerEvidence:
@@ -106,19 +106,20 @@ class TestTracerEvidence:
         sink = MemorySink()
         requests, udfs = mixed_batch()
         service = QueryService(small_tables(), udfs=udfs,
-                               tracer=Tracer(sink), workers=2)
-        service.run_batch(requests)
+                               tracer=Tracer(sink))
+        outcomes = run_requests(service, requests)
 
         admits = events(sink, "service.admit")
         assert len(admits) == 7
-        # Cold queries claim their signatures; repeats wait or find them
-        # known -- never claim.
-        assert admits[0]["attrs"]["claimed"]
+        # Cold queries run their pilots; repeats find every signature
+        # in the metastore and run none.
+        assert outcomes[0].pilot_jobs > 0
         for index in (2, 3, 6):
-            assert admits[index]["attrs"]["claimed"] == []
+            assert outcomes[index].pilot_jobs == 0
+            assert outcomes[index].pilots_skipped > 0
 
         skipped = events(sink, "pilot_skipped")
-        assert skipped, "repeats must emit pilot_skipped events"
+        assert len(skipped) == sum(o.pilots_skipped for o in outcomes)
         for record in skipped:
             assert record["attrs"]["signature"].startswith("table:")
 
@@ -137,14 +138,13 @@ class TestSection41Reuse:
 
     def run_twice(self, service):
         request = QueryRequest.from_workload(q3())
-        (first,) = service.run_batch([request])
-        (second,) = service.run_batch([QueryRequest.from_workload(q3())])
+        (first,) = run_requests(service, [request])
+        (second,) = run_requests(service, [QueryRequest.from_workload(q3())])
         return first, second
 
     def test_second_run_reuses_statistics(self):
         sink = MemorySink()
-        service = QueryService(small_tables(), tracer=Tracer(sink),
-                               workers=1)
+        service = QueryService(small_tables(), tracer=Tracer(sink))
         first, second = self.run_twice(service)
         assert first.pilot_jobs == 3 and first.pilots_skipped == 0
         assert second.pilot_jobs == 0 and second.pilots_skipped == 3
@@ -160,17 +160,15 @@ class TestSection41Reuse:
 
     def test_reuse_survives_save_load_round_trip(self, tmp_path):
         path = tmp_path / "stats.json"
-        first_service = QueryService(small_tables(), workers=1)
-        (first,) = first_service.run_batch(
-            [QueryRequest.from_workload(q3())]
-        )
+        first_service = QueryService(small_tables())
+        (first,) = run_requests(first_service,
+                                [QueryRequest.from_workload(q3())])
         first_service.dyno.save_statistics(path)
 
-        second_service = QueryService(small_tables(), workers=1)
+        second_service = QueryService(small_tables())
         assert second_service.dyno.load_statistics(path) > 0
-        (second,) = second_service.run_batch(
-            [QueryRequest.from_workload(q3())]
-        )
+        (second,) = run_requests(second_service,
+                                 [QueryRequest.from_workload(q3())])
         assert second.pilot_jobs == 0
         assert second.pilots_skipped == 3
         assert rows_bytes(first.rows) == rows_bytes(second.rows)
@@ -178,35 +176,33 @@ class TestSection41Reuse:
 
 class TestSingleFlightClaims:
     def test_identical_cold_queries_share_one_pilot_pass(self):
-        """Two copies of one cold query in a batch: exactly one runs the
-        pilots, the other waits and reuses -- at any worker count."""
-        for workers in (1, 2):
-            service = QueryService(small_tables(), workers=workers)
-            outcomes = service.run_batch([
-                QueryRequest.from_workload(q3()),
-                QueryRequest.from_workload(q3()),
-            ])
-            assert [o.pilot_jobs for o in outcomes] == [3, 0]
-            assert [o.pilots_skipped for o in outcomes] == [0, 3]
+        """Two copies of one cold query in a batch: the first runs the
+        pilots, the second runs after it and reuses their statistics."""
+        service = QueryService(small_tables())
+        outcomes = run_requests(service, [
+            QueryRequest.from_workload(q3()),
+            QueryRequest.from_workload(q3()),
+        ])
+        assert [o.pilot_jobs for o in outcomes] == [3, 0]
+        assert [o.pilots_skipped for o in outcomes] == [0, 3]
 
     def test_unparseable_query_fails_alone(self):
         """A query that cannot even parse becomes an errored outcome; the
         rest of the batch is untouched."""
-        service = QueryService(small_tables(), workers=2)
+        service = QueryService(small_tables())
         broken = QueryRequest.single(
             "broken",
             "SELECT c.c_name AS n FROM customer c "
             "WHERE no_such_udf(c.c_name)",
         )
-        outcomes = service.run_batch(
-            [broken, QueryRequest.from_workload(q3())]
-        )
+        outcomes = run_requests(service,
+                                [broken, QueryRequest.from_workload(q3())])
         assert outcomes[0].error is not None
         assert outcomes[1].error is None and outcomes[1].rows
 
     def test_failed_owner_does_not_deadlock_waiters(self):
-        """An owner that claims signatures and then dies mid-pilot still
-        fires its claim events; the waiter finds the metastore empty and
+        """A query that shares Q3's leaf signatures and dies mid-pilot
+        stores nothing; the Q3 after it finds the metastore empty and
         runs the pilots itself."""
         from repro.jaql.functions import Udf, UdfRegistry
 
@@ -215,9 +211,9 @@ class TestSingleFlightClaims:
 
         udfs = UdfRegistry()
         udfs.register(Udf("poison", poison))
-        service = QueryService(small_tables(), udfs=udfs, workers=2)
-        # Same customer/orders predicates as Q3, so this query claims the
-        # signatures Q3 needs -- then its lineitem pilot explodes.
+        service = QueryService(small_tables(), udfs=udfs)
+        # Same customer/orders predicates as Q3, so this query pilots
+        # the signatures Q3 needs -- then its lineitem pilot explodes.
         broken = QueryRequest.single(
             "broken",
             "SELECT o.o_orderkey AS k "
@@ -230,7 +226,7 @@ class TestSingleFlightClaims:
             "AND poison(l.l_comment)",
         )
         good = QueryRequest.from_workload(q3())
-        outcomes = service.run_batch([broken, good])
+        outcomes = run_requests(service, [broken, good])
         assert outcomes[0].error is not None
         assert "RuntimeError" in outcomes[0].error
         assert outcomes[1].error is None
@@ -244,16 +240,16 @@ class TestPlanCacheIntegration:
         """Regression: an empty PlanCache is falsy (len == 0); `or` used
         to silently replace it, detaching the caller's handle."""
         cache = PlanCache()
-        service = QueryService(small_tables(), workers=1, plan_cache=cache)
+        service = QueryService(small_tables(), plan_cache=cache)
         assert service.plan_cache is cache
         assert service.dyno.executor.plan_cache is cache
-        service.run_batch([QueryRequest.from_workload(q3())])
+        run_requests(service, [QueryRequest.from_workload(q3())])
         assert cache.summary()["misses"] > 0
 
     def test_stats_update_invalidates_dependent_entries(self):
-        service = QueryService(small_tables(), workers=1)
+        service = QueryService(small_tables())
         cache = service.plan_cache
-        service.run_batch([QueryRequest.from_workload(q3())])
+        run_requests(service, [QueryRequest.from_workload(q3())])
         assert len(cache) > 0
         before = len(cache)
         # Re-collecting statistics for a contributing leaf must evict the
@@ -274,8 +270,8 @@ class TestPlanCacheIntegration:
         """A cold run's block (pilot outputs substituted) and a warm
         repeat's block (base leaves intact) canonicalize identically, so
         the *first* repeat already hits."""
-        service = QueryService(small_tables(), workers=1)
-        outcomes = service.run_batch([
+        service = QueryService(small_tables())
+        outcomes = run_requests(service, [
             QueryRequest.from_workload(q3()),
             QueryRequest.from_workload(q3()),
         ])
@@ -284,57 +280,78 @@ class TestPlanCacheIntegration:
 
 class TestServiceGuards:
     def test_rejects_zero_workers(self):
-        with pytest.raises(PlanError):
-            QueryService(small_tables(), workers=0)
-
-    def test_rejects_concurrency_under_fault_injection(self):
-        from repro.cluster.faults import FaultPlan
-
-        plan = FaultPlan(seed=7, name="t", task_failure_rate=0.1)
-        config = DEFAULT_CONFIG.with_fault_plan(plan)
-        service = QueryService(small_tables(), config=config, workers=2)
-        with pytest.raises(PlanError, match="workers=1"):
-            service.run_batch([QueryRequest.from_workload(q3())])
+        """One driver thread is the contract: the keyword accepts 1 only."""
+        for workers in (0, 2):
+            with pytest.raises(PlanError, match="one thread"):
+                QueryService(small_tables(), workers=workers)
 
     def test_single_worker_fault_plans_run_and_stay_invisible(self):
-        """A fault plan only forbids *concurrent* driver threads: with
-        workers=1 the batch must run -- and, per the recovery oracle,
-        return exactly the rows of a fault-free service."""
+        """An armed fault plan runs through the service and, per the
+        recovery oracle, returns exactly the rows of a fault-free
+        service."""
         from repro.cluster.faults import FaultPlan
 
         plan = FaultPlan(seed=7, name="t", task_failure_rate=0.1,
                          straggler_rate=0.05)
         config = DEFAULT_CONFIG.with_fault_plan(plan)
-        faulted = QueryService(small_tables(), config=config, workers=1)
-        (outcome,) = faulted.run_batch([QueryRequest.from_workload(q3())])
+        faulted = QueryService(small_tables(), config=config)
+        (outcome,) = run_requests(faulted,
+                                  [QueryRequest.from_workload(q3())])
         assert outcome.error is None
 
-        clean = QueryService(small_tables(), workers=1)
-        (baseline,) = clean.run_batch([QueryRequest.from_workload(q3())])
+        clean = QueryService(small_tables())
+        (baseline,) = run_requests(clean,
+                                   [QueryRequest.from_workload(q3())])
         assert rows_bytes(outcome.rows) == rows_bytes(baseline.rows)
 
     def test_empty_stage_list_is_an_errored_outcome(self):
-        service = QueryService(small_tables(), workers=1)
-        (outcome,) = service.run_batch([QueryRequest("empty", [])])
+        service = QueryService(small_tables())
+        (outcome,) = run_requests(service, [QueryRequest("empty", [])])
         assert outcome.error is not None
         assert "PlanError" in outcome.error
 
 
+class TestFaultsUnderTenants:
+    def test_three_tenant_mixed_batch_under_chaos_matches_fault_free(self):
+        """Multi-tenant traffic with every fault channel armed: the
+        dispatcher interleaves tenants, faults fire inside their jobs,
+        and every request still returns the fault-free rows."""
+        def run(config):
+            requests, udfs = mixed_tenant_batch(len(MIXED_SEQUENCE) * 3, 3)
+            service = QueryService(small_tables(), config=config, udfs=udfs)
+            return service, run_requests(service, requests)
+
+        faulted, chaos = run(DEFAULT_CONFIG.with_fault_plan(
+            plan_named("chaos")))
+        _, clean = run(DEFAULT_CONFIG)
+        assert [o.error for o in chaos] == [None] * len(clean)
+        assert [(o.name, o.tenant) for o in chaos] == \
+            [(o.name, o.tenant) for o in clean]
+        # Recovery may re-plan, so float sums may be reassociated: the
+        # fault matrix's canonical form (order-free, 6 places) applies.
+        assert [canonical_rows(o.rows) for o in chaos] == \
+            [canonical_rows(o.rows) for o in clean]
+        assert faulted.dyno.runtime.fault_injector.events, \
+            "the chaos plan never fired"
+
+
 class TestIsolation:
     def test_concurrent_copies_never_collide_in_the_namespace(self):
-        """Four concurrent copies of the same multi-way query: per-query
-        prefixes keep DFS files, counters and spans apart, so all copies
-        return the same (correct) rows."""
-        service = QueryService(small_tables(), workers=4)
-        outcomes = service.run_batch(
-            [QueryRequest.from_workload(weblog_engagement())
-             if index % 2 else QueryRequest.from_workload(q3())
-             for index in range(4)]
-        )
+        """Four copies of the same multi-way query in one batch:
+        per-query prefixes keep DFS files, counters and spans apart, so
+        all copies return the same (correct) rows."""
+        service = QueryService(small_tables())
+        outcomes = run_requests(service, [
+            QueryRequest.from_workload(weblog_engagement())
+            if index % 2 else QueryRequest.from_workload(q3())
+            for index in range(4)
+        ])
         q3_rows = [rows_bytes(o.rows) for o in outcomes[::2]]
         weblog_rows = [rows_bytes(o.rows) for o in outcomes[1::2]]
         assert len(set(q3_rows)) == 1
         assert len(set(weblog_rows)) == 1
+        names = [o.query_name for o in outcomes]
+        assert len(set(names)) == len(names)
 
     def test_multi_stage_intermediates_are_prefixed(self):
         """TPC-H Q2 (two dependent blocks): its intermediate table is
@@ -342,8 +359,8 @@ class TestIsolation:
         other's q2mincost."""
         from repro.workloads.queries import q2
 
-        service = QueryService(small_tables(), workers=2)
-        outcomes = service.run_batch([
+        service = QueryService(small_tables())
+        outcomes = run_requests(service, [
             QueryRequest.from_workload(q2()),
             QueryRequest.from_workload(q2()),
         ])
@@ -352,209 +369,3 @@ class TestIsolation:
         # Both prefixed copies of the intermediate landed in the catalog.
         names = [name for name in service.dyno.tables if "q2mincost" in name]
         assert len(names) == 2 and all("." in name for name in names)
-
-
-class TestMetastoreUnderConcurrency:
-    def test_concurrent_batches_from_threads(self):
-        """run_batch itself may be called from several client threads."""
-        service = QueryService(small_tables(), workers=2)
-        results = {}
-
-        def client(key):
-            outcomes = service.run_batch(
-                [QueryRequest.from_workload(q3())]
-            )
-            results[key] = rows_bytes(outcomes[0].rows)
-
-        threads = [threading.Thread(target=client, args=(k,))
-                   for k in range(3)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert len(set(results.values())) == 1
-
-
-class TestMemoryGateTickets:
-    """Regression (ISSUE 9): the gate used to key waiters by per-batch
-    submission index. Two concurrent batches both waited as index 0: the
-    set's second ``add(0)`` was a no-op, the first ``discard(0)`` erased
-    both markers, ``try_acquire``'s empty-waiters fast path bypassed the
-    still-blocked query, and its own wake-up crashed on ``min(set())``.
-    Tickets are now globally monotonic and duplicates are rejected."""
-
-    def make_gate(self, pool=100):
-        from repro.service.service import _MemoryGate
-
-        return _MemoryGate(pool)
-
-    def wait_for_waiters(self, gate, count):
-        for _ in range(2000):
-            with gate._condition:
-                if len(gate._waiters) >= count:
-                    return
-            time.sleep(0.001)
-        raise AssertionError(f"never saw {count} waiter(s)")
-
-    def test_try_acquire_never_bypasses_a_cross_batch_waiter(self):
-        """The exact interleaving of the bug, with distinct tickets: a
-        blocked 'batch 1' query must keep the fast path closed even for
-        demands that would fit the remaining pool."""
-        gate = self.make_gate(pool=100)
-        assert gate.try_acquire(80)
-        grants = []
-
-        def blocked_batch():
-            gate.acquire(1, 50)  # 50 > 20 free: must wait
-            grants.append("t1")
-
-        thread = threading.Thread(target=blocked_batch)
-        thread.start()
-        self.wait_for_waiters(gate, 1)
-        # Pre-fix, a second batch's waiter was erased with the first's
-        # marker and this fast path then bypassed the blocked query.
-        assert not gate.try_acquire(10)
-        assert grants == []
-        gate.release(80)
-        thread.join(timeout=5)
-        assert grants == ["t1"]
-
-    def test_grants_follow_global_ticket_order(self):
-        """A later waiter whose demand fits must still queue behind an
-        earlier ticket (FIFO admission, deterministic given order)."""
-        gate = self.make_gate(pool=100)
-        assert gate.try_acquire(80)
-        grants = []
-
-        def waiter(ticket, demand):
-            gate.acquire(ticket, demand)
-            grants.append(ticket)
-
-        first = threading.Thread(target=waiter, args=(1, 50))
-        first.start()
-        self.wait_for_waiters(gate, 1)
-        # Ticket 2's demand of 10 fits the 20 free bytes -- it must not
-        # jump ticket 1.
-        second = threading.Thread(target=waiter, args=(2, 10))
-        second.start()
-        self.wait_for_waiters(gate, 2)
-        assert grants == []
-        gate.release(80)
-        first.join(timeout=5)
-        second.join(timeout=5)
-        assert grants == [1, 2]
-
-    def test_duplicate_tickets_are_rejected_not_corrupting(self):
-        """Colliding tickets (the old per-batch indices) now fail loudly
-        instead of silently erasing another batch's waiter marker."""
-        gate = self.make_gate(pool=100)
-        assert gate.try_acquire(100)
-        failures = []
-
-        def blocked():
-            gate.acquire(7, 10)
-
-        thread = threading.Thread(target=blocked)
-        thread.start()
-        self.wait_for_waiters(gate, 1)
-        with pytest.raises(PlanError, match="duplicate memory-gate"):
-            gate.acquire(7, 10)
-        gate.release(100)
-        thread.join(timeout=5)
-        assert not failures
-
-    def test_concurrent_governed_batches_complete_and_agree(self):
-        """End to end: several threads run memory-governed batches whose
-        aggregate demand exceeds the pool, forcing cross-batch waits.
-        Pre-fix this interleaving could bypass admissions or crash on
-        min(set()); now every batch completes with identical rows."""
-        pool = DEFAULT_CONFIG.cluster.effective_cluster_memory_bytes
-        demand = (pool // 3) * 2  # two can run, the third must wait
-        service = QueryService(small_tables(), workers=2)
-        barrier = threading.Barrier(3)
-        results = {}
-
-        def client(key):
-            barrier.wait()
-            outcomes = service.run_batch([QueryRequest.from_workload(
-                q3(), memory_demand_bytes=demand)])
-            results[key] = (outcomes[0].error,
-                            rows_bytes(outcomes[0].rows))
-
-        threads = [threading.Thread(target=client, args=(k,))
-                   for k in range(3)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert all(error is None for error, _ in results.values())
-        assert len({rows for _, rows in results.values()}) == 1
-
-
-class TestAdmissionRace:
-    """Regression (ISSUE 9): ``_admit`` bumped ``self._batch_count``
-    without a lock, so two concurrent ``run_batch`` calls could read the
-    same value and mint the same ``b{batch}.q{position}`` prefix --
-    colliding query names, DFS intermediates, and ``hits_for_prefix``
-    attribution. Batch ids are now minted under the admission lock."""
-
-    def test_hammered_admissions_mint_unique_prefixes(self):
-        """Drive the raw admission path from many threads at once; every
-        admission must carry a distinct prefix and ticket."""
-        service = QueryService(small_tables(), workers=1)
-        request = QueryRequest.from_workload(q3())
-        threads_n, rounds = 8, 5
-        barrier = threading.Barrier(threads_n)
-        prefixes, tickets = [], []
-        lock = threading.Lock()
-
-        def hammer():
-            barrier.wait()
-            for _ in range(rounds):
-                (admission,) = service._admit([request])
-                with lock:
-                    prefixes.append(admission.prefix)
-                    tickets.append(admission.ticket)
-
-        threads = [threading.Thread(target=hammer)
-                   for _ in range(threads_n)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert len(prefixes) == threads_n * rounds
-        assert len(set(prefixes)) == len(prefixes), \
-            "two concurrent admissions minted the same batch prefix"
-        assert len(set(tickets)) == len(tickets)
-
-    def test_hammered_run_batch_is_byte_identical(self):
-        """Full-stack version: concurrent run_batch callers must neither
-        collide in the namespace nor diverge from each other."""
-        service = QueryService(small_tables(), workers=2)
-        # Warm the metastore so the hammering runs are cheap and the
-        # interesting contention is admission, not pilots.
-        service.run_batch([QueryRequest.from_workload(q3()),
-                           QueryRequest.from_workload(weblog_engagement())])
-        barrier = threading.Barrier(4)
-        results, names = {}, []
-        lock = threading.Lock()
-
-        def client(key):
-            barrier.wait()
-            outcomes = service.run_batch([
-                QueryRequest.from_workload(q3()),
-                QueryRequest.from_workload(weblog_engagement()),
-            ])
-            with lock:
-                results[key] = tuple(rows_bytes(o.rows) for o in outcomes)
-                names.extend(o.query_name for o in outcomes)
-
-        threads = [threading.Thread(target=client, args=(k,))
-                   for k in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert len(set(results.values())) == 1
-        assert len(set(names)) == len(names), \
-            "concurrent batches shared a query prefix"

@@ -36,6 +36,7 @@ from repro.workloads.weblogs import (
     weblog_engagement,
 )
 from tests.oracle import skewed_oracle_tables
+from tests.serving import run_requests
 
 
 @pytest.fixture(scope="module")
@@ -210,13 +211,13 @@ class TestReWalkBudget:
     def test_warm_weblog_request_sizes_only_its_aggregates(
             self, weblogs, monkeypatch):
         workload = weblog_engagement()
-        service = QueryService(weblogs, udfs=workload.udfs, workers=1)
-        (cold,) = service.run_batch([QueryRequest.from_workload(workload)])
+        service = QueryService(weblogs, udfs=workload.udfs)
+        (cold,) = run_requests(service, [QueryRequest.from_workload(workload)])
         assert cold.error is None
 
         calls = count_sizing_calls(monkeypatch)
-        (warm,) = service.run_batch(
-            [QueryRequest.from_workload(weblog_engagement())])
+        (warm,) = run_requests(
+            service, [QueryRequest.from_workload(weblog_engagement())])
         assert warm.error is None and warm.rows == cold.rows
         assert warm.pilot_jobs == 0
         # Scans slice the file's sizes, joins add them, builds carry them:
