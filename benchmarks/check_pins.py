@@ -33,7 +33,10 @@ PINS = Path(__file__).resolve().with_name("sim_pins.json")
 #: per-layer counts pinned on every workload, plus per-workload extras.
 PINNED_COUNTS = ("runtime.jobs", "runtime.map_input_records",
                  "runtime.shuffle_bytes", "runtime.output_records",
-                 "pilot.jobs_run", "dynopt.iterations")
+                 "runtime.spilled_bytes", "pilot.jobs_run",
+                 "pilot.leaves_reused", "optimizer.plans_considered",
+                 "dynopt.iterations", "dynopt.plan_changes",
+                 "stats.metastore.entries", "dfs.files")
 EXTRA_COUNTS = {"standing_refresh": ("standing.delta_count",
                                      "standing.full_count")}
 #: cache hit/miss/invalidation counts, read from the record's ``counts``;
