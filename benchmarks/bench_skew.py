@@ -1,17 +1,17 @@
 """Skew-join benchmark: ``./s`` vs the best feasible alternative.
 
 On the seeded hot-key workload (two hot keys carrying 35% of the fact
-table over a Zipf(1.2) tail, build side sized past both the broadcast
-and hybrid-spill memory gates) this harness runs each skewed workload
-twice through the full DYNOPT driver:
+table over a Zipf(1.2) tail, build side sized past the broadcast memory
+gate) this harness runs each skewed workload twice through the full
+DYNOPT driver:
 
 * **after**  -- the default optimizer (skew rule enabled): the plan
   must contain a skew join;
 * **before** -- ``enable_skew_rule=False``: the optimizer picks the
-  cheapest of broadcast/hybrid/repartition. Broadcast and hybrid are
-  memory-infeasible here (reported in the output), so "best
-  alternative" degenerates to the repartition join -- exactly the
-  hot-key convoy the operator exists to beat.
+  cheaper of broadcast and repartition. Broadcast is memory-infeasible
+  here (reported in the output), so "best alternative" degenerates to
+  the repartition join -- exactly the hot-key convoy the operator
+  exists to beat.
 
 Per workload it records the simulated end-to-end seconds and the
 optimizer's estimated plan cost, in the ``BENCH_PR*.json`` schema
@@ -64,19 +64,15 @@ def _run(tables, name: str, config: DynoConfig):
 
 
 def _feasibility(tables, config: DynoConfig) -> dict:
-    """Why broadcast/hybrid are out: the users build side vs the gates."""
+    """Why broadcast is out: the users build side vs its memory gate."""
     optimizer = config.optimizer
     build_bytes = sum(estimate_value_size(row)
                       for row in tables["users"].rows)
     needed = build_bytes * optimizer.broadcast_safety_factor
-    hybrid_limit = (optimizer.max_broadcast_bytes
-                    * optimizer.spill_margin_factor)
     return {
         "users_build_bytes": build_bytes,
         "broadcast_limit_bytes": optimizer.max_broadcast_bytes,
         "broadcast_feasible": needed <= optimizer.max_broadcast_bytes,
-        "hybrid_limit_bytes": int(hybrid_limit),
-        "hybrid_feasible": needed <= hybrid_limit,
     }
 
 
@@ -151,8 +147,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{name:32s} before={entry['before_s']:>12} "
               f"after={entry['after_s']:>12} x{entry['speedup']}")
     alternatives = results["workload"]["alternatives"]
-    print(f"broadcast feasible: {alternatives['broadcast_feasible']}, "
-          f"hybrid feasible: {alternatives['hybrid_feasible']} "
+    print(f"broadcast feasible: {alternatives['broadcast_feasible']} "
           f"(build {alternatives['users_build_bytes']}B)")
     if args.output:
         Path(args.output).write_text(

@@ -150,8 +150,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--task-memory", type=_positive_int, default=None,
                         metavar="BYTES",
                         help="per-task memory budget Mmax in bytes: caps "
-                             "broadcast build sides and the spill join's "
-                             "resident share (default: config)")
+                             "broadcast build sides and what a spilling "
+                             "build keeps resident (default: config)")
     parser.add_argument("--cluster-memory", type=_positive_int, default=None,
                         metavar="BYTES",
                         help="cluster-wide memory pool in bytes, governing "

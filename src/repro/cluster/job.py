@@ -97,10 +97,6 @@ class BroadcastBuild:
     #: parallel to ``rows`` once loaded.
     sizes: list[int] = field(default_factory=list)
     loaded_bytes: int = 0
-    #: True when the plan chose the spillable hybrid hash join for this
-    #: build: overflowing task memory is *expected* and handled by
-    #: partitioning to disk rather than treated as a misestimate.
-    spillable: bool = False
     #: optimizer's byte estimate for the loaded build (0 when unknown);
     #: feeds the job's declared memory demand before execution.
     declared_bytes: int = 0
@@ -126,8 +122,9 @@ class MapReduceJob:
     ``splits`` overrides the default "all splits of all inputs" assignment;
     pilot runs use it to execute over a sampled subset (Section 4.2).
     ``broadcast_inputs`` are DFS files loaded into every task's memory
-    (broadcast-join build sides); the runtime enforces the no-spill memory
-    limit and fails the job on overflow, like Jaql (Section 2.2.1).
+    (broadcast-join build sides); the runtime spills a build that overflows
+    task memory by up to ``spill_overflow_factor`` and fails the job on a
+    larger overflow, like Jaql (Section 2.2.1).
     """
 
     name: str

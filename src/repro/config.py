@@ -155,17 +155,6 @@ class OptimizerConfig:
     #: pilot runs; conservative optimizers use a much larger one
     #: (see repro.core.baselines.RELOPT_SAFETY_FACTOR).
     broadcast_safety_factor: float = 1.3
-    #: per-byte cost of spilling one partitioned byte to disk and reading
-    #: it back (hybrid hash join). Sits between ``cprobe`` and ``crep`` so
-    #: a marginally oversized build degrades to a spilling hash join
-    #: rather than a full repartition, but spilling *everything* never
-    #: beats the repartition join.
-    cspill: float = 4.0
-    #: how far past ``Mmax`` a build side may be (estimated, after the
-    #: safety factor) for the spillable hybrid hash join to stay
-    #: applicable. Matches the runtime's degrade-in-place margin
-    #: (:attr:`ClusterConfig.spill_overflow_factor`).
-    spill_margin_factor: float = 4.0
     #: consider the skew-aware join (heavy keys broadcast map-side, tail
     #: repartitioned). It can only ever beat a repartition join -- a plain
     #: broadcast always costs less where it applies -- so disabling it

@@ -314,12 +314,8 @@ def relopt_optimizer_config(config: DynoConfig):
     """The optimizer configuration DBMS-X effectively runs with."""
     from dataclasses import replace
 
-    # spill_margin_factor=1.0 disables the spillable hybrid hash join:
-    # DBMS-X is the paper's conventional conservative optimizer and only
-    # chooses between broadcast and repartition (Section 6.4).
     return replace(config.optimizer,
-                   broadcast_safety_factor=RELOPT_SAFETY_FACTOR,
-                   spill_margin_factor=1.0)
+                   broadcast_safety_factor=RELOPT_SAFETY_FACTOR)
 
 
 def relopt_plan(block: JoinBlock, tables: dict[str, Table],

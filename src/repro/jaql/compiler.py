@@ -42,7 +42,6 @@ from repro.jaql.blocks import BlockLeaf
 from repro.jaql.expr import Aggregate, ColumnRef, GroupBy, Predicate
 from repro.jaql.vector import ColumnResolver, select
 from repro.optimizer.plans import (
-    HYBRID,
     REPARTITION,
     SKEW,
     PhysJoin,
@@ -254,7 +253,7 @@ def _hash_probe(build: BroadcastBuild, build_refs: list[ColumnRef],
     """The build-and-probe kernel of every map-side hash join.
 
     The table is built lazily from ``build`` (whatever slice of the build
-    side the runtime loaded: the whole side for broadcast/hybrid joins,
+    side the runtime loaded: the whole side for broadcast joins,
     the heavy-key rows for a skew join) and rebuilt when the runtime
     reloads it. ``pred_cpu`` is charged per join candidate.
     """
@@ -417,10 +416,6 @@ class PlanCompiler:
             raise PlanError(f"cannot compile {type(node).__name__}")
         if node.method in (REPARTITION, SKEW):
             return self._skew_stream(node, jobs)
-        # Hybrid hash joins compile exactly like broadcast joins -- the
-        # build side is loaded per task -- but the build is marked
-        # spillable so the runtime degrades it in place when it
-        # overflows task memory instead of failing the job.
         return self._broadcast_stream(node, jobs)
 
     def _leaf_stream(self, node: PhysLeaf) -> _Stream:
@@ -456,9 +451,7 @@ class PlanCompiler:
             # memory together). Materialize the probe first.
             probe = self._materialized_stream(probe, jobs)
 
-        build = self._build_side(
-            node.right, jobs, probe, spillable=node.method == HYBRID,
-        )
+        build = self._build_side(node.right, jobs, probe)
         probe_refs = [
             condition.side_for(node.left.aliases)
             for condition in node.conditions
@@ -498,8 +491,7 @@ class PlanCompiler:
         )
 
     def _build_side(self, node: PhysicalNode, jobs: list[CompiledJob],
-                    probe: _Stream, spillable: bool = False,
-                    ) -> BroadcastBuild:
+                    probe: _Stream) -> BroadcastBuild:
         """Build sides must be materialized.
 
         Small base leaves load directly, applying their predicates while
@@ -542,7 +534,6 @@ class PlanCompiler:
             input_file=input_file,
             loader=loader,
             description=description,
-            spillable=spillable,
             declared_bytes=int(node.est_bytes),
         )
 
@@ -770,8 +761,8 @@ class PlanCompiler:
         """Declared build memory of one job, from optimizer estimates.
 
         Capped at the task budget: a spilling build never holds more than
-        ``task_memory_bytes`` resident, and a non-spillable build beyond
-        the budget fails before occupying it. The runtime later charges
+        ``task_memory_bytes`` resident, and a build beyond the spill
+        margin fails before occupying it. The runtime later charges
         ``max(declaration, actually loaded in-memory bytes)`` so lying
         estimates cannot under-charge the cluster pool.
         """

@@ -1,4 +1,4 @@
-"""Join cost formulas (paper Section 5.2, plus the spill variant).
+"""Join cost formulas (paper Section 5.2, plus the skew variant).
 
 With ``|X|`` the estimated byte size of relation ``X``:
 
@@ -7,18 +7,12 @@ With ``|X|`` the estimated byte size of relation ``X``:
 * chained broadcasts over probe ``R`` with builds ``S1..Sk``:
   ``cprobe * |R| + cbuild * (|S1|+..+|Sk|) + cout * |R ./ S1 ./ .. ./ Sk|``
   (the intermediate results of the chain are neither written nor re-read);
-* hybrid hash join (build side up to ``spill_margin_factor x Mmax``):
-  the broadcast formula plus ``cspill * f * (|R| + |S|)`` where ``f`` is
-  the fraction of the build that does not fit in memory -- the spilled
-  build partitions are written and re-read, and the matching fraction of
-  the probe side makes a second pass through disk (Grace hash join).
+* skew join: see :meth:`JoinCostModel.skew_cost`.
 
-The constants satisfy ``crep >> cspill > cprobe > cbuild > cout``, so
-broadcast joins are preferred whenever the build side fits in memory, a
-marginally oversized build degrades to the spilling hybrid join, and
-heavily oversized builds fall back to the repartition join. Leaves cost
-nothing: reading inputs is charged by the join consuming them, as in the
-paper's formulas.
+The constants satisfy ``crep >> cprobe > cbuild > cout``, so broadcast
+joins are preferred whenever the build side fits in memory and larger
+builds fall back to the repartition join. Leaves cost nothing: reading
+inputs is charged by the join consuming them, as in the paper's formulas.
 """
 
 from __future__ import annotations
@@ -29,7 +23,6 @@ from repro.config import OptimizerConfig
 from repro.errors import PlanError
 from repro.optimizer.plans import (
     BROADCAST,
-    HYBRID,
     SKEW,
     PhysJoin,
     PhysLeaf,
@@ -57,14 +50,6 @@ class JoinCostModel:
         return (cfg.cprobe * probe_bytes + cfg.cbuild * build_bytes
                 + cfg.cout * out_bytes + cfg.cjob)
 
-    def hybrid_cost(self, probe_bytes: float, build_bytes: float,
-                    out_bytes: float) -> float:
-        cfg = self.config
-        fraction = self.spilled_fraction(build_bytes)
-        return (cfg.cprobe * probe_bytes + cfg.cbuild * build_bytes
-                + cfg.cspill * fraction * (probe_bytes + build_bytes)
-                + cfg.cout * out_bytes + cfg.cjob)
-
     def skew_cost(self, probe_bytes: float, build_bytes: float,
                   out_bytes: float, heavy_probe_fraction: float,
                   heavy_build_fraction: float) -> float:
@@ -88,19 +73,6 @@ class JoinCostModel:
         """Memory gate for the broadcast implementation rule."""
         budget = self.config.max_broadcast_bytes
         return build_bytes * self.config.broadcast_safety_factor <= budget
-
-    def fits_with_spill(self, build_bytes: float) -> bool:
-        """Memory gate for the hybrid rule: within the spill margin."""
-        budget = (self.config.max_broadcast_bytes
-                  * self.config.spill_margin_factor)
-        return build_bytes * self.config.broadcast_safety_factor <= budget
-
-    def spilled_fraction(self, build_bytes: float) -> float:
-        """Estimated fraction of a hybrid build that overflows ``Mmax``."""
-        demand = build_bytes * self.config.broadcast_safety_factor
-        if demand <= 0:
-            return 0.0
-        return max(0.0, 1.0 - self.config.max_broadcast_bytes / demand)
 
     # -- chain rule (Section 5.2, "new rule ... dictates which joins
     #    should be chained") ---------------------------------------------------
@@ -164,10 +136,6 @@ class JoinCostModel:
                 cost -= cfg.cout * left_bytes
             else:
                 cost += cfg.cprobe * left_bytes + cfg.cjob
-        elif node.method == HYBRID:
-            cost = (left.cost + right.cost
-                    + self.hybrid_cost(left_bytes, right_bytes,
-                                       node.est_bytes))
         elif node.method == SKEW:
             cost = (left.cost + right.cost
                     + self.skew_cost(left_bytes, right_bytes,

@@ -1,18 +1,13 @@
 """Physical plan nodes and the paper-style plan printer.
 
 Physical operators are Jaql's two join methods (Section 2.2.1) plus the
-memory-governed spill variant this repro adds:
+skew variant this repro adds:
 
 * ``PhysJoin(method="repartition")`` -- one map+reduce job that shuffles
   both inputs on the join key (the paper's ``./r``);
 * ``PhysJoin(method="broadcast")`` -- a map-only hash join whose build side
   is loaded into every task (``./b``); consecutive broadcast joins may be
   *chained* into one job when their build sides fit in memory together;
-* ``PhysJoin(method="hybrid")`` -- a map-only *spillable* hash join
-  (``./h``): the build side exceeds ``Mmax`` by at most a configured
-  margin, so tasks keep what fits in memory and partition the rest to
-  disk (Grace-style), paying extra I/O instead of a full shuffle. Hybrid
-  joins never chain: their build already claims the whole memory budget.
 * ``PhysJoin(method="skew")`` -- the skew-aware hybrid of repartition and
   broadcast (``./s``): heavy-hitter join keys detected from pilot
   frequency profiles are joined map-side against a heavy-keys-only
@@ -34,18 +29,16 @@ from repro.jaql.expr import JoinCondition, Predicate
 
 REPARTITION = "repartition"
 BROADCAST = "broadcast"
-HYBRID = "hybrid"
 SKEW = "skew"
 
 #: join methods whose build side is hash-loaded by map tasks (and which a
 #: permanent build failure therefore bans together). SKEW belongs here:
 #: its heavy-key side channel is a broadcast build, so a doomed/overflowed
-#: build bans it alongside broadcast/hybrid and recovery falls back to a
+#: build bans it alongside broadcast and recovery falls back to a
 #: pure repartition plan.
-HASH_BUILD_METHODS = (BROADCAST, HYBRID, SKEW)
+HASH_BUILD_METHODS = (BROADCAST, SKEW)
 
-_SYMBOLS = {REPARTITION: "./r", BROADCAST: "./b", HYBRID: "./h",
-            SKEW: "./s"}
+_SYMBOLS = {REPARTITION: "./r", BROADCAST: "./b", SKEW: "./s"}
 
 
 @dataclass(frozen=True)
@@ -117,7 +110,7 @@ class PhysJoin(PhysicalNode):
     heavy_build_fraction: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.method not in (REPARTITION, BROADCAST, HYBRID, SKEW):
+        if self.method not in _SYMBOLS:
             raise PlanError(f"unknown join method: {self.method!r}")
         if self.left is None or self.right is None:
             raise PlanError("join requires two inputs")
@@ -224,7 +217,6 @@ class PlanSummary:
     joins: int = 0
     repartition_joins: int = 0
     broadcast_joins: int = 0
-    hybrid_joins: int = 0
     skew_joins: int = 0
     chained_joins: int = 0
     max_depth: int = 0
@@ -310,8 +302,6 @@ def summarize_plan(node: PhysicalNode) -> PlanSummary:
         summary.joins += 1
         if current.method == REPARTITION:
             summary.repartition_joins += 1
-        elif current.method == HYBRID:
-            summary.hybrid_joins += 1
         elif current.method == SKEW:
             summary.skew_joins += 1
         else:

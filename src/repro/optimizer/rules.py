@@ -20,7 +20,6 @@ from repro.jaql.expr import JoinCondition, Predicate
 from repro.optimizer.cost import JoinCostModel
 from repro.optimizer.plans import (
     BROADCAST,
-    HYBRID,
     REPARTITION,
     SKEW,
     PhysJoin,
@@ -130,45 +129,6 @@ class BroadcastJoinRule(ImplementationRule):
         )
 
 
-class HybridHashJoinRule(ImplementationRule):
-    """Spillable hash join for builds that *almost* fit in task memory.
-
-    Applicable exactly where the broadcast rule declines for memory: the
-    estimated build side (with the safety factor) exceeds ``Mmax`` but
-    stays within ``spill_margin_factor`` of it. Tasks keep the in-memory
-    share of the build and partition the rest to disk, so the join stays
-    map-only at the price of ``cspill`` per spilled byte -- cheaper than
-    a repartition join for marginal overflows, never cheaper for
-    pathological ones. Hybrid joins never chain (the build already claims
-    the whole budget), so the probe side is always materialized or a
-    fresh pipeline.
-    """
-
-    name = "join->hybrid"
-
-    def apply(self, left: PhysicalNode, right: PhysicalNode,
-              context: JoinContext,
-              cost_model: JoinCostModel) -> PhysJoin | None:
-        if cost_model.fits_in_memory(right.est_bytes):
-            return None  # the plain broadcast join dominates
-        if not cost_model.fits_with_spill(right.est_bytes):
-            return None
-        cost = (left.cost + right.cost
-                + cost_model.hybrid_cost(
-                    left.est_bytes, right.est_bytes, context.est_bytes))
-        return PhysJoin(
-            aliases=context.aliases,
-            est_rows=context.est_rows,
-            est_bytes=context.est_bytes,
-            cost=cost,
-            method=HYBRID,
-            left=left,
-            right=right,
-            conditions=context.conditions,
-            applied_predicates=context.applied_predicates,
-        )
-
-
 class SkewJoinRule(ImplementationRule):
     """Skew-aware join for probe sides dominated by a few hot keys.
 
@@ -181,7 +141,7 @@ class SkewJoinRule(ImplementationRule):
     heavy fractions clear the configured thresholds and the heavy-key
     slice of the build fits in task memory. Where a plain broadcast join
     applies it always costs less (it skips the tail shuffle too), so this
-    rule only ever wins for builds too big to broadcast or spill --
+    rule only ever wins for builds too big to broadcast --
     exactly the hot-key repartition joins it exists to fix.
     """
 
@@ -229,14 +189,12 @@ class SkewJoinRule(ImplementationRule):
 
 
 def default_rules() -> tuple[ImplementationRule, ...]:
-    """The rule set: the paper's two joins plus the spill and skew variants.
+    """The rule set: the paper's two joins plus the skew variant.
 
     The broadcast rule comes first so that exact cost ties (e.g. joins
     over empty estimated inputs) resolve to the map-only operator, which
-    is never slower in practice; the hybrid rule is mutually exclusive
-    with it (it applies only when broadcast declines for memory); the
-    skew rule produces an extra candidate only when the probe side's
-    frequency profile clears its thresholds.
+    is never slower in practice; the skew rule produces an extra
+    candidate only when the probe side's frequency profile clears its
+    thresholds.
     """
-    return (BroadcastJoinRule(), HybridHashJoinRule(), SkewJoinRule(),
-            RepartitionJoinRule())
+    return (BroadcastJoinRule(), SkewJoinRule(), RepartitionJoinRule())

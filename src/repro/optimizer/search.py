@@ -168,9 +168,9 @@ class JoinOptimizer:
         Subset semantics: banning ``{o, l}`` also rejects a broadcast of
         any *smaller* alias set of that failed join -- replanned jobs get
         different alias groupings and must not resurrect the dead build.
-        The ban covers the hybrid join too: a build whose *spilling* form
-        already overflowed pathologically (or was doomed by a fault) must
-        fall back to the repartition join, not to another hash build.
+        The ban covers the skew join too: a build that already overflowed
+        pathologically (or was doomed by a fault) must fall back to the
+        repartition join, not to another hash build.
         """
         if not self.banned_broadcast:
             return False

@@ -44,9 +44,9 @@ SEGMENTS = ["free", "trial", "pro", "enterprise"]
 CATEGORIES = ["news", "sports", "video", "shop", "docs"]
 
 #: Defaults tuned so that, at scale 1.0 under the default optimizer
-#: config, the ``users`` build side overflows both the broadcast and the
-#: hybrid-spill memory gates while its heavy-key slice stays tiny -- the
-#: regime the skew join exists for.
+#: config, the ``users`` build side overflows the broadcast memory gate
+#: while its heavy-key slice stays tiny -- the regime the skew join
+#: exists for.
 DEFAULT_USER_COUNT = 6000
 DEFAULT_CLICK_COUNT = 16000
 DEFAULT_PAGE_COUNT = 40

@@ -1,12 +1,12 @@
-"""Memory-governed execution: spill join, accounting, backpressure.
+"""Memory-governed execution: accounting, degrade-in-place, backpressure.
 
-The PR-5 acceptance scenario: a workload whose broadcast build side lands
-between ``task_memory_bytes`` and ``spill_overflow_factor`` times it must
-complete through the spillable hybrid hash join with zero replans -- the
-trace shows ``spill`` events and no ``BroadcastBuildOverflowError`` --
-and produce exactly the rows of a repartition-only plan. Around that
-scenario, these tests pin down each layer: the coherent memory config,
-the hybrid cost formulas, the optimizer's choice, the runtime's
+The optimizer plans the paper's two joins (plus skew): a build side that
+does not fit ``Mmax`` is repartitioned, never planned to spill. The
+runtime keeps one safety net for builds the optimizer *underestimated*:
+a broadcast build between ``task_memory_bytes`` and
+``spill_overflow_factor`` times it degrades in place by spilling instead
+of failing the job. These tests pin down each layer: the coherent memory
+config, the optimizer's choice under a marginal budget, the runtime's
 degrade-in-place and the scheduler's cluster memory pool.
 """
 
@@ -24,7 +24,6 @@ from repro.core.dynopt import MODE_DYNOPT
 from repro.data.schema import INT, STRING, Schema
 from repro.errors import BroadcastBuildOverflowError, JobError
 from repro.obs import MemorySink, Tracer
-from repro.optimizer.cost import JoinCostModel
 from repro.optimizer.plans import summarize_plan
 from repro.optimizer.search import JoinOptimizer
 from repro.storage.dfs import DistributedFileSystem
@@ -42,11 +41,6 @@ SPILL_SQL = """
 def canonical(rows):
     return sorted(json.dumps(row, sort_keys=True, default=str)
                   for row in rows)
-
-
-def trace_events(sink, name):
-    return [record for record in sink.records
-            if record["kind"] == "event" and record["name"] == name]
 
 
 # ---------------------------------------------------------------------------
@@ -76,52 +70,11 @@ class TestMemoryConfig:
 
 
 # ---------------------------------------------------------------------------
-# hybrid join cost model
+# plan choice under a marginal budget
 # ---------------------------------------------------------------------------
 
 
-class TestHybridCostModel:
-    def model(self, mmax=8192):
-        from dataclasses import replace
-
-        return JoinCostModel(
-            replace(DEFAULT_CONFIG.optimizer, max_broadcast_bytes=mmax)
-        )
-
-    def test_spilled_fraction_zero_when_fitting(self):
-        model = self.model()
-        assert model.spilled_fraction(1000.0) == 0.0
-
-    def test_spilled_fraction_grows_with_build(self):
-        model = self.model()
-        small = model.spilled_fraction(10_000.0)
-        large = model.spilled_fraction(20_000.0)
-        assert 0.0 < small < large < 1.0
-
-    def test_fits_with_spill_is_wider_than_memory(self):
-        model = self.model()
-        build = 12_000.0  # over Mmax, within 4x margin
-        assert not model.fits_in_memory(build)
-        assert model.fits_with_spill(build)
-        assert not model.fits_with_spill(40_000.0)
-
-    def test_cost_ordering_broadcast_hybrid_repartition(self):
-        """For a marginally oversized build the hybrid join must sit
-        strictly between broadcast and repartition, so the optimizer
-        degrades rather than jumping straight to repartition."""
-        model = self.model()
-        probe, build, out = 100_000.0, 12_000.0, 50_000.0
-        assert model.broadcast_cost(probe, build, out) \
-            < model.hybrid_cost(probe, build, out) \
-            < model.repartition_cost(probe, build, out)
-
-    def test_hybrid_equals_broadcast_when_nothing_spills(self):
-        model = self.model()
-        assert model.hybrid_cost(1000.0, 500.0, 100.0) == \
-            model.broadcast_cost(1000.0, 500.0, 100.0)
-
-
-class TestHybridPlanChoice:
+class TestMarginalBuildPlanChoice:
     def optimize(self, dyno_factory, mmax, banned=frozenset()):
         from repro.core.baselines import oracle_leaf_stats
 
@@ -134,34 +87,26 @@ class TestHybridPlanChoice:
                                   banned_broadcast=banned)
         return optimizer.optimize()
 
-    def test_marginal_build_chooses_hybrid(self, dyno_factory):
-        result = self.optimize(dyno_factory, mmax=8192)
-        summary = summarize_plan(result.plan)
-        assert summary.hybrid_joins == 1
-        assert summary.repartition_joins == 0
-
     def test_tiny_budget_falls_back_to_repartition(self, dyno_factory):
         result = self.optimize(dyno_factory, mmax=1024)
         summary = summarize_plan(result.plan)
-        assert summary.hybrid_joins == 0
         assert summary.repartition_joins == 1
 
     def test_large_budget_still_broadcasts(self, dyno_factory):
         result = self.optimize(dyno_factory, mmax=96 * 1024)
         summary = summarize_plan(result.plan)
         assert summary.broadcast_joins == 1
-        assert summary.hybrid_joins == 0
 
-    def test_ban_covers_hybrid_joins_too(self, dyno_factory):
-        """PR-2's ban-and-replan must exclude the hybrid variant as well:
-        after a pathological overflow the replanned join may not retry
+    def test_ban_forces_repartition(self, dyno_factory):
+        """After a pathological overflow the replanned join may not retry
         any in-memory hash build over the banned aliases."""
-        result = self.optimize(dyno_factory, mmax=8192)
+        result = self.optimize(dyno_factory, mmax=96 * 1024)
+        assert summarize_plan(result.plan).broadcast_joins == 1
         banned = frozenset({frozenset(result.plan.aliases)})
-        rebanned = self.optimize(dyno_factory, mmax=8192, banned=banned)
+        rebanned = self.optimize(dyno_factory, mmax=96 * 1024, banned=banned)
         summary = summarize_plan(rebanned.plan)
-        assert summary.hybrid_joins == 0
         assert summary.broadcast_joins == 0
+        assert summary.skew_joins == 0
         assert summary.repartition_joins == 1
 
 
@@ -302,11 +247,11 @@ class TestSchedulerMemoryPool:
 
 
 # ---------------------------------------------------------------------------
-# end-to-end acceptance: spill join under DYNOPT
+# end-to-end: a marginal build under DYNOPT
 # ---------------------------------------------------------------------------
 
 
-class TestEndToEndSpill:
+class TestMarginalBuildEndToEnd:
     def run(self, tables, task_memory, tracer=None):
         config = DEFAULT_CONFIG.with_memory(task_memory_bytes=task_memory)
         dyno = Dyno(tables, config=config, tracer=tracer)
@@ -314,35 +259,22 @@ class TestEndToEndSpill:
         return dyno.execute(spec, mode=MODE_DYNOPT, strategy="UNC-1")
 
     @pytest.fixture(scope="class")
-    def spill_run(self, tpch_tables):
-        sink = MemorySink()
-        execution = self.run(tpch_tables, 8192, tracer=Tracer(sink))
-        return execution, sink
+    def tight_run(self, tpch_tables):
+        return self.run(tpch_tables, 8192, tracer=Tracer(MemorySink()))
 
-    def test_completes_via_hybrid_with_zero_replans(self, spill_run):
-        execution, _ = spill_run
-        block = execution.block_results[0]
+    def test_plans_repartition_with_zero_replans(self, tight_run):
+        block = tight_run.block_results[0]
         assert block.replanned_failures == []
         final = summarize_plan(block.plans[-1])
-        assert final.hybrid_joins == 1
+        assert final.repartition_joins == 1
+        assert final.broadcast_joins == 0
 
-    def test_trace_shows_spill_and_no_overflow(self, spill_run):
-        _, sink = spill_run
-        spills = trace_events(sink, "spill")
-        assert spills, "expected at least one spill event"
-        for event in spills:
-            attrs = event["attrs"]
-            assert attrs["spilled_bytes"] > 0
-            assert attrs["in_memory_build_bytes"] == \
-                attrs["task_memory_bytes"]
-        assert not [record for record in sink.records
-                    if "BroadcastBuildOverflowError" in json.dumps(record)]
+    def test_rows_identical_to_roomy_run(self, tight_run, tpch_tables):
+        roomy = self.run(tpch_tables, 96 * 1024)
+        summary = summarize_plan(roomy.block_results[0].plans[-1])
+        assert summary.broadcast_joins == 1
+        assert canonical(tight_run.rows) == canonical(roomy.rows)
 
-    def test_rows_identical_to_repartition_only_plan(self, spill_run,
-                                                     tpch_tables):
-        execution, _ = spill_run
-        repartition = self.run(tpch_tables, 1024)
-        summary = summarize_plan(repartition.block_results[0].plans[-1])
-        assert summary.repartition_joins == 1
-        assert summary.hybrid_joins == 0
-        assert canonical(execution.rows) == canonical(repartition.rows)
+    def test_untraced_rows_equal_traced(self, tight_run, tpch_tables):
+        untraced = self.run(tpch_tables, 8192)
+        assert canonical(untraced.rows) == canonical(tight_run.rows)

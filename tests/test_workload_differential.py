@@ -45,8 +45,8 @@ ENGINE_PATHS = {
     # A finite trigger: re-optimize only when an estimate missed 2x.
     "dynopt-threshold2": dict(config=with_threshold(2.0)),
     "dynopt-hive": dict(config=DEFAULT_CONFIG.with_backend("hive")),
-    # A quarter of the default Mmax: Q7 and Q10 plan hybrid joins whose
-    # builds spill.
+    # A quarter of the default Mmax: builds that broadcast at the
+    # default budget repartition instead (Q7, Q10).
     "dynopt-tight-memory": dict(config=DEFAULT_CONFIG.with_memory(
         task_memory_bytes=24 * 1024)),
 }
