@@ -12,8 +12,6 @@ paper's Figure 2.
 Run:  python examples/adaptive_replanning.py
 """
 
-from dataclasses import replace
-
 from repro import Dyno, generate_tpch, render_plan
 from repro.config import DEFAULT_CONFIG
 from repro.core.baselines import relopt_optimizer_config, relopt_plan
@@ -25,12 +23,7 @@ def main() -> None:
     workload = q8_prime()
 
     # Force multi-job plans so re-optimization points exist at this scale.
-    config = replace(
-        DEFAULT_CONFIG,
-        cluster=replace(DEFAULT_CONFIG.cluster, task_memory_bytes=32 * 1024),
-        optimizer=replace(DEFAULT_CONFIG.optimizer,
-                          max_broadcast_bytes=32 * 1024),
-    )
+    config = DEFAULT_CONFIG.with_memory(task_memory_bytes=32 * 1024)
     dyno = Dyno(dataset.tables, config=config, udfs=workload.udfs)
 
     extracted = dyno.prepare(workload.final_spec)

@@ -275,14 +275,7 @@ def figure5_strategies(config: DynoConfig = DEFAULT_CONFIG) -> ExperimentTable:
     choose between; the budget is reduced here so plans span several jobs,
     matching the job counts of the paper's cluster runs.
     """
-    from dataclasses import replace
-
-    config = replace(
-        config,
-        cluster=replace(config.cluster, task_memory_bytes=24 * 1024),
-        optimizer=replace(config.optimizer,
-                          max_broadcast_bytes=24 * 1024),
-    )
+    config = config.with_memory(task_memory_bytes=24 * 1024)
     workloads = [q7(), q8_prime(), q10()]
     tables = dataset_for_paper_sf(300).tables
     strategies = [

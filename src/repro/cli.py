@@ -152,11 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="per-task memory budget Mmax in bytes: caps "
                              "broadcast build sides and what a spilling "
                              "build keeps resident (default: config)")
-    parser.add_argument("--cluster-memory", type=_positive_int, default=None,
-                        metavar="BYTES",
-                        help="cluster-wide memory pool in bytes, governing "
-                             "concurrent job admission (default: map slots "
-                             "x task memory)")
     parser.add_argument("--fault-plan", metavar="PATH",
                         help="arm a JSON fault plan (see docs/testing.md): "
                              "inject deterministic task/job failures, "
@@ -258,8 +253,7 @@ def _open_session(args: argparse.Namespace, out):
 
     tables, udfs = _dataset(args, out)
     config = DEFAULT_CONFIG.with_backend(args.backend).with_memory(
-        task_memory_bytes=args.task_memory,
-        cluster_memory_bytes=args.cluster_memory)  # None: keep default
+        task_memory_bytes=args.task_memory)  # None: keep default
     if args.fault_plan:
         from repro.cluster.faults import FaultPlan
         try:

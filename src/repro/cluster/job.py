@@ -97,9 +97,6 @@ class BroadcastBuild:
     #: parallel to ``rows`` once loaded.
     sizes: list[int] = field(default_factory=list)
     loaded_bytes: int = 0
-    #: optimizer's byte estimate for the loaded build (0 when unknown);
-    #: feeds the job's declared memory demand before execution.
-    declared_bytes: int = 0
 
     def load(self, batch: Any) -> None:
         loaded = self.loader(batch)
@@ -141,11 +138,6 @@ class MapReduceJob:
     stats_columns: list[str] = field(default_factory=list)
     #: free-form description used in plan printouts and experiment logs.
     description: str = ""
-    #: declared build/buffer memory demand (bytes), derived from collected
-    #: statistics by the compiler; the slot scheduler charges it against
-    #: the cluster memory pool while the job runs. 0 means "negligible"
-    #: (pilot runs, plain scans) and never waits for memory.
-    memory_demand_bytes: int = 0
     #: skew joins: mappers of this map+reduce job may emit records with
     #: ``key=None``, which bypass the shuffle and land directly in the
     #: job's output (the heavy-key side channel). Off for normal jobs so

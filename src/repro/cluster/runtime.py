@@ -17,12 +17,6 @@ The runtime also reproduces two paper-critical behaviours:
 * when a job declares ``stats_columns``, every task accumulates partial
   statistics over its output and publishes them through the coordination
   service; the client merges them after the job (Section 5.4).
-
-Memory governance: every job carries a declared memory demand
-(:attr:`repro.cluster.job.MapReduceJob.memory_demand_bytes`); the slot
-scheduler charges the larger of the declaration and the actually loaded
-in-memory build bytes against its cluster memory pool, so concurrent
-jobs queue (deterministic FIFO) when the pool is exhausted.
 """
 
 from __future__ import annotations
@@ -88,9 +82,6 @@ class JobResult:
     #: bytes spilled to task-local disk by the hybrid hash join (build
     #: partitions plus the probe side's second pass); 0 for in-memory runs.
     spilled_bytes: int = 0
-    #: build bytes actually resident in task memory (after spilling);
-    #: feeds the scheduler's per-job memory charge.
-    in_memory_build_bytes: int = 0
 
     @property
     def elapsed_seconds(self) -> float:
@@ -123,7 +114,6 @@ class _JobDataPass:
     splits_total: int
     driver_wall_seconds: float = 0.0
     spilled_bytes: int = 0
-    in_memory_build_bytes: int = 0
     #: per-row sizes parallel to ``output_rows`` (each row was sized once
     #: during the pass); lets finalize hand the DFS pre-computed sizes for
     #: schema-free outputs instead of re-walking every dict.
@@ -143,7 +133,6 @@ class _BuildLoad:
     loaded_bytes: int = 0
     spilled_bytes: int = 0
     spill_fraction: float = 0.0
-    in_memory_bytes: int = 0
 
 
 @dataclass
@@ -221,7 +210,6 @@ class ClusterRuntime:
             speculative=config.cluster.speculative_execution,
             speculative_threshold=config.cluster.speculative_slowdown_threshold,
             tracer=self.tracer,
-            memory_pool_bytes=config.cluster.effective_cluster_memory_bytes,
         )
         #: armed fault schedule, or None -- with no plan armed the fault
         #: machinery is entirely off the data-path hot loop.
@@ -329,10 +317,6 @@ class ClusterRuntime:
                     injector.consume_penalty(job.name) if injector else 0.0
                 ),
                 depends_on=list(dependencies.get(job.name, [])),
-                memory_bytes=max(
-                    job.memory_demand_bytes,
-                    results[job.name].in_memory_build_bytes,
-                ),
             )
             for job in jobs
         ]
@@ -381,7 +365,6 @@ class ClusterRuntime:
                     "spill",
                     job=job.name,
                     spilled_bytes=result.spilled_bytes,
-                    in_memory_build_bytes=result.in_memory_build_bytes,
                     task_memory_bytes=self.config.cluster.task_memory_bytes,
                 )
             if tracer.enabled:
@@ -462,7 +445,6 @@ class ClusterRuntime:
             loaded_bytes=loaded_bytes,
             spilled_bytes=spilled,
             spill_fraction=spilled / loaded_bytes if spilled else 0.0,
-            in_memory_bytes=min(loaded_bytes, budget),
         )
 
     def _retry_backoff_seconds(self, failed_attempts: int) -> float:
@@ -645,7 +627,6 @@ class ClusterRuntime:
             splits_processed=splits_processed,
             splits_total=splits_total,
             spilled_bytes=build.spilled_bytes + probe_spill_bytes,
-            in_memory_build_bytes=build.in_memory_bytes,
             output_sizes=output_sizes,
         )
 
@@ -687,7 +668,6 @@ class ClusterRuntime:
             collected_stats=collected,
             driver_wall_seconds=data.driver_wall_seconds,
             spilled_bytes=data.spilled_bytes,
-            in_memory_build_bytes=data.in_memory_build_bytes,
         )
 
     def _run_reduce_phase(

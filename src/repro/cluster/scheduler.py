@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import math
 from collections import deque
 from dataclasses import dataclass, field, replace
 
@@ -68,9 +67,6 @@ class ScheduledJob:
     startup_seconds: float = 0.0
     submit_time: float = 0.0
     depends_on: list[str] = field(default_factory=list)
-    #: declared build/buffer memory demand, held against the scheduler's
-    #: cluster memory pool from task start to job finish. 0 never waits.
-    memory_bytes: int = 0
 
 
 @dataclass
@@ -82,9 +78,6 @@ class JobTimeline:
     start_time: float = 0.0
     map_finish_time: float = 0.0
     finish_time: float = 0.0
-    #: time spent queued for cluster memory after startup, before any
-    #: task could be dispatched (0 when the pool admitted it at once).
-    memory_wait_seconds: float = 0.0
 
     @property
     def elapsed(self) -> float:
@@ -99,24 +92,16 @@ class ScheduleResult:
 
 @dataclass
 class _CallState:
-    """Per-``schedule()`` bookkeeping.
+    """Per-``schedule()`` bookkeeping: freed slots and speculative phantoms.
 
-    Kept off the scheduler instance so concurrent ``schedule()`` calls
-    (callers on several threads sharing one runtime) never observe each
-    other's freed-slot counts or speculative phantom tasks.
+    Kept off the scheduler instance so one ``schedule()`` call starts from
+    a clean slate and never sees the previous batch's phantom tasks.
     """
 
     freed_map: int = 0
     freed_reduce: int = 0
     phantom_maps: dict[str, list[float]] = field(default_factory=dict)
     phantom_reduces: dict[str, list[float]] = field(default_factory=dict)
-    #: cluster memory pool accounting for this batch.
-    free_memory: int = 0
-    memory_held: dict[str, int] = field(default_factory=dict)
-    #: jobs past startup, queued (FIFO) for memory: (job_id, demand).
-    memory_queue: deque[tuple[str, int]] = field(default_factory=deque)
-    memory_wait_start: dict[str, float] = field(default_factory=dict)
-    used_memory_peak: int = 0
 
 
 #: Scheduling policies. The paper uses Hadoop's FIFO scheduler "so as to
@@ -181,31 +166,25 @@ class SlotScheduler:
     def __init__(self, map_slots: int, reduce_slots: int,
                  policy: str = POLICY_FIFO, speculative: bool = False,
                  speculative_threshold: float = 3.0,
-                 tracer: Tracer | None = None,
-                 memory_pool_bytes: int = 0):
+                 tracer: Tracer | None = None):
         if map_slots <= 0 or reduce_slots <= 0:
             raise JobError("slot counts must be positive")
         if policy not in (POLICY_FIFO, POLICY_FAIR):
             raise JobError(f"unknown scheduling policy: {policy!r}")
         if speculative_threshold <= 1.0:
             raise JobError("speculative_slowdown_threshold must be > 1.0")
-        if memory_pool_bytes < 0:
-            raise JobError("memory_pool_bytes must be >= 0")
         self.map_slots = map_slots
         self.reduce_slots = reduce_slots
         self.policy = policy
         self.speculative = speculative
         self.speculative_threshold = speculative_threshold
         self.tracer = tracer or NULL_TRACER
-        #: cluster-wide memory pool charged by jobs' declared demands;
-        #: 0 disables memory governance entirely (no demand, no waits).
-        self.memory_pool_bytes = memory_pool_bytes
 
     def schedule(self, jobs: list[ScheduledJob]) -> ScheduleResult:
         """Simulate ``jobs`` sharing the cluster; returns per-job timelines."""
         if not jobs:
             return ScheduleResult({}, 0.0)
-        state = _CallState(free_memory=self.memory_pool_bytes)
+        state = _CallState()
         jobs = self._apply_speculation(jobs, state)
         by_id = {job.job_id: job for job in jobs}
         if len(by_id) != len(jobs):
@@ -247,17 +226,6 @@ class SlotScheduler:
         def finish_job(job_id: str, now: float) -> None:
             finished.add(job_id)
             timelines[job_id].finish_time = now
-            released = state.memory_held.pop(job_id, 0)
-            if released:
-                state.free_memory += released
-                # Admit memory waiters strictly in FIFO order: the head
-                # blocks everyone behind it (no bypass), which keeps
-                # memory admission deterministic and starvation-free.
-                while (state.memory_queue
-                       and state.memory_queue[0][1] <= state.free_memory):
-                    waiter_id, demand = state.memory_queue.popleft()
-                    self._acquire_memory(state, waiter_id, demand)
-                    push_event(now, "job_tasks", waiter_id)
             for other in jobs:
                 if job_id in unfinished_deps[other.job_id]:
                     unfinished_deps[other.job_id].discard(job_id)
@@ -294,12 +262,11 @@ class SlotScheduler:
         # copy releasing its slot later does not extend the batch.
         makespan = max(t.finish_time for t in timelines.values())
         if self.tracer.enabled:
-            self._trace_batch(jobs, makespan, state, timelines)
+            self._trace_batch(jobs, makespan, state)
         return ScheduleResult(timelines, makespan)
 
     def _trace_batch(self, jobs: list[ScheduledJob],
-                     makespan: float, state: _CallState,
-                     timelines: dict[str, JobTimeline]) -> None:
+                     makespan: float, state: _CallState) -> None:
         """One summary event per scheduled batch: load and utilization.
 
         Utilization is aggregate task seconds (including speculative
@@ -326,12 +293,6 @@ class SlotScheduler:
             utilization=round(
                 (map_seconds + reduce_seconds) / capacity, 6
             ) if capacity > 0 else 0.0,
-            memory_pool_bytes=self.memory_pool_bytes,
-            memory_peak_bytes=state.used_memory_peak,
-            memory_wait_s=round(sum(
-                timeline.memory_wait_seconds
-                for timeline in timelines.values()
-            ), 6),
         )
 
     def _apply_speculation(self, jobs: list[ScheduledJob],
@@ -355,15 +316,6 @@ class SlotScheduler:
                               reduce_durations=reduce_eff)
                 state.phantom_maps[job.job_id] = map_backups
                 state.phantom_reduces[job.job_id] = reduce_backups
-                # Backup copies re-load the job's working set (broadcast
-                # builds in particular), so they inflate the declared
-                # memory demand by the backed-up tasks' share.
-                backups = len(map_backups) + len(reduce_backups)
-                tasks = len(job.map_durations) + len(job.reduce_durations)
-                if job.memory_bytes and tasks:
-                    extra = math.ceil(job.memory_bytes * backups / tasks)
-                    job = replace(job,
-                                  memory_bytes=job.memory_bytes + extra)
             speculated.append(job)
         return speculated
 
@@ -373,24 +325,6 @@ class SlotScheduler:
         now, _, kind, payload = event
         job_id: str = payload  # type: ignore[assignment]
         if kind == "job_start":
-            # Startup is paid; the job now needs its declared memory
-            # before any task can be dispatched. A job behind a waiting
-            # one also waits (FIFO), even if its own demand would fit.
-            demand = self._memory_demand(by_id[job_id])
-            if demand and (state.memory_queue
-                           or state.free_memory < demand):
-                state.memory_queue.append((job_id, demand))
-                state.memory_wait_start[job_id] = now
-                return
-            if demand:
-                self._acquire_memory(state, job_id, demand)
-            self._start_tasks(job_id, now, by_id, timelines, map_queue,
-                              reduce_queue, finish_job, state)
-        elif kind == "job_tasks":
-            # Memory was granted (in finish_job's FIFO drain); record the
-            # wait and start the job's tasks.
-            waited_since = state.memory_wait_start.pop(job_id, now)
-            timelines[job_id].memory_wait_seconds = now - waited_since
             self._start_tasks(job_id, now, by_id, timelines, map_queue,
                               reduce_queue, finish_job, state)
         elif kind == "map_done":
@@ -419,19 +353,6 @@ class SlotScheduler:
             state.freed_reduce += 1
         else:  # pragma: no cover - defensive
             raise JobError(f"unknown event kind: {kind!r}")
-
-    def _memory_demand(self, job: ScheduledJob) -> int:
-        """Declared demand clamped to the pool (oversized jobs run alone)."""
-        if self.memory_pool_bytes <= 0 or job.memory_bytes <= 0:
-            return 0
-        return min(job.memory_bytes, self.memory_pool_bytes)
-
-    def _acquire_memory(self, state: _CallState, job_id: str,
-                        demand: int) -> None:
-        state.free_memory -= demand
-        state.memory_held[job_id] = demand
-        used = self.memory_pool_bytes - state.free_memory
-        state.used_memory_peak = max(state.used_memory_peak, used)
 
     def _start_tasks(self, job_id, now, by_id, timelines, map_queue,
                      reduce_queue, finish_job, state: _CallState) -> None:

@@ -82,11 +82,6 @@ class ClusterConfig:
     #: raises :class:`repro.errors.BroadcastBuildOverflowError` (which the
     #: dynamic executor turns into a ban-and-replan).
     spill_overflow_factor: float = 4.0
-    #: cluster-wide memory pool shared by concurrently scheduled jobs
-    #: (bytes). 0 derives the pool from the topology:
-    #: ``total_map_slots * task_memory_bytes`` -- every map slot can hold
-    #: one task-sized working set, as on the real cluster.
-    cluster_memory_bytes: int = 0
 
     #: slot scheduling policy: "fifo" (Hadoop 1.x default, used by the
     #: paper) or "fair" (Section 6.3's future-work experiment).
@@ -120,13 +115,6 @@ class ClusterConfig:
     @property
     def total_reduce_slots(self) -> int:
         return self.worker_nodes * self.reduce_slots_per_node
-
-    @property
-    def effective_cluster_memory_bytes(self) -> int:
-        """The scheduler's memory pool: explicit, or slots x task memory."""
-        if self.cluster_memory_bytes > 0:
-            return self.cluster_memory_bytes
-        return self.total_map_slots * self.task_memory_bytes
 
 
 @dataclass(frozen=True)
@@ -238,29 +226,25 @@ class DynoConfig:
         return replace(self, backend=backend)
 
     def with_memory(self, task_memory_bytes: int | None = None,
-                    cluster_memory_bytes: int | None = None,
                     ) -> "DynoConfig":
-        """Config with the memory budgets changed coherently.
+        """Config with the task memory budget changed coherently.
 
         ``task_memory_bytes`` is the paper's ``Mmax``: it gates both the
         runtime's build-side check and the optimizer's broadcast/chain
         rules, so the two must move together -- this helper is the only
-        supported way to change either.
+        supported way to change either. ``None`` keeps the budget.
         """
-        cluster = self.cluster
-        optimizer = self.optimizer
-        if task_memory_bytes is not None:
-            if task_memory_bytes <= 0:
-                raise ValueError("task_memory_bytes must be positive")
-            cluster = replace(cluster, task_memory_bytes=task_memory_bytes)
-            optimizer = replace(optimizer,
-                                max_broadcast_bytes=task_memory_bytes)
-        if cluster_memory_bytes is not None:
-            if cluster_memory_bytes < 0:
-                raise ValueError("cluster_memory_bytes must be >= 0")
-            cluster = replace(cluster,
-                              cluster_memory_bytes=cluster_memory_bytes)
-        return replace(self, cluster=cluster, optimizer=optimizer)
+        if task_memory_bytes is None:
+            return self
+        if task_memory_bytes <= 0:
+            raise ValueError("task_memory_bytes must be positive")
+        return replace(
+            self,
+            cluster=replace(self.cluster,
+                            task_memory_bytes=task_memory_bytes),
+            optimizer=replace(self.optimizer,
+                              max_broadcast_bytes=task_memory_bytes),
+        )
 
     def with_fault_plan(self, plan: "FaultPlan | None") -> "DynoConfig":
         """Config with a fault schedule armed (or disarmed with None)."""

@@ -577,7 +577,6 @@ class PlanCompiler:
             input_file=input_file,
             loader=loader,
             description=description,
-            declared_bytes=int(node.est_bytes),
         )
 
     def _skew_build_side(self, node: PhysJoin, right: _Stream,
@@ -620,8 +619,6 @@ class PlanCompiler:
             input_file=right.input_files[0],
             loader=loader,
             description=description,
-            declared_bytes=int(node.heavy_build_fraction
-                               * node.right.est_bytes),
         ), right
 
     def _skew_stream(self, node: PhysJoin,
@@ -723,7 +720,6 @@ class PlanCompiler:
             output_schema=intermediate_schema(),
             broadcast_builds=builds,
             description=description,
-            memory_demand_bytes=self._memory_demand(builds),
             map_side_output=bool(heavy_set),
         )
         depends = _dedupe(
@@ -774,7 +770,6 @@ class PlanCompiler:
             output_schema=intermediate_schema(),
             broadcast_builds=list(stream.builds),
             description=f"map-only pipeline over {sorted(stream.aliases)}",
-            memory_demand_bytes=self._memory_demand(stream.builds),
         )
         node_cost = stream.node.cost if stream.node is not None else 0.0
         compiled = CompiledJob(
@@ -799,18 +794,6 @@ class PlanCompiler:
         if leaf.is_base:
             return self.table_files.get(leaf.source_name, leaf.source_name)
         return leaf.source_name
-
-    def _memory_demand(self, builds: list[BroadcastBuild]) -> int:
-        """Declared build memory of one job, from optimizer estimates.
-
-        Capped at the task budget: a spilling build never holds more than
-        ``task_memory_bytes`` resident, and a build beyond the spill
-        margin fails before occupying it. The runtime later charges
-        ``max(declaration, actually loaded in-memory bytes)`` so lying
-        estimates cannot under-charge the cluster pool.
-        """
-        declared = sum(build.declared_bytes for build in builds)
-        return min(declared, self.config.cluster.task_memory_bytes)
 
     def _next_name(self, label: str) -> str:
         self._counter += 1

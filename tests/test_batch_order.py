@@ -120,7 +120,7 @@ def batch_observables(runtime: ClusterRuntime, batch):
     return observed
 
 
-class TestRuntimeEquivalence:
+class TestBatchOrder:
     def test_dependent_jobs_still_ordered(self):
         """A consumer reads finalized data even when the batch lists it
         before its producers: it sees what it would in a later batch of
@@ -150,7 +150,7 @@ class TestRuntimeEquivalence:
         del observed["elapsed"], expected["elapsed"]
         assert observed == expected
 
-    def test_overflow_propagates_from_worker(self):
+    def test_overflow_propagates_out_of_the_batch(self):
         """A build overflowing task memory raises out of ``execute_batch``
         from whichever job loads it; the job before it is finalized, the
         failed job leaves no output."""

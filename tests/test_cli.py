@@ -31,6 +31,26 @@ class TestParser:
         assert exit_info.value.code == 2
         assert "--service-workers" in capsys.readouterr().err
 
+    def test_cluster_pool_flag_is_gone(self, capsys):
+        """The only memory budget is the per-task one; no pool to size."""
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["--workload", "Q10",
+                                       "--cluster-memory", "1048576"])
+        assert exit_info.value.code == 2
+        assert "--cluster-memory" in capsys.readouterr().err
+
+    def test_task_memory_moves_both_budgets(self):
+        """``--task-memory`` is ``Mmax``: the runtime's build budget and
+        the optimizer's broadcast cap move together."""
+        from repro.cli import _open_session
+
+        args = build_parser().parse_args(["--workload", "Q10",
+                                          "--scale-factor", "0.01",
+                                          "--task-memory", "8192"])
+        config = _open_session(args, io.StringIO()).dyno.config
+        assert config.cluster.task_memory_bytes == 8192
+        assert config.optimizer.max_broadcast_bytes == 8192
+
     def test_paper_sf_choices(self):
         args = build_parser().parse_args(["--workload", "Q10",
                                           "--paper-sf", "100"])

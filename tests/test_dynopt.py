@@ -13,12 +13,7 @@ from tests.conftest import assert_same_rows, reference_rows
 #: A memory budget small enough that the test-scale dataset cannot collapse
 #: whole queries into a single chained map-only job -- forcing the
 #: multi-iteration behaviour the dynamic tests exercise.
-TIGHT_CONFIG = replace(
-    DEFAULT_CONFIG,
-    cluster=replace(DEFAULT_CONFIG.cluster, task_memory_bytes=8 * 1024),
-    optimizer=replace(DEFAULT_CONFIG.optimizer,
-                      max_broadcast_bytes=8 * 1024),
-)
+TIGHT_CONFIG = DEFAULT_CONFIG.with_memory(task_memory_bytes=8 * 1024)
 
 
 @pytest.mark.parametrize("factory", [q7, q8_prime, q9_prime, q10])

@@ -1,4 +1,4 @@
-"""Memory-governed execution: accounting, degrade-in-place, backpressure.
+"""Memory-governed execution: one task budget and its degrade-in-place net.
 
 The optimizer plans the paper's two joins (plus skew): a build side that
 does not fit ``Mmax`` is repartitioned, never planned to spill. The
@@ -6,8 +6,8 @@ runtime keeps one safety net for builds the optimizer *underestimated*:
 a broadcast build between ``task_memory_bytes`` and
 ``spill_overflow_factor`` times it degrades in place by spilling instead
 of failing the job. These tests pin down each layer: the coherent memory
-config, the optimizer's choice under a marginal budget, the runtime's
-degrade-in-place and the scheduler's cluster memory pool.
+config, the optimizer's choice under a marginal budget and the runtime's
+degrade-in-place.
 """
 
 import json
@@ -17,12 +17,11 @@ import pytest
 from repro.cluster.counters import Counters
 from repro.cluster.job import BroadcastBuild, MapReduceJob
 from repro.cluster.runtime import ClusterRuntime
-from repro.cluster.scheduler import ScheduledJob, SlotScheduler
 from repro.config import DEFAULT_CONFIG, ClusterConfig, DynoConfig
 from repro.core.dyno import Dyno
 from repro.core.dynopt import MODE_DYNOPT
 from repro.data.schema import INT, STRING, Schema
-from repro.errors import BroadcastBuildOverflowError, JobError
+from repro.errors import BroadcastBuildOverflowError
 from repro.obs import MemorySink, Tracer
 from repro.optimizer.plans import summarize_plan
 from repro.optimizer.search import JoinOptimizer
@@ -53,16 +52,6 @@ class TestMemoryConfig:
         config = DEFAULT_CONFIG.with_memory(task_memory_bytes=8192)
         assert config.cluster.task_memory_bytes == 8192
         assert config.optimizer.max_broadcast_bytes == 8192
-
-    def test_with_memory_sets_cluster_pool(self):
-        config = DEFAULT_CONFIG.with_memory(cluster_memory_bytes=123456)
-        assert config.cluster.effective_cluster_memory_bytes == 123456
-
-    def test_default_pool_is_slots_times_task_memory(self):
-        cluster = DEFAULT_CONFIG.cluster
-        assert cluster.cluster_memory_bytes == 0
-        assert cluster.effective_cluster_memory_bytes == \
-            cluster.total_map_slots * cluster.task_memory_bytes
 
     def test_with_memory_rejects_nonpositive_task_budget(self):
         with pytest.raises(ValueError, match="task_memory_bytes"):
@@ -148,9 +137,17 @@ def join_job(runtime):
 class TestRuntimeSpill:
     def test_marginal_overflow_spills_instead_of_dying(self):
         runtime, config = spill_runtime(task_memory=2048)
-        result = runtime.execute(join_job(runtime))
-        assert result.spilled_bytes > 0
-        assert result.in_memory_build_bytes == 2048
+        job = join_job(runtime)
+        result = runtime.execute(job)
+        # The build keeps exactly the budget resident and spills the rest;
+        # the probe side stages the same share of every split.
+        loaded = job.broadcast_builds[0].loaded_bytes
+        build_spill = loaded - config.cluster.task_memory_bytes
+        fraction = build_spill / loaded
+        probe_spill = sum(int(split.size_bytes * fraction)
+                          for split in runtime.dfs.file_splits("probe"))
+        assert build_spill > 0
+        assert result.spilled_bytes == build_spill + probe_spill
         assert result.counters.get("map", Counters.SPILLED_BYTES) == \
             result.spilled_bytes
         assert runtime.dfs.spill_bytes_written == result.spilled_bytes
@@ -184,66 +181,6 @@ class TestRuntimeSpill:
         assert result.spilled_bytes == 0
         assert result.counters.get("map", Counters.SPILLED_BYTES) == 0
         assert runtime.dfs.spill_bytes_written == 0
-
-
-# ---------------------------------------------------------------------------
-# scheduler memory pool
-# ---------------------------------------------------------------------------
-
-
-class TestSchedulerMemoryPool:
-    def test_pool_serializes_overcommitted_jobs(self):
-        jobs = [
-            ScheduledJob("a", [10.0], memory_bytes=60),
-            ScheduledJob("b", [10.0], memory_bytes=60),
-        ]
-        free = SlotScheduler(4, 4).schedule(jobs)
-        governed = SlotScheduler(4, 4, memory_pool_bytes=100).schedule(jobs)
-        assert free.makespan < governed.makespan
-        assert governed.timelines["b"].memory_wait_seconds > 0.0
-        assert governed.timelines["a"].memory_wait_seconds == 0.0
-
-    def test_fitting_jobs_run_concurrently(self):
-        jobs = [
-            ScheduledJob("a", [10.0], memory_bytes=40),
-            ScheduledJob("b", [10.0], memory_bytes=40),
-        ]
-        result = SlotScheduler(4, 4, memory_pool_bytes=100).schedule(jobs)
-        assert result.timelines["b"].memory_wait_seconds == 0.0
-
-    def test_zero_demand_jobs_ignore_the_pool(self):
-        jobs = [
-            ScheduledJob("a", [10.0]),
-            ScheduledJob("b", [10.0]),
-        ]
-        result = SlotScheduler(4, 4, memory_pool_bytes=1).schedule(jobs)
-        assert result.makespan == pytest.approx(10.0)
-
-    def test_oversized_demand_is_clamped_to_run_alone(self):
-        """A job declaring more than the whole pool must still run --
-        alone -- rather than wait forever."""
-        jobs = [
-            ScheduledJob("big", [10.0], memory_bytes=10_000),
-            ScheduledJob("small", [10.0], memory_bytes=50),
-        ]
-        result = SlotScheduler(4, 4, memory_pool_bytes=100).schedule(jobs)
-        assert result.timelines["big"].finish_time > 0.0
-        assert result.timelines["small"].memory_wait_seconds > 0.0
-
-    def test_fifo_queue_admits_no_bypass(self):
-        """A later small job may not overtake an earlier blocked one."""
-        jobs = [
-            ScheduledJob("first", [10.0], memory_bytes=80),
-            ScheduledJob("second", [10.0], memory_bytes=80),
-            ScheduledJob("third", [10.0], memory_bytes=10),
-        ]
-        result = SlotScheduler(4, 4, memory_pool_bytes=100).schedule(jobs)
-        assert result.timelines["third"].start_time >= \
-            result.timelines["second"].start_time
-
-    def test_negative_pool_is_rejected(self):
-        with pytest.raises(JobError, match="memory"):
-            SlotScheduler(1, 1, memory_pool_bytes=-1)
 
 
 # ---------------------------------------------------------------------------

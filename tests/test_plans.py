@@ -203,17 +203,9 @@ class TestPlanDiff:
 
         tables = generate_tpch(0.05, seed=2014).tables
         workload = q8_prime()
-        from dataclasses import replace as dc_replace
-
         from repro.config import DEFAULT_CONFIG
 
-        config = dc_replace(
-            DEFAULT_CONFIG,
-            cluster=dc_replace(DEFAULT_CONFIG.cluster,
-                               task_memory_bytes=8 * 1024),
-            optimizer=dc_replace(DEFAULT_CONFIG.optimizer,
-                                 max_broadcast_bytes=8 * 1024),
-        )
+        config = DEFAULT_CONFIG.with_memory(task_memory_bytes=8 * 1024)
         dyno = Dyno(tables, config=config, udfs=workload.udfs)
         execution = dyno.execute(workload.final_spec, mode="dynopt")
         plans = execution.block_results[0].plans
