@@ -130,7 +130,6 @@ class _BuildLoad:
     """
 
     per_task_seconds: float = 0.0
-    loaded_bytes: int = 0
     spilled_bytes: int = 0
     spill_fraction: float = 0.0
 
@@ -442,7 +441,6 @@ class ClusterRuntime:
             build_seconds += self.cost_model.spill_seconds(spilled)
         return _BuildLoad(
             per_task_seconds=build_seconds,
-            loaded_bytes=loaded_bytes,
             spilled_bytes=spilled,
             spill_fraction=spilled / loaded_bytes if spilled else 0.0,
         )

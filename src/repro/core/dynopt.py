@@ -13,12 +13,15 @@ threshold at ``inf`` for the block. Everything else follows from there:
 no statistics are collected (nothing would read them), and a strategy of
 unbounded parallelism (SIMPLE_MO) gets the whole graph as one batch,
 because no re-optimization point can split it. Static-plan replay and
-the post-join GROUP BY job are the same loop over a fixed graph.
+the post-join GROUP BY job are the same loop over a fixed graph, and
+Section 8's dynamic join operator is the same loop over a caller's plan
+that it revises one join at a time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass, field, replace
 from math import inf
 
 from repro.cluster.job import MapReduceJob
@@ -40,7 +43,16 @@ from repro.feedback.keys import (
 from repro.jaql.blocks import JoinBlock
 from repro.jaql.compiler import CompiledJob, JobGraph, PlanCompiler
 from repro.obs.metrics import q_error
-from repro.optimizer.plans import PhysicalNode, plan_signature, render_plan
+from repro.optimizer.plans import (
+    BROADCAST,
+    HASH_BUILD_METHODS,
+    REPARTITION,
+    PhysJoin,
+    PhysLeaf,
+    PhysicalNode,
+    plan_signature,
+    render_plan,
+)
 from repro.optimizer.search import JoinOptimizer
 from repro.stats.collector import stats_scope
 from repro.stats.metastore import StatisticsMetastore
@@ -64,6 +76,10 @@ PERMANENT_JOB_FAILURES = (
     BroadcastBuildOverflowError,
     JobFaultInjectedError,
 )
+
+#: Simulated cost of tearing down a planned shuffle and re-launching the
+#: join as a map-only job (Section 8's operator would avoid even this).
+SWITCH_PENALTY_SECONDS = 2.0
 
 
 @dataclass
@@ -133,6 +149,9 @@ class BlockExecutionResult:
     #: reached the re-optimization q-error threshold while jobs of its
     #: graph were still pending (every such job, under the default 1.0).
     midjob_replans: list[str] = field(default_factory=list)
+    #: repartition joins the dynamic join operator switched to broadcast
+    #: joins at runtime (sorted aliases, comma-joined).
+    switched_joins: list[str] = field(default_factory=list)
 
     @property
     def total_seconds(self) -> float:
@@ -249,6 +268,72 @@ class DynoptExecutor:
         self._run(block.name, strategy, result, block=block, fixed=fixed)
         return result
 
+    def execute_switching_plan(self, block: JoinBlock,
+                               plan: PhysicalNode) -> BlockExecutionResult:
+        """Execute ``plan`` join by join, switching joins at runtime.
+
+        Section 8's future-work operator "switches between a broadcast
+        and repartition join, without waiting for the current job to
+        finish". Join order and every other method choice stay as
+        planned; nothing is re-optimized. Each round runs the deepest
+        join whose inputs are both materialized leaves. A repartition
+        join first materializes its filtered base inputs, one per round,
+        so their true sizes are known; then, when one side really fits
+        in task memory, it runs as a broadcast join instead, for
+        ``SWITCH_PENALTY_SECONDS``. A join whose broadcast failed for
+        good runs as a repartition join.
+        """
+        result = BlockExecutionResult(block.name, MODE_SIMPLE)
+        budget = self.config.cluster.task_memory_bytes
+
+        def next_step(current: JoinBlock, banned: frozenset) -> PhysicalNode:
+            # Executed subtrees become the block's intermediate leaves,
+            # sized from the exact statistics ``_substitute`` recorded: a
+            # node loss may have deleted the file, and the loop rebuilds
+            # it only once a job reads it again.
+            executed = {}
+            for leaf in current.leaves:
+                if not leaf.is_base:
+                    stats = self.metastore.get(leaf.signature())
+                    executed[leaf.aliases] = PhysLeaf(
+                        aliases=leaf.aliases, est_rows=stats.row_count,
+                        est_bytes=stats.size_bytes, cost=0.0, leaf=leaf)
+            target = _lowest_ready_join(_rebind(plan, executed))
+            if isinstance(target, PhysLeaf):
+                return target
+            is_banned = any(target.aliases <= aliases for aliases in banned)
+            if is_banned and target.method in HASH_BUILD_METHODS:
+                target = replace(target, method=REPARTITION, chained=False,
+                                 heavy_keys=(), heavy_probe_fraction=0.0,
+                                 heavy_build_fraction=0.0)
+            if target.method != REPARTITION:
+                return target
+            for child in (target.left, target.right):
+                if child.leaf.is_base and child.leaf.predicates:
+                    return child
+            if is_banned:
+                return target
+            # Both inputs are now materialized or unfiltered base files.
+            fitting = []
+            for probe, build in ((target.left, target.right),
+                                 (target.right, target.left)):
+                size = (float(self.runtime.dfs.file_size(
+                            build.leaf.source_name))
+                        if build.leaf.is_base else build.est_bytes)
+                if size <= budget:
+                    fitting.append((size, probe, build))
+            if not fitting:
+                return target
+            _, probe, build = min(fitting, key=lambda item: item[0])
+            result.execution_seconds += SWITCH_PENALTY_SECONDS
+            result.switched_joins.append(",".join(sorted(target.aliases)))
+            return replace(target, method=BROADCAST, left=probe,
+                           right=build, chained=False)
+
+        self._run(block.name, strategy_named("SIMPLE_SO"), result,
+                  block=block, next_step=next_step)
+        return result
+
     def execute_stage_job(self, compiled: CompiledJob,
                           name: str) -> BlockExecutionResult:
         """Run one post-join stage job (a compiled GROUP BY).
@@ -271,17 +356,23 @@ class DynoptExecutor:
              block: JoinBlock | None = None,
              fixed: _Planned | None = None,
              threshold: float = inf,
-             collect_column_stats: bool = True) -> None:
+             collect_column_stats: bool = True,
+             next_step: Callable[[JoinBlock, frozenset], PhysicalNode]
+             | None = None) -> None:
         """The optimize-compile-execute-substitute loop of Algorithm 2.
 
         Three inputs set every variant apart. The *plan source*: with
         ``fixed`` None the optimizer plans what remains of ``block`` each
         time round (jobs compile under ``<name>.it<iteration>``, or
-        ``.s<iteration>`` when nothing will be re-optimized); otherwise the caller's compiled plan or job is all there is. The
-        *strategy* picks the jobs of a round. The *threshold* is Section
-        5.1's re-optimization condition as a q-error: after a round, with
-        jobs of the graph still pending, the loop goes back to the plan
-        source iff some executed job's ``max(q_error(rows),
+        ``.s<iteration>`` when nothing will be re-optimized); with
+        ``next_step`` set, ``next_step(block, banned)`` returns the next
+        sub-plan to run (under ``.dj<iteration>``), and the loop goes
+        back to it after each graph until ``block`` is one materialized
+        leaf; otherwise the caller's compiled plan or job is all there
+        is. The *strategy* picks the jobs of a round. The *threshold* is
+        Section 5.1's re-optimization condition as a q-error: after a
+        round, with jobs of the graph still pending, the loop goes back
+        to the plan source iff some executed job's ``max(q_error(rows),
         q_error(bytes))`` reached it. ``1.0`` is the paper's every-job
         policy; at ``inf`` nothing can fire, so no statistics are
         collected, and a strategy of unbounded parallelism gets the
@@ -290,26 +381,33 @@ class DynoptExecutor:
         This loop is also where failures recover (Section 1: materialized
         checkpoints make re-optimization fault-tolerant). A *permanent*
         job failure (task retries exhausted, broadcast build overflow)
-        goes back to the plan source: the optimizer replans what remains
-        with the failed broadcast's alias set banned, so the new plan
-        repartitions that join; a fixed graph resubmits its unfinished
-        jobs -- unless the failed job is a broadcast join, which no
-        resubmission can save, so the failure re-raises. A *lost*
+        goes back to the plan source: the optimizer (or ``next_step``)
+        plans what remains with the failed broadcast's alias set banned,
+        so the new plan repartitions that join; a fixed graph resubmits
+        its unfinished jobs -- unless the failed job is a broadcast join,
+        which no resubmission can save, so the failure re-raises. A *lost*
         intermediate relation (node loss) is rebuilt by re-running just
         its producing sub-plan, found through the provenance map.
         """
         recovery = _RecoveryState()
         iteration = 0
-        tag = "s" if threshold == inf else "it"
+        tag = ("dj" if next_step is not None
+               else "s" if threshold == inf else "it")
         # Learned corrections describe this optimizer's estimates; a plan
         # costed elsewhere must not teach the store. The snapshot is taken
         # before any substitution: keys use the original block's shape.
         feedback_context = (block_feedback_context(block)
-                            if fixed is None and self.feedback is not None
-                            else None)
+                            if fixed is None and next_step is None
+                            and self.feedback is not None else None)
         planned, planned_block, completed = fixed, block, set()
         while True:
-            if fixed is None:
+            if next_step is not None:
+                plan = next_step(block, recovery.banned_broadcast)
+                result.plans.append(plan)
+                planned = self._compile(name, f"{tag}{iteration}", plan,
+                                        plan.cost, iteration=iteration)
+                planned_block, completed = block, set()
+            elif fixed is None:
                 optimization = self._optimize(
                     block, recovery.banned_broadcast, iteration=iteration,
                     feedback_context=feedback_context)
@@ -425,6 +523,10 @@ class DynoptExecutor:
                             self.metrics.inc("dynopt.midjob_replans")
                     break
             else:
+                if next_step is not None and not (
+                        len(block.leaves) == 1
+                        and not block.leaves[0].is_base):
+                    continue
                 self._ensure_relations([graph.final_output], recovery,
                                        result)
                 result.output_file = graph.final_output
@@ -775,3 +877,26 @@ class DynoptExecutor:
         return block.substitute(
             compiled.output_aliases, output, compiled.applied_predicates
         )
+
+
+def _lowest_ready_join(plan: PhysicalNode) -> PhysicalNode:
+    """The deepest-leftmost join whose inputs are both leaves; a leaf
+    plan is its own last step."""
+    if isinstance(plan, PhysJoin):
+        for child in (plan.left, plan.right):
+            if isinstance(child, PhysJoin):
+                return _lowest_ready_join(child)
+    return plan
+
+
+def _rebind(plan: PhysicalNode,
+            leaves: dict[frozenset, PhysLeaf]) -> PhysicalNode:
+    """``plan`` with every executed subtree replaced by its leaf in
+    ``leaves`` (keyed by the subtree's alias set)."""
+    bound = leaves.get(plan.aliases)
+    if bound is not None:
+        return bound
+    if isinstance(plan, PhysLeaf):
+        return plan
+    return replace(plan, left=_rebind(plan.left, leaves),
+                   right=_rebind(plan.right, leaves))

@@ -1,9 +1,12 @@
 """DYNOPT end-to-end: correctness, re-optimization, substitution."""
 
+import ast
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.config import DEFAULT_CONFIG
 from repro.core.dynopt import MODE_DYNOPT, MODE_SIMPLE
 from repro.errors import PlanError
@@ -213,3 +216,30 @@ class TestPhysicalPlanReplay:
         result = dyno.executor.execute_physical_plan(block, plan)
         assert result.output_file
         assert result.pilot_seconds == 0.0
+
+
+def test_only_the_loop_and_the_pilots_submit_jobs():
+    """Every job graph runs through ``DynoptExecutor._run`` (a lost
+    relation's producer through ``_recover_relation``); pilot runs are
+    the one other caller of ``execute_batch``. A second walker would
+    have no recovery, estimate audit or trace."""
+    root = Path(repro.__file__).parent
+    callers = set()
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for function in ast.walk(tree):
+            if not isinstance(function, (ast.FunctionDef,
+                                         ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(function):
+                if isinstance(node, ast.Call) \
+                        and isinstance(node.func, ast.Attribute) \
+                        and node.func.attr == "execute_batch":
+                    callers.add((path.relative_to(root).as_posix(),
+                                 function.name))
+    # ``ClusterRuntime.execute`` is the one-job form of the same call.
+    callers.discard(("cluster/runtime.py", "execute"))
+    assert {module for module, _ in callers} == \
+        {"core/dynopt.py", "core/pilot.py"}
+    assert {name for module, name in callers
+            if module == "core/dynopt.py"} == {"_run", "_recover_relation"}
