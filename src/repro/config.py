@@ -159,8 +159,6 @@ class OptimizerConfig:
     #: at most this many heavy keys ride the side channel (also bounded by
     #: the statistics layer's HEAVY_HITTER_K).
     skew_max_keys: int = 8
-    #: abandon plans whose cost exceeds the best found so far (B&B pruning).
-    enable_pruning: bool = True
     #: apply the broadcast-chain rule (Section 5.2). Disabling it makes
     #: every broadcast join its own map-only job, as stock Jaql would
     #: without the chain rewrite -- used by the ablation benchmark.

@@ -7,7 +7,7 @@ With ``|X|`` the estimated byte size of relation ``X``:
 * chained broadcasts over probe ``R`` with builds ``S1..Sk``:
   ``cprobe * |R| + cbuild * (|S1|+..+|Sk|) + cout * |R ./ S1 ./ .. ./ Sk|``
   (the intermediate results of the chain are neither written nor re-read);
-* skew join: see :meth:`JoinCostModel.skew_cost`.
+* skew join: see :meth:`JoinCostModel.join_cost`.
 
 The constants satisfy ``crep >> cprobe > cbuild > cout``, so broadcast
 joins are preferred whenever the build side fits in memory and larger
@@ -27,6 +27,7 @@ from repro.optimizer.plans import (
     PhysJoin,
     PhysLeaf,
     PhysicalNode,
+    pipeline_build_bytes,
 )
 
 
@@ -36,117 +37,79 @@ class JoinCostModel:
     def __init__(self, config: OptimizerConfig):
         self.config = config
 
-    # -- per-operator costs (used during search, before chain marking) --------
+    def join_cost(self, method: str, left: PhysicalNode,
+                  right: PhysicalNode, out_bytes: float,
+                  chained: bool = False, heavy_probe_fraction: float = 0.0,
+                  heavy_build_fraction: float = 0.0) -> float:
+        """Cumulative cost of joining probe ``left`` with build ``right``.
 
-    def repartition_cost(self, left_bytes: float, right_bytes: float,
-                         out_bytes: float) -> float:
-        cfg = self.config
-        return (cfg.crep * (left_bytes + right_bytes)
-                + cfg.cout * out_bytes + cfg.cjob)
-
-    def broadcast_cost(self, probe_bytes: float, build_bytes: float,
-                       out_bytes: float) -> float:
-        cfg = self.config
-        return (cfg.cprobe * probe_bytes + cfg.cbuild * build_bytes
-                + cfg.cout * out_bytes + cfg.cjob)
-
-    def skew_cost(self, probe_bytes: float, build_bytes: float,
-                  out_bytes: float, heavy_probe_fraction: float,
-                  heavy_build_fraction: float) -> float:
-        """Skew join: heavy fractions pay broadcast rates, the tail
-        repartitions, all within one job.
-
-        Probe bytes carrying heavy keys are scanned and probed map-side
-        (``cprobe``); the remaining tail of both sides shuffles at
-        ``crep``; the heavy-key build table is filtered out of a full
-        scan of the build side, so ``cbuild`` is charged on all of it.
+        The children's costs plus this join's own. A chained broadcast
+        neither materializes its probe input (its ``cout`` is taken back)
+        nor re-reads it or starts a job. The skew join pays broadcast
+        rates on the heavy-key fraction of the probe and repartitions the
+        tail of both sides in one job; its heavy-key build table is
+        filtered out of a full scan of the build, so ``cbuild`` is charged
+        on all of it.
         """
         cfg = self.config
-        tail_probe = (1.0 - heavy_probe_fraction) * probe_bytes
-        tail_build = (1.0 - heavy_build_fraction) * build_bytes
-        return (cfg.crep * (tail_probe + tail_build)
-                + cfg.cprobe * heavy_probe_fraction * probe_bytes
-                + cfg.cbuild * build_bytes
-                + cfg.cout * out_bytes + cfg.cjob)
+        # The grouping below is the association the search has always
+        # summed in; exact cost ties, hence plan choices, depend on it.
+        children = left.cost + right.cost
+        probe, build = left.est_bytes, right.est_bytes
+        if method == BROADCAST:
+            cost = children + cfg.cbuild * build + cfg.cout * out_bytes
+            if chained:
+                return cost - cfg.cout * probe
+            return cost + (cfg.cprobe * probe + cfg.cjob)
+        if method == SKEW:
+            tail_probe = (1.0 - heavy_probe_fraction) * probe
+            tail_build = (1.0 - heavy_build_fraction) * build
+            return children + (cfg.crep * (tail_probe + tail_build)
+                               + cfg.cprobe * heavy_probe_fraction * probe
+                               + cfg.cbuild * build
+                               + cfg.cout * out_bytes + cfg.cjob)
+        return children + (cfg.crep * (probe + build)
+                           + cfg.cout * out_bytes + cfg.cjob)
 
     def fits_in_memory(self, build_bytes: float) -> bool:
-        """Memory gate for the broadcast implementation rule."""
+        """Memory gate for the broadcast and skew candidates."""
         budget = self.config.max_broadcast_bytes
         return build_bytes * self.config.broadcast_safety_factor <= budget
 
     # -- chain rule (Section 5.2, "new rule ... dictates which joins
     #    should be chained") ---------------------------------------------------
 
-    def apply_chain_rule(self, plan: PhysicalNode) -> PhysicalNode:
-        """Mark chainable broadcast joins and re-cost the whole plan.
+    def chains(self, probe: PhysicalNode, build_bytes: float) -> bool:
+        """True when a broadcast join over ``probe`` joins its map pipeline.
 
-        A broadcast join chains with the broadcast join producing its probe
-        input when every build side of the resulting chain fits in memory
-        simultaneously (budget ``Mmax``). Chained joins skip the write+read
-        of the intermediate probe result.
+        A broadcast join chains with the broadcast join producing its
+        probe input when every build side of the resulting chain fits in
+        memory simultaneously (budget ``Mmax``).
         """
-        marked, _ = self._mark(plan)
-        recosted, _ = self._recost(marked)
-        return recosted
-
-    def _mark(self, node: PhysicalNode) -> tuple[PhysicalNode, float]:
-        """Returns (marked node, bytes of builds in the current pipeline)."""
-        if isinstance(node, PhysLeaf):
-            return node, 0.0
-        if not isinstance(node, PhysJoin):
-            raise PlanError(f"unknown plan node {type(node).__name__}")
-        if node.method != BROADCAST:
-            left, _ = self._mark(node.left)
-            right, _ = self._mark(node.right)
-            return replace(node, left=left, right=right, chained=False), 0.0
-
-        probe, chain_bytes = self._mark(node.left)
-        build, _ = self._mark(node.right)
-        budget = self.config.max_broadcast_bytes
-        can_chain = (
+        return (
             self.config.enable_chain_rule
             and isinstance(probe, PhysJoin)
             and probe.method == BROADCAST
-            and chain_bytes + build.est_bytes <= budget
+            and (pipeline_build_bytes(probe) + build_bytes
+                 <= self.config.max_broadcast_bytes)
         )
-        new_chain_bytes = (
-            chain_bytes + build.est_bytes if can_chain else build.est_bytes
-        )
-        marked = replace(
-            node, left=probe, right=build, chained=can_chain
-        )
-        return marked, new_chain_bytes
 
-    def _recost(self, node: PhysicalNode) -> tuple[PhysicalNode, float]:
-        """Returns (node with updated cumulative cost, its output bytes)."""
-        cfg = self.config
-        if isinstance(node, PhysLeaf):
-            return replace(node, cost=0.0), node.est_bytes
-        assert isinstance(node, PhysJoin)
-        left, left_bytes = self._recost(node.left)
-        right, right_bytes = self._recost(node.right)
-        if node.method == BROADCAST:
-            cost = (left.cost + right.cost
-                    + cfg.cbuild * right_bytes
-                    + cfg.cout * node.est_bytes)
-            if node.chained:
-                # The probe intermediate is neither materialized nor
-                # re-read: remove its cout, and do not charge cprobe or a
-                # new job again.
-                cost -= cfg.cout * left_bytes
-            else:
-                cost += cfg.cprobe * left_bytes + cfg.cjob
-        elif node.method == SKEW:
-            cost = (left.cost + right.cost
-                    + self.skew_cost(left_bytes, right_bytes,
-                                     node.est_bytes,
-                                     node.heavy_probe_fraction,
-                                     node.heavy_build_fraction))
-        else:
-            cost = (left.cost + right.cost
-                    + cfg.crep * (left_bytes + right_bytes)
-                    + cfg.cout * node.est_bytes + cfg.cjob)
-        return (
-            replace(node, left=left, right=right, cost=cost),
-            node.est_bytes,
-        )
+    def apply_chain_rule(self, plan: PhysicalNode) -> PhysicalNode:
+        """Mark chainable broadcast joins and re-cost the plan bottom-up.
+
+        The search marks and costs its candidates as it builds them; this
+        is for plans built by hand (the static baselines).
+        """
+        if isinstance(plan, PhysLeaf):
+            return plan
+        if not isinstance(plan, PhysJoin):
+            raise PlanError(f"unknown plan node {type(plan).__name__}")
+        left = self.apply_chain_rule(plan.left)
+        right = self.apply_chain_rule(plan.right)
+        chained = (plan.method == BROADCAST
+                   and self.chains(left, right.est_bytes))
+        cost = self.join_cost(plan.method, left, right, plan.est_bytes,
+                              chained, plan.heavy_probe_fraction,
+                              plan.heavy_build_fraction)
+        return replace(plan, left=left, right=right, chained=chained,
+                       cost=cost)

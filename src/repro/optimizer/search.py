@@ -1,15 +1,15 @@
 """Top-down branch-and-bound join enumeration (the Columbia-style search).
 
 ``JoinOptimizer`` optimizes one join block: it explores the memo top-down,
-applies the implementation rules to every logical join of every group,
-memoizes per-group winners, and finally applies the broadcast-chain rule to
-the overall best plan (Section 5.2).
+costs every physical candidate of every logical join of every group
+(:func:`~repro.optimizer.rules.join_candidates`, which also applies the
+broadcast-chain rule of Section 5.2), and memoizes per-group winners.
 
 The search space covers all bushy, cartesian-free join orders. Costing uses
 the paper's formulas over the byte-size estimates of the cardinality model.
-With ``enable_pruning`` a candidate is abandoned as soon as its partial cost
-exceeds the group's best-so-far (Columbia's bounding, safe because costs
-are non-negative and monotone in the children).
+A candidate is abandoned as soon as its partial cost reaches the group's
+best-so-far (Columbia's bounding, safe because costs are non-negative and
+monotone in the children).
 
 The optimizer's own latency is *simulated* with an exponential model in the
 number of leaves, calibrated to the paper's Section 6.2 observations: the
@@ -41,7 +41,7 @@ from repro.optimizer.plans import (
     PhysLeaf,
     PhysicalNode,
 )
-from repro.optimizer.rules import JoinContext, default_rules
+from repro.optimizer.rules import JoinContext, join_candidates
 from repro.stats.statistics import TableStats, composite_name
 
 #: Simulated optimizer latency: seconds = BASE * GROWTH ** leaves.
@@ -87,7 +87,6 @@ class JoinOptimizer:
             feedback=feedback, feedback_context=feedback_context,
         )
         self.cost_model = JoinCostModel(config)
-        self.rules = default_rules()
         self.memo = Memo(self.graph)
         #: alias sets whose broadcast join failed permanently at runtime;
         #: the dynamic executor replans with those candidates excluded so
@@ -106,10 +105,9 @@ class JoinOptimizer:
     def optimize(self) -> OptimizationResult:
         root_key: GroupKey = frozenset(range(self.graph.size))
         winner = self._optimize_group(root_key)
-        plan = self.cost_model.apply_chain_rule(winner.plan)
         return OptimizationResult(
-            plan=plan,
-            cost=plan.cost,
+            plan=winner.plan,
+            cost=winner.cost,
             groups_explored=self.memo.group_count,
             plans_considered=self._plans_considered,
             simulated_seconds=simulated_optimizer_seconds(len(
@@ -135,20 +133,14 @@ class JoinOptimizer:
 
             assert isinstance(expression, LogicalJoin)
             left = self._optimize_group(expression.left)
-            if (self.config.enable_pruning and best is not None
-                    and left.cost >= best.cost):
+            if best is not None and left.cost >= best.cost:
                 continue
             right = self._optimize_group(expression.right)
-            if (self.config.enable_pruning and best is not None
-                    and left.cost + right.cost >= best.cost):
+            if best is not None and left.cost + right.cost >= best.cost:
                 continue
             context = self._join_context(expression)
-            for rule in self.rules:
-                candidate = rule.apply(
-                    left.plan, right.plan, context, self.cost_model
-                )
-                if candidate is None:
-                    continue
+            for candidate in join_candidates(left.plan, right.plan, context,
+                                             self.cost_model):
                 if self._broadcast_banned(candidate):
                     continue
                 self._plans_considered += 1

@@ -533,8 +533,6 @@ class RunningColumn:
                 raise StatisticsError(
                     f"cannot merge columns {name!r} and {column.name!r}"
                 )
-        if len(columns) == 1:
-            return first.merge(first)
         merged = RunningColumn(name, min(c.synopsis.k for c in columns))
         merged.synopsis = KMVSynopsis.merge_many(
             [column.synopsis for column in columns]

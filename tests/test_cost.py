@@ -9,6 +9,7 @@ from repro.optimizer.cost import JoinCostModel
 from repro.optimizer.plans import (
     BROADCAST,
     REPARTITION,
+    SKEW,
     PhysJoin,
     PhysLeaf,
     pipeline_build_bytes,
@@ -37,27 +38,46 @@ def join(left, right, method=BROADCAST, rows=10.0, size=100.0,
 
 
 class TestFormulas:
-    def test_repartition_cost(self):
+    def test_repartition_formula(self):
         model = JoinCostModel(CONFIG)
         expected = CONFIG.crep * (100 + 50) + CONFIG.cout * 30
-        assert model.repartition_cost(100, 50, 30) == pytest.approx(expected)
+        cost = model.join_cost(REPARTITION, leaf("a", size=100),
+                               leaf("b", size=50), 30)
+        assert cost == pytest.approx(expected)
 
-    def test_broadcast_cost(self):
+    def test_broadcast_formula(self):
         model = JoinCostModel(CONFIG)
         expected = (CONFIG.cprobe * 100 + CONFIG.cbuild * 50
                     + CONFIG.cout * 30)
-        assert model.broadcast_cost(100, 50, 30) == pytest.approx(expected)
+        cost = model.join_cost(BROADCAST, leaf("a", size=100),
+                               leaf("b", size=50), 30)
+        assert cost == pytest.approx(expected)
+
+    def test_skew_formula(self):
+        """Heavy probe bytes pay broadcast rates, the tails repartition."""
+        model = JoinCostModel(CONFIG)
+        expected = (CONFIG.crep * (0.6 * 100 + 0.9 * 50)
+                    + CONFIG.cprobe * 0.4 * 100 + CONFIG.cbuild * 50
+                    + CONFIG.cout * 30)
+        cost = model.join_cost(SKEW, leaf("a", size=100),
+                               leaf("b", size=50), 30,
+                               heavy_probe_fraction=0.4,
+                               heavy_build_fraction=0.1)
+        assert cost == pytest.approx(expected)
 
     def test_broadcast_cheaper_when_build_fits(self):
         """The paper's crep >> cprobe ordering."""
         model = JoinCostModel(CONFIG)
-        assert (model.broadcast_cost(1000, 100, 50)
-                < model.repartition_cost(1000, 100, 50))
+        probe, build = leaf("a", size=1000), leaf("b", size=100)
+        assert (model.join_cost(BROADCAST, probe, build, 50)
+                < model.join_cost(REPARTITION, probe, build, 50))
 
     def test_job_constant_added(self):
         with_job = OptimizerConfig(cjob=500.0)
         model = JoinCostModel(with_job)
-        assert model.repartition_cost(0, 0, 0) == pytest.approx(500.0)
+        cost = model.join_cost(REPARTITION, leaf("a", size=0),
+                               leaf("b", size=0), 0)
+        assert cost == pytest.approx(500.0)
 
     def test_fits_in_memory_uses_safety_factor(self):
         tight = OptimizerConfig(max_broadcast_bytes=1000,
@@ -90,6 +110,13 @@ class TestChainRule:
         summary = summarize_plan(marked)
         assert summary.chained_joins == 1  # only j2 chains with j1
 
+    def test_chains_off_under_the_ablation(self):
+        inner = join(leaf("a", size=5000), leaf("b", size=300))
+        ablated = OptimizerConfig(max_broadcast_bytes=1000,
+                                  enable_chain_rule=False)
+        assert JoinCostModel(CONFIG).chains(inner, 300)
+        assert not JoinCostModel(ablated).chains(inner, 300)
+
     def test_repartition_breaks_chain(self):
         inner = join(leaf("a", size=5000), leaf("b", size=100),
                      method=REPARTITION)
@@ -112,7 +139,8 @@ class TestChainRule:
             method=BROADCAST, left=inner, right=leaf("c", size=2000),
             conditions=outer.conditions,
         )
-        unchained_plan = JoinCostModel(no_chain_config)._recost(unchained)[0]
+        unchained_plan = JoinCostModel(no_chain_config).apply_chain_rule(
+            unchained)
         assert chained_plan.cost < unchained_plan.cost
 
     def test_chain_formula_matches_paper(self):
@@ -127,7 +155,7 @@ class TestChainRule:
                     + CONFIG.cout * 500)
         assert plan.cost == pytest.approx(expected)
 
-    def test_recost_idempotent(self):
+    def test_chain_rule_idempotent(self):
         model = JoinCostModel(CONFIG)
         inner = join(leaf("a", size=5000), leaf("b", size=300))
         outer = join(inner, leaf("c", size=300))

@@ -1,8 +1,14 @@
 """Memo exploration and top-down search: optimality and plan shapes."""
 
+import hashlib
+from dataclasses import replace
+from itertools import product
+
 import pytest
 
-from repro.config import OptimizerConfig
+from repro.config import DEFAULT_CONFIG, OptimizerConfig
+from repro.core.baselines import oracle_leaf_stats
+from repro.core.dyno import Dyno
 from repro.errors import OptimizerError, UnsupportedQueryError
 from repro.jaql.blocks import SOURCE_TABLE, BlockLeaf, JoinBlock
 from repro.jaql.expr import JoinCondition, UdfPredicate, ref
@@ -15,8 +21,15 @@ from repro.optimizer.plans import (
     PhysLeaf,
     summarize_plan,
 )
+from repro.optimizer.cost import JoinCostModel
 from repro.optimizer.search import JoinOptimizer, simulated_optimizer_seconds
 from repro.stats.statistics import ColumnStats, TableStats
+from repro.workloads.skewed import SKEWED_WORKLOADS
+from tests.oracle import (
+    ORACLE_WORKLOADS,
+    oracle_tables,
+    skewed_oracle_tables,
+)
 
 
 def leaf(alias, table=None):
@@ -100,13 +113,11 @@ class TestMemo:
 def brute_force_best_cost(block, leaf_stats, config):
     """Exhaustively enumerate all bushy plans and return the best cost."""
     from repro.optimizer.cardinality import CardinalityModel
-    from repro.optimizer.cost import JoinCostModel
-    from repro.optimizer.rules import JoinContext, default_rules
+    from repro.optimizer.rules import JoinContext, join_candidates
 
     graph = JoinGraph.build(block)
     cardinality = CardinalityModel(block, leaf_stats)
     cost_model = JoinCostModel(config)
-    rules = default_rules()
 
     def plans(members):
         if len(members) == 1:
@@ -146,17 +157,11 @@ def brute_force_best_cost(block, leaf_stats, config):
                 )
                 for left_plan in plans(left_key):
                     for right_plan in plans(right_key):
-                        for rule in rules:
-                            candidate = rule.apply(left_plan, right_plan,
+                        yield from join_candidates(left_plan, right_plan,
                                                    context, cost_model)
-                            if candidate is not None:
-                                yield candidate
 
     all_members = frozenset(range(graph.size))
-    return min(
-        cost_model.apply_chain_rule(plan).cost
-        for plan in plans(all_members)
-    )
+    return min(plan.cost for plan in plans(all_members))
 
 
 class TestOptimality:
@@ -171,13 +176,15 @@ class TestOptimality:
         best = brute_force_best_cost(block, leaf_stats, config)
         assert result.cost == pytest.approx(best)
 
-    def test_pruning_does_not_change_result(self):
+    def test_pruned_search_matches_brute_force_on_five_leaves(self):
         block = chain_block(5)
         sizes = {chr(ord("a") + i): (50.0 * (i + 2), 700.0 * (i + 2))
                  for i in range(5)}
-        pruned = optimize(block, sizes, enable_pruning=True)
-        exhaustive = optimize(block, sizes, enable_pruning=False)
-        assert pruned.cost == pytest.approx(exhaustive.cost)
+        config = OptimizerConfig()
+        leaf_stats = stats_for(block, sizes)
+        result = JoinOptimizer(block, leaf_stats, config).optimize()
+        best = brute_force_best_cost(block, leaf_stats, config)
+        assert result.cost == pytest.approx(best)
 
 
 class TestPlanShapes:
@@ -288,3 +295,62 @@ class TestPlanShapes:
     def test_simulated_seconds_grow_exponentially(self):
         assert simulated_optimizer_seconds(8) / \
             simulated_optimizer_seconds(5) == pytest.approx(27.0)
+
+
+# -- plan choice across budgets, safety factors and the chain ablation ---------
+
+SWEEP_QUERIES = ("Q7", "Q8'", "Q9'", "Q10", "SkewJoin", "SkewFunnel")
+SWEEP_BUDGETS_KIB = (1, 8, 24, 96, 400)
+SWEEP_CHAIN_RULE = (True, False)
+SWEEP_SAFETY_FACTORS = (1.0, 1.3, 3.0)
+
+#: sha256 of the sweep's ``(query, budget, chain, safety, signature,
+#: repr(cost), plans_considered)`` rows, taken before the three join
+#: rules and the optimizer's costing post-pass merged into one candidate
+#: generator and one cost formula. Re-pin after an intended change with
+#: ``PYTHONPATH=src python -m tests.test_search``.
+SWEEP_DIGEST = "ca78bb55e66c37b7c77a008b8f18341d734b85766eb7b5be730bf2193ab1a16f"
+
+
+def optimizer_sweep() -> list[tuple]:
+    """Optimize every sweep query under oracle leaf statistics.
+
+    Asserts on the way that each winner is already chain-marked and
+    costed the way :meth:`JoinCostModel.apply_chain_rule` would mark and
+    cost it, so no costing pass after the search could change it.
+    """
+    tpch, skewed = oracle_tables(), skewed_oracle_tables()
+    rows = []
+    for query in SWEEP_QUERIES:
+        tables = skewed if query in SKEWED_WORKLOADS else tpch
+        workload = ORACLE_WORKLOADS[query]()
+        dyno = Dyno(tables, udfs=workload.udfs)
+        block = dyno.prepare(workload.final_spec, query).block
+        stats = oracle_leaf_stats(tables, block)
+        for kib, chain, safety in product(SWEEP_BUDGETS_KIB,
+                                          SWEEP_CHAIN_RULE,
+                                          SWEEP_SAFETY_FACTORS):
+            config = replace(DEFAULT_CONFIG.optimizer,
+                             max_broadcast_bytes=kib * 1024,
+                             enable_chain_rule=chain,
+                             broadcast_safety_factor=safety)
+            result = JoinOptimizer(block, stats, config).optimize()
+            assert (JoinCostModel(config).apply_chain_rule(result.plan)
+                    == result.plan), (query, kib, chain, safety)
+            rows.append((query, kib, chain, safety, result.signature,
+                         repr(result.cost), result.plans_considered))
+    return rows
+
+
+def sweep_digest(rows: list[tuple]) -> str:
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+def test_plans_match_digest_taken_before_the_rules_merged():
+    rows = optimizer_sweep()
+    assert len(rows) == 180
+    assert sweep_digest(rows) == SWEEP_DIGEST
+
+
+if __name__ == "__main__":  # pragma: no cover - re-pinning helper
+    print(sweep_digest(optimizer_sweep()))

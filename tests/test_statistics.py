@@ -58,6 +58,12 @@ class TestRunningStats:
         assert column.f1 == 1  # value 1 appears once
         assert column.f2 == 1  # value 2 appears twice
 
+    def test_merge_all_of_one_partial_is_that_partial(self):
+        partial = collect([1, 2, 3, 3, None, "hot", "hot", "hot"])
+        merged = RunningStats.merge_all([partial]).freeze()
+        assert merged == partial.freeze()
+        assert merged.column("x").f1 == 2  # 1 and 2; not doubled to f2
+
     def test_merge_mismatched_columns_rejected(self):
         with pytest.raises(StatisticsError):
             RunningStats(["a"]).merge(RunningStats(["b"]))
