@@ -412,8 +412,7 @@ def _run_mixed(service, args: argparse.Namespace, out) -> int:
         _print_tenant_stats(outcomes, out)
     cache = service.plan_cache.summary()
     print(f"\nplan cache: {cache['hits']} hit(s), {cache['misses']} "
-          f"miss(es), {cache['invalidations']} invalidation(s) across "
-          f"{cache['shards']} shard(s)", file=out)
+          f"miss(es), {cache['invalidations']} invalidation(s)", file=out)
     if service.result_cache is not None:
         rcache = service.result_cache.summary()
         print(f"result cache: {rcache['hits']} hit(s), "

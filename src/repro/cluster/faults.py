@@ -43,7 +43,6 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-import threading
 from dataclasses import asdict, dataclass
 from typing import Callable, Iterable
 
@@ -259,11 +258,10 @@ class JobAttempt:
 class FaultInjector:
     """Mutable per-run state of an armed :class:`FaultPlan`.
 
-    Thread-safe: everything that runs on one runtime shares its
-    injector, and while data passes are serialized by the runtime's
-    batch lock, node-loss draws between a query's rounds are not. Holds the incarnation counters (fresh draws per
-    retry), the fault budgets, pending backoff penalties, and the event
-    log the determinism tests compare.
+    Everything that runs on one runtime shares its injector. Holds the
+    incarnation counters (fresh draws per retry), the fault budgets,
+    pending backoff penalties, and the event log the determinism tests
+    compare.
     """
 
     def __init__(self, plan: FaultPlan):
@@ -272,7 +270,6 @@ class FaultInjector:
         #: twins so an unbound injector behaves exactly as before.
         self.tracer: Tracer = NULL_TRACER
         self.metrics: MetricsRegistry = NULL_METRICS
-        self._lock = threading.Lock()
         self._incarnations: dict[str, int] = {}
         self._job_failures: dict[str, int] = {}
         self._penalties: dict[str, float] = {}
@@ -301,9 +298,8 @@ class FaultInjector:
 
     # -- attempt lifecycle ------------------------------------------------
     def begin_attempt(self, job) -> JobAttempt:
-        with self._lock:
-            incarnation = self._incarnations.get(job.name, 0) + 1
-            self._incarnations[job.name] = incarnation
+        incarnation = self._incarnations.get(job.name, 0) + 1
+        self._incarnations[job.name] = incarnation
         doomed = False
         if self.plan.broadcast_failure_rate > 0.0 and job.is_broadcast_join:
             # One draw per job *name*, not per incarnation: a doomed
@@ -315,26 +311,22 @@ class FaultInjector:
 
     # -- budgets and tallies ---------------------------------------------
     def consume_job_failure(self, job_name: str) -> bool:
-        with self._lock:
-            used = self._job_failures.get(job_name, 0)
-            if used >= self.plan.max_job_failures:
-                return False
-            self._job_failures[job_name] = used + 1
-            return True
+        used = self._job_failures.get(job_name, 0)
+        if used >= self.plan.max_job_failures:
+            return False
+        self._job_failures[job_name] = used + 1
+        return True
 
     def count_task_retry(self) -> None:
-        with self._lock:
-            self.task_retries += 1
+        self.task_retries += 1
         self.metrics.inc("faults.task_retries")
 
     def count_straggler(self) -> None:
-        with self._lock:
-            self.stragglers += 1
+        self.stragglers += 1
         self.metrics.inc("faults.stragglers")
 
     def record(self, event: str) -> None:
-        with self._lock:
-            self.events.append(event)
+        self.events.append(event)
         if self.tracer.enabled:
             self.tracer.event("fault", detail=event)
         self.metrics.inc("faults.events")
@@ -342,13 +334,11 @@ class FaultInjector:
     # -- backoff penalties ------------------------------------------------
     def add_penalty(self, job_name: str, seconds: float) -> None:
         """Charge ``seconds`` of retry backoff to the job's next schedule."""
-        with self._lock:
-            self._penalties[job_name] = \
-                self._penalties.get(job_name, 0.0) + seconds
+        self._penalties[job_name] = \
+            self._penalties.get(job_name, 0.0) + seconds
 
     def consume_penalty(self, job_name: str) -> float:
-        with self._lock:
-            return self._penalties.pop(job_name, 0.0)
+        return self._penalties.pop(job_name, 0.0)
 
     # -- node loss --------------------------------------------------------
     def lose_outputs(self, outputs: Iterable[str]) -> list[str]:
@@ -362,18 +352,17 @@ class FaultInjector:
             return []
         lost = []
         for name in outputs:
-            with self._lock:
-                if name in self._loss_considered:
-                    continue
-                self._loss_considered.add(name)
-                if self._losses_fired >= self.plan.max_node_losses:
-                    continue
-                draw = derived_rng(self.plan.seed, "node-loss",
-                                   name).random()
-                if draw < self.plan.node_loss_rate:
-                    self._losses_fired += 1
-                    self.events.append(f"node-loss output={name}")
-                    lost.append(name)
+            if name in self._loss_considered:
+                continue
+            self._loss_considered.add(name)
+            if self._losses_fired >= self.plan.max_node_losses:
+                continue
+            draw = derived_rng(self.plan.seed, "node-loss",
+                               name).random()
+            if draw < self.plan.node_loss_rate:
+                self._losses_fired += 1
+                self.events.append(f"node-loss output={name}")
+                lost.append(name)
         for name in lost:
             if self.tracer.enabled:
                 self.tracer.event("fault", detail=f"node-loss output={name}")
@@ -384,14 +373,13 @@ class FaultInjector:
     # -- reporting --------------------------------------------------------
     def snapshot(self) -> dict:
         """Deterministic summary used by tests and the CLI report."""
-        with self._lock:
-            return {
-                "events": list(self.events),
-                "task_retries": self.task_retries,
-                "stragglers": self.stragglers,
-                "job_failures": dict(sorted(self._job_failures.items())),
-                "node_losses": self._losses_fired,
-            }
+        return {
+            "events": list(self.events),
+            "task_retries": self.task_retries,
+            "stragglers": self.stragglers,
+            "job_failures": dict(sorted(self._job_failures.items())),
+            "node_losses": self._losses_fired,
+        }
 
     def summary(self) -> str:
         snap = self.snapshot()

@@ -21,7 +21,6 @@ The runtime also reproduces two paper-critical behaviours:
 
 from __future__ import annotations
 
-import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -217,11 +216,6 @@ class ClusterRuntime:
             self.fault_injector = config.fault_plan.arm()
             self.fault_injector.bind(self.tracer, self.metrics)
         self._faults_suspended = 0
-        #: serializes whole batches: callers on several threads may share
-        #: one runtime, and both the slot scheduler pass and the
-        #: ``clock_seconds`` read-modify-write below assume exclusive
-        #: access for the duration of a batch.
-        self._batch_lock = threading.Lock()
         #: cumulative simulated time of everything executed through
         #: :meth:`execute` / :meth:`execute_batch`.
         self.clock_seconds = 0.0
@@ -269,23 +263,9 @@ class ClusterRuntime:
         ``dependencies`` maps a job name to the names of jobs (in the same
         batch) that must finish before it starts -- used by PILR_ST's
         sequential submission and by multi-job plan steps.
-
-        Batches are mutually exclusive: callers on other threads queue on
-        the batch lock, so each batch sees a consistent cluster (scheduler
-        state, clock, DFS writes of its own jobs) exactly as if submitted
-        to one JobTracker.
         """
         if not jobs:
             return BatchResult({}, 0.0)
-        with self._batch_lock:
-            return self._execute_batch_locked(jobs, dependencies, gates)
-
-    def _execute_batch_locked(
-        self,
-        jobs: list[MapReduceJob],
-        dependencies: dict[str, list[str]] | None = None,
-        gates: dict[str, DispatchGate | None] | None = None,
-    ) -> BatchResult:
         names = [job.name for job in jobs]
         if len(set(names)) != len(names):
             raise JobError("duplicate job names in batch")

@@ -31,9 +31,7 @@ ones: :meth:`correction_token` hashes the quantized corrections relevant
 to a block, and the DYNOPT executor salts the plan cache's statistics
 fingerprint with it.
 
-Thread-safe like the metastore (a caller may share one store between
-services or threads) and persisted with the same atomic tmp-then-replace
-discipline.
+Persisted with the metastore's atomic tmp-then-replace discipline.
 """
 
 from __future__ import annotations
@@ -42,7 +40,6 @@ import hashlib
 import json
 import math
 import os
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -185,10 +182,9 @@ class _PilotTuning:
 
 
 class FeedbackStore:
-    """Thread-safe per-block-key feedback over estimate audits."""
+    """Per-block-key feedback over estimate audits."""
 
     def __init__(self) -> None:
-        self._lock = threading.RLock()
         self._corrections: dict[str, _Correction] = {}
         self._blocks: dict[str, _BlockRegret] = {}
         self._pilots: dict[str, _PilotTuning] = {}
@@ -200,8 +196,7 @@ class FeedbackStore:
             self.metrics = metrics
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._corrections)
+        return len(self._corrections)
 
     # -- ingestion ------------------------------------------------------------
 
@@ -218,25 +213,24 @@ class FeedbackStore:
         rows_q = q_error(estimated_rows, actual_rows)
         bytes_q = q_error(estimated_bytes, actual_bytes)
         escalated: tuple[str, ...] = ()
-        with self._lock:
-            correction = self._corrections.get(key)
-            if correction is None:
-                correction = _Correction(identity=tuple(identity))
-                self._corrections[key] = correction
-            correction.samples += 1
-            correction.log2_rows = self._step(
-                correction.log2_rows, estimated_rows, actual_rows)
-            correction.log2_bytes = self._step(
-                correction.log2_bytes, estimated_bytes, actual_bytes)
-            correction.last_qerror_rows = rows_q
-            correction.last_qerror_bytes = bytes_q
-            if rows_q >= PILOT_QERROR_THRESHOLD:
-                correction.consecutive_high += 1
-                if correction.consecutive_high >= PILOT_ESCALATE_AFTER:
-                    correction.consecutive_high = 0
-                    escalated = self._escalate(correction.contributing)
-            else:
+        correction = self._corrections.get(key)
+        if correction is None:
+            correction = _Correction(identity=tuple(identity))
+            self._corrections[key] = correction
+        correction.samples += 1
+        correction.log2_rows = self._step(
+            correction.log2_rows, estimated_rows, actual_rows)
+        correction.log2_bytes = self._step(
+            correction.log2_bytes, estimated_bytes, actual_bytes)
+        correction.last_qerror_rows = rows_q
+        correction.last_qerror_bytes = bytes_q
+        if rows_q >= PILOT_QERROR_THRESHOLD:
+            correction.consecutive_high += 1
+            if correction.consecutive_high >= PILOT_ESCALATE_AFTER:
                 correction.consecutive_high = 0
+                escalated = self._escalate(correction.contributing)
+        else:
+            correction.consecutive_high = 0
         metrics = self.metrics
         if metrics.enabled:
             metrics.inc("feedback.ingested")
@@ -271,11 +265,10 @@ class FeedbackStore:
 
     def correction(self, key: str) -> tuple[float, float]:
         """(rows factor, bytes factor) to multiply into an estimate."""
-        with self._lock:
-            correction = self._corrections.get(key)
-            if correction is None or not correction.samples:
-                return (1.0, 1.0)
-            return correction.factors()
+        correction = self._corrections.get(key)
+        if correction is None or not correction.samples:
+            return (1.0, 1.0)
+        return correction.factors()
 
     def correction_token(self, alias_identity: dict[str, str]) -> str:
         """Salt for the plan-cache fingerprint of a block.
@@ -288,16 +281,15 @@ class FeedbackStore:
         """
         items = set(alias_identity.items())
         parts = []
-        with self._lock:
-            for key, correction in self._corrections.items():
-                if not correction.samples:
-                    continue
-                if not set(correction.identity) <= items:
-                    continue
-                rows_factor, bytes_factor = correction.factors()
-                if rows_factor == 1.0 and bytes_factor == 1.0:
-                    continue
-                parts.append(f"{key}:{rows_factor:.6g}:{bytes_factor:.6g}")
+        for key, correction in self._corrections.items():
+            if not correction.samples:
+                continue
+            if not set(correction.identity) <= items:
+                continue
+            rows_factor, bytes_factor = correction.factors()
+            if rows_factor == 1.0 and bytes_factor == 1.0:
+                continue
+            parts.append(f"{key}:{rows_factor:.6g}:{bytes_factor:.6g}")
         if not parts:
             return ""
         digest = hashlib.sha256("|".join(sorted(parts)).encode("utf-8"))
@@ -306,22 +298,19 @@ class FeedbackStore:
     # -- pilot auto-tuning ----------------------------------------------------
 
     def pilot_boost(self, signature: str) -> float:
-        with self._lock:
-            tuning = self._pilots.get(signature)
-            return tuning.boost if tuning is not None else 1.0
+        tuning = self._pilots.get(signature)
+        return tuning.boost if tuning is not None else 1.0
 
     def should_repilot(self, signature: str) -> bool:
         """True when this signature's next pilot must run even on a hit."""
-        with self._lock:
-            tuning = self._pilots.get(signature)
-            return tuning is not None and tuning.repilot_pending
+        tuning = self._pilots.get(signature)
+        return tuning is not None and tuning.repilot_pending
 
     def repilot_done(self, signature: str) -> None:
-        with self._lock:
-            tuning = self._pilots.get(signature)
-            if tuning is None or not tuning.repilot_pending:
-                return
-            tuning.repilot_pending = False
+        tuning = self._pilots.get(signature)
+        if tuning is None or not tuning.repilot_pending:
+            return
+        tuning.repilot_pending = False
         if self.metrics.enabled:
             self.metrics.inc("feedback.repilots")
 
@@ -330,20 +319,19 @@ class FeedbackStore:
     def record_choice(self, block_key: str, plan_signature: str,
                       cost: float) -> float:
         """Record one optimizer decision; returns its regret (>= 0)."""
-        with self._lock:
-            record = self._blocks.setdefault(block_key, _BlockRegret())
-            record.choices += 1
-            if cost < record.best_cost:
-                record.best_cost = cost
-                record.best_plan = plan_signature
-            if record.best_cost > 0:
-                regret = cost / record.best_cost - 1.0
-            else:
-                regret = 0.0
-            record.total_regret += regret
-            if regret >= record.max_regret:
-                record.max_regret = regret
-                record.worst_plan = plan_signature
+        record = self._blocks.setdefault(block_key, _BlockRegret())
+        record.choices += 1
+        if cost < record.best_cost:
+            record.best_cost = cost
+            record.best_plan = plan_signature
+        if record.best_cost > 0:
+            regret = cost / record.best_cost - 1.0
+        else:
+            regret = 0.0
+        record.total_regret += regret
+        if regret >= record.max_regret:
+            record.max_regret = regret
+            record.worst_plan = plan_signature
         metrics = self.metrics
         if metrics.enabled:
             metrics.inc("feedback.choices")
@@ -352,9 +340,8 @@ class FeedbackStore:
 
     def regret_leaderboard(self, top: int = 10) -> list[dict]:
         """Blocks ranked by mean regret (worst offenders first)."""
-        with self._lock:
-            records = [(key, record) for key, record in self._blocks.items()
-                       if record.choices]
+        records = [(key, record) for key, record in self._blocks.items()
+                   if record.choices]
         records.sort(key=lambda item: (-item[1].mean_regret,
                                        -item[1].max_regret, item[0]))
         return [
@@ -373,18 +360,17 @@ class FeedbackStore:
     # -- reporting -------------------------------------------------------------
 
     def summary(self) -> dict:
-        with self._lock:
-            corrections = len(self._corrections)
-            samples = sum(c.samples for c in self._corrections.values())
-            active = sum(1 for c in self._corrections.values()
-                         if c.factors() != (1.0, 1.0))
-            boosted = {signature: tuning.boost
-                       for signature, tuning in self._pilots.items()
-                       if tuning.boost > 1.0}
-            pending = sorted(signature
-                             for signature, tuning in self._pilots.items()
-                             if tuning.repilot_pending)
-            blocks = len(self._blocks)
+        corrections = len(self._corrections)
+        samples = sum(c.samples for c in self._corrections.values())
+        active = sum(1 for c in self._corrections.values()
+                     if c.factors() != (1.0, 1.0))
+        boosted = {signature: tuning.boost
+                   for signature, tuning in self._pilots.items()
+                   if tuning.boost > 1.0}
+        pending = sorted(signature
+                         for signature, tuning in self._pilots.items()
+                         if tuning.repilot_pending)
+        blocks = len(self._blocks)
         return {
             "keys": corrections,
             "samples": samples,
@@ -398,11 +384,10 @@ class FeedbackStore:
     def report(self, top: int = 10) -> str:
         """Human-readable view (the CLI's ``--feedback-report``)."""
         summary = self.summary()
-        with self._lock:
-            worst = sorted(
-                self._corrections.items(),
-                key=lambda item: (-abs(item[1].log2_rows), item[0]),
-            )[:top]
+        worst = sorted(
+            self._corrections.items(),
+            key=lambda item: (-abs(item[1].log2_rows), item[0]),
+        )[:top]
         lines = [
             "feedback report:",
             f"  correction keys     {summary['keys']} "
@@ -445,32 +430,30 @@ class FeedbackStore:
 
     def clear(self) -> None:
         """Forget everything learned (benchmark epoch boundaries)."""
-        with self._lock:
-            self._corrections.clear()
-            self._blocks.clear()
-            self._pilots.clear()
+        self._corrections.clear()
+        self._blocks.clear()
+        self._pilots.clear()
 
     # -- persistence -----------------------------------------------------------
 
     def save(self, path: str | Path) -> None:
         """Write atomically: a failure mid-write must not clobber the
         previous feedback file (same discipline as the metastore)."""
-        with self._lock:
-            payload = {
-                "schema_version": 1,
-                "corrections": {
-                    key: correction.to_dict()
-                    for key, correction in self._corrections.items()
-                },
-                "pilots": {
-                    signature: tuning.to_dict()
-                    for signature, tuning in self._pilots.items()
-                },
-                "blocks": {
-                    key: record.to_dict()
-                    for key, record in self._blocks.items()
-                },
-            }
+        payload = {
+            "schema_version": 1,
+            "corrections": {
+                key: correction.to_dict()
+                for key, correction in self._corrections.items()
+            },
+            "pilots": {
+                signature: tuning.to_dict()
+                for signature, tuning in self._pilots.items()
+            },
+            "blocks": {
+                key: record.to_dict()
+                for key, record in self._blocks.items()
+            },
+        }
         target = Path(path)
         staging = target.with_name(target.name + ".tmp")
         try:

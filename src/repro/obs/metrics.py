@@ -12,8 +12,7 @@ kinds keep it dependency-free and cheap:
   estimated-vs-actual audit in aggregate form.
 
 ``summary()`` renders everything as one plain dict, ``save()`` writes it
-as JSON (the CLI's ``--metrics PATH``). Thread-safe, so callers on
-several threads may report into one registry.
+as JSON (the CLI's ``--metrics PATH``).
 
 Like the tracer, the registry has a disabled twin: :data:`NULL_METRICS`
 advertises ``enabled = False`` and turns every method into a no-op, so
@@ -23,7 +22,6 @@ instrumentation is free when nobody asked for numbers.
 from __future__ import annotations
 
 import json
-import threading
 from pathlib import Path
 
 __all__ = ["MetricsRegistry", "NULL_METRICS", "q_error"]
@@ -42,12 +40,11 @@ def q_error(estimated: float, actual: float) -> float:
 
 
 class MetricsRegistry:
-    """Named counters and observation streams. Thread-safe."""
+    """Named counters and observation streams."""
 
     enabled = True
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self._counters: dict[str, float] = {}
         #: name -> [count, total, min, max]
         self._observations: dict[str, list[float]] = {}
@@ -55,32 +52,28 @@ class MetricsRegistry:
     # -- recording ------------------------------------------------------
 
     def inc(self, name: str, value: float = 1.0) -> None:
-        with self._lock:
-            self._counters[name] = self._counters.get(name, 0.0) + value
+        self._counters[name] = self._counters.get(name, 0.0) + value
 
     def observe(self, name: str, value: float) -> None:
         value = float(value)
-        with self._lock:
-            entry = self._observations.get(name)
-            if entry is None:
-                self._observations[name] = [1.0, value, value, value]
-            else:
-                entry[0] += 1.0
-                entry[1] += value
-                if value < entry[2]:
-                    entry[2] = value
-                if value > entry[3]:
-                    entry[3] = value
+        entry = self._observations.get(name)
+        if entry is None:
+            self._observations[name] = [1.0, value, value, value]
+        else:
+            entry[0] += 1.0
+            entry[1] += value
+            if value < entry[2]:
+                entry[2] = value
+            if value > entry[3]:
+                entry[3] = value
 
     # -- reading --------------------------------------------------------
 
     def counter(self, name: str) -> float:
-        with self._lock:
-            return self._counters.get(name, 0.0)
+        return self._counters.get(name, 0.0)
 
     def observation(self, name: str) -> dict | None:
-        with self._lock:
-            entry = self._observations.get(name)
+        entry = self._observations.get(name)
         if entry is None:
             return None
         count, total, low, high = entry
@@ -94,9 +87,8 @@ class MetricsRegistry:
 
     def summary(self) -> dict:
         """Everything recorded so far, as one JSON-serializable dict."""
-        with self._lock:
-            counters = dict(sorted(self._counters.items()))
-            names = sorted(self._observations)
+        counters = dict(sorted(self._counters.items()))
+        names = sorted(self._observations)
         return {
             "counters": counters,
             "observations": {

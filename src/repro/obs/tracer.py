@@ -31,7 +31,6 @@ methods are allocation-free no-ops, keeping PR 1's perf baselines intact.
 from __future__ import annotations
 
 import json
-import threading
 import time
 from typing import IO
 
@@ -111,13 +110,12 @@ class Span:
 
 
 class Tracer:
-    """Emits trace records to one sink. Thread-safe."""
+    """Emits trace records to one sink."""
 
     enabled = True
 
     def __init__(self, sink) -> None:
         self.sink = sink
-        self._lock = threading.Lock()
         self._seq = 0
         self._span_ids = 0
         self._epoch = time.perf_counter()
@@ -144,9 +142,8 @@ class Tracer:
         return time.perf_counter() - self._epoch
 
     def _next_span_id(self) -> int:
-        with self._lock:
-            self._span_ids += 1
-            return self._span_ids
+        self._span_ids += 1
+        return self._span_ids
 
     def _emit(self, kind: str, name: str, attrs: dict,
               span: int | None = None, dur_s: float | None = None) -> None:
@@ -156,10 +153,9 @@ class Tracer:
             record["span"] = span
         if dur_s is not None:
             record["dur_s"] = round(dur_s, 6)
-        with self._lock:
-            record["seq"] = self._seq
-            self._seq += 1
-            self.sink.write(record)
+        record["seq"] = self._seq
+        self._seq += 1
+        self.sink.write(record)
 
 
 class _NullSpan:
@@ -188,7 +184,7 @@ class _NullTracer(Tracer):
 
     enabled = False
 
-    def __init__(self) -> None:  # no sink, no clock, no lock
+    def __init__(self) -> None:  # no sink, no clock
         pass
 
     def span(self, name: str, /, **attrs) -> Span:  # type: ignore[override]

@@ -4,7 +4,7 @@ See :mod:`repro.service.service` for the QueryService,
 :mod:`repro.service.scheduler` for the multi-tenant submission queue,
 :mod:`repro.service.plan_cache` for the plan cache,
 :mod:`repro.service.result_cache` for the result-set cache shared across
-queries and :mod:`repro.service.lru` for the sharded LRU store both hold.
+queries and :mod:`repro.service.lru` for the LRU store both hold.
 ``docs/serving.md`` walks through the design.
 """
 

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 
@@ -42,7 +41,7 @@ from repro.feedback.keys import canonical_block_key
 from repro.feedback.keys import leaf_identity as _leaf_identity
 from repro.jaql.blocks import JoinBlock
 from repro.optimizer.plans import PhysicalNode, PhysJoin, PhysLeaf
-from repro.service.lru import ShardedLRU
+from repro.service.lru import LRU
 from repro.stats.statistics import TableStats
 
 
@@ -105,27 +104,23 @@ MAX_BLOCK_STATS = 512
 
 
 class PlanCache:
-    """Thread-safe (block key, statistics fingerprint) -> plan store.
+    """(block key, statistics fingerprint) -> plan store.
 
-    Entries live in a :class:`~repro.service.lru.ShardedLRU` routed by
-    canonical block key (sharding, LRU eviction and invalidation are
-    documented there); what is the plan cache's own is the key
-    derivation, the remap of a cached plan onto the probing block's
-    leaves, and per-query hit attribution.
+    Entries live in a :class:`~repro.service.lru.LRU` (LRU eviction and
+    invalidation are documented there); what is the plan cache's own is
+    the key derivation, the remap of a cached plan onto the probing
+    block's leaves, and per-query hit attribution.
 
     ``hits_by_block`` is LRU-capped at ``MAX_BLOCK_STATS`` entries --
     block names are per-query prefixed in the service, so an unbounded
     map is a slow memory leak; the cap keeps the recent (in-flight)
     queries readable, which is all the service's per-query attribution
-    needs. It stays a single map under its own lock (attribution reads
-    want one consistent view and the map is touched only on hits).
+    needs.
     """
 
     def __init__(self, max_entries: int = 256) -> None:
         #: (block key, fingerprint) -> (plan, cost).
-        self._lru: ShardedLRU[tuple[PhysicalNode, float]] = \
-            ShardedLRU(max_entries)
-        self._stats_lock = threading.Lock()
+        self._lru: LRU[tuple[PhysicalNode, float]] = LRU(max_entries)
         #: per-block-name hit counts; block names are query-prefixed in the
         #: service, so this attributes hits to queries (recent ones only --
         #: see the class docstring for the bound).
@@ -143,15 +138,14 @@ class PlanCache:
         # A missing leaf's fingerprint is None; no entry is ever stored
         # under it, so the probe below counts the miss.
         fingerprint = statistics_fingerprint(block, leaf_stats, salt)
-        entry = self._lru.get((block_key, fingerprint), block_key)
+        entry = self._lru.get((block_key, fingerprint))
         if entry is None:
             return None
-        with self._stats_lock:
-            self.hits_by_block[block.name] = \
-                self.hits_by_block.get(block.name, 0) + 1
-            self.hits_by_block.move_to_end(block.name)
-            while len(self.hits_by_block) > MAX_BLOCK_STATS:
-                self.hits_by_block.popitem(last=False)
+        self.hits_by_block[block.name] = \
+            self.hits_by_block.get(block.name, 0) + 1
+        self.hits_by_block.move_to_end(block.name)
+        while len(self.hits_by_block) > MAX_BLOCK_STATS:
+            self.hits_by_block.popitem(last=False)
         plan, cost = entry
         return CachedOptimization(plan=_remap_plan(plan, block), cost=cost)
 
@@ -167,24 +161,17 @@ class PlanCache:
             identity for identity in map(_leaf_identity, block.leaves)
             if identity.startswith("table:")
         )
-        self._lru.put((block_key, fingerprint), block_key, (plan, cost),
-                      contributing)
+        self._lru.put((block_key, fingerprint), (plan, cost), contributing)
 
     def on_stats_update(self, signature: str,
                         stats: TableStats | None) -> None:
-        """Metastore listener (see :meth:`ShardedLRU.invalidate`)."""
+        """Metastore listener (see :meth:`LRU.invalidate`)."""
         self._lru.invalidate(signature, stats)
 
     def hits_for_prefix(self, prefix: str) -> int:
-        """Total hits attributed to block names starting with ``prefix``.
-
-        Reads under the stats lock: concurrent lookups reorder
-        ``hits_by_block`` (LRU), so callers must not iterate it raw.
-        """
-        with self._stats_lock:
-            return sum(count
-                       for block, count in self.hits_by_block.items()
-                       if block.startswith(prefix))
+        """Total hits attributed to block names starting with ``prefix``."""
+        return sum(count for block, count in self.hits_by_block.items()
+                   if block.startswith(prefix))
 
     def summary(self) -> dict[str, int]:
         return self._lru.summary()

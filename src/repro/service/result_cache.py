@@ -38,7 +38,7 @@ The identity has three parts:
   aligned and costs nothing.)
 
 Storage, eviction and invalidation are the plan cache's, literally: both
-hold a :class:`~repro.service.lru.ShardedLRU`, both subscribe its
+hold a :class:`~repro.service.lru.LRU`, both subscribe its
 ``invalidate`` to the metastore, so a statistics update for any
 contributing base-leaf signature evicts every dependent entry of either.
 """
@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 from repro.data.table import Row
 from repro.feedback.keys import canonical_block_key, leaf_identity
-from repro.service.lru import ShardedLRU
+from repro.service.lru import LRU
 
 __all__ = ["RequestIdentity", "ResultCache", "request_identity"]
 
@@ -147,34 +147,32 @@ def request_identity(dyno, stages) -> RequestIdentity | None:
 
 
 class ResultCache:
-    """Thread-safe key -> result-rows store.
+    """Key -> result-rows store.
 
-    Entries live in a :class:`~repro.service.lru.ShardedLRU` routed by
-    the key itself (sharding, LRU eviction and invalidation are
-    documented there). What is the result cache's own: rows are copied on
-    store AND on read -- cached rows are shared state, and post-join
-    stages / clients mutate row dicts freely.
+    Entries live in a :class:`~repro.service.lru.LRU` (LRU eviction and
+    invalidation are documented there). What is the result cache's own:
+    rows are copied on store AND on read -- cached rows are shared state,
+    and post-join stages / clients mutate row dicts freely.
     """
 
     def __init__(self, max_entries: int = 128) -> None:
-        self._lru: ShardedLRU[tuple[Row, ...]] = ShardedLRU(max_entries)
+        self._lru: LRU[tuple[Row, ...]] = LRU(max_entries)
 
     def __len__(self) -> int:
         return len(self._lru)
 
     def lookup(self, key: str) -> list[Row] | None:
-        rows = self._lru.get(key, key)
+        rows = self._lru.get(key)
         if rows is None:
             return None
         return [dict(row) for row in rows]
 
     def store(self, key: str, rows: list[Row],
               contributing: frozenset[str]) -> None:
-        self._lru.put(key, key, tuple(dict(row) for row in rows),
-                      contributing)
+        self._lru.put(key, tuple(dict(row) for row in rows), contributing)
 
     def on_stats_update(self, signature: str, stats) -> None:
-        """Metastore listener (see :meth:`ShardedLRU.invalidate`): a
+        """Metastore listener (see :meth:`LRU.invalidate`): a
         cached result never outlives the statistics state it was keyed
         under, exactly as for cached plans."""
         self._lru.invalidate(signature, stats)

@@ -22,13 +22,12 @@ driven by one thread: the one that calls ``scheduler.submit`` /
 ``drain`` / ``run_sustained`` (and the standing-query manager and
 ``apply_change_batch`` over the same service). A drain admits its
 requests and runs them one after another, in dispatch order, on that
-thread; the service starts no thread and takes no lock of its own. As in
-the paper, where one Jaql client drives each query's job graph, cluster
-parallelism is the simulated slots of
-:class:`~repro.cluster.scheduler.SlotScheduler`. Objects a caller may
-hand in or share (metastore, feedback store, tracer, metrics registry,
-caches) keep their own locks as safety for such callers; nothing here
-depends on them.
+thread; the service starts no thread and takes no lock. As in the paper,
+where one Jaql client drives each query's job graph, cluster parallelism
+is the simulated slots of :class:`~repro.cluster.scheduler.SlotScheduler`.
+Nothing in :mod:`repro` is thread-safe -- not the metastore, feedback
+store, tracer, metrics registry or caches a caller may hand in: share
+between processes, not threads.
 
 Isolation and determinism
 -------------------------

@@ -6,14 +6,10 @@ queries -- or the same relation+predicates appearing in different queries --
 skip redundant pilot runs. The paper stores statistics in a file; we do the
 same (JSON), with an in-memory dict as the hot path.
 
-A caller may share one store between services or threads, so all
-accessors take a lock and ``save()`` serializes a snapshot -- a
-concurrent ``put()`` used to blow up the save with "dict changed size
-during iteration". Listeners registered
-with :meth:`subscribe` observe every ``put`` *and* every ``invalidate``
-(the service's plan and result caches use this to drop entries whose
-contributing leaf statistics changed; an invalidation passes ``None`` as
-the stats argument).
+Listeners registered with :meth:`subscribe` observe every ``put`` *and*
+every ``invalidate`` (the service's plan and result caches use this to
+drop entries whose contributing leaf statistics changed; an invalidation
+passes ``None`` as the stats argument).
 
 Changing data (repro.incremental) adds two notions on top of the
 signature->stats map:
@@ -37,7 +33,6 @@ from __future__ import annotations
 
 import json
 import os
-import threading
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -56,45 +51,32 @@ def bare_table_signature(table: str) -> str:
 
 
 class StatisticsMetastore:
-    """Signature-keyed store of :class:`TableStats` with file persistence.
-
-    Thread-safe: all accessors hold an internal lock, so callers on
-    several threads can ``put``/``get``/``save`` without corrupting the
-    store.
-    """
+    """Signature-keyed store of :class:`TableStats` with file persistence."""
 
     def __init__(self) -> None:
         self._entries: dict[str, TableStats] = {}
-        self._lock = threading.RLock()
         self._listeners: list[Callable[[str, TableStats | None], None]] = []
         self._epochs: dict[str, int] = {}
 
     # -- dict-like access -------------------------------------------------------
 
     def __contains__(self, signature: str) -> bool:
-        with self._lock:
-            return signature in self._entries
+        return signature in self._entries
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._entries)
 
     def __iter__(self) -> Iterator[str]:
-        with self._lock:
-            return iter(sorted(self._entries))
+        return iter(sorted(self._entries))
 
     def get(self, signature: str) -> TableStats | None:
-        with self._lock:
-            return self._entries.get(signature)
+        return self._entries.get(signature)
 
     def put(self, signature: str, stats: TableStats) -> None:
         if not signature:
             raise StatisticsError("empty statistics signature")
-        with self._lock:
-            self._entries[signature] = stats
-            listeners = tuple(self._listeners)
-        # Notify outside the lock so a listener may re-enter the store.
-        for listener in listeners:
+        self._entries[signature] = stats
+        for listener in self._listeners:
             listener(signature, stats)
 
     def invalidate(self, signature: str) -> None:
@@ -106,15 +88,13 @@ class StatisticsMetastore:
         -- dropping an entry silently used to leave dependent cache
         entries keyed under statistics the store no longer vouches for.
         """
-        with self._lock:
-            removed = self._entries.pop(signature, None) is not None
-            listeners = tuple(self._listeners) if removed else ()
-        for listener in listeners:
+        if self._entries.pop(signature, None) is None:
+            return
+        for listener in self._listeners:
             listener(signature, None)
 
     def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
+        self._entries.clear()
 
     def subscribe(
         self, listener: Callable[[str, TableStats | None], None]
@@ -122,29 +102,25 @@ class StatisticsMetastore:
         """Register a callback invoked after every ``put(signature,
         stats)`` and every effective ``invalidate(signature)`` (which
         passes ``None`` for the stats)."""
-        with self._lock:
-            self._listeners.append(listener)
+        self._listeners.append(listener)
 
     # -- changing data (repro.incremental) ---------------------------------------
 
     def table_epoch(self, table: str) -> int:
         """Current data epoch of ``table`` (0 = never registered)."""
-        with self._lock:
-            return self._epochs.get(table, 0)
+        return self._epochs.get(table, 0)
 
     def bump_table_epoch(self, table: str) -> int:
         """Record that ``table``'s DFS contents were (re)written."""
-        with self._lock:
-            epoch = self._epochs.get(table, 0) + 1
-            self._epochs[table] = epoch
-            return epoch
+        epoch = self._epochs.get(table, 0) + 1
+        self._epochs[table] = epoch
+        return epoch
 
     def signatures_for_table(self, table: str) -> list[str]:
         """Every stored base-leaf signature over ``table``, sorted."""
         prefix = table_signature_prefix(table)
-        with self._lock:
-            return sorted(signature for signature in self._entries
-                          if signature.startswith(prefix))
+        return sorted(signature for signature in self._entries
+                      if signature.startswith(prefix))
 
     def apply_table_delta(self, table: str, delta_rows: float,
                           delta_bytes: float,
@@ -173,9 +149,7 @@ class StatisticsMetastore:
         self.bump_table_epoch(table)
         for signature in self.signatures_for_table(table):
             if append_only and signature == bare:
-                old = self.get(signature)
-                if old is None:  # raced away; nothing to merge
-                    continue
+                old = self._entries[signature]
                 merged = TableStats(
                     row_count=old.row_count + max(delta_rows, 0.0),
                     size_bytes=old.size_bytes + max(delta_bytes, 0.0),
@@ -194,11 +168,9 @@ class StatisticsMetastore:
     def save(self, path: str | Path) -> None:
         """Write atomically: a failure mid-write (disk full, crash, bad
         entry) must not clobber the previous metastore file."""
-        with self._lock:
-            snapshot = dict(self._entries)
         payload = {
             signature: stats.to_dict()
-            for signature, stats in snapshot.items()
+            for signature, stats in self._entries.items()
         }
         target = Path(path)
         staging = target.with_name(target.name + ".tmp")

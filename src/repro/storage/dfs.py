@@ -9,7 +9,6 @@ simulator's I/O accounting is consistent end to end.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -74,9 +73,6 @@ class DFSFile:
     _qualified: dict[str, list[Row | None]] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
-    _qualified_lock: threading.Lock = field(
-        init=False, repr=False, compare=False, default_factory=threading.Lock
-    )
 
     def __post_init__(self) -> None:
         if self.block_size_bytes <= 0:
@@ -140,10 +136,7 @@ class DFSFile:
         the rest (nested struct/array columns, non-canonical dates,
         non-conforming values) pay one ``estimate_dict_sizes`` sweep on
         first ask -- never at load -- and keep the result for the file's
-        lifetime. The sweep is idempotent, so callers on two threads
-        sharing the file (a data pass and the refresh-decision probe,
-        which runs outside the batch lock) at worst compute it twice,
-        exactly like the ``_sizes_exact`` memo.
+        lifetime.
         """
         sizes = self._value_sizes
         if sizes is None:
@@ -169,15 +162,13 @@ class DFSFile:
         every scan output, pilot output and job output that carries the
         row: rows are engine-wide immutable, and ``Dyno`` copies at the
         client boundary.
-
-        Filling a slot is idempotent, so callers on two threads sharing
-        the file (a data pass and the refresh-decision probe) at worst
-        qualify a row twice (into equal dicts); only registering an
-        alias is check-then-act and locked.
         """
-        slots = self._qualified.get(alias)
+        memo = self._qualified
+        slots = memo.get(alias)
         if slots is None:
-            slots = self._register_alias(alias)
+            if len(memo) >= QUALIFIED_ALIAS_LIMIT:
+                del memo[next(iter(memo))]
+            slots = memo[alias] = [None] * len(self.rows)
         rows = self.rows
         out: list[Row] = []
         append = out.append
@@ -188,16 +179,6 @@ class DFSFile:
                 row = slots[position] = qualify_row(alias, rows[position])
             append(row)
         return out
-
-    def _register_alias(self, alias: str) -> list[Row | None]:
-        with self._qualified_lock:
-            memo = self._qualified
-            slots = memo.get(alias)
-            if slots is None:
-                if len(memo) >= QUALIFIED_ALIAS_LIMIT:
-                    del memo[next(iter(memo))]
-                slots = memo[alias] = [None] * len(self.rows)
-            return slots
 
     @property
     def sizes_are_value_exact(self) -> bool:
@@ -255,14 +236,7 @@ class DFSFile:
 
 
 class DistributedFileSystem:
-    """Namespace of :class:`DFSFile` objects plus byte accounting.
-
-    Byte accounting is lock-protected: callers on several threads may
-    share one DFS, and while the runtime's batch lock serializes data
-    passes, result fetches (:meth:`read_all`) and change-batch writes
-    happen outside it -- ``int`` read-modify-write is not atomic under
-    free threading.
-    """
+    """Namespace of :class:`DFSFile` objects plus byte accounting."""
 
     def __init__(self, block_size_bytes: int = 64 * 1024):
         if block_size_bytes <= 0:
@@ -276,7 +250,6 @@ class DistributedFileSystem:
         #: so only the byte traffic is recorded here.
         self.spill_bytes_written = 0
         self.spill_bytes_read = 0
-        self._accounting_lock = threading.Lock()
 
     # -- namespace operations -------------------------------------------------
 
@@ -323,8 +296,7 @@ class DistributedFileSystem:
         if row_sizes is not None and dfs_file.row_sizes is row_sizes:
             dfs_file._sizes_exact = True if sizes_exact is None else sizes_exact
         self._files[name] = dfs_file
-        with self._accounting_lock:
-            self.bytes_written += dfs_file.size_bytes
+        self.bytes_written += dfs_file.size_bytes
         return dfs_file
 
     def open(self, name: str) -> DFSFile:
@@ -355,16 +327,14 @@ class DistributedFileSystem:
     def read_split_batch(self, split: Split) -> SplitBatch:
         """One split as a column batch; charges its bytes as read."""
         batch = self.open(split.file_name).split_batch(split)
-        with self._accounting_lock:
-            self.bytes_read += split.size_bytes
+        self.bytes_read += split.size_bytes
         return batch
 
     def read_file_batch(self, name: str) -> SplitBatch:
         """A whole file as one column batch (the broadcast-build read);
         charges its bytes as read. The batch's row list is a copy."""
         dfs_file = self.open(name)
-        with self._accounting_lock:
-            self.bytes_read += dfs_file.size_bytes
+        self.bytes_read += dfs_file.size_bytes
         return dfs_file.file_batch()
 
     def read_all(self, name: str) -> list[Row]:
@@ -372,10 +342,9 @@ class DistributedFileSystem:
         return self.read_file_batch(name).rows
 
     def charge_spill(self, bytes_written: int, bytes_read: int) -> None:
-        """Account spill traffic (thread-safe; callable from task code)."""
-        with self._accounting_lock:
-            self.spill_bytes_written += bytes_written
-            self.spill_bytes_read += bytes_read
+        """Account spill traffic (callable from task code)."""
+        self.spill_bytes_written += bytes_written
+        self.spill_bytes_read += bytes_read
 
     def file_size(self, name: str) -> int:
         return self.open(name).size_bytes

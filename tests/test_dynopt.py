@@ -243,3 +243,34 @@ def test_only_the_loop_and_the_pilots_submit_jobs():
         {"core/dynopt.py", "core/pilot.py"}
     assert {name for module, name in callers
             if module == "core/dynopt.py"} == {"_run", "_recover_relation"}
+
+
+#: Modules whose import would let ``repro`` run code on a second thread
+#: or process.
+CONCURRENCY_MODULES = {"threading", "_thread", "concurrent.futures",
+                       "multiprocessing"}
+
+
+def test_nothing_in_repro_imports_a_concurrency_module():
+    """One driver thread drives a query, as one Jaql client does in the
+    paper; nothing in ``repro`` is thread-safe, so nothing in it may
+    start a thread or a process (share between processes, not threads)."""
+    root = Path(repro.__file__).parent
+    imports = set()
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module]
+                names += [f"{node.module}.{alias.name}"
+                          for alias in node.names]
+            else:
+                continue
+            for name in names:
+                parts = name.split(".")
+                if any(".".join(parts[:end]) in CONCURRENCY_MODULES
+                       for end in range(1, len(parts) + 1)):
+                    imports.add((path.relative_to(root).as_posix(), name))
+    assert imports == set()

@@ -4,17 +4,15 @@ A base leaf is scanned at least twice per query -- its pilot run, then
 the first real job -- and again by every later request under the same
 alias. The qualified dict of a row is a pure function of (alias, row),
 so it lives with the :class:`DFSFile` (``qualified_rows``), filled for
-the rows a scan lets through and dropped with the file version. Five
+the rows a scan lets through and dropped with the file version. Four
 angles: (i) the qualification budget of a cold and a warm request,
 (ii) a change batch installs a new version and scans see it, (iii) the
-per-file alias bound evicts without changing answers, (iv) racing
-threads never get a wrong row, (v) the standing-query refresh
-decision, which probes missing leaves through the same scan, estimates
-exactly what the row-at-a-time oracle does.
+per-file alias bound evicts without changing answers, (iv) the
+standing-query refresh decision, which probes missing leaves through
+the same scan, estimates exactly what the row-at-a-time oracle does.
 """
 
 import sys
-import threading
 
 from repro.core.baselines import oracle_leaf_stats
 from repro.core.dyno import Dyno
@@ -150,48 +148,7 @@ class TestAliasBound:
 
 
 # ---------------------------------------------------------------------------
-# (iv) threads racing the memo
-# ---------------------------------------------------------------------------
-
-class TestRacingTheMemo:
-    def test_thread_hammer_never_hands_out_a_wrong_row(self):
-        """More threads than cores, more aliases than the bound: every
-        answer equals a fresh qualification and the bound holds."""
-        rows = [{"k": i, "v": f"v{i}"} for i in range(400)]
-        dfs_file = DFSFile("f", Schema.of(k=INT, v=STRING), rows,
-                           block_size_bytes=1 << 20)
-        aliases = [f"a{i}" for i in range(QUALIFIED_ALIAS_LIMIT + 2)]
-        failures = []
-
-        def worker(seed):
-            for round_ in range(60):
-                alias = aliases[(seed + round_) % len(aliases)]
-                start = (seed * 37 + round_ * 11) % 200
-                selection = range(seed % 3, 200, 1 + round_ % 4)
-                got = dfs_file.qualified_rows(alias, start, selection)
-                want = [qualify_row(alias, rows[start + i])
-                        for i in selection]
-                if got != want or \
-                        len(dfs_file._qualified) > QUALIFIED_ALIAS_LIMIT:
-                    failures.append((seed, round_, alias))
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=worker, args=(seed,))
-                       for seed in range(8)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert not failures
-
-
-# ---------------------------------------------------------------------------
-# (v) the refresh decision's probe
+# (iv) the refresh decision's probe
 # ---------------------------------------------------------------------------
 
 class TestRefreshDecisionProbe:

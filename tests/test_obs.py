@@ -1,7 +1,6 @@
 """Observability layer: tracer, metrics, and the trace-event schema."""
 
 import json
-import threading
 
 import pytest
 
@@ -64,23 +63,6 @@ class TestTracer:
         assert seqs == [0, 1, 2, 3, 4]
         stamps = [record["ts"] for record in sink.records]
         assert stamps == sorted(stamps)
-
-    def test_thread_safe_emission(self):
-        sink = MemorySink()
-        tracer = Tracer(sink)
-
-        def worker(tag):
-            for _ in range(50):
-                tracer.event("tick", tag=tag)
-
-        threads = [threading.Thread(target=worker, args=(i,))
-                   for i in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert len(sink.records) == 200
-        assert sorted(r["seq"] for r in sink.records) == list(range(200))
 
     def test_json_lines_sink_round_trip(self, tmp_path):
         path = tmp_path / "trace.jsonl"

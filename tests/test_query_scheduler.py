@@ -18,6 +18,12 @@ import threading
 
 import pytest
 
+from repro.config import DEFAULT_CONFIG
+from repro.incremental import (
+    ChangeGenerator,
+    StandingQueryManager,
+    apply_change_batch,
+)
 from repro.obs import MemorySink, MetricsRegistry, Tracer
 from repro.service import (
     QueryRequest,
@@ -25,9 +31,15 @@ from repro.service import (
     ResultCache,
     dispatch_order,
 )
+from repro.workloads.changing import (
+    changing_tables,
+    changing_udfs,
+    premium_sessions,
+)
 from repro.workloads.mixed import mixed_batch, mixed_tables
 from repro.workloads.queries import q3
 from repro.workloads.weblogs import weblog_engagement
+from tests.oracle import plan_named
 from tests.serving import run_requests
 
 SCALE = 0.02
@@ -178,14 +190,26 @@ class TestSchedulerQueue:
                    for o in outcomes)
 
     def test_the_front_door_starts_no_thread(self, monkeypatch):
-        """Paced three-tenant traffic and a submit/drain batch both run
-        on the calling thread: they complete with ``Thread.start``
-        made to raise."""
+        """The whole service path runs on the calling thread: with
+        ``Thread.start`` made to raise, a cached service with a tracer
+        and a metrics registry attached and the chaos fault plan armed
+        serves paced three-tenant traffic and a submit/drain batch, and
+        a change batch plus a standing-query refresh go through a
+        service built the same way."""
         def refuse(thread):
             raise AssertionError(f"started thread {thread.name!r}")
 
         monkeypatch.setattr(threading.Thread, "start", refuse)
-        service = QueryService(small_tables(), result_cache=True)
+        sink = MemorySink()
+        metrics = MetricsRegistry()
+        config = DEFAULT_CONFIG.with_fault_plan(plan_named("chaos"))
+
+        def service_over(tables, **kwargs):
+            return QueryService(tables, config=config, tracer=Tracer(sink),
+                                metrics=metrics, result_cache=True,
+                                **kwargs)
+
+        service = service_over(small_tables())
         sustained = service.scheduler.run_sustained(
             [QueryRequest.from_workload(
                 weblog_engagement() if i % 2 else q3(), tenant=f"t{i % 3}")
@@ -196,6 +220,18 @@ class TestSchedulerQueue:
             for i in range(3)])
         assert [o.error for o in sustained + batch] == [None] * 12
         assert all(o.result_cache_hit for o in batch)
+
+        changing = service_over(changing_tables(0.02), udfs=changing_udfs())
+        manager = StandingQueryManager(changing)
+        workload = premium_sessions()
+        manager.register(workload.name, workload.final_spec)
+        generator = ChangeGenerator(changing.dyno.tables["pageviews"],
+                                    "eventid")
+        applied = apply_change_batch(changing.dyno,
+                                     generator.next_batch(0.01), "eventid")
+        report = manager.refresh(applied)
+        assert [o.error for o in report.outcomes] == [None]
+        assert sink.records and metrics.counter("faults.task_retries") > 0
 
     def test_queue_depth_and_wait_metrics_are_recorded(self):
         metrics = MetricsRegistry()
@@ -361,9 +397,8 @@ class TestResultCacheUnit:
         cache = ResultCache(max_entries=128)
         for index in range(16):
             cache.store(f"key-{index}", [], frozenset())
-        summary = cache.summary()
-        assert summary["entries"] == 16
-        assert summary["shards"] == 4
+        assert cache.summary() == {"entries": 16, "hits": 0, "misses": 0,
+                                   "invalidations": 0}
 
     def test_rejects_zero_capacity(self):
         with pytest.raises(ValueError):
