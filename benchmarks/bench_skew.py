@@ -15,10 +15,12 @@ DYNOPT driver:
 
 Per workload it records the simulated end-to-end seconds and the
 optimizer's estimated plan cost, in the ``BENCH_PR*.json`` schema
-(``before_s``/``after_s``/``speedup``). ``--check`` re-validates a
-recorded file (every speedup must stay > 1), which keeps the claim
-"SKEWJOIN beats the best feasible alternative on simulated cost"
-executable.
+(``before_s``/``after_s``/``speedup``). ``--check FILE`` re-measures at
+the file's scale and seed and requires every entry to equal the recorded
+one (the simulated clock is exact) and every speedup to stay > 1, which
+keeps the committed file current and the claim "SKEWJOIN beats the best
+feasible alternative on simulated cost" executable. The recorded Python
+version is not compared.
 
 Usage::
 
@@ -114,17 +116,28 @@ def run_bench(scale: float, seed: int) -> dict:
 
 def check(path: Path) -> int:
     recorded = json.loads(path.read_text())
+    measured = run_bench(recorded["workload"]["scale"],
+                         recorded["workload"]["seed"])
     failures = []
-    for mode in recorded["modes"].values():
-        for name, entry in mode["entries"].items():
-            if entry["speedup"] <= 1.0:
+    if measured["workload"] != recorded["workload"]:
+        failures.append(f"workload: measured {measured['workload']} != "
+                        f"recorded {recorded['workload']}")
+    for mode, results in measured["modes"].items():
+        entries = results["entries"]
+        expected = recorded["modes"].get(mode, {}).get("entries", {})
+        for name in sorted(set(entries) | set(expected)):
+            entry = entries.get(name)
+            if entry != expected.get(name):
+                failures.append(f"{name}: measured {entry} != recorded "
+                                f"{expected.get(name)}")
+            elif entry["speedup"] <= 1.0:
                 failures.append(f"{name}: speedup {entry['speedup']} "
                                 "<= 1.0 (skew join did not win)")
     for line in failures:
         print(f"FAIL {line}")
     if not failures:
-        print(f"ok: {path} -- skew join beats the best feasible "
-              "alternative on every recorded entry")
+        print(f"ok: {path} -- re-measured equal, and the skew join beats "
+              "the best feasible alternative on every entry")
     return 1 if failures else 0
 
 
@@ -133,8 +146,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--output", metavar="PATH",
                         help="write results as JSON")
     parser.add_argument("--check", metavar="PATH",
-                        help="validate a recorded results file instead "
-                             "of benchmarking")
+                        help="re-measure and require every entry of a "
+                             "recorded results file")
     parser.add_argument("--scale", type=float, default=1.0)
     parser.add_argument("--seed", type=int, default=SEED)
     args = parser.parse_args(argv)

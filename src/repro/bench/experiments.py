@@ -134,8 +134,8 @@ def _relopt_plan_text(tables, workload: Workload,
     dyno = Dyno(tables, config=config, udfs=workload.udfs)
     extracted = dyno.prepare(workload.final_spec)
     stats = relopt_leaf_stats(dyno.tables, extracted.block)
-    plan = JoinOptimizer(extracted.block, stats,
-                         config.optimizer).optimize().plan
+    plan = JoinOptimizer(extracted.block, stats, config.optimizer,
+                         config.cluster).optimize().plan
     return render_plan(plan)
 
 
@@ -182,8 +182,8 @@ def figure3_method_counts(
     extracted = dyno.prepare(workload.final_spec)
 
     relopt_stats = relopt_leaf_stats(dyno.tables, extracted.block)
-    relopt = JoinOptimizer(extracted.block, relopt_stats,
-                           config.optimizer).optimize().plan
+    relopt = JoinOptimizer(extracted.block, relopt_stats, config.optimizer,
+                           config.cluster).optimize().plan
     relopt_summary = summarize_plan(relopt)
 
     run = run_workload(tables, workload, VARIANT_SIMPLE, config)

@@ -20,9 +20,23 @@ model keeps the properties the paper's results depend on:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.config import ClusterConfig
+
+
+def reducer_count(input_bytes: float, cluster: ClusterConfig) -> int:
+    """Reduce tasks of a job over ``input_bytes``: Hive-like default.
+
+    One reducer per two DFS blocks of input, capped by the cluster's
+    reduce slots. The compiler sizes every join and GROUP BY job with
+    it, and the optimizer's skew rule asks it how many reducers a
+    repartitioned tail would be spread over.
+    """
+    per_reducer = 2 * cluster.block_size_bytes
+    wanted = max(1, math.ceil(input_bytes / per_reducer))
+    return min(wanted, cluster.total_reduce_slots)
 
 
 @dataclass(frozen=True)

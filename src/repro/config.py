@@ -148,17 +148,15 @@ class OptimizerConfig:
     #: broadcast always costs less where it applies -- so disabling it
     #: exactly restores the pre-skew plan space.
     enable_skew_rule: bool = True
-    #: a join-key value is a heavy hitter when its sampled frequency is at
-    #: least this fraction of the probe side. 0.1 sits well above every
-    #: TPC-H foreign-key frequency at our test scales (those are uniform)
-    #: while catching any genuinely hot key.
+    #: the skew join is considered only when some probe key's sampled
+    #: frequency reaches this fraction -- a guard against sampling noise.
+    #: 0.1 sits well above every TPC-H foreign-key frequency at our test
+    #: scales (those are uniform) while catching any genuinely hot key.
+    #: Which keys it then peels off the shuffle is not a knob: every
+    #: profiled key (at most the statistics layer's HEAVY_HITTER_K) that
+    #: alone outweighs an average reducer's share of the remaining
+    #: shuffle (see repro.optimizer.rules._heavy_split).
     skew_key_fraction: float = 0.1
-    #: minimum combined probe fraction of the selected heavy keys for the
-    #: skew join to be worth a broadcast side channel at all.
-    skew_min_probe_fraction: float = 0.2
-    #: at most this many heavy keys ride the side channel (also bounded by
-    #: the statistics layer's HEAVY_HITTER_K).
-    skew_max_keys: int = 8
     #: apply the broadcast-chain rule (Section 5.2). Disabling it makes
     #: every broadcast join its own map-only job, as stock Jaql would
     #: without the chain rewrite -- used by the ablation benchmark.

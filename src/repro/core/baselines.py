@@ -324,5 +324,6 @@ def relopt_plan(block: JoinBlock, tables: dict[str, Table],
                                                dict[str, TableStats]]:
     """The plan DBMS-X would pick, plus the statistics it believed."""
     stats = relopt_leaf_stats(tables, block, kmv_size)
-    optimizer = JoinOptimizer(block, stats, relopt_optimizer_config(config))
+    optimizer = JoinOptimizer(block, stats, relopt_optimizer_config(config),
+                              config.cluster)
     return optimizer.optimize().plan, stats

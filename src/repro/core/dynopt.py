@@ -758,6 +758,7 @@ class DynoptExecutor:
             if self.metrics.enabled:
                 self.metrics.inc("plan_cache.misses")
         optimizer = JoinOptimizer(block, leaf_stats, self.config.optimizer,
+                                  self.config.cluster,
                                   banned_broadcast=banned_broadcast,
                                   feedback=feedback,
                                   feedback_context=feedback_context)

@@ -25,10 +25,10 @@ only its *leaf jobs* each iteration (Section 5.3).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
+from repro.cluster.costmodel import reducer_count
 from repro.cluster.job import (
     BatchEmit,
     BroadcastBuild,
@@ -801,17 +801,15 @@ class PlanCompiler:
 
     def _reducers_for(self, inputs: list[str],
                       estimated_bytes: float = 0.0) -> int:
-        """Hive-like default: proportional to input size, capped by slots.
+        """:func:`reducer_count` over the inputs' bytes.
 
         Inputs not yet materialized (downstream jobs of a not-yet-executed
         plan) fall back to the optimizer's byte estimates.
         """
         total_bytes = sum(self.dfs.file_size(name) for name in inputs
                           if self.dfs.exists(name))
-        total_bytes = max(total_bytes, estimated_bytes)
-        per_reducer = 2 * self.config.cluster.block_size_bytes
-        wanted = max(1, math.ceil(total_bytes / per_reducer))
-        return min(wanted, self.config.cluster.total_reduce_slots)
+        return reducer_count(max(total_bytes, estimated_bytes),
+                             self.config.cluster)
 
 
 def _fold_aggregate(op: str, values: list[Any]) -> Any:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.config import OptimizerConfig
+from repro.config import ClusterConfig, OptimizerConfig
 from repro.errors import PlanError
 from repro.optimizer.plans import (
     BROADCAST,
@@ -32,10 +32,16 @@ from repro.optimizer.plans import (
 
 
 class JoinCostModel:
-    """Evaluates the paper's cost formulas under an :class:`OptimizerConfig`."""
+    """Evaluates the paper's cost formulas under an :class:`OptimizerConfig`.
 
-    def __init__(self, config: OptimizerConfig):
+    ``cluster`` is the cluster the plan will run on: the skew rule asks
+    it how many reducers a join's shuffle is spread over.
+    """
+
+    def __init__(self, config: OptimizerConfig,
+                 cluster: ClusterConfig = ClusterConfig()):
         self.config = config
+        self.cluster = cluster
 
     def join_cost(self, method: str, left: PhysicalNode,
                   right: PhysicalNode, out_bytes: float,

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
+from repro.cluster.costmodel import reducer_count
 from repro.jaql.expr import JoinCondition, Predicate
 from repro.optimizer.cost import JoinCostModel
 from repro.optimizer.plans import (
@@ -40,7 +41,8 @@ class JoinContext:
     conditions: tuple[JoinCondition, ...]
     applied_predicates: tuple[Predicate, ...]
     #: heavy-hitter join keys per side, ``((key tuple, fraction), ...)``
-    #: in join-condition order -- left is the probe, right the build.
+    #: most frequent first, keys in join-condition order -- left is the
+    #: probe, right the build.
     probe_heavy: tuple = ()
     build_heavy: tuple = ()
     #: distinct values of the build side's join key (for estimating the
@@ -56,8 +58,8 @@ def join_candidates(left: PhysicalNode, right: PhysicalNode,
     Broadcast when the build fits in task memory, chained when the probe
     is a broadcast whose pipeline builds still fit (the paper's chain
     rule, applied *during* search so single-job chains can win against
-    cascades of map-only jobs, Section 5.2); skew when the probe's heavy
-    hitters clear the thresholds (:func:`_heavy_split`); repartition
+    cascades of map-only jobs, Section 5.2); skew when some probe key
+    would straggle a reducer (:func:`_heavy_split`); repartition
     always. The search keeps the first strictly cheapest candidate, so
     this order breaks exact cost ties (e.g. over empty estimated inputs)
     towards the map-only operator, which is never slower in practice.
@@ -77,7 +79,7 @@ def join_candidates(left: PhysicalNode, right: PhysicalNode,
     if cost_model.fits_in_memory(right.est_bytes):
         yield candidate(BROADCAST,
                         chained=cost_model.chains(left, right.est_bytes))
-    split = _heavy_split(right, context, cost_model)
+    split = _heavy_split(left, right, context, cost_model)
     if split is not None:
         heavy_keys, probe_fraction, build_fraction = split
         yield candidate(SKEW, heavy_keys,
@@ -86,7 +88,8 @@ def join_candidates(left: PhysicalNode, right: PhysicalNode,
     yield candidate(REPARTITION)
 
 
-def _heavy_split(right: PhysicalNode, context: JoinContext,
+def _heavy_split(left: PhysicalNode, right: PhysicalNode,
+                 context: JoinContext,
                  cost_model: JoinCostModel) -> tuple | None:
     """The skew join's ``(heavy keys, probe fraction, build fraction)``.
 
@@ -94,27 +97,41 @@ def _heavy_split(right: PhysicalNode, context: JoinContext,
     :meth:`repro.optimizer.cardinality.CardinalityModel.heavy_hitters`)
     are joined map-side against a broadcast build of just their rows,
     bypassing the shuffle, while the tail of both sides repartitions --
-    one map+reduce job. None unless the per-key and total heavy fractions
-    clear the configured thresholds and the heavy-key slice of the build
-    fits in task memory. Where a plain broadcast applies it is always
-    cheaper, so the skew join only wins for builds too big to broadcast.
+    one map+reduce job, which finishes when its slowest reducer does.
+
+    With the probe keys in their profile's order, ``f1 >= f2 >= ...``, and
+    ``R`` the reducers the compiler gives the join (:func:`reducer_count`
+    of both sides' estimated bytes), key ``k`` is peeled while
+    ``f_k > (1 - (f1 + ... + f_k)) / R``: it alone would carry more probe
+    rows than an average reducer's share of what still shuffles, and
+    while the peeled keys' build slice fits in task memory (so a tight
+    budget keeps the heaviest keys resident rather than none). None
+    unless some key reaches ``skew_key_fraction`` (a guard against
+    sampling noise) and at least one key is peeled. Where a plain
+    broadcast applies it is always cheaper, so the skew join only wins
+    for builds too big to broadcast.
     """
     config = cost_model.config
-    if not config.enable_skew_rule or not context.probe_heavy:
+    if not config.enable_skew_rule or not any(
+            fraction >= config.skew_key_fraction
+            for _, fraction in context.probe_heavy):
         return None
-    heavy = [(key, fraction) for key, fraction in context.probe_heavy
-             if fraction >= config.skew_key_fraction]
-    heavy = heavy[:config.skew_max_keys]
-    if not heavy:
-        return None
-    probe_fraction = min(1.0, sum(fraction for _, fraction in heavy))
-    if probe_fraction < config.skew_min_probe_fraction:
-        return None
+    reducers = reducer_count(left.est_bytes + right.est_bytes,
+                             cost_model.cluster)
     build_fractions = dict(context.build_heavy)
     distinct = max(context.build_key_distinct, 1.0)
-    build_fraction = min(1.0, sum(
-        build_fractions.get(key, 1.0 / distinct) for key, _ in heavy
-    ))
-    if not cost_model.fits_in_memory(build_fraction * right.est_bytes):
+    heavy = []
+    probe_fraction = build_fraction = 0.0
+    shuffled = 1.0
+    for key, fraction in context.probe_heavy:
+        shuffled -= fraction
+        key_build = build_fractions.get(key, 1.0 / distinct)
+        if fraction <= shuffled / reducers or not cost_model.fits_in_memory(
+                min(1.0, build_fraction + key_build) * right.est_bytes):
+            break
+        heavy.append(key)
+        probe_fraction += fraction
+        build_fraction += key_build
+    if not heavy:
         return None
-    return tuple(key for key, _ in heavy), probe_fraction, build_fraction
+    return tuple(heavy), min(1.0, probe_fraction), min(1.0, build_fraction)

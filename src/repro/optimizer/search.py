@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.config import OptimizerConfig
+from repro.config import ClusterConfig, OptimizerConfig
 from repro.errors import OptimizerError
 from repro.jaql.blocks import JoinBlock
 from repro.optimizer.cardinality import CardinalityModel
@@ -76,6 +76,7 @@ class JoinOptimizer:
     def __init__(self, block: JoinBlock,
                  leaf_stats: dict[str, TableStats],
                  config: OptimizerConfig,
+                 cluster: ClusterConfig = ClusterConfig(),
                  banned_broadcast: frozenset[frozenset[str]] = frozenset(),
                  feedback=None, feedback_context=None):
         self.block = block
@@ -86,7 +87,7 @@ class JoinOptimizer:
             block, leaf_stats,
             feedback=feedback, feedback_context=feedback_context,
         )
-        self.cost_model = JoinCostModel(config)
+        self.cost_model = JoinCostModel(config, cluster)
         self.memo = Memo(self.graph)
         #: alias sets whose broadcast join failed permanently at runtime;
         #: the dynamic executor replans with those candidates excluded so
