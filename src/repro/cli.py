@@ -121,8 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--result-cache", action="store_true",
         help="enable the result-set cache for --batch: a recurring "
-             "(block key x stats fingerprint x correction token) "
-             "identity returns cached rows without executing",
+             "(block key x stats fingerprint) identity returns "
+             "cached rows without executing",
     )
 
     parser.add_argument(
@@ -168,21 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="pre-load a statistics metastore file")
     parser.add_argument("--save-stats", metavar="PATH",
                         help="persist the statistics metastore afterwards")
-    parser.add_argument("--feedback", action="store_true",
-                        help="close the workload feedback loop: audit every "
-                             "estimate, learn per-signature selectivity "
-                             "corrections, auto-tune pilot samples, track "
-                             "plan-choice regret (see docs/feedback.md)")
-    parser.add_argument("--feedback-report", action="store_true",
-                        help="print the feedback store's correction / "
-                             "pilot-tuning / regret report afterwards "
-                             "(implies --feedback)")
-    parser.add_argument("--load-feedback", metavar="PATH",
-                        help="pre-load a feedback store file (implies "
-                             "--feedback)")
-    parser.add_argument("--save-feedback", metavar="PATH",
-                        help="persist the feedback store afterwards "
-                             "(implies --feedback)")
     parser.add_argument("--trace", metavar="PATH",
                         help="write a JSON-lines trace of the query "
                              "lifecycle (see docs/observability.md)")
@@ -244,7 +229,7 @@ def _dataset(args: argparse.Namespace, out):
 
 def _open_session(args: argparse.Namespace, out):
     """Build the one stack every mode runs against: dataset, config,
-    feedback store, statistics, tracer, metrics and the QueryService.
+    statistics, tracer, metrics and the QueryService.
 
     Everything read from a user-named file is loaded before the trace
     sink is opened, so a bad path fails with nothing left open.
@@ -265,17 +250,6 @@ def _open_session(args: argparse.Namespace, out):
         print(f"armed fault plan {plan.name or '<unnamed>'} "
               f"(seed {plan.seed})", file=out)
 
-    feedback = None
-    if (args.feedback or args.feedback_report
-            or args.load_feedback or args.save_feedback):
-        from repro.feedback import FeedbackStore
-
-        if args.load_feedback:
-            feedback = FeedbackStore.load(args.load_feedback)
-            print(f"loaded feedback store from {args.load_feedback} "
-                  f"({len(feedback)} correction key(s))", file=out)
-        else:
-            feedback = FeedbackStore()
     metastore = None
     if args.load_stats:
         metastore = StatisticsMetastore.load(args.load_stats)
@@ -286,7 +260,6 @@ def _open_session(args: argparse.Namespace, out):
     metrics = MetricsRegistry() if (args.metrics or args.profile) else None
     return QueryService(tables, config=config, udfs=udfs,
                         metastore=metastore, tracer=tracer, metrics=metrics,
-                        feedback=feedback,
                         result_cache=args.result_cache)
 
 
@@ -303,13 +276,6 @@ def _close_session(service, args: argparse.Namespace, out) -> None:
     if args.save_stats:
         service.dyno.save_statistics(args.save_stats)
         print(f"saved statistics to {args.save_stats}", file=out)
-    if service.feedback is not None:
-        if args.feedback_report:
-            print("\n" + service.feedback.report(), file=out)
-        if args.save_feedback:
-            service.feedback.save(args.save_feedback)
-            print(f"saved feedback store to {args.save_feedback}",
-                  file=out)
 
 
 def _print_tenant_stats(outcomes, out) -> None:

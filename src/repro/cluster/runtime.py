@@ -204,7 +204,6 @@ class ClusterRuntime:
         self.scheduler = SlotScheduler(
             config.cluster.total_map_slots,
             config.cluster.total_reduce_slots,
-            policy=config.cluster.scheduler_policy,
             speculative=config.cluster.speculative_execution,
             speculative_threshold=config.cluster.speculative_slowdown_threshold,
             tracer=self.tracer,

@@ -104,78 +104,27 @@ class _CallState:
     phantom_reduces: dict[str, list[float]] = field(default_factory=dict)
 
 
-#: Scheduling policies. The paper uses Hadoop's FIFO scheduler "so as to
+#: One slot pool's pending tasks, ``(job id, duration, event kind)``, in
+#: submission order. The paper uses Hadoop's FIFO scheduler "so as to
 #: maximize the utilization of the cluster resources" and leaves the fair
-#: and capacity schedulers as future work (Section 6.3); ``fair`` is
-#: implemented here for that experiment.
-POLICY_FIFO = "fifo"
-POLICY_FAIR = "fair"
-
-
-class _TaskQueue:
-    """Pending tasks of one slot pool, drained per the scheduling policy."""
-
-    def __init__(self, policy: str):
-        self._policy = policy
-        self._fifo: deque[tuple[str, float, str]] = deque()
-        self._per_job: dict[str, deque[tuple[float, str]]] = {}
-        self._rotation: deque[str] = deque()
-
-    def push(self, job_id: str, duration: float,
-             kind: str = "task") -> None:
-        if self._policy == POLICY_FIFO:
-            self._fifo.append((job_id, duration, kind))
-            return
-        if job_id not in self._per_job:
-            self._per_job[job_id] = deque()
-            self._rotation.append(job_id)
-        self._per_job[job_id].append((duration, kind))
-
-    def pop(self) -> tuple[str, float, str]:
-        if self._policy == POLICY_FIFO:
-            return self._fifo.popleft()
-        # Fair: serve the next job in the rotation that has tasks left.
-        while True:
-            job_id = self._rotation[0]
-            self._rotation.rotate(-1)
-            tasks = self._per_job[job_id]
-            if tasks:
-                duration, kind = tasks.popleft()
-                if not tasks:
-                    del self._per_job[job_id]
-                    self._rotation.remove(job_id)
-                return job_id, duration, kind
-            del self._per_job[job_id]
-            self._rotation.remove(job_id)
-
-    def __bool__(self) -> bool:
-        if self._policy == POLICY_FIFO:
-            return bool(self._fifo)
-        return any(self._per_job.values())
+#: and capacity schedulers as future work (Section 6.3).
+_TaskQueue = deque[tuple[str, float, str]]
 
 
 class SlotScheduler:
-    """Event-driven simulation of slot scheduling.
-
-    ``fifo`` drains queued tasks in submission order (Hadoop 1.x default).
-    ``fair`` interleaves runnable jobs round-robin, giving each job with
-    pending tasks an equal share of freed slots -- concurrent jobs finish
-    closer together at the cost of the first job's latency.
-    """
+    """Event-driven simulation of slot scheduling: queued tasks drain in
+    submission order (Hadoop 1.x's FIFO default)."""
 
     def __init__(self, map_slots: int, reduce_slots: int,
-                 policy: str = POLICY_FIFO, speculative: bool = False,
+                 speculative: bool = False,
                  speculative_threshold: float = 3.0,
                  tracer: Tracer | None = None):
         if map_slots <= 0 or reduce_slots <= 0:
             raise JobError("slot counts must be positive")
-        if policy not in (POLICY_FIFO, POLICY_FAIR):
-            raise JobError(f"unknown scheduling policy: {policy!r}")
         if speculative_threshold <= 1.0:
             raise JobError("speculative_slowdown_threshold must be > 1.0")
         self.map_slots = map_slots
         self.reduce_slots = reduce_slots
-        self.policy = policy
         self.speculative = speculative
         self.speculative_threshold = speculative_threshold
         self.tracer = tracer or NULL_TRACER
@@ -204,8 +153,8 @@ class SlotScheduler:
         }
         finished: set[str] = set()
 
-        map_queue = _TaskQueue(self.policy)
-        reduce_queue = _TaskQueue(self.policy)
+        map_queue: _TaskQueue = deque()
+        reduce_queue: _TaskQueue = deque()
         free_map = self.map_slots
         free_reduce = self.reduce_slots
 
@@ -240,8 +189,8 @@ class SlotScheduler:
         while events:
             now = events[0][0]
             # Process every event at this instant before dispatching, so
-            # simultaneously-started jobs compete for slots under the
-            # policy rather than in event order.
+            # simultaneously-started jobs queue their tasks before any
+            # freed slot is filled.
             while events and events[0][0] == now:
                 self._handle_event(
                     heapq.heappop(events), by_id, timelines,
@@ -286,7 +235,6 @@ class SlotScheduler:
         self.tracer.event(
             "schedule",
             jobs=len(jobs),
-            policy=self.policy,
             makespan_s=round(makespan, 6),
             map_task_s=round(map_seconds, 6),
             reduce_task_s=round(reduce_seconds, 6),
@@ -335,10 +283,10 @@ class SlotScheduler:
                 job = by_id[job_id]
                 if job.reduce_durations:
                     for duration in job.reduce_durations:
-                        reduce_queue.push(job_id, duration, "reduce_done")
+                        reduce_queue.append((job_id, duration, "reduce_done"))
                     for duration in state.phantom_reduces.get(job_id, ()):
-                        reduce_queue.push(job_id, duration,
-                                          "spec_reduce_done")
+                        reduce_queue.append((job_id, duration,
+                                             "spec_reduce_done"))
                 else:
                     finish_job(job_id, now)
         elif kind == "reduce_done":
@@ -368,29 +316,29 @@ class SlotScheduler:
                 finish_job(job_id, now)
                 return
             for duration in job.reduce_durations:
-                reduce_queue.push(job_id, duration, "reduce_done")
+                reduce_queue.append((job_id, duration, "reduce_done"))
             for duration in state.phantom_reduces.get(job_id, ()):
-                reduce_queue.push(job_id, duration, "spec_reduce_done")
+                reduce_queue.append((job_id, duration, "spec_reduce_done"))
             return
         for duration in job.map_durations:
-            map_queue.push(job_id, duration, "map_done")
+            map_queue.append((job_id, duration, "map_done"))
         for duration in state.phantom_maps.get(job_id, ()):
-            map_queue.push(job_id, duration, "spec_map_done")
+            map_queue.append((job_id, duration, "spec_map_done"))
 
     def _dispatch(self, now, map_queue, reduce_queue, free_map,
                   free_reduce, push_event, state: _CallState,
                   ) -> tuple[int, int]:
-        """Fill freed slots from the queues under the active policy."""
+        """Fill freed slots from the queues, oldest task first."""
         free_map += state.freed_map
         free_reduce += state.freed_reduce
         state.freed_map = 0
         state.freed_reduce = 0
         while free_map > 0 and map_queue:
-            job_id, duration, kind = map_queue.pop()
+            job_id, duration, kind = map_queue.popleft()
             free_map -= 1
             push_event(now + duration, kind, job_id)
         while free_reduce > 0 and reduce_queue:
-            job_id, duration, kind = reduce_queue.pop()
+            job_id, duration, kind = reduce_queue.popleft()
             free_reduce -= 1
             push_event(now + duration, kind, job_id)
         return free_map, free_reduce

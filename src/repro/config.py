@@ -83,10 +83,6 @@ class ClusterConfig:
     #: dynamic executor turns into a ban-and-replan).
     spill_overflow_factor: float = 4.0
 
-    #: slot scheduling policy: "fifo" (Hadoop 1.x default, used by the
-    #: paper) or "fair" (Section 6.3's future-work experiment).
-    scheduler_policy: str = "fifo"
-
     #: attempt budget per task (Hadoop's mapred.*.max.attempts, default 4).
     #: A task that fails this many times -- failures are injected by an
     #: armed :class:`repro.cluster.faults.FaultPlan` -- kills its job with

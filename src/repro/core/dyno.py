@@ -58,7 +58,6 @@ from repro.core.dynopt import (
     DynoptExecutor,
     MODE_DYNOPT,
 )
-from repro.feedback.keys import block_feedback_context
 from repro.optimizer.plans import render_plan
 
 
@@ -123,8 +122,7 @@ class Dyno:
                  metastore: StatisticsMetastore | None = None,
                  tracer: Tracer | None = None,
                  metrics: MetricsRegistry | None = None,
-                 plan_cache=None,
-                 feedback=None):
+                 plan_cache=None):
         from repro.storage.dfs import DistributedFileSystem
 
         self.config = config
@@ -153,14 +151,6 @@ class Dyno:
         if plan_cache is not None:
             self.executor.plan_cache = plan_cache
             self.metastore.subscribe(plan_cache.on_stats_update)
-        #: optional workload feedback store (see repro.feedback); shared
-        #: across queries -- and across Dyno instances in the service --
-        #: so estimate audits from one run correct the next.
-        self.feedback = feedback
-        if feedback is not None:
-            feedback.bind_metrics(self.metrics)
-            self.executor.feedback = feedback
-            self.executor.pilot_runner.feedback = feedback
 
     # -- catalog ------------------------------------------------------------------------
 
@@ -286,12 +276,9 @@ class Dyno:
                 f"~{stats.size_bytes:.0f} bytes"
             )
 
-        # The executor's own planning call, so learned corrections shape
-        # the reported plan exactly as they would shape the executed one.
-        context = (block_feedback_context(block)
-                   if self.feedback is not None else None)
-        result = self.executor._optimize(block, feedback_context=context,
-                                         leaf_stats=leaf_stats,
+        # The executor's own planning call, so the reported plan is the
+        # one execution would choose from the same statistics.
+        result = self.executor._optimize(block, leaf_stats=leaf_stats,
                                          record=False)
         lines += ["", f"best plan (estimated cost {result.cost:.0f}, "
                       f"{result.plans_considered} candidates):",

@@ -34,12 +34,6 @@ from repro.errors import (
     StorageError,
     TaskRetriesExhaustedError,
 )
-from repro.feedback.keys import (
-    BlockFeedbackContext,
-    block_feedback_context,
-    canonical_block_key,
-    group_key,
-)
 from repro.jaql.blocks import JoinBlock
 from repro.jaql.compiler import CompiledJob, JobGraph, PlanCompiler
 from repro.obs.metrics import q_error
@@ -186,10 +180,6 @@ class DynoptExecutor:
         #: optional cross-query plan cache, installed by the service layer
         #: (see :mod:`repro.service.plan_cache`). None = always optimize.
         self.plan_cache = None
-        #: optional workload feedback store (see :mod:`repro.feedback`),
-        #: installed by :class:`repro.core.dyno.Dyno`. None = no learning:
-        #: estimates, plans and pilot sizing match the paper's behaviour.
-        self.feedback = None
 
     # -- public ---------------------------------------------------------------------
 
@@ -393,31 +383,24 @@ class DynoptExecutor:
         iteration = 0
         tag = ("dj" if next_step is not None
                else "s" if threshold == inf else "it")
-        # Learned corrections describe this optimizer's estimates; a plan
-        # costed elsewhere must not teach the store. The snapshot is taken
-        # before any substitution: keys use the original block's shape.
-        feedback_context = (block_feedback_context(block)
-                            if fixed is None and next_step is None
-                            and self.feedback is not None else None)
-        planned, planned_block, completed = fixed, block, set()
+        planned, completed = fixed, set()
         while True:
             if next_step is not None:
                 plan = next_step(block, recovery.banned_broadcast)
                 result.plans.append(plan)
                 planned = self._compile(name, f"{tag}{iteration}", plan,
                                         plan.cost, iteration=iteration)
-                planned_block, completed = block, set()
+                completed = set()
             elif fixed is None:
                 optimization = self._optimize(
-                    block, recovery.banned_broadcast, iteration=iteration,
-                    feedback_context=feedback_context)
+                    block, recovery.banned_broadcast, iteration=iteration)
                 result.optimizer_seconds += optimization.simulated_seconds
                 result.plans.append(optimization.plan)
                 planned = self._compile(
                     name, f"{tag}{iteration}", optimization.plan,
                     optimization.cost, optimization.simulated_seconds,
                     iteration)
-                planned_block, completed = block, set()
+                completed = set()
             graph = planned.graph
             while len(completed) < graph.job_count:
                 ready = graph.leaf_jobs(completed)
@@ -491,10 +474,6 @@ class DynoptExecutor:
                 if block is not None:
                     for compiled in chosen:
                         job_result = batch[compiled.name]
-                        if feedback_context is not None:
-                            self._ingest_feedback(feedback_context,
-                                                  planned_block, compiled,
-                                                  job_result)
                         recovery.provenance[compiled.job.output_name] = \
                             compiled.job
                         block = self._substitute(block, compiled,
@@ -645,8 +624,8 @@ class DynoptExecutor:
                         iteration: int, threshold: float) -> float | None:
         """Record estimated-vs-actual for one executed sub-plan.
 
-        The q-error per executed job is the paper's core feedback signal
-        (observed statistics replacing estimates); surfacing it is what
+        The q-error per executed job is the paper's core re-optimization
+        signal (observed statistics replacing estimates); surfacing it is what
         makes a DYNOPT replan explainable from a trace. Returns the job's
         worst q-error when it reached ``threshold`` -- the estimate
         *missed*, which is the one re-optimization condition -- else None.
@@ -679,70 +658,26 @@ class DynoptExecutor:
                 metrics.inc("dynopt.estimate_misses")
         return worst if missed else None
 
-    def _ingest_feedback(self, context: BlockFeedbackContext,
-                         block: JoinBlock, compiled: CompiledJob,
-                         job_result: JobResult) -> None:
-        """Feed one executed job's estimate audit into the feedback store.
-
-        Only join results are learnable: leaf-only and stage jobs carry
-        no cardinality-model estimate (their rows/bytes come straight
-        from statistics or are unestimated), so correcting them would
-        poison unrelated keys.
-        """
-        if compiled.join_count < 1 or not compiled.output_aliases:
-            return
-        if compiled.estimated_rows <= 0.0:
-            return
-        key = group_key(context, block, compiled.output_aliases)
-        if key is None:
-            return
-        identity = tuple(sorted(
-            (alias, context.alias_identity[alias])
-            for alias in compiled.output_aliases
-        ))
-        escalated = self.feedback.ingest(
-            key, identity,
-            estimated_rows=compiled.estimated_rows,
-            actual_rows=float(job_result.output_rows),
-            estimated_bytes=compiled.estimated_bytes,
-            actual_bytes=float(job_result.output_bytes),
-        )
-        if escalated and self.tracer.enabled:
-            self.tracer.event(
-                "feedback_escalate",
-                job=compiled.name,
-                signatures=sorted(escalated),
-            )
-
     # -- helpers --------------------------------------------------------------------------
 
     def _optimize(self, block: JoinBlock,
                   banned_broadcast: frozenset = frozenset(),
                   iteration: int = 0,
-                  feedback_context: BlockFeedbackContext | None = None,
                   leaf_stats: dict[str, TableStats] | None = None,
                   record: bool = True):
-        """The one planning call: corrections and bans applied.
+        """The one planning call: bans applied.
 
         ``record`` False plans without leaving a trace in the plan cache
-        or the feedback store's choice log (``Dyno.explain``: explaining
-        must not teach); ``leaf_stats`` replaces the metastore's.
+        (``Dyno.explain``: explaining must not change what later queries
+        reuse); ``leaf_stats`` replaces the metastore's.
         """
         if leaf_stats is None:
             leaf_stats = self._leaf_stats(block)
-        feedback = self.feedback
-        # Learned corrections change this block's estimates without
-        # changing the statistics; salting the fingerprint keeps plans
-        # cached under other correction states from resurfacing.
-        salt = ""
-        if feedback is not None and feedback_context is not None:
-            salt = feedback.correction_token(
-                feedback_context.alias_identity)
         # Recovery replans carry banned broadcasts that are not part of the
         # cache key; bypass the cache entirely on that (rare) path.
         cache = self.plan_cache if record and not banned_broadcast else None
         if cache is not None:
-            cached = cache.lookup(block, leaf_stats, salt=salt)
+            cached = cache.lookup(block, leaf_stats)
             if self.tracer.enabled:
                 self.tracer.event("plan_cache", block=block.name,
                                   iteration=iteration,
@@ -750,18 +685,12 @@ class DynoptExecutor:
             if cached is not None:
                 if self.metrics.enabled:
                     self.metrics.inc("plan_cache.hits")
-                if feedback is not None:
-                    feedback.record_choice(canonical_block_key(block),
-                                           plan_signature(cached.plan),
-                                           cached.cost)
                 return cached
             if self.metrics.enabled:
                 self.metrics.inc("plan_cache.misses")
         optimizer = JoinOptimizer(block, leaf_stats, self.config.optimizer,
                                   self.config.cluster,
-                                  banned_broadcast=banned_broadcast,
-                                  feedback=feedback,
-                                  feedback_context=feedback_context)
+                                  banned_broadcast=banned_broadcast)
         with self.tracer.span("optimize", block=block.name,
                               iteration=iteration,
                               leaves=len(block.leaves),
@@ -780,11 +709,7 @@ class DynoptExecutor:
                                  optimization.simulated_seconds)
         if cache is not None:
             cache.store(block, leaf_stats, optimization.plan,
-                        optimization.cost, salt=salt)
-        if record and feedback is not None:
-            feedback.record_choice(canonical_block_key(block),
-                                   plan_signature(optimization.plan),
-                                   optimization.cost)
+                        optimization.cost)
         return optimization
 
     def _leaf_stats(self, block: JoinBlock) -> dict[str, TableStats]:

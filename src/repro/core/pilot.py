@@ -167,11 +167,6 @@ class PilotRunner:
         self.metastore = metastore
         self.config = config
         self.dfs = runtime.dfs
-        #: optional :class:`repro.feedback.FeedbackStore`; set by the
-        #: driver when the workload feedback loop is enabled. Drives
-        #: re-pilots (stale statistics are re-collected with a larger
-        #: sample instead of silently reused).
-        self.feedback = None
 
     # -- public --------------------------------------------------------------------
 
@@ -226,12 +221,6 @@ class PilotRunner:
             if signature in report.outcomes or signature in queued:
                 continue  # two leaves with identical table+predicates
             existing = self.metastore.get(signature) if reuse_statistics else None
-            if (existing is not None and self.feedback is not None
-                    and self.feedback.should_repilot(signature)):
-                # Feedback flagged this signature's estimates as
-                # persistently bad: re-pilot with the boosted sample
-                # instead of reusing the stale entry.
-                existing = None
             if existing is not None:
                 skip(leaf, signature, existing)
                 continue
@@ -279,8 +268,6 @@ class PilotRunner:
             outcome = self._extrapolate(leaf, result)
             report.outcomes[outcome.signature] = outcome
             self.metastore.put(outcome.signature, outcome.stats)
-            if self.feedback is not None:
-                self.feedback.repilot_done(outcome.signature)
             if tracer.enabled:
                 tracer.event(
                     "pilot.leaf",
@@ -306,10 +293,6 @@ class PilotRunner:
         )
         counter.value = 0
         k_records = self.config.pilot.k_records
-        if self.feedback is not None:
-            boost = self.feedback.pilot_boost(leaf.signature())
-            if boost > 1.0:
-                k_records = int(round(k_records * boost))
         scan = leaf_scan(leaf)
 
         def mapper(context: TaskContext, source: str, batch) -> BatchEmit:

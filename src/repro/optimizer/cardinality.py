@@ -49,23 +49,13 @@ class GroupEstimate:
 class CardinalityModel:
     """Estimates per alias-set over a join block and its leaf statistics."""
 
-    def __init__(self, block: JoinBlock, leaf_stats: dict[str, TableStats],
-                 feedback=None, feedback_context=None):
+    def __init__(self, block: JoinBlock, leaf_stats: dict[str, TableStats]):
         """``leaf_stats`` maps each leaf's :meth:`BlockLeaf.signature` to the
         statistics of the (virtual) relation it produces.
-
-        ``feedback``/``feedback_context`` (a
-        :class:`repro.feedback.FeedbackStore` and the block's
-        :class:`repro.feedback.BlockFeedbackContext`) enable learned
-        multiplicative corrections on multi-leaf group estimates; with
-        either absent the model is the paper's textbook estimator.
         """
         from repro.stats.statistics import requalify_stats
 
         self.block = block
-        self._feedback = (feedback if feedback is not None
-                          and feedback_context is not None else None)
-        self._feedback_context = feedback_context
         self._stats_by_alias: dict[str, TableStats] = {}
         self._leaf_by_alias: dict[str, BlockLeaf] = {}
         for leaf in block.leaves:
@@ -246,30 +236,8 @@ class CardinalityModel:
                 rows *= self.predicate_selectivity(predicate)
 
         estimate = GroupEstimate(rows, rows * max(width, 1.0))
-        if len(leaves) > 1 and self._feedback is not None:
-            estimate = self._apply_correction(aliases, estimate)
         self._cache[aliases] = estimate
         return estimate
-
-    def _apply_correction(self, aliases: frozenset[str],
-                          estimate: GroupEstimate) -> GroupEstimate:
-        """Multiply in the feedback store's learned correction, if any.
-
-        Only multi-leaf groups are corrected: leaf estimates come from
-        pilot runs / exact intermediates and are the accurate inputs the
-        paper's argument rests on -- the learnable error lives in the
-        join/UDF selectivity formulas above them.
-        """
-        from repro.feedback.keys import group_key
-
-        key = group_key(self._feedback_context, self.block, aliases)
-        if key is None:
-            return estimate
-        rows_factor, bytes_factor = self._feedback.correction(key)
-        if rows_factor == 1.0 and bytes_factor == 1.0:
-            return estimate
-        return GroupEstimate(estimate.rows * rows_factor,
-                             estimate.bytes * bytes_factor)
 
     def _condition_groups(
         self, aliases: frozenset[str]

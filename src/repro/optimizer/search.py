@@ -77,16 +77,12 @@ class JoinOptimizer:
                  leaf_stats: dict[str, TableStats],
                  config: OptimizerConfig,
                  cluster: ClusterConfig = ClusterConfig(),
-                 banned_broadcast: frozenset[frozenset[str]] = frozenset(),
-                 feedback=None, feedback_context=None):
+                 banned_broadcast: frozenset[frozenset[str]] = frozenset()):
         self.block = block
         self.config = config
         self.graph = JoinGraph.build(block)
         self.graph.validate()
-        self.cardinality = CardinalityModel(
-            block, leaf_stats,
-            feedback=feedback, feedback_context=feedback_context,
-        )
+        self.cardinality = CardinalityModel(block, leaf_stats)
         self.cost_model = JoinCostModel(config, cluster)
         self.memo = Memo(self.graph)
         #: alias sets whose broadcast join failed permanently at runtime;

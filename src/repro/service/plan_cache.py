@@ -37,9 +37,7 @@ import json
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 
-from repro.feedback.keys import canonical_block_key
-from repro.feedback.keys import leaf_identity as _leaf_identity
-from repro.jaql.blocks import JoinBlock
+from repro.jaql.blocks import BlockLeaf, JoinBlock
 from repro.optimizer.plans import PhysicalNode, PhysJoin, PhysLeaf
 from repro.service.lru import LRU
 from repro.stats.statistics import TableStats
@@ -70,23 +68,53 @@ __all__ = [
 ]
 
 
+def leaf_identity(leaf: BlockLeaf) -> str:
+    """Name-independent relation identity of one leaf.
+
+    A pilot-substituted intermediate *is* the base leaf it materialized
+    (same rows, same statistics), so it keys under that leaf's signature;
+    cold runs (pilots substituted) and warm runs (pilots skipped, base
+    leaves intact) of one query then share cache entries. Join-result
+    intermediates have no cross-query identity beyond their alias set.
+    """
+    if leaf.is_base:
+        return leaf.signature()
+    return leaf.provenance or "intermediate"
+
+
+def canonical_block_key(block: JoinBlock) -> str:
+    """Name-independent identity of a join block's remaining work.
+
+    The plan cache and the result cache key on it. Per-query DFS file
+    names never enter the key, so repeated queries -- and iteration-k
+    blocks of repeated queries -- share one identity.
+    """
+    leaf_parts = []
+    for leaf in sorted(block.leaves, key=lambda l: tuple(sorted(l.aliases))):
+        aliases = "+".join(sorted(leaf.aliases))
+        leaf_parts.append(f"{aliases}={leaf_identity(leaf)}")
+    conditions = sorted(c.describe() for c in block.conditions)
+    predicates = sorted(p.signature() for p in block.non_local_predicates)
+    return (
+        "leaves[" + ";".join(leaf_parts) + "]"
+        "|conds[" + ";".join(conditions) + "]"
+        "|preds[" + ";".join(predicates) + "]"
+    )
+
+
 def statistics_fingerprint(block: JoinBlock,
-                           leaf_stats: dict[str, TableStats],
-                           salt: str = "") -> str | None:
+                           leaf_stats: dict[str, TableStats]) -> str | None:
     """Stable hash over the contributing leaves' statistics.
 
-    ``salt`` folds caller state that changes the optimizer's estimates
-    without changing the statistics themselves (the feedback store's
-    correction token), so corrected estimates never resurrect plans
-    cached under uncorrected ones. Returns None when a contributing
-    leaf's statistics are missing -- the caller must treat that as a
-    cache miss, not a crash (an invalidation or a caller bug may leave a
-    leaf unstated; degrading keeps the query alive).
+    Returns None when a contributing leaf's statistics are missing -- the
+    caller must treat that as a cache miss, not a crash (an invalidation
+    or a caller bug may leave a leaf unstated; degrading keeps the query
+    alive).
     """
     payload = {}
     for leaf in block.leaves:
         signature = leaf.signature()
-        identity = _leaf_identity(leaf)
+        identity = leaf_identity(leaf)
         if identity == "intermediate":
             identity = "intermediate:" + "+".join(sorted(leaf.aliases))
         stats = leaf_stats.get(signature)
@@ -94,8 +122,6 @@ def statistics_fingerprint(block: JoinBlock,
             return None
         payload[identity] = stats.to_dict()
     text = json.dumps(payload, sort_keys=True)
-    if salt:
-        text += "|salt:" + salt
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
@@ -131,13 +157,12 @@ class PlanCache:
 
     # -- lookup / store -------------------------------------------------------
 
-    def lookup(self, block: JoinBlock,
-               leaf_stats: dict[str, TableStats],
-               salt: str = "") -> CachedOptimization | None:
+    def lookup(self, block: JoinBlock, leaf_stats: dict[str, TableStats],
+               ) -> CachedOptimization | None:
         block_key = canonical_block_key(block)
         # A missing leaf's fingerprint is None; no entry is ever stored
         # under it, so the probe below counts the miss.
-        fingerprint = statistics_fingerprint(block, leaf_stats, salt)
+        fingerprint = statistics_fingerprint(block, leaf_stats)
         entry = self._lru.get((block_key, fingerprint))
         if entry is None:
             return None
@@ -150,15 +175,15 @@ class PlanCache:
         return CachedOptimization(plan=_remap_plan(plan, block), cost=cost)
 
     def store(self, block: JoinBlock, leaf_stats: dict[str, TableStats],
-              plan: PhysicalNode, cost: float, salt: str = "") -> None:
-        fingerprint = statistics_fingerprint(block, leaf_stats, salt)
+              plan: PhysicalNode, cost: float) -> None:
+        fingerprint = statistics_fingerprint(block, leaf_stats)
         if fingerprint is None:
             return
         block_key = canonical_block_key(block)
         # Base-leaf statistics signatures this plan's estimates came
         # from; an update to any of them evicts the entry.
         contributing = frozenset(
-            identity for identity in map(_leaf_identity, block.leaves)
+            identity for identity in map(leaf_identity, block.leaves)
             if identity.startswith("table:")
         )
         self._lru.put((block_key, fingerprint), (plan, cost), contributing)

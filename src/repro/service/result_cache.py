@@ -1,18 +1,18 @@
 """Cross-query result-set cache keyed by (structural identity, statistics
-fingerprint, correction token).
+fingerprint).
 
 The plan cache (PR 4) reuses *plans* when a block's canonical key and
 statistics recur; under sustained multi-tenant traffic the same identity
 argument extends one level up: when a whole query's structure AND every
-contributing base leaf's statistics AND the feedback store's correction
-state recur, the *result rows* recur too -- results in this system are
-plan-invariant (the differential oracle of earlier PRs), data is immutable
-between statistics updates, and statistics updates are the data-change
-signal (the CDC roadmap item keys off the same path). A hit therefore
-skips pilots, optimizer, and execution entirely and returns the cached
-rows, copied on read so callers can mutate their copy freely.
+contributing base leaf's statistics recur, the *result rows* recur too
+-- results in this system are plan-invariant (the differential oracle of
+earlier PRs), data is immutable between statistics updates, and
+statistics updates are the data-change signal (the CDC roadmap item keys
+off the same path). A hit therefore skips pilots, optimizer, and
+execution entirely and returns the cached rows, copied on read so
+callers can mutate their copy freely.
 
-The identity has three parts:
+The identity has two parts:
 
 * **structural key** -- per original (unprefixed) stage: the canonical
   block key (name-independent: leaves as statistics signatures, join
@@ -30,12 +30,7 @@ The identity has three parts:
   changes the key, so cached rows computed over the previous contents can
   never be returned. Unknown statistics (a cold query) mean "no key": the
   query executes and is cached afterwards, when its own pilots have
-  published them;
-* **correction token** -- the feedback store's quantized correction state
-  over the request's alias identities, mirroring the plan cache's salt.
-  (Corrections never change rows -- plans are answer-invariant -- but
-  keying identically to the plan cache keeps the two caches' lifetimes
-  aligned and costs nothing.)
+  published them.
 
 Storage, eviction and invalidation are the plan cache's, literally: both
 hold a :class:`~repro.service.lru.LRU`, both subscribe its
@@ -50,8 +45,8 @@ import json
 from dataclasses import dataclass
 
 from repro.data.table import Row
-from repro.feedback.keys import canonical_block_key, leaf_identity
 from repro.service.lru import LRU
+from repro.service.plan_cache import canonical_block_key
 
 __all__ = ["RequestIdentity", "ResultCache", "request_identity"]
 
@@ -60,18 +55,15 @@ __all__ = ["RequestIdentity", "ResultCache", "request_identity"]
 class RequestIdentity:
     """Admission-time identity of one request, fingerprinted at run time.
 
-    ``structural`` is fixed at admission; the statistics fingerprint and
-    correction token are resolved by :meth:`key` against the *current*
-    metastore/feedback state, because a cold query's statistics only
-    exist after its own pilots ran.
+    ``structural`` is fixed at admission; the statistics fingerprint is
+    resolved by :meth:`key` against the *current* metastore, because a
+    cold query's statistics only exist after its own pilots ran.
     """
 
     #: canonical rendering of every stage (block key + post-join stages).
     structural: str
     #: base-leaf statistics signatures the result depends on.
     contributing: frozenset[str]
-    #: alias -> relation identity over all stages (correction-token scope).
-    alias_identity: tuple[tuple[str, str], ...]
 
     def tables(self) -> list[str]:
         """Base tables named by the contributing signatures, sorted."""
@@ -81,7 +73,7 @@ class RequestIdentity:
                 names.add(signature[len("table:"):].split("|", 1)[0])
         return sorted(names)
 
-    def key(self, metastore, feedback=None) -> str | None:
+    def key(self, metastore) -> str | None:
         """Full cache key under current statistics, or None when any
         contributing leaf is still unstated (nothing to fingerprint)."""
         stats_payload = {}
@@ -92,12 +84,9 @@ class RequestIdentity:
             stats_payload[signature] = stats.to_dict()
         epochs = {table: metastore.table_epoch(table)
                   for table in self.tables()}
-        token = ""
-        if feedback is not None:
-            token = feedback.correction_token(dict(self.alias_identity))
         text = json.dumps(
             {"structural": self.structural, "stats": stats_payload,
-             "epochs": epochs, "correction": token},
+             "epochs": epochs},
             sort_keys=True,
         )
         return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -117,7 +106,6 @@ def request_identity(dyno, stages) -> RequestIdentity | None:
         return None
     structural_parts: list[str] = []
     contributing: set[str] = set()
-    alias_identity: dict[str, str] = {}
     prior_outputs: set[str] = set()
     for spec, output in stages:
         extracted = dyno.prepare(spec)
@@ -135,14 +123,11 @@ def request_identity(dyno, stages) -> RequestIdentity | None:
             if leaf.source_name in prior_outputs:
                 continue
             contributing.add(leaf.signature())
-            for alias in leaf.aliases:
-                alias_identity[alias] = leaf_identity(leaf)
         if output is not None:
             prior_outputs.add(output)
     return RequestIdentity(
         structural="||".join(structural_parts),
         contributing=frozenset(contributing),
-        alias_identity=tuple(sorted(alias_identity.items())),
     )
 
 

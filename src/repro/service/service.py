@@ -25,9 +25,9 @@ requests and runs them one after another, in dispatch order, on that
 thread; the service starts no thread and takes no lock. As in the paper,
 where one Jaql client drives each query's job graph, cluster parallelism
 is the simulated slots of :class:`~repro.cluster.scheduler.SlotScheduler`.
-Nothing in :mod:`repro` is thread-safe -- not the metastore, feedback
-store, tracer, metrics registry or caches a caller may hand in: share
-between processes, not threads.
+Nothing in :mod:`repro` is thread-safe -- not the metastore, tracer,
+metrics registry or caches a caller may hand in: share between
+processes, not threads.
 
 Isolation and determinism
 -------------------------
@@ -171,7 +171,6 @@ class QueryService:
                  metrics: MetricsRegistry | None = None,
                  workers: int = 1,
                  plan_cache: PlanCache | None = None,
-                 feedback=None,
                  result_cache: ResultCache | bool | None = None):
         # The keyword survives for callers that spell out the one thread.
         if workers != 1:
@@ -181,12 +180,9 @@ class QueryService:
             )
         # `or` would discard a caller's *empty* cache (len == 0 is falsy).
         self.plan_cache = plan_cache if plan_cache is not None else PlanCache()
-        #: optional shared workload feedback store (repro.feedback).
-        self.feedback = feedback
         self.dyno = Dyno(tables, config=config, udfs=udfs,
                          metastore=metastore, tracer=tracer,
-                         metrics=metrics, plan_cache=self.plan_cache,
-                         feedback=feedback)
+                         metrics=metrics, plan_cache=self.plan_cache)
         self.tracer = self.dyno.tracer
         self.metrics = self.dyno.metrics
         #: optional result-set cache (opt-in: repeats then skip execution
@@ -317,7 +313,7 @@ class QueryService:
         """Probe the result cache; None on miss or uncacheable identity."""
         if self.result_cache is None or admission.identity is None:
             return None
-        key = admission.identity.key(self.metastore, self.feedback)
+        key = admission.identity.key(self.metastore)
         if key is None:  # some contributing statistics still unknown
             return None
         rows = self.result_cache.lookup(key)
@@ -336,7 +332,7 @@ class QueryService:
         """Cache a completed query's rows under its post-run identity."""
         if self.result_cache is None or admission.identity is None:
             return
-        key = admission.identity.key(self.metastore, self.feedback)
+        key = admission.identity.key(self.metastore)
         if key is None:
             return
         self.result_cache.store(key, rows,

@@ -39,6 +39,20 @@ class TestParser:
         assert exit_info.value.code == 2
         assert "--cluster-memory" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [
+        ("--feedback",),
+        ("--feedback-report",),
+        ("--load-feedback", "store.json"),
+        ("--save-feedback", "store.json"),
+    ], ids=lambda flags: flags[0].lstrip("-"))
+    def test_feedback_flags_are_gone(self, capsys, flags):
+        """Plans come from the query's own statistics; there is no
+        cross-query correction store to enable, load or save."""
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["--workload", "Q10", *flags])
+        assert exit_info.value.code == 2
+        assert flags[0] in capsys.readouterr().err
+
     def test_task_memory_moves_both_budgets(self):
         """``--task-memory`` is ``Mmax``: the runtime's build budget and
         the optimizer's broadcast cap move together."""
@@ -244,9 +258,8 @@ class TestMissingInputFiles:
     @pytest.mark.parametrize("flags", [
         ("--sql-file", "{missing}"),
         ("--workload", "Q10", "--load-stats", "{missing}"),
-        ("--workload", "Q10", "--load-feedback", "{missing}"),
         ("--batch", "mixed", "--load-stats", "{missing}"),
-    ], ids=["sql-file", "load-stats", "load-feedback", "batch-load-stats"])
+    ], ids=["sql-file", "load-stats", "batch-load-stats"])
     def test_reported_like_a_missing_fault_plan(self, tmp_path, flags):
         missing = str(tmp_path / "nope")
         code, output = run_cli(

@@ -148,6 +148,30 @@ class TestDynamicBehaviour:
         assert result.pilot_seconds > 0
         assert result.optimizer_seconds > 0
 
+    @pytest.mark.parametrize("strategy", ["SIMPLE_SO", "SIMPLE_MO"])
+    def test_simple_mode_audits_every_executed_job(self, tpch_tables,
+                                                   strategy):
+        """DYNOPT-SIMPLE walks the same loop, so each executed job leaves
+        one estimate audit -- none of which can miss at ``inf``."""
+        from repro.core.dyno import Dyno
+        from repro.obs import MemorySink, Tracer
+
+        workload = q7()
+        sink = MemorySink()
+        dyno = Dyno(tpch_tables, udfs=workload.udfs, tracer=Tracer(sink))
+        execution = dyno.execute(workload.final_spec, mode=MODE_SIMPLE,
+                                 strategy=strategy, name="Q7")
+        (block,) = execution.block_results
+        executed = [name for record in block.iterations
+                    for name in record.jobs_executed]
+        assert len(executed) > 1  # a multi-job static plan
+        estimates = [record["attrs"] for record in sink.records
+                     if record["name"] == "estimate"]
+        assert [attrs["job"] for attrs in estimates] == executed
+        assert all(attrs["joins"] >= 1 for attrs in estimates)
+        assert not any(attrs["missed"] for attrs in estimates)
+        assert len(block.plans) == 1 and block.midjob_replans == []
+
 
 class TestConditionalReoptimization:
     """Section 5.1: 're-optimize could be conditional on a threshold

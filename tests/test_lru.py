@@ -13,9 +13,7 @@ from repro.stats.metastore import StatisticsMetastore
 T = frozenset({"table:t|"})
 
 
-# Both stores are one dict; the ids are kept from the sharded store this
-# replaced so that the suite's test names stay stable.
-@pytest.fixture(params=[8, 128], ids=["one-shard", "four-shards"])
+@pytest.fixture(params=[8, 128], ids=["cap8", "cap128"])
 def sized(request):
     return LRU(request.param), request.param
 

@@ -1,5 +1,5 @@
 """PlanCache regressions: LRU eviction, missing-leaf fingerprints,
-bounded per-block hit attribution, and correction-token salting.
+bounded per-block hit attribution, and name-independent block keys.
 
 Three of these are failing-before/passing-after regressions:
 
@@ -24,6 +24,7 @@ from repro.data.tpch import generate_tpch
 from repro.service.plan_cache import (
     MAX_BLOCK_STATS,
     PlanCache,
+    canonical_block_key,
     statistics_fingerprint,
 )
 from repro.stats.statistics import TableStats
@@ -133,22 +134,12 @@ class TestHitsByBlockBound:
         assert cache.summary()["hits"] == 2000
 
 
-class TestCorrectionSalt:
-    def test_salt_partitions_the_fingerprint(self, dyno):
-        block = make_block(dyno, "ASIA")
-        stats = stats_for(block)
-        cache = PlanCache()
-        cache.store(block, stats, plan="uncorrected", cost=1.0)
-        # A corrected optimizer state must not see the uncorrected plan.
-        assert cache.lookup(block, stats, salt="abc123") is None
-        cache.store(block, stats, plan="corrected", cost=0.5, salt="abc123")
-        hit = cache.lookup(block, stats, salt="abc123")
-        assert hit is not None and hit.plan == "corrected"
-        hit = cache.lookup(block, stats)
-        assert hit is not None and hit.plan == "uncorrected"
-
-    def test_empty_salt_matches_unsalted(self, dyno):
-        block = make_block(dyno, "ASIA")
-        stats = stats_for(block)
-        assert statistics_fingerprint(block, stats, "") == \
-            statistics_fingerprint(block, stats)
+class TestCanonicalBlockKey:
+    def test_keys_are_name_independent(self, dyno):
+        """Two service-renamed copies of one query share one block key."""
+        block_a = make_block(dyno, "ASIA", name="b0.q000.query")
+        block_b = make_block(dyno, "ASIA", name="b7.q123.query")
+        assert block_a.name != block_b.name
+        assert canonical_block_key(block_a) == canonical_block_key(block_b)
+        assert canonical_block_key(block_a) != \
+            canonical_block_key(make_block(dyno, "EUROPE"))

@@ -172,12 +172,10 @@ class TestSpeculativeExecution:
         assert plan_speculative_backups([0.0, 0.0, 0.0, 5.0], 3.0) == \
             ([0.0, 0.0, 0.0, 5.0], [])
 
-    @pytest.mark.parametrize("policy", ["fifo", "fair"])
-    def test_speculation_cuts_straggler_makespan(self, policy):
+    def test_speculation_cuts_straggler_makespan(self):
         job = ScheduledJob("j", [10.0, 10.0, 10.0, 10.0, 100.0])
-        plain = SlotScheduler(5, 5, policy=policy).schedule([job])
-        spec = SlotScheduler(5, 5, policy=policy,
-                             speculative=True).schedule([job])
+        plain = SlotScheduler(5, 5).schedule([job])
+        spec = SlotScheduler(5, 5, speculative=True).schedule([job])
         assert plain.makespan == 100.0
         assert spec.makespan == 40.0
 

@@ -167,42 +167,6 @@ class TestMakespanProperties:
                         >= result.timelines[dep].finish_time - 1e-6)
 
 
-class TestFairPolicy:
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(JobError):
-            SlotScheduler(2, 2, policy="lottery")
-
-    def test_fair_interleaves_jobs(self):
-        jobs = [
-            ScheduledJob("a", [10.0] * 4),
-            ScheduledJob("b", [10.0] * 4),
-        ]
-        fifo = SlotScheduler(4, 2, policy="fifo").schedule(jobs)
-        fair = SlotScheduler(4, 2, policy="fair").schedule(jobs)
-        # FIFO: a's wave first (a finishes at 10, b at 20). Fair: both get
-        # 2 slots per wave and finish together at 20.
-        assert fifo.timelines["a"].finish_time == pytest.approx(10.0)
-        assert fair.timelines["a"].finish_time == pytest.approx(20.0)
-        assert fair.timelines["b"].finish_time == pytest.approx(20.0)
-
-    def test_fair_same_makespan_when_saturated(self):
-        jobs = [
-            ScheduledJob("a", [5.0] * 6),
-            ScheduledJob("b", [5.0] * 6),
-        ]
-        fifo = SlotScheduler(3, 1, policy="fifo").schedule(jobs).makespan
-        fair = SlotScheduler(3, 1, policy="fair").schedule(jobs).makespan
-        assert fifo == pytest.approx(fair)
-
-    @given(job_batches())
-    @settings(max_examples=30, deadline=None)
-    def test_fair_respects_dependencies_too(self, jobs):
-        result = SlotScheduler(4, 4, policy="fair").schedule(jobs)
-        for job in jobs:
-            for dep in job.depends_on:
-                assert (result.timelines[job.job_id].ready_time
-                        >= result.timelines[dep].finish_time - 1e-6)
-
 class TestReduceOnlyJobs:
     """Regression: a job with reduces but no maps used to raise JobError
     (the job_start branch returned before enqueueing its reduce tasks, so
@@ -237,16 +201,15 @@ class TestReduceOnlyJobs:
         assert (result.timelines["b"].ready_time
                 == result.timelines["a"].finish_time)
 
-    def test_reduce_only_under_fair_policy(self):
+    def test_reduce_only_jobs_drain_in_submission_order(self):
         jobs = [
             ScheduledJob("a", [], [5.0] * 2),
             ScheduledJob("b", [], [5.0] * 2),
         ]
-        fifo = SlotScheduler(4, 2, policy="fifo").schedule(jobs)
-        fair = SlotScheduler(4, 2, policy="fair").schedule(jobs)
-        assert fifo.timelines["a"].finish_time == pytest.approx(5.0)
-        assert fair.timelines["a"].finish_time == pytest.approx(10.0)
-        assert fifo.makespan == fair.makespan == pytest.approx(10.0)
+        result = SlotScheduler(4, 2).schedule(jobs)
+        # a's two reduces take both slots first; b runs in the next wave.
+        assert result.timelines["a"].finish_time == pytest.approx(5.0)
+        assert result.makespan == pytest.approx(10.0)
 
 
 class TestSpeculativeEdgeCases:
@@ -282,22 +245,10 @@ class TestSpeculativeEdgeCases:
         ])
         assert result.makespan == pytest.approx(9.0)
 
-    def test_speculative_fair_reduce_only_batch(self):
-        result = SlotScheduler(4, 2, policy="fair",
-                               speculative=True).schedule([
+    def test_speculative_reduce_only_batch(self):
+        result = SlotScheduler(4, 2, speculative=True).schedule([
             ScheduledJob("a", [], [1.0, 1.0, 30.0]),
             ScheduledJob("b", [], [2.0]),
         ])
         assert result.timelines["a"].finish_time <= 30.0
         assert result.timelines["b"].finish_time >= 2.0
-
-
-class TestRuntimeConfig:
-    def test_runtime_honours_config_policy(self):
-        from repro.cluster.runtime import ClusterRuntime
-        from repro.config import ClusterConfig, DynoConfig
-        from repro.storage.dfs import DistributedFileSystem
-
-        config = DynoConfig(cluster=ClusterConfig(scheduler_policy="fair"))
-        runtime = ClusterRuntime(DistributedFileSystem(1024), config)
-        assert runtime.scheduler.policy == "fair"
