@@ -1,5 +1,6 @@
 """Observability layer: tracer, metrics, and the trace-event schema."""
 
+import io
 import json
 
 import pytest
@@ -223,3 +224,156 @@ class TestTraceSchema:
         plain = Dyno(small_tables()).execute(SQL, mode="dynopt",
                                              name="schema-test")
         assert traced.rows == plain.rows
+
+
+CHAOS_PLAN = {"seed": 67, "name": "ci-chaos", "task_failure_rate": 0.15,
+              "job_failure_rate": 0.3, "node_loss_rate": 0.5,
+              "max_node_losses": 1, "straggler_rate": 0.2}
+DOOMED_PLAN = {"seed": 67, "broadcast_failure_rate": 1.0}
+
+#: observation streams on the simulated clock (or otherwise independent
+#: of wall time): their totals repeat exactly run to run.
+DETERMINISTIC_TOTALS = ("batch.makespan_s", "job.sim_elapsed_s",
+                        "optimizer.sim_s", "pilot.sim_s",
+                        "query.sim_pilot_s", "query.sim_optimizer_s",
+                        "query.sim_execution_s", "incremental.cdc_rows",
+                        "service.queue_depth")
+
+PARITY_SCENARIOS = {
+    "q10-doomed": {
+        "argv": ["--workload", "Q10", "--scale-factor", "0.1"],
+        "plan": DOOMED_PLAN,
+        "counters": {
+            "bytes.output": 690712.0, "dynopt.estimate_misses": 3.0,
+            "dynopt.midjob_replans": 2.0, "dynopt.optimizations": 4.0,
+            "dynopt.replans": 1.0, "dynopt.subplans_executed": 3.0,
+            "faults.events": 1.0, "jobs.executed": 8.0,
+            "pilot.jobs_run": 4.0, "plan_cache.misses": 1.0,
+            "queries.executed": 1.0, "rows.output": 1664.0,
+            "service.batches": 1.0, "service.queries": 1.0,
+            "service.tenant_waits": 1.0,
+        },
+        "counts": {
+            "batch.makespan_s": 5, "job.driver_wall_s": 8,
+            "job.sim_elapsed_s": 8, "optimizer.sim_s": 4,
+            "pilot.sim_s": 1, "qerror.bytes": 3, "qerror.rows": 3,
+            "query.driver_wall_s": 1, "query.sim_execution_s": 1,
+            "query.sim_optimizer_s": 1, "query.sim_pilot_s": 1,
+            "service.queue_depth": 2, "service.tenant_wait_s": 1,
+            "service.tenant_wait_s.default": 1,
+        },
+        "totals": {
+            "batch.makespan_s": 499.1918240625001,
+            "job.sim_elapsed_s": 599.5230304166666,
+            "optimizer.sim_s": 0.396, "pilot.sim_s": 54.626023125,
+            "query.sim_execution_s": 444.56580093750006,
+            "query.sim_optimizer_s": 0.396,
+            "query.sim_pilot_s": 54.626023125,
+            "service.queue_depth": 1.0,
+        },
+    },
+    "mixed-chaos": {
+        "argv": ["--batch", "mixed", "--scale-factor", "0.05",
+                 "--tenants", "3", "--result-cache"],
+        "plan": CHAOS_PLAN,
+        "counters": {
+            "bytes.output": 2562800.0, "dynopt.estimate_misses": 5.0,
+            "dynopt.midjob_replans": 1.0, "dynopt.optimizations": 5.0,
+            "dynopt.recovered_jobs": 1.0, "dynopt.subplans_executed": 5.0,
+            "faults.events": 9.0, "faults.node_losses": 1.0,
+            "faults.stragglers": 81.0, "faults.task_retries": 79.0,
+            "jobs.executed": 22.0, "pilot.jobs_run": 12.0,
+            "plan_cache.misses": 5.0, "queries.executed": 4.0,
+            "rows.output": 10226.0, "service.batches": 1.0,
+            "service.queries": 21.0, "service.result_cache_hits": 17.0,
+            "service.tenant_waits": 21.0,
+        },
+        "counts": {
+            "batch.makespan_s": 14, "job.driver_wall_s": 22,
+            "job.sim_elapsed_s": 22, "optimizer.sim_s": 5,
+            "pilot.sim_s": 4, "qerror.bytes": 5, "qerror.rows": 5,
+            "query.driver_wall_s": 4, "query.sim_execution_s": 4,
+            "query.sim_optimizer_s": 4, "query.sim_pilot_s": 4,
+            "service.queue_depth": 22, "service.tenant_wait_s": 21,
+            "service.tenant_wait_s.tenant-0": 7,
+            "service.tenant_wait_s.tenant-1": 7,
+            "service.tenant_wait_s.tenant-2": 7,
+        },
+        "totals": {
+            "batch.makespan_s": 3653.726744166667,
+            "job.sim_elapsed_s": 3956.305446354166,
+            "optimizer.sim_s": 0.306, "pilot.sim_s": 188.678575,
+            "query.sim_execution_s": 3465.0481691666664,
+            "query.sim_optimizer_s": 0.306,
+            "query.sim_pilot_s": 188.678575,
+            "service.queue_depth": 231.0,
+        },
+    },
+    "standing": {
+        "argv": ["--standing", "--scale-factor", "0.05", "--changes", "3"],
+        "plan": None,
+        "counters": {
+            "bytes.output": 1506364.0, "dynopt.estimate_misses": 12.0,
+            "dynopt.midjob_replans": 1.0, "dynopt.optimizations": 12.0,
+            "dynopt.subplans_executed": 12.0,
+            "incremental.cdc_batches": 3.0,
+            "incremental.refresh_delta": 2.0,
+            "incremental.refresh_full": 4.0, "jobs.executed": 36.0,
+            "pilot.jobs_run": 17.0, "pilot.reused": 9.0,
+            "plan_cache.misses": 12.0, "queries.executed": 11.0,
+            "rows.output": 7729.0, "service.batches": 5.0,
+            "service.queries": 11.0, "service.tenant_waits": 11.0,
+        },
+        "counts": {
+            "batch.makespan_s": 30, "incremental.cdc_rows": 3,
+            "job.driver_wall_s": 36, "job.sim_elapsed_s": 36,
+            "optimizer.sim_s": 12, "pilot.sim_s": 11, "qerror.bytes": 12,
+            "qerror.rows": 12, "query.driver_wall_s": 11,
+            "query.sim_execution_s": 11, "query.sim_optimizer_s": 11,
+            "query.sim_pilot_s": 11, "service.queue_depth": 16,
+            "service.tenant_wait_s": 11,
+            "service.tenant_wait_s.adhoc": 3,
+            "service.tenant_wait_s.standing": 8,
+        },
+        "totals": {
+            "batch.makespan_s": 1113.1818667708335,
+            "incremental.cdc_rows": 516.0,
+            "job.sim_elapsed_s": 1215.434841875,
+            "optimizer.sim_s": 0.36, "pilot.sim_s": 415.4343513541667,
+            "query.sim_execution_s": 697.7475154166667,
+            "query.sim_optimizer_s": 0.36,
+            "query.sim_pilot_s": 415.4343513541667,
+            "service.queue_depth": 20.0,
+        },
+    },
+}
+
+
+class TestMetricParity:
+    """The ``--metrics`` summary of three CLI runs, pinned: counters
+    exactly, every observation stream's name and sample count, and the
+    totals of the streams that do not depend on wall time."""
+
+    @pytest.mark.parametrize("scenario", sorted(PARITY_SCENARIOS))
+    def test_metrics_summary_is_pinned(self, scenario, tmp_path):
+        from repro.cli import main
+
+        pinned = PARITY_SCENARIOS[scenario]
+        argv = list(pinned["argv"])
+        if pinned["plan"] is not None:
+            plan = tmp_path / "plan.json"
+            plan.write_text(json.dumps(pinned["plan"]))
+            argv += ["--fault-plan", str(plan)]
+        path = tmp_path / "metrics.json"
+        assert main(argv + ["--metrics", str(path)], out=io.StringIO()) == 0
+        summary = json.loads(path.read_text())
+
+        assert summary["counters"] == pinned["counters"]
+        observations = summary["observations"]
+        assert {name: stats["count"]
+                for name, stats in observations.items()} == pinned["counts"]
+        totals = {name: observations[name]["total"]
+                  for name in DETERMINISTIC_TOTALS if name in observations}
+        assert totals.keys() == pinned["totals"].keys()
+        for name, total in pinned["totals"].items():
+            assert totals[name] == pytest.approx(total, rel=1e-6), name
