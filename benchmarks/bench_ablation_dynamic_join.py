@@ -7,7 +7,7 @@ flipping joins whose inputs actually fit in memory.
 """
 
 from repro.bench.harness import dataset_for_paper_sf
-from repro.config import OptimizerConfig
+from repro.config import ClusterConfig, OptimizerConfig
 from repro.core.baselines import oracle_leaf_stats
 from repro.core.dyno import Dyno
 from repro.optimizer.search import JoinOptimizer
@@ -22,8 +22,9 @@ def _conservative_setup():
     dyno = Dyno(tables, udfs=workload.udfs)
     block = dyno.prepare(workload.final_spec).block
     stats = oracle_leaf_stats(dyno.tables, block)
+    # Planned under an 8-byte Mmax, run on the default cluster.
     plan = JoinOptimizer(
-        block, stats, OptimizerConfig(max_broadcast_bytes=8)
+        block, stats, OptimizerConfig(), ClusterConfig(task_memory_bytes=8)
     ).optimize().plan
     return dyno, block, plan
 

@@ -67,14 +67,14 @@ def _run(tables, name: str, config: DynoConfig):
 
 def _feasibility(tables, config: DynoConfig) -> dict:
     """Why broadcast is out: the users build side vs its memory gate."""
-    optimizer = config.optimizer
+    budget = config.cluster.task_memory_bytes
     build_bytes = sum(estimate_value_size(row)
                       for row in tables["users"].rows)
-    needed = build_bytes * optimizer.broadcast_safety_factor
+    needed = build_bytes * config.optimizer.broadcast_safety_factor
     return {
         "users_build_bytes": build_bytes,
-        "broadcast_limit_bytes": optimizer.max_broadcast_bytes,
-        "broadcast_feasible": needed <= optimizer.max_broadcast_bytes,
+        "broadcast_limit_bytes": budget,
+        "broadcast_feasible": needed <= budget,
     }
 
 

@@ -25,8 +25,8 @@ def main() -> None:
 
     extracted = dyno.prepare(workload.final_spec)
     stats = oracle_leaf_stats(dyno.tables, extracted.block)
-    plan = JoinOptimizer(extracted.block, stats,
-                         dyno.config.optimizer).optimize().plan
+    plan = JoinOptimizer(extracted.block, stats, dyno.config.optimizer,
+                         dyno.config.cluster).optimize().plan
     summary = summarize_plan(plan)
     print(f"Q9' plan: {summary.broadcast_joins} broadcast joins "
           f"({summary.chained_joins} chained), "

@@ -227,9 +227,11 @@ def _dataset(args: argparse.Namespace, out):
     return generate_tpch(scale_factor, seed=args.seed).tables, udfs
 
 
-def _open_session(args: argparse.Namespace, out):
+def _open_session(args: argparse.Namespace, out,
+                  metrics: MetricsRegistry | None = None):
     """Build the one stack every mode runs against: dataset, config,
-    statistics, tracer, metrics and the QueryService.
+    statistics, the tracer (feeding ``metrics`` too, when given) and the
+    QueryService.
 
     Everything read from a user-named file is loaded before the trace
     sink is opened, so a bad path fails with nothing left open.
@@ -256,23 +258,26 @@ def _open_session(args: argparse.Namespace, out):
         print(f"loaded {len(metastore)} statistics entries from "
               f"{args.load_stats}", file=out)
 
-    tracer = Tracer(JsonLinesSink(args.trace)) if args.trace else None
-    metrics = MetricsRegistry() if (args.metrics or args.profile) else None
+    sinks: list = [JsonLinesSink(args.trace)] if args.trace else []
+    if metrics is not None:
+        sinks.append(metrics)
     return QueryService(tables, config=config, udfs=udfs,
-                        metastore=metastore, tracer=tracer, metrics=metrics,
+                        metastore=metastore,
+                        tracer=Tracer(*sinks) if sinks else None,
                         result_cache=args.result_cache)
 
 
-def _close_session(service, args: argparse.Namespace, out) -> None:
+def _close_session(service, args: argparse.Namespace, out,
+                   metrics: MetricsRegistry | None) -> None:
     """What every mode writes after a completed run."""
     injector = service.dyno.runtime.fault_injector
     if injector is not None:
         print(f"\nfault injection: {injector.summary()}", file=out)
-    if args.metrics:
-        service.metrics.save(args.metrics)
+    if metrics is not None and args.metrics:
+        metrics.save(args.metrics)
         print(f"wrote metrics summary to {args.metrics}", file=out)
-    if args.profile:
-        _print_profile(service.metrics.summary(), out)
+    if metrics is not None and args.profile:
+        _print_profile(metrics.summary(), out)
     if args.save_stats:
         service.dyno.save_statistics(args.save_stats)
         print(f"saved statistics to {args.save_stats}", file=out)
@@ -490,9 +495,10 @@ def main(argv: list[str] | None = None,
     args = build_parser().parse_args(argv)
     run = (_run_mixed if args.batch
            else _run_standing if args.standing else _run_query)
+    metrics = MetricsRegistry() if (args.metrics or args.profile) else None
     service = None
     try:
-        service = _open_session(args, out)
+        service = _open_session(args, out, metrics)
         code = run(service, args, out)
     except DynoError as error:
         print(f"error: {error}", file=out)
@@ -501,7 +507,7 @@ def main(argv: list[str] | None = None,
         if service is not None and args.trace:
             service.tracer.close()
             print(f"wrote trace to {args.trace}", file=out)
-    _close_session(service, args, out)
+    _close_session(service, args, out, metrics)
     return code
 
 

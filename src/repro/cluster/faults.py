@@ -48,7 +48,6 @@ from typing import Callable, Iterable
 
 from repro.errors import FaultPlanError, JobFaultInjectedError, \
     TaskRetriesExhaustedError
-from repro.obs.metrics import MetricsRegistry, NULL_METRICS
 from repro.obs.tracer import NULL_TRACER, Tracer
 
 #: the only boundaries at which a whole-job fault may fire.
@@ -164,9 +163,9 @@ class FaultPlan:
                 from error
         return cls.from_dict(payload)
 
-    def arm(self) -> "FaultInjector":
+    def arm(self, tracer: Tracer = NULL_TRACER) -> "FaultInjector":
         """Fresh injector (mutable run state) for one execution."""
-        return FaultInjector(self)
+        return FaultInjector(self, tracer)
 
 
 class JobAttempt:
@@ -236,7 +235,7 @@ class JobAttempt:
             if plan.straggler_rate > 0.0 \
                     and straggle_rng.random() < plan.straggler_rate:
                 seconds *= plan.straggler_factor
-                injector.count_straggler()
+                injector.count_straggler(job_name)
             if plan.task_failure_rate <= 0.0:
                 return seconds
             total = seconds
@@ -249,7 +248,7 @@ class JobAttempt:
                         f"attempt={self.incarnation}")
                     raise TaskRetriesExhaustedError(job_name, max_attempts)
                 total += seconds + task_startup_seconds
-                injector.count_task_retry()
+                injector.count_task_retry(job_name)
             return total
 
         return inflate
@@ -264,12 +263,12 @@ class FaultInjector:
     compare.
     """
 
-    def __init__(self, plan: FaultPlan):
+    def __init__(self, plan: FaultPlan, tracer: Tracer = NULL_TRACER):
         self.plan = plan
-        #: observability hooks (see :meth:`bind`); default to the no-op
-        #: twins so an unbound injector behaves exactly as before.
-        self.tracer: Tracer = NULL_TRACER
-        self.metrics: MetricsRegistry = NULL_METRICS
+        #: fault events become trace events. The tracer only *sees* what
+        #: the seeded plan was going to do anyway, so a traced faulted
+        #: run stays byte-identical to an untraced one.
+        self.tracer = tracer
         self._incarnations: dict[str, int] = {}
         self._job_failures: dict[str, int] = {}
         self._penalties: dict[str, float] = {}
@@ -285,16 +284,6 @@ class FaultInjector:
     @property
     def active(self) -> bool:
         return self.plan.injects_anything
-
-    def bind(self, tracer: Tracer, metrics: MetricsRegistry) -> None:
-        """Attach observability sinks; fault events become trace events.
-
-        Injection/recovery decisions are unchanged -- the tracer only
-        *sees* what the seeded plan was going to do anyway, so a traced
-        faulted run stays byte-identical to an untraced one.
-        """
-        self.tracer = tracer
-        self.metrics = metrics
 
     # -- attempt lifecycle ------------------------------------------------
     def begin_attempt(self, job) -> JobAttempt:
@@ -317,19 +306,20 @@ class FaultInjector:
         self._job_failures[job_name] = used + 1
         return True
 
-    def count_task_retry(self) -> None:
+    def count_task_retry(self, job_name: str) -> None:
         self.task_retries += 1
-        self.metrics.inc("faults.task_retries")
+        if self.tracer.enabled:
+            self.tracer.event("task_retry", job=job_name)
 
-    def count_straggler(self) -> None:
+    def count_straggler(self, job_name: str) -> None:
         self.stragglers += 1
-        self.metrics.inc("faults.stragglers")
+        if self.tracer.enabled:
+            self.tracer.event("straggler", job=job_name)
 
     def record(self, event: str) -> None:
         self.events.append(event)
         if self.tracer.enabled:
             self.tracer.event("fault", detail=event)
-        self.metrics.inc("faults.events")
 
     # -- backoff penalties ------------------------------------------------
     def add_penalty(self, job_name: str, seconds: float) -> None:
@@ -361,13 +351,8 @@ class FaultInjector:
                                name).random()
             if draw < self.plan.node_loss_rate:
                 self._losses_fired += 1
-                self.events.append(f"node-loss output={name}")
+                self.record(f"node-loss output={name}")
                 lost.append(name)
-        for name in lost:
-            if self.tracer.enabled:
-                self.tracer.event("fault", detail=f"node-loss output={name}")
-            self.metrics.inc("faults.events")
-            self.metrics.inc("faults.node_losses")
         return lost
 
     # -- reporting --------------------------------------------------------

@@ -44,7 +44,6 @@ from repro.errors import (
     JobError,
     JobFaultInjectedError,
 )
-from repro.obs.metrics import MetricsRegistry, NULL_METRICS
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.stats.collector import (
     TaskStatsCollector,
@@ -76,7 +75,7 @@ class JobResult:
     collected_stats: TableStats | None = None
     timeline: JobTimeline | None = None
     #: driver wall-clock spent in this job's data pass (seconds); only
-    #: measured while tracing/metrics are enabled, else 0.0.
+    #: measured while tracing is enabled, else 0.0.
     driver_wall_seconds: float = 0.0
     #: bytes spilled to task-local disk by the hybrid hash join (build
     #: partitions plus the probe side's second pass); 0 for in-memory runs.
@@ -143,14 +142,6 @@ class BatchResult:
     def __getitem__(self, job_name: str) -> JobResult:
         return self.results[job_name]
 
-    @property
-    def total_task_seconds(self) -> float:
-        """Aggregate cluster work (used for utilization assertions)."""
-        return sum(
-            sum(result.map_task_seconds) + sum(result.reduce_task_seconds)
-            for result in self.results.values()
-        )
-
 
 def dependency_levels(jobs: Sequence[MapReduceJob],
                       dependencies: dict[str, list[str]],
@@ -193,13 +184,11 @@ class ClusterRuntime:
 
     def __init__(self, dfs: DistributedFileSystem, config: DynoConfig,
                  coordination: CoordinationService | None = None,
-                 tracer: Tracer | None = None,
-                 metrics: MetricsRegistry | None = None):
+                 tracer: Tracer | None = None):
         self.dfs = dfs
         self.config = config
         self.coordination = coordination or CoordinationService()
         self.tracer = tracer or NULL_TRACER
-        self.metrics = metrics or NULL_METRICS
         self.cost_model = ClusterCostModel(config.cluster)
         self.scheduler = SlotScheduler(
             config.cluster.total_map_slots,
@@ -212,8 +201,7 @@ class ClusterRuntime:
         #: machinery is entirely off the data-path hot loop.
         self.fault_injector: FaultInjector | None = None
         if config.fault_plan is not None and config.fault_plan.injects_anything:
-            self.fault_injector = config.fault_plan.arm()
-            self.fault_injector.bind(self.tracer, self.metrics)
+            self.fault_injector = config.fault_plan.arm(self.tracer)
         self._faults_suspended = 0
         #: cumulative simulated time of everything executed through
         #: :meth:`execute` / :meth:`execute_batch`.
@@ -304,7 +292,7 @@ class ClusterRuntime:
 
         self.clock_seconds += schedule.makespan
         self.jobs_executed += len(jobs)
-        if self.tracer.enabled or self.metrics.enabled:
+        if self.tracer.enabled:
             self._record_batch(jobs, results, scheduled, schedule.makespan)
         return BatchResult(results, schedule.makespan)
 
@@ -312,57 +300,41 @@ class ClusterRuntime:
                       results: dict[str, JobResult],
                       scheduled: list[ScheduledJob],
                       makespan: float) -> None:
-        """Emit per-job trace events and batch metrics (observing runs only).
+        """Emit per-job and per-batch trace events (traced runs only).
 
         Each job reports its *simulated* time components (startup, map and
         reduce task seconds, scheduled elapsed) and the *driver wall-clock*
-        of its data pass separately -- the split the ISSUE's est-vs-actual
-        audit and every later perf PR measure through.
+        of its data pass separately.
         """
         startup_of = {entry.job_id: entry.startup_seconds
                       for entry in scheduled}
-        metrics = self.metrics
-        if metrics.enabled:
-            metrics.inc("jobs.executed", len(jobs))
-            metrics.observe("batch.makespan_s", makespan)
         tracer = self.tracer
         for job in jobs:
             result = results[job.name]
             timeline = result.timeline
-            if metrics.enabled:
-                metrics.inc("rows.output", result.output_rows)
-                metrics.inc("bytes.output", result.output_bytes)
-                metrics.observe("job.driver_wall_s",
-                                result.driver_wall_seconds)
-                metrics.observe("job.sim_elapsed_s",
-                                timeline.elapsed if timeline else 0.0)
-                if result.spilled_bytes:
-                    metrics.inc("bytes.spilled", result.spilled_bytes)
-            if result.spilled_bytes and tracer.enabled:
+            if result.spilled_bytes:
                 tracer.event(
                     "spill",
                     job=job.name,
                     spilled_bytes=result.spilled_bytes,
                     task_memory_bytes=self.config.cluster.task_memory_bytes,
                 )
-            if tracer.enabled:
-                tracer.event(
-                    "job",
-                    job=job.name,
-                    output=result.output_name,
-                    rows=result.output_rows,
-                    bytes=result.output_bytes,
-                    splits=result.splits_processed,
-                    sim_startup_s=round(startup_of.get(job.name, 0.0), 6),
-                    sim_map_s=round(sum(result.map_task_seconds), 6),
-                    sim_reduce_s=round(sum(result.reduce_task_seconds), 6),
-                    sim_elapsed_s=round(timeline.elapsed, 6)
-                    if timeline else 0.0,
-                    driver_wall_s=round(result.driver_wall_seconds, 6),
-                )
-        if tracer.enabled:
-            tracer.event("batch", jobs=sorted(results),
-                         makespan_s=round(makespan, 6))
+            tracer.event(
+                "job",
+                job=job.name,
+                output=result.output_name,
+                rows=result.output_rows,
+                bytes=result.output_bytes,
+                splits=result.splits_processed,
+                sim_startup_s=round(startup_of.get(job.name, 0.0), 6),
+                sim_map_s=round(sum(result.map_task_seconds), 6),
+                sim_reduce_s=round(sum(result.reduce_task_seconds), 6),
+                sim_elapsed_s=round(timeline.elapsed, 6)
+                if timeline else 0.0,
+                driver_wall_s=round(result.driver_wall_seconds, 6),
+            )
+        tracer.event("batch", jobs=sorted(results),
+                     makespan_s=round(makespan, 6))
 
     # ------------------------------------------------------------------
     # data execution
@@ -440,7 +412,7 @@ class ClusterRuntime:
         cleared) and charges capped exponential backoff to the job's
         simulated startup time.
         """
-        observing = self.tracer.enabled or self.metrics.enabled
+        observing = self.tracer.enabled
         wall_start = time.perf_counter() if observing else 0.0
         injector = self._active_injector()
         failed_attempts = 0

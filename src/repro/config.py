@@ -73,7 +73,9 @@ class ClusterConfig:
     #: shows up as the 0.1%-2.8% overhead of Figure 4)
     stats_seconds_per_record: float = 0.001
 
-    #: memory available to a task for broadcast-join build sides (bytes).
+    #: memory available to a task for broadcast-join build sides (bytes):
+    #: the paper's ``Mmax``, which the optimizer's broadcast and chain
+    #: rules read too.
     task_memory_bytes: int = 96 * 1024
     #: degrade-in-place margin: a build side overflowing
     #: ``task_memory_bytes`` by up to this factor spills partitions to the
@@ -130,8 +132,6 @@ class OptimizerConfig:
     #: scale it breaks ties between one chained job and a cascade of tiny
     #: jobs exactly like the real ~15 s job startup does (Section 4.2).
     cjob: float = 20000.0
-    #: memory budget Mmax used by the broadcast and chain rules (bytes).
-    max_broadcast_bytes: int = 96 * 1024
     #: headroom applied to estimated build sizes before declaring them
     #: broadcast-safe (guards against mild underestimation; a broadcast
     #: build that overflows at runtime aborts the query, Section 2.2.1).
@@ -219,24 +219,18 @@ class DynoConfig:
 
     def with_memory(self, task_memory_bytes: int | None = None,
                     ) -> "DynoConfig":
-        """Config with the task memory budget changed coherently.
+        """Config with the task memory budget ``Mmax`` changed.
 
-        ``task_memory_bytes`` is the paper's ``Mmax``: it gates both the
-        runtime's build-side check and the optimizer's broadcast/chain
-        rules, so the two must move together -- this helper is the only
-        supported way to change either. ``None`` keeps the budget.
+        ``task_memory_bytes`` gates both the runtime's build-side check
+        and the optimizer's broadcast/chain rules, which read the one
+        :class:`ClusterConfig` field. ``None`` keeps the budget.
         """
         if task_memory_bytes is None:
             return self
         if task_memory_bytes <= 0:
             raise ValueError("task_memory_bytes must be positive")
-        return replace(
-            self,
-            cluster=replace(self.cluster,
-                            task_memory_bytes=task_memory_bytes),
-            optimizer=replace(self.optimizer,
-                              max_broadcast_bytes=task_memory_bytes),
-        )
+        return replace(self, cluster=replace(
+            self.cluster, task_memory_bytes=task_memory_bytes))
 
     def with_fault_plan(self, plan: "FaultPlan | None") -> "DynoConfig":
         """Config with a fault schedule armed (or disarmed with None)."""

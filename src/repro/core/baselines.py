@@ -192,7 +192,7 @@ def build_left_deep_plan(
     if sorted(order) != list(range(len(block.leaves))):
         raise PlanError(f"order {order} does not cover the block's leaves")
     cardinality = CardinalityModel(block, leaf_stats)
-    cost_model = JoinCostModel(config.optimizer)
+    cost_model = JoinCostModel(config.optimizer, config.cluster)
 
     def leaf_node(index: int) -> PhysLeaf:
         leaf = block.leaves[index]
@@ -227,7 +227,7 @@ def build_left_deep_plan(
         file_size = file_sizes.get(right_leaf.source_name, 1 << 62)
         method = (
             BROADCAST
-            if file_size <= config.optimizer.max_broadcast_bytes
+            if file_size <= config.cluster.task_memory_bytes
             else REPARTITION
         )
         current = PhysJoin(
@@ -268,7 +268,7 @@ def rank_orders_by_oracle(
     paper's exhaustive hand-execution of every FROM order (DESIGN.md §2).
     """
     oracle_cardinality = CardinalityModel(block, oracle_stats)
-    cost_model = JoinCostModel(config.optimizer)
+    cost_model = JoinCostModel(config.optimizer, config.cluster)
     ranked: list[RankedOrder] = []
     for order in enumerate_connected_orders(block):
         plan = build_left_deep_plan(block, order, jaql_stats, file_sizes,

@@ -22,7 +22,6 @@ depends on have already been executed").
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -50,7 +49,6 @@ from repro.jaql.expr import GroupBy, Project, QuerySpec
 from repro.jaql.functions import UdfRegistry, default_registry
 from repro.jaql.parser import SqlParser
 from repro.jaql.rewrites import push_down_filters
-from repro.obs.metrics import MetricsRegistry, NULL_METRICS
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.stats.metastore import StatisticsMetastore
 from repro.core.dynopt import (
@@ -121,13 +119,11 @@ class Dyno:
                  udfs: UdfRegistry | None = None,
                  metastore: StatisticsMetastore | None = None,
                  tracer: Tracer | None = None,
-                 metrics: MetricsRegistry | None = None,
                  plan_cache=None):
         from repro.storage.dfs import DistributedFileSystem
 
         self.config = config
         self.tracer = tracer or NULL_TRACER
-        self.metrics = metrics or NULL_METRICS
         self.dfs = DistributedFileSystem(config.cluster.block_size_bytes)
         # The metastore must exist before the first register_table call:
         # registration bumps the table's data epoch (the result cache keys
@@ -140,8 +136,7 @@ class Dyno:
             self.register_table(name, table)
         self.coordination = CoordinationService()
         self.runtime = ClusterRuntime(self.dfs, config, self.coordination,
-                                      tracer=self.tracer,
-                                      metrics=self.metrics)
+                                      tracer=self.tracer)
         self.udfs = udfs or default_registry()
         self.executor = DynoptExecutor(self.runtime, self.metastore,
                                        self.config)
@@ -219,7 +214,6 @@ class Dyno:
                  run_block: Callable[[JoinBlock], BlockExecutionResult],
                  ) -> QueryExecution:
         """Prepare, run the join block with ``run_block``, run the stages."""
-        wall_start = time.perf_counter() if self.metrics.enabled else 0.0
         with self.tracer.span("query", name=name, mode=mode,
                               strategy=strategy) as span:
             extracted = self.prepare(query, name)
@@ -230,17 +224,10 @@ class Dyno:
                 extracted, block_result.output_file, execution
             )
             span.set(rows=len(execution.rows),
-                     sim_total_s=round(execution.total_seconds, 6))
-        if self.metrics.enabled:
-            metrics = self.metrics
-            metrics.inc("queries.executed")
-            metrics.observe("query.driver_wall_s",
-                            time.perf_counter() - wall_start)
-            metrics.observe("query.sim_pilot_s", execution.pilot_seconds)
-            metrics.observe("query.sim_optimizer_s",
-                            execution.optimizer_seconds)
-            metrics.observe("query.sim_execution_s",
-                            execution.execution_seconds)
+                     sim_total_s=round(execution.total_seconds, 6),
+                     sim_pilot_s=round(execution.pilot_seconds, 6),
+                     sim_optimizer_s=round(execution.optimizer_seconds, 6),
+                     sim_execution_s=round(execution.execution_seconds, 6))
         return execution
 
     def explain(self, query: QuerySpec | str, run_pilots: bool = True,

@@ -175,7 +175,6 @@ class DynoptExecutor:
         self.metastore = metastore
         self.config = config
         self.tracer = runtime.tracer
-        self.metrics = runtime.metrics
         self.pilot_runner = PilotRunner(runtime, metastore, config)
         #: optional cross-query plan cache, installed by the service layer
         #: (see :mod:`repro.service.plan_cache`). None = always optimize.
@@ -498,8 +497,6 @@ class DynoptExecutor:
                                 q_error=round(worst, 6),
                                 threshold=threshold,
                             )
-                        if self.metrics.enabled:
-                            self.metrics.inc("dynopt.midjob_replans")
                     break
             else:
                 if next_step is not None and not (
@@ -561,7 +558,6 @@ class DynoptExecutor:
                 banned_broadcast=(sorted(failed.output_aliases)
                                   if banned_now else []),
             )
-        self.metrics.inc("dynopt.replans")
         # The dead batch may have published partial statistics; replanned
         # jobs can reuse the same names and must publish from scratch.
         for compiled in chosen:
@@ -618,7 +614,6 @@ class DynoptExecutor:
             span.set(makespan_s=round(batch.makespan, 6))
         result.execution_seconds += batch.makespan
         result.recovered_jobs.append(producer.name)
-        self.metrics.inc("dynopt.recovered_jobs")
 
     def _audit_estimate(self, compiled: CompiledJob, job_result: JobResult,
                         iteration: int, threshold: float) -> float | None:
@@ -634,10 +629,8 @@ class DynoptExecutor:
         bytes_q = q_error(compiled.estimated_bytes, job_result.output_bytes)
         worst = max(rows_q, bytes_q)
         missed = worst >= threshold
-        tracer = self.tracer
-        metrics = self.metrics
-        if tracer.enabled:
-            tracer.event(
+        if self.tracer.enabled:
+            self.tracer.event(
                 "estimate",
                 job=compiled.name,
                 iteration=iteration,
@@ -650,12 +643,6 @@ class DynoptExecutor:
                 q_error_bytes=round(bytes_q, 6),
                 missed=missed,
             )
-        if metrics.enabled:
-            metrics.observe("qerror.rows", rows_q)
-            metrics.observe("qerror.bytes", bytes_q)
-            metrics.inc("dynopt.subplans_executed")
-            if missed:
-                metrics.inc("dynopt.estimate_misses")
         return worst if missed else None
 
     # -- helpers --------------------------------------------------------------------------
@@ -683,11 +670,7 @@ class DynoptExecutor:
                                   iteration=iteration,
                                   hit=cached is not None)
             if cached is not None:
-                if self.metrics.enabled:
-                    self.metrics.inc("plan_cache.hits")
                 return cached
-            if self.metrics.enabled:
-                self.metrics.inc("plan_cache.misses")
         optimizer = JoinOptimizer(block, leaf_stats, self.config.optimizer,
                                   self.config.cluster,
                                   banned_broadcast=banned_broadcast)
@@ -703,10 +686,6 @@ class DynoptExecutor:
                 sim_s=round(optimization.simulated_seconds, 6),
                 plan=plan_signature(optimization.plan),
             )
-        if self.metrics.enabled:
-            self.metrics.inc("dynopt.optimizations")
-            self.metrics.observe("optimizer.sim_s",
-                                 optimization.simulated_seconds)
         if cache is not None:
             cache.store(block, leaf_stats, optimization.plan,
                         optimization.cost)

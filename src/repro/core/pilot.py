@@ -66,9 +66,6 @@ class PilotReport:
     simulated_seconds: float = 0.0
     jobs_run: int = 0
 
-    def stats_by_signature(self) -> dict[str, TableStats]:
-        return {sig: out.stats for sig, out in self.outcomes.items()}
-
 
 def stats_columns_for_leaf(block: JoinBlock, leaf: BlockLeaf) -> list[str]:
     """Output columns worth collecting statistics on for one leaf.
@@ -184,15 +181,6 @@ class PilotRunner:
                            if outcome.reused),
                 sim_s=round(report.simulated_seconds, 6),
             )
-        metrics = self.runtime.metrics
-        if metrics.enabled:
-            if report.jobs_run:
-                metrics.inc("pilot.jobs_run", report.jobs_run)
-                metrics.observe("pilot.sim_s", report.simulated_seconds)
-            reused = sum(1 for outcome in report.outcomes.values()
-                         if outcome.reused)
-            if reused:
-                metrics.inc("pilot.reused", reused)
         return report
 
     def _run(self, block: JoinBlock, mode: str,
@@ -352,14 +340,10 @@ class PilotRunner:
             # matches the raw table's typed schema.
             output_schema=intermediate_schema(),
             splits=splits,
-            stats_columns=self._columns_for_signature(block, leaf),
+            stats_columns=signature_stats_columns(block, leaf),
             description=f"pilot run for {leaf.describe()}",
         )
         return job, gate
-
-    def _columns_for_signature(self, block: JoinBlock,
-                               leaf: BlockLeaf) -> list[str]:
-        return signature_stats_columns(block, leaf)
 
     # -- extrapolation (Section 4.3) ---------------------------------------------------
 

@@ -287,6 +287,7 @@ def apply_change_batch(dyno, batch: ChangeBatch,
             inserts=len(batch.inserts),
             deletes=len(batch.deletes),
             updates=len(batch.updates),
+            delta_rows=applied.delta_rows,
             append_only=batch.append_only,
             table_rows=applied.table_rows,
             stats_merged=sum(1 for a in actions.values() if a == "merged"),
@@ -294,8 +295,4 @@ def apply_change_batch(dyno, batch: ChangeBatch,
                 1 for a in actions.values() if a == "invalidated"
             ),
         )
-    if dyno.metrics.enabled:
-        dyno.metrics.inc("incremental.cdc_batches")
-        dyno.metrics.observe("incremental.cdc_rows",
-                             float(applied.delta_rows))
     return applied

@@ -278,10 +278,6 @@ class StandingQueryManager:
                         reason=decision.reason,
                         ratio=round(decision.ratio, 6),
                     )
-                if self.service.metrics.enabled:
-                    self.service.metrics.inc(
-                        f"incremental.refresh_{decision.strategy}"
-                    )
 
             scheduler = self.service.scheduler
             outcomes = scheduler.drain(

@@ -4,7 +4,7 @@ See :mod:`repro.obs.tracer` and :mod:`repro.obs.metrics`, and
 ``docs/observability.md`` for the event schema and CLI flags.
 """
 
-from repro.obs.metrics import MetricsRegistry, NULL_METRICS, q_error
+from repro.obs.metrics import MetricsRegistry, q_error
 from repro.obs.tracer import (
     JsonLinesSink,
     MemorySink,
@@ -17,7 +17,6 @@ __all__ = [
     "JsonLinesSink",
     "MemorySink",
     "MetricsRegistry",
-    "NULL_METRICS",
     "NULL_TRACER",
     "Span",
     "Tracer",

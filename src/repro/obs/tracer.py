@@ -3,8 +3,10 @@
 DYNO's thesis is that the optimizer should watch itself run; this module
 is how the *reproduction* watches itself run. A :class:`Tracer` emits
 typed records -- spans (a named interval with attributes) and point
-events -- to a pluggable sink: JSON-lines on disk for offline analysis,
-an in-memory list for tests, or nothing at all.
+events -- to one or more sinks: JSON-lines on disk for offline analysis,
+an in-memory list for tests, the metrics registry
+(:class:`repro.obs.metrics.MetricsRegistry` folds records into counters
+and observations), or nothing at all.
 
 Every record is one flat JSON object::
 
@@ -110,12 +112,12 @@ class Span:
 
 
 class Tracer:
-    """Emits trace records to one sink."""
+    """Emits each trace record to every one of its sinks."""
 
     enabled = True
 
-    def __init__(self, sink) -> None:
-        self.sink = sink
+    def __init__(self, *sinks) -> None:
+        self.sinks = sinks
         self._seq = 0
         self._span_ids = 0
         self._epoch = time.perf_counter()
@@ -134,7 +136,8 @@ class Tracer:
         self._emit("event", name, attrs)
 
     def close(self) -> None:
-        self.sink.close()
+        for sink in self.sinks:
+            sink.close()
 
     # -- internals ------------------------------------------------------
 
@@ -155,7 +158,8 @@ class Tracer:
             record["dur_s"] = round(dur_s, 6)
         record["seq"] = self._seq
         self._seq += 1
-        self.sink.write(record)
+        for sink in self.sinks:
+            sink.write(record)
 
 
 class _NullSpan:
@@ -184,7 +188,7 @@ class _NullTracer(Tracer):
 
     enabled = False
 
-    def __init__(self) -> None:  # no sink, no clock
+    def __init__(self) -> None:  # no sinks, no clock
         pass
 
     def span(self, name: str, /, **attrs) -> Span:  # type: ignore[override]

@@ -34,12 +34,13 @@ from repro.optimizer.plans import (
 class JoinCostModel:
     """Evaluates the paper's cost formulas under an :class:`OptimizerConfig`.
 
-    ``cluster`` is the cluster the plan will run on: the skew rule asks
-    it how many reducers a join's shuffle is spread over.
+    ``cluster`` is the cluster the plan will run on: its
+    ``task_memory_bytes`` is the broadcast and chain rules' budget
+    ``Mmax``, and the skew rule asks it how many reducers a join's
+    shuffle is spread over.
     """
 
-    def __init__(self, config: OptimizerConfig,
-                 cluster: ClusterConfig = ClusterConfig()):
+    def __init__(self, config: OptimizerConfig, cluster: ClusterConfig):
         self.config = config
         self.cluster = cluster
 
@@ -79,7 +80,7 @@ class JoinCostModel:
 
     def fits_in_memory(self, build_bytes: float) -> bool:
         """Memory gate for the broadcast and skew candidates."""
-        budget = self.config.max_broadcast_bytes
+        budget = self.cluster.task_memory_bytes
         return build_bytes * self.config.broadcast_safety_factor <= budget
 
     # -- chain rule (Section 5.2, "new rule ... dictates which joins
@@ -97,7 +98,7 @@ class JoinCostModel:
             and isinstance(probe, PhysJoin)
             and probe.method == BROADCAST
             and (pipeline_build_bytes(probe) + build_bytes
-                 <= self.config.max_broadcast_bytes)
+                 <= self.cluster.task_memory_bytes)
         )
 
     def apply_chain_rule(self, plan: PhysicalNode) -> PhysicalNode:

@@ -76,7 +76,7 @@ class JoinOptimizer:
     def __init__(self, block: JoinBlock,
                  leaf_stats: dict[str, TableStats],
                  config: OptimizerConfig,
-                 cluster: ClusterConfig = ClusterConfig(),
+                 cluster: ClusterConfig,
                  banned_broadcast: frozenset[frozenset[str]] = frozenset()):
         self.block = block
         self.config = config

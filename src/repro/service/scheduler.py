@@ -35,7 +35,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
 
 __all__ = ["QueryScheduler", "dispatch_order"]
@@ -100,10 +99,6 @@ class QueryScheduler:
     def _tracer(self) -> Tracer:
         return self._service.tracer
 
-    @property
-    def _metrics(self) -> MetricsRegistry:
-        return self._service.metrics
-
     def submit(self, request) -> int:
         """Enqueue one request; returns its submission ticket.
 
@@ -114,8 +109,6 @@ class QueryScheduler:
         self._next_ticket += 1
         self._pending[ticket] = _Pending(request, time.perf_counter())
         depth = len(self._pending)
-        if self._metrics.enabled:
-            self._metrics.observe("service.queue_depth", depth)
         if self._tracer.enabled:
             self._tracer.event(
                 "service.submit",
@@ -152,8 +145,6 @@ class QueryScheduler:
         if not order:
             return []
         depth = len(self._pending)
-        if self._metrics.enabled:
-            self._metrics.observe("service.queue_depth", depth)
         if self._tracer.enabled:
             self._tracer.event(
                 "service.drain",

@@ -25,9 +25,9 @@ requests and runs them one after another, in dispatch order, on that
 thread; the service starts no thread and takes no lock. As in the paper,
 where one Jaql client drives each query's job graph, cluster parallelism
 is the simulated slots of :class:`~repro.cluster.scheduler.SlotScheduler`.
-Nothing in :mod:`repro` is thread-safe -- not the metastore, tracer,
-metrics registry or caches a caller may hand in: share between
-processes, not threads.
+Nothing in :mod:`repro` is thread-safe -- not the metastore, tracer
+(with its sinks, the metrics registry among them) or caches a caller may
+hand in: share between processes, not threads.
 
 Isolation and determinism
 -------------------------
@@ -60,7 +60,6 @@ from repro.data.table import Row, Table
 from repro.errors import DynoError, PlanError
 from repro.jaql.expr import QuerySpec, Scan, transform_bottom_up
 from repro.jaql.functions import UdfRegistry
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
 from repro.service.plan_cache import PlanCache
 from repro.service.result_cache import (
@@ -168,7 +167,6 @@ class QueryService:
                  udfs: UdfRegistry | None = None,
                  metastore: StatisticsMetastore | None = None,
                  tracer: Tracer | None = None,
-                 metrics: MetricsRegistry | None = None,
                  workers: int = 1,
                  plan_cache: PlanCache | None = None,
                  result_cache: ResultCache | bool | None = None):
@@ -182,9 +180,8 @@ class QueryService:
         self.plan_cache = plan_cache if plan_cache is not None else PlanCache()
         self.dyno = Dyno(tables, config=config, udfs=udfs,
                          metastore=metastore, tracer=tracer,
-                         metrics=metrics, plan_cache=self.plan_cache)
+                         plan_cache=self.plan_cache)
         self.tracer = self.dyno.tracer
-        self.metrics = self.dyno.metrics
         #: optional result-set cache (opt-in: repeats then skip execution
         #: entirely, so reuse evidence like pilot/plan-cache counters no
         #: longer accrues for them). ``True`` builds a default cache.
@@ -271,9 +268,6 @@ class QueryService:
                 ),
                 errors=sum(1 for o in outcomes if not o.ok),
             )
-        if self.metrics.enabled:
-            self.metrics.inc("service.batches")
-            self.metrics.inc("service.queries", len(outcomes))
         return outcomes
 
     def _isolate_stages(
@@ -321,10 +315,6 @@ class QueryService:
             self.tracer.event("result_cache",
                               query=admission.query_name,
                               hit=rows is not None)
-        if self.metrics.enabled:
-            self.metrics.inc("service.result_cache_hits"
-                             if rows is not None
-                             else "service.result_cache_misses")
         return rows
 
     def _store_result(self, admission: _Admission,
@@ -344,14 +334,6 @@ class QueryService:
                                admission.query_name,
                                tenant=request.tenant)
         outcome.wait_seconds = time.perf_counter() - admission.submitted_at
-        if self.metrics.enabled:
-            self.metrics.inc("service.tenant_waits")
-            self.metrics.observe("service.tenant_wait_s",
-                                 outcome.wait_seconds)
-            self.metrics.observe(
-                f"service.tenant_wait_s.{request.tenant}",
-                outcome.wait_seconds,
-            )
         try:
             if admission.error is not None:
                 outcome.error = admission.error
@@ -393,6 +375,7 @@ class QueryService:
                     "service.complete",
                     query=admission.query_name,
                     tenant=request.tenant,
+                    wait_s=round(outcome.wait_seconds, 6),
                     rows=len(outcome.rows),
                     pilot_jobs=outcome.pilot_jobs,
                     pilots_skipped=outcome.pilots_skipped,

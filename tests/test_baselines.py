@@ -59,7 +59,7 @@ class TestStaticPlans:
         order = next(enumerate_connected_orders(block))
         plan = build_left_deep_plan(block, order, stats, sizes, dyno.config)
 
-        budget = dyno.config.optimizer.max_broadcast_bytes
+        budget = dyno.config.cluster.task_memory_bytes
 
         def visit(node):
             from repro.optimizer.plans import PhysJoin, PhysLeaf

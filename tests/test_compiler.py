@@ -14,7 +14,7 @@ def prepare(dyno, workload):
     extracted = dyno.prepare(workload.final_spec)
     stats = oracle_leaf_stats(dyno.tables, extracted.block)
     optimizer = JoinOptimizer(extracted.block, stats,
-                              dyno.config.optimizer)
+                              dyno.config.optimizer, dyno.config.cluster)
     plan = optimizer.optimize().plan
     compiler = PlanCompiler(dyno.dfs, dyno.config, "test")
     return extracted, plan, compiler.compile_block(plan)

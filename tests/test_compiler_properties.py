@@ -14,8 +14,8 @@ WORKLOAD_FACTORIES = [q7, q8_prime, q9_prime, q10]
 def compile_and_run(dyno, workload):
     extracted = dyno.prepare(workload.final_spec)
     stats = oracle_leaf_stats(dyno.tables, extracted.block)
-    plan = JoinOptimizer(extracted.block, stats,
-                         dyno.config.optimizer).optimize().plan
+    plan = JoinOptimizer(extracted.block, stats, dyno.config.optimizer,
+                         dyno.config.cluster).optimize().plan
     compiler = PlanCompiler(dyno.dfs, dyno.config, "prop")
     graph = compiler.compile_block(plan)
     results = {}

@@ -8,7 +8,7 @@ a broadcast join just before it launches.
 import pytest
 
 from repro.cluster.faults import FaultPlan
-from repro.config import DEFAULT_CONFIG, OptimizerConfig
+from repro.config import DEFAULT_CONFIG, ClusterConfig, OptimizerConfig
 from repro.core.baselines import oracle_leaf_stats, relopt_plan
 from repro.core.dyno import Dyno
 from repro.core.dynopt import (
@@ -29,14 +29,15 @@ from tests.oracle import SKEWED_WORKLOADS, skewed_oracle_tables
 
 def optimized_plan(dyno, block, stats=None):
     stats = stats or oracle_leaf_stats(dyno.tables, block)
-    return JoinOptimizer(block, stats, dyno.config.optimizer).optimize().plan
+    return JoinOptimizer(block, stats, dyno.config.optimizer,
+                         dyno.config.cluster).optimize().plan
 
 
 def conservative_plan(dyno, block):
     """The all-repartition plan: no build side is allowed 8 bytes."""
     stats = oracle_leaf_stats(dyno.tables, block)
     return JoinOptimizer(
-        block, stats, OptimizerConfig(max_broadcast_bytes=8)
+        block, stats, OptimizerConfig(), ClusterConfig(task_memory_bytes=8)
     ).optimize().plan
 
 

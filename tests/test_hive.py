@@ -44,8 +44,8 @@ class TestExecution:
         source = dyno_factory(udfs=workload.udfs)
         extracted = source.prepare(workload.final_spec)
         stats = oracle_leaf_stats(source.tables, extracted.block)
-        plan = JoinOptimizer(extracted.block, stats,
-                             source.config.optimizer).optimize().plan
+        plan = JoinOptimizer(extracted.block, stats, source.config.optimizer,
+                             source.config.cluster).optimize().plan
         result = replay_plan_in_hive(tpch_tables, extracted.block, plan,
                                      udfs=workload.udfs)
         assert result.output_file

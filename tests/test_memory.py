@@ -51,7 +51,6 @@ class TestMemoryConfig:
     def test_with_memory_moves_both_budgets(self):
         config = DEFAULT_CONFIG.with_memory(task_memory_bytes=8192)
         assert config.cluster.task_memory_bytes == 8192
-        assert config.optimizer.max_broadcast_bytes == 8192
 
     def test_with_memory_rejects_nonpositive_task_budget(self):
         with pytest.raises(ValueError, match="task_memory_bytes"):
@@ -73,7 +72,7 @@ class TestMarginalBuildPlanChoice:
         stats = oracle_leaf_stats(dyno.tables, block)
         config = DEFAULT_CONFIG.with_memory(task_memory_bytes=mmax)
         optimizer = JoinOptimizer(block, stats, config.optimizer,
-                                  banned_broadcast=banned)
+                                  config.cluster, banned_broadcast=banned)
         return optimizer.optimize()
 
     def test_tiny_budget_falls_back_to_repartition(self, dyno_factory):

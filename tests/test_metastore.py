@@ -67,7 +67,7 @@ class TestInvalidationNotifies:
 
     def test_noop_invalidation_stays_silent(self):
         """Dropping a signature that was never stored must not wake the
-        caches -- they would scan every shard for nothing."""
+        caches -- they would scan every entry for nothing."""
         events = []
         store = StatisticsMetastore()
         store.subscribe(lambda sig, stats: events.append(sig))
@@ -243,7 +243,7 @@ class TestPersistence:
         assert list(restored) == ["only"]
 
 
-class TestThreadSafety:
+class TestListeners:
     """Nothing in the store is thread-safe; its listeners run inline, on
     the thread that calls ``put``, and may re-enter the store."""
 

@@ -16,8 +16,8 @@ class TestJobGraphLookups:
         dyno = dyno_factory(udfs=workload.udfs)
         extracted = dyno.prepare(workload.final_spec)
         stats = oracle_leaf_stats(dyno.tables, extracted.block)
-        plan = JoinOptimizer(extracted.block, stats,
-                             dyno.config.optimizer).optimize().plan
+        plan = JoinOptimizer(extracted.block, stats, dyno.config.optimizer,
+                             dyno.config.cluster).optimize().plan
         graph = PlanCompiler(dyno.dfs, dyno.config, "misc").compile_block(
             plan
         )

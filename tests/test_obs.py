@@ -9,7 +9,7 @@ from repro.core.dyno import Dyno
 from repro.data.schema import INT, STRING, Schema
 from repro.data.table import Table
 from repro.obs import (JsonLinesSink, MemorySink, MetricsRegistry,
-                       NULL_METRICS, NULL_TRACER, Tracer, q_error)
+                       NULL_TRACER, Tracer, q_error)
 
 RECORD_KEYS = {"ts", "seq", "kind", "name", "attrs"}
 
@@ -126,14 +126,32 @@ class TestMetricsRegistry:
         assert summary["counters"]["n"] == 1
         assert summary["observations"]["x"]["mean"] == 4.0
 
-    def test_null_metrics_is_disabled(self):
-        assert NULL_METRICS.enabled is False
-        NULL_METRICS.inc("n")
-        NULL_METRICS.observe("x", 1.0)
-        assert NULL_METRICS.summary() == {"counters": {},
-                                          "observations": {}}
+    def test_folds_trace_records_beside_other_sinks(self):
+        metrics = MetricsRegistry()
+        sink = MemorySink()
+        tracer = Tracer(sink, metrics)
+        tracer.event("plan_cache", hit=True)
+        tracer.event("plan_cache", hit=False)
+        tracer.event("service.complete", tenant="acme", wait_s=0.5)
+        tracer.event("untracked", value=3)
+        with tracer.span("optimize") as span:
+            span.set(sim_s=0.25)
+        assert len(sink.records) == 6
+        assert metrics.summary()["counters"] == {
+            "dynopt.optimizations": 1.0, "plan_cache.hits": 1.0,
+            "plan_cache.misses": 1.0, "service.tenant_waits": 1.0,
+        }
+        assert metrics.observation("service.tenant_wait_s.acme")[
+            "total"] == 0.5
+        assert metrics.observation("optimizer.sim_s")["count"] == 1
+
+    def test_a_span_that_raised_folds_nothing(self):
+        metrics = MetricsRegistry()
+        tracer = Tracer(metrics)
         with pytest.raises(ValueError):
-            NULL_METRICS.save("anywhere.json")
+            with tracer.span("recover"):
+                raise ValueError("lost again")
+        assert metrics.summary() == {"counters": {}, "observations": {}}
 
 
 def small_tables():
@@ -156,9 +174,8 @@ class TestTraceSchema:
 
     def run_traced(self):
         sink = MemorySink()
-        tracer = Tracer(sink)
         metrics = MetricsRegistry()
-        dyno = Dyno(small_tables(), tracer=tracer, metrics=metrics)
+        dyno = Dyno(small_tables(), tracer=Tracer(sink, metrics))
         execution = dyno.execute(SQL, mode="dynopt", name="schema-test")
         return execution, sink.records, metrics
 

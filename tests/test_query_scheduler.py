@@ -205,9 +205,9 @@ class TestSchedulerQueue:
         config = DEFAULT_CONFIG.with_fault_plan(plan_named("chaos"))
 
         def service_over(tables, **kwargs):
-            return QueryService(tables, config=config, tracer=Tracer(sink),
-                                metrics=metrics, result_cache=True,
-                                **kwargs)
+            return QueryService(tables, config=config,
+                                tracer=Tracer(sink, metrics),
+                                result_cache=True, **kwargs)
 
         service = service_over(small_tables())
         sustained = service.scheduler.run_sustained(
@@ -235,7 +235,7 @@ class TestSchedulerQueue:
 
     def test_queue_depth_and_wait_metrics_are_recorded(self):
         metrics = MetricsRegistry()
-        service = QueryService(small_tables(), metrics=metrics)
+        service = QueryService(small_tables(), tracer=Tracer(metrics))
         run_requests(service, [
             QueryRequest.from_workload(q3(), tenant="acme"),
             QueryRequest.from_workload(q3(), tenant="umbrella"),
@@ -385,7 +385,7 @@ class TestResultCacheInvalidation:
 
 
 class TestResultCacheUnit:
-    def test_lru_capacity_per_shard(self):
+    def test_lru_evicts_beyond_capacity(self):
         cache = ResultCache(max_entries=4)
         for key in "abcdef":
             cache.store(key, [{"k": key}], frozenset({"table:t"}))
@@ -393,7 +393,7 @@ class TestResultCacheUnit:
         assert cache.lookup("a") is None
         assert cache.lookup("f") == [{"k": "f"}]
 
-    def test_summary_aggregates_shards(self):
+    def test_summary_counts_entries(self):
         cache = ResultCache(max_entries=128)
         for index in range(16):
             cache.store(f"key-{index}", [], frozenset())

@@ -52,13 +52,14 @@ class TestBroadcastOverflowReplan:
 
     def _overflow_execution(self, dyno_factory):
         workload = q10()
-        # A memory budget the real build sides cannot fit ...
-        config = replace(
+        dyno = dyno_factory(udfs=workload.udfs)
+        # A memory budget the real build sides cannot fit, enforced by the
+        # runtime while the optimizer plans under the default one ...
+        dyno.runtime.config = replace(
             DEFAULT_CONFIG,
             cluster=replace(DEFAULT_CONFIG.cluster,
                             task_memory_bytes=8 * 1024),
         )
-        dyno = dyno_factory(udfs=workload.udfs, config=config)
         extracted = dyno.prepare(workload.final_spec)
         # ... hidden from the optimizer by leaf statistics that say every
         # relation is tiny, so its first plan eagerly broadcasts.
@@ -98,6 +99,7 @@ class TestBannedBroadcast:
         block = dyno.prepare(workload.final_spec).block
         stats = oracle_leaf_stats(dyno.tables, block)
         optimizer = JoinOptimizer(block, stats, dyno.config.optimizer,
+                                  dyno.config.cluster,
                                   banned_broadcast=banned)
         return optimizer.optimize()
 

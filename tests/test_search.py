@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from repro.config import DEFAULT_CONFIG, OptimizerConfig
+from repro.config import DEFAULT_CONFIG, ClusterConfig, OptimizerConfig
 from repro.core.baselines import oracle_leaf_stats
 from repro.core.dyno import Dyno
 from repro.errors import OptimizerError, UnsupportedQueryError
@@ -65,9 +65,11 @@ def stats_for(block, sizes):
     return result
 
 
-def optimize(block, sizes, **config_kwargs):
+def optimize(block, sizes, task_memory_bytes=96 * 1024, **config_kwargs):
     config = OptimizerConfig(**config_kwargs)
-    return JoinOptimizer(block, stats_for(block, sizes), config).optimize()
+    cluster = ClusterConfig(task_memory_bytes=task_memory_bytes)
+    return JoinOptimizer(block, stats_for(block, sizes), config,
+                         cluster).optimize()
 
 
 class TestMemo:
@@ -110,14 +112,14 @@ class TestMemo:
             memo.group(frozenset())
 
 
-def brute_force_best_cost(block, leaf_stats, config):
+def brute_force_best_cost(block, leaf_stats, config, cluster):
     """Exhaustively enumerate all bushy plans and return the best cost."""
     from repro.optimizer.cardinality import CardinalityModel
     from repro.optimizer.rules import JoinContext, join_candidates
 
     graph = JoinGraph.build(block)
     cardinality = CardinalityModel(block, leaf_stats)
-    cost_model = JoinCostModel(config)
+    cost_model = JoinCostModel(config, cluster)
 
     def plans(members):
         if len(members) == 1:
@@ -170,20 +172,21 @@ class TestOptimality:
         block = chain_block(n)
         sizes = {chr(ord("a") + i): (100.0 * (i + 1), 1000.0 * (i + 1))
                  for i in range(n)}
-        config = OptimizerConfig(max_broadcast_bytes=1500)
+        config = OptimizerConfig()
+        cluster = ClusterConfig(task_memory_bytes=1500)
         leaf_stats = stats_for(block, sizes)
-        result = JoinOptimizer(block, leaf_stats, config).optimize()
-        best = brute_force_best_cost(block, leaf_stats, config)
+        result = JoinOptimizer(block, leaf_stats, config, cluster).optimize()
+        best = brute_force_best_cost(block, leaf_stats, config, cluster)
         assert result.cost == pytest.approx(best)
 
     def test_pruned_search_matches_brute_force_on_five_leaves(self):
         block = chain_block(5)
         sizes = {chr(ord("a") + i): (50.0 * (i + 2), 700.0 * (i + 2))
                  for i in range(5)}
-        config = OptimizerConfig()
+        config, cluster = OptimizerConfig(), ClusterConfig()
         leaf_stats = stats_for(block, sizes)
-        result = JoinOptimizer(block, leaf_stats, config).optimize()
-        best = brute_force_best_cost(block, leaf_stats, config)
+        result = JoinOptimizer(block, leaf_stats, config, cluster).optimize()
+        best = brute_force_best_cost(block, leaf_stats, config, cluster)
         assert result.cost == pytest.approx(best)
 
 
@@ -198,7 +201,7 @@ class TestPlanShapes:
         block = chain_block(3)
         sizes = {"a": (10000.0, 500000.0), "b": (10.0, 100.0),
                  "c": (10.0, 100.0)}
-        result = optimize(block, sizes, max_broadcast_bytes=1000)
+        result = optimize(block, sizes, task_memory_bytes=1000)
         summary = summarize_plan(result.plan)
         assert summary.broadcast_joins == 2
         assert summary.repartition_joins == 0
@@ -206,13 +209,13 @@ class TestPlanShapes:
     def test_large_builds_become_repartition(self):
         block = chain_block(2)
         sizes = {"a": (10000.0, 500000.0), "b": (10000.0, 500000.0)}
-        result = optimize(block, sizes, max_broadcast_bytes=1000)
+        result = optimize(block, sizes, task_memory_bytes=1000)
         assert summarize_plan(result.plan).repartition_joins == 1
 
     def test_probe_is_big_side_build_is_small_side(self):
         block = chain_block(2)
         sizes = {"a": (10000.0, 500000.0), "b": (10.0, 100.0)}
-        result = optimize(block, sizes, max_broadcast_bytes=1000)
+        result = optimize(block, sizes, task_memory_bytes=1000)
         plan = result.plan
         assert isinstance(plan, PhysJoin)
         assert plan.method == BROADCAST
@@ -227,7 +230,7 @@ class TestPlanShapes:
         block = JoinBlock("star", leaves, conditions)
         sizes = {"f": (100000.0, 5_000_000.0)}
         sizes.update({f"d{i}": (10.0, 100.0) for i in range(3)})
-        result = optimize(block, sizes, max_broadcast_bytes=1000)
+        result = optimize(block, sizes, task_memory_bytes=1000)
         summary = summarize_plan(result.plan)
         assert summary.broadcast_joins == 3
         assert summary.chained_joins == 2  # one map-only job
@@ -244,7 +247,7 @@ class TestPlanShapes:
         block = JoinBlock("bushy", leaves, conditions)
         sizes = {"r": (50000.0, 3_000_000.0), "s": (50000.0, 3_000_000.0),
                  "dr": (5.0, 50.0), "ds": (5.0, 50.0)}
-        result = optimize(block, sizes, max_broadcast_bytes=1000)
+        result = optimize(block, sizes, task_memory_bytes=1000)
         assert not summarize_plan(result.plan).is_left_deep
 
     def test_cyclic_block_rejected(self):
@@ -332,11 +335,13 @@ def optimizer_sweep() -> list[tuple]:
                                           SWEEP_CHAIN_RULE,
                                           SWEEP_SAFETY_FACTORS):
             config = replace(DEFAULT_CONFIG.optimizer,
-                             max_broadcast_bytes=kib * 1024,
                              enable_chain_rule=chain,
                              broadcast_safety_factor=safety)
-            result = JoinOptimizer(block, stats, config).optimize()
-            assert (JoinCostModel(config).apply_chain_rule(result.plan)
+            cluster = replace(DEFAULT_CONFIG.cluster,
+                              task_memory_bytes=kib * 1024)
+            result = JoinOptimizer(block, stats, config, cluster).optimize()
+            model = JoinCostModel(config, cluster)
+            assert (model.apply_chain_rule(result.plan)
                     == result.plan), (query, kib, chain, safety)
             rows.append((query, kib, chain, safety, result.signature,
                          repr(result.cost), result.plans_considered))

@@ -37,8 +37,7 @@ def leaf(alias: str, size: float) -> PhysLeaf:
                     est_bytes=size, cost=0.0, leaf=block_leaf)
 
 
-def skew_candidates(fractions, cluster: ClusterConfig = ClusterConfig(),
-                    config: OptimizerConfig = OptimizerConfig()):
+def skew_candidates(fractions, cluster: ClusterConfig = ClusterConfig()):
     """The skew candidates of clicks ./ users under ``fractions``."""
     probe, build = leaf("c", PROBE_BYTES), leaf("u", BUILD_BYTES)
     context = JoinContext(
@@ -51,7 +50,7 @@ def skew_candidates(fractions, cluster: ClusterConfig = ClusterConfig(),
                           for key, fraction in enumerate(fractions)),
         build_key_distinct=6000.0,
     )
-    model = JoinCostModel(config, cluster)
+    model = JoinCostModel(OptimizerConfig(), cluster)
     return [candidate for candidate in join_candidates(probe, build,
                                                        context, model)
             if candidate.method == SKEW]
@@ -75,8 +74,8 @@ def test_the_fourth_key_stays_in_the_shuffle_at_6_reducers():
 def test_a_tight_budget_keeps_the_heaviest_keys_that_fit():
     # Each key's build slice is 372000 / 6000 = 62 bytes, x1.3 headroom:
     # three keys (241.8 bytes) fit a 300-byte budget, four do not.
-    config = OptimizerConfig(max_broadcast_bytes=300)
-    (candidate,) = skew_candidates(SKEWJOIN_PROFILE, config=config)
+    cluster = ClusterConfig(task_memory_bytes=300)
+    (candidate,) = skew_candidates(SKEWJOIN_PROFILE, cluster)
     assert candidate.heavy_keys == ((0,), (1,), (2,))
     assert candidate.heavy_build_fraction == pytest.approx(3 / 6000)
 

@@ -61,7 +61,8 @@ PINNED = {
 def static_plan(dyno: Dyno, block):
     """A plan over base leaves only, so a fresh cluster can replay it."""
     stats = oracle_leaf_stats(dyno.tables, block)
-    return JoinOptimizer(block, stats, dyno.config.optimizer).optimize().plan
+    return JoinOptimizer(block, stats, dyno.config.optimizer,
+                         dyno.config.cluster).optimize().plan
 
 
 def summary(rows, block_results, execution_seconds: float) -> list:

@@ -184,8 +184,7 @@ class TestMidjobReplanTrigger:
         workload = SKEWED_WORKLOADS["SkewFunnel"]()
         dyno = Dyno(skew_tables,
                     config=with_threshold(1.0),
-                    udfs=workload.udfs, tracer=Tracer(sink),
-                    metrics=metrics)
+                    udfs=workload.udfs, tracer=Tracer(sink, metrics))
         execution = dyno.execute(workload.final_spec, mode="dynopt",
                                  strategy="UNC-1", name="SkewFunnel")
 
