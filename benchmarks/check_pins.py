@@ -6,10 +6,11 @@ Simulated seconds and data-volume counts are exact per seed under
 ``PYTHONHASHSEED=0``, so they are gated by equality instead of by a
 wall-clock bound: each workload runs once at the pinned seed and length
 with ``--trace 1`` (one untraced pass, one traced) in a fresh
-interpreter; ``sim_s_per_op`` of the untraced pass must match its pin to
-``rel_tol=1e-9`` and every pinned per-layer count of the traced pass
-must match exactly, as must the plan- and result-cache counts of the
-serving and standing workloads. A change that trips the gate without
+interpreter; ``sim_s_per_op`` of the untraced pass and the traced pass's
+sim-second sub-totals (pilots, optimizer, execution) must match their
+pins to ``rel_tol=1e-9`` and every pinned per-layer count of the traced
+pass must match exactly, as must the plan- and result-cache counts of
+the serving and standing workloads. A change that trips the gate without
 meaning to has changed a byte size, a plan, the amount of data a job
 touches or what the caches reuse; one
 that means to re-pins what it moved (``--write`` rewrites the pins of
@@ -45,6 +46,10 @@ CACHE_COUNTS = tuple(f"{cache}.{kind}"
                      for cache in ("plan_cache", "result_cache")
                      for kind in ("hits", "misses", "invalidations"))
 CACHED_WORKLOADS = ("serving_uncached", "serving_cached", "standing_refresh")
+#: simulated-second sub-totals of the traced pass: which clock component
+#: moved. Floats, so compared like ``sim_s_per_op``.
+PINNED_SIM_SECONDS = ("pilot.sim_s", "dynopt.sim_optimizer_s",
+                      "dynopt.sim_execution_s")
 
 
 def measure(workload: str, seed: int, seconds: float) -> dict:
@@ -64,13 +69,16 @@ def measure(workload: str, seed: int, seconds: float) -> dict:
         return json.loads(record_path.read_text())
 
 
-def measured_pins(workload: str, record: dict) -> tuple[float, dict]:
+def measured_pins(workload: str,
+                  record: dict) -> tuple[float, dict, dict]:
     names = PINNED_COUNTS + EXTRA_COUNTS.get(workload, ())
     counts = {name: int(record["metrics"][name]["value"]) for name in names}
     if workload in CACHED_WORKLOADS:
         counts.update({name: int(record["counts"][name])
                        for name in CACHE_COUNTS})
-    return record["counts"]["sim_s_per_op"], counts
+    sim_seconds = {name: float(record["metrics"][name]["value"])
+                   for name in PINNED_SIM_SECONDS}
+    return record["counts"]["sim_s_per_op"], counts, sim_seconds
 
 
 def main(argv: list[str]) -> int:
@@ -92,18 +100,21 @@ def main(argv: list[str]) -> int:
                             f"of {record['attempted']}: "
                             f"{record['failures']}")
             continue
-        sim, counts = measured_pins(workload, record)
+        sim, counts, sim_seconds = measured_pins(workload, record)
         print(f"{workload}: sim_s_per_op {sim!r}, "
-              + ", ".join(f"{name} {value}"
-                          for name, value in counts.items()), flush=True)
+              + ", ".join(f"{name} {value}" for name, value
+                          in {**sim_seconds, **counts}.items()), flush=True)
         if args.write:
             pins["sim_s_per_op"][workload] = sim
+            pins.setdefault("sim_seconds", {})[workload] = sim_seconds
             pins.setdefault("counts", {})[workload] = counts
             continue
-        if not math.isclose(sim, pins["sim_s_per_op"][workload],
-                            rel_tol=1e-9):
-            problems.append(f"{workload}: sim_s_per_op {sim!r} != pinned "
-                            f"{pins['sim_s_per_op'][workload]!r}")
+        pinned_floats = {"sim_s_per_op": pins["sim_s_per_op"][workload],
+                         **pins["sim_seconds"][workload]}
+        for name, value in {"sim_s_per_op": sim, **sim_seconds}.items():
+            if not math.isclose(value, pinned_floats[name], rel_tol=1e-9):
+                problems.append(f"{workload}: {name} {value!r} != pinned "
+                                f"{pinned_floats[name]!r}")
         pinned_counts = pins["counts"][workload]
         for name, value in counts.items():
             if value != pinned_counts.get(name):
