@@ -112,6 +112,30 @@ class ClusterCostModel:
         nodes = min(self.config.worker_nodes, num_map_tasks)
         return full * nodes / num_map_tasks
 
+    def slice_pays(self, build_bytes: float, slice_bytes: float,
+                   consumer_map_tasks: int, backend: str) -> bool:
+        """True when a map-only job that slices a build file once beats
+        every consumer map task loading the whole file.
+
+        The slice saves each consumer task the load of the bytes it
+        drops, once per wave of consumer tasks; it costs one job startup
+        plus its own waves of split reads over the build file. Records
+        cancel: the same rows end up in the hash table either way.
+        """
+        cfg = self.config
+        saved = (self.per_task_build_seconds(
+                     int(build_bytes), 0, consumer_map_tasks, backend)
+                 - self.per_task_build_seconds(
+                     int(slice_bytes), 0, consumer_map_tasks, backend))
+        slice_tasks = max(1, math.ceil(build_bytes / cfg.block_size_bytes))
+        split_read = (cfg.task_startup_seconds
+                      + min(build_bytes, cfg.block_size_bytes)
+                      / cfg.read_bytes_per_second)
+        slots = cfg.total_map_slots
+        cost = (cfg.job_startup_seconds
+                + math.ceil(slice_tasks / slots) * split_read)
+        return saved * math.ceil(consumer_map_tasks / slots) > cost
+
     def probe_seconds(self, probe_records: int) -> float:
         return probe_records * self.config.probe_seconds_per_record
 

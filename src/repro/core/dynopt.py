@@ -434,7 +434,7 @@ class DynoptExecutor:
                             block, chosen, compiled
                         )
 
-                jobs = [compiled.job for compiled in chosen]
+                jobs, dependencies = _with_slices(chosen, dependencies)
                 try:
                     # Re-running a lost input's producer can fail for good
                     # like any other job.
@@ -473,8 +473,9 @@ class DynoptExecutor:
                 if block is not None:
                     for compiled in chosen:
                         job_result = batch[compiled.name]
-                        recovery.provenance[compiled.job.output_name] = \
-                            compiled.job
+                        for job in (compiled.slice_job, compiled.job):
+                            if job is not None:
+                                recovery.provenance[job.output_name] = job
                         block = self._substitute(block, compiled,
                                                  job_result)
                         missed_by = self._audit_estimate(
@@ -782,6 +783,36 @@ class DynoptExecutor:
         return block.substitute(
             compiled.output_aliases, output, compiled.applied_predicates
         )
+
+
+def _with_slices(chosen: list[CompiledJob],
+                 dependencies: dict[str, list[str]] | None,
+                 ) -> tuple[list[MapReduceJob], dict[str, list[str]]]:
+    """The jobs and dependencies of one batch of ``chosen``.
+
+    A job's heavy-key slice (:attr:`CompiledJob.slice_job`) joins the
+    batch as a dependency of it, after whichever chosen job produces the
+    slice's input. The slice is not a plan step: the scheduler starts
+    the consumer once the slice finishes, which costs the same simulated
+    seconds as a round of its own would, and the loop never audits,
+    substitutes or re-plans after it. It is listed after its consumer,
+    so a node loss considers the plan's own outputs first.
+    """
+    producers = {compiled.job.output_name: compiled.name
+                 for compiled in chosen}
+    jobs: list[MapReduceJob] = []
+    batch_dependencies = dict(dependencies or {})
+    for compiled in chosen:
+        jobs.append(compiled.job)
+        slice_job = compiled.slice_job
+        if slice_job is not None:
+            jobs.append(slice_job)
+            batch_dependencies[slice_job.name] = [
+                producers[name] for name in slice_job.inputs
+                if name in producers]
+            batch_dependencies[compiled.name] = [
+                *batch_dependencies.get(compiled.name, []), slice_job.name]
+    return jobs, batch_dependencies
 
 
 def _lowest_ready_join(plan: PhysicalNode) -> PhysicalNode:

@@ -25,10 +25,11 @@ only its *leaf jobs* each iteration (Section 5.3).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.cluster.costmodel import reducer_count
+from repro.cluster.costmodel import ClusterCostModel, reducer_count
 from repro.cluster.job import (
     BatchEmit,
     BroadcastBuild,
@@ -85,6 +86,10 @@ class CompiledJob:
     #: (group-by stages). Feeds the estimated-vs-actual trace audit.
     estimated_bytes: float = 0.0
     final: bool = False
+    #: a skew join's heavy-key slice: a map-only job that must finish
+    #: before this one, submitted in the same batch. Not a plan step of
+    #: its own -- never chosen, audited or substituted.
+    slice_job: MapReduceJob | None = None
 
     @property
     def name(self) -> str:
@@ -122,6 +127,9 @@ class JobGraph:
     def describe(self) -> str:
         lines = []
         for compiled in self.jobs:
+            if compiled.slice_job is not None:
+                lines.append(f"{compiled.slice_job.name} [map-only, slice]"
+                             f" -> {compiled.slice_job.output_name}")
             deps = (f" after {sorted(compiled.depends_on)}"
                     if compiled.depends_on else "")
             kind = "map-only" if compiled.job.is_map_only else "map-reduce"
@@ -162,6 +170,13 @@ def _identity_transform(context: TaskContext, batch: Any) -> Any:
 def _identity_loader(batch: Any) -> Any:
     """Build loader of a materialized (qualified, filtered) input file."""
     return batch
+
+
+def _base_leaf(node: PhysicalNode) -> BlockLeaf | None:
+    """The base-table leaf ``node`` scans, if it is one."""
+    if isinstance(node, PhysLeaf) and node.leaf.is_base:
+        return node.leaf
+    return None
 
 
 def _leaf_filter(leaf: BlockLeaf) -> BuildLoader:
@@ -580,33 +595,30 @@ class PlanCompiler:
         )
 
     def _skew_build_side(self, node: PhysJoin, right: _Stream,
-                         jobs: list[CompiledJob],
-                         build_refs: list[ColumnRef],
-                         ) -> tuple[BroadcastBuild, _Stream]:
-        """Heavy-key build slice of a skew join.
+                         build_refs: list[ColumnRef], consumer: str,
+                         consumer_map_tasks: int,
+                         ) -> tuple[BroadcastBuild, MapReduceJob | None]:
+        """Heavy-key build slice of a skew join, and the job slicing it.
 
         The heavy rows are filtered out of a full scan of the build input
-        -- a base leaf's raw file, an already-materialized intermediate,
-        or the build pipeline materialized once and shared with the
-        shuffle side -- so the in-map hash table holds only the heavy-key
-        slice while the job's tail shuffle re-reads the same file.
+        -- a base leaf's raw file (its predicates applied) or a
+        materialized intermediate -- so the in-map hash table holds only
+        the heavy-key slice while the job's tail shuffle re-reads the
+        same file. Where :meth:`ClusterCostModel.slice_pays` says so, that
+        full scan runs once, in a map-only job named after the consumer
+        (``<consumer>.slice``), and every consumer map task loads its
+        few-row output; otherwise each task scans the whole file itself.
         """
         heavy_set = frozenset(node.heavy_keys)
         right_node = node.right
-        if isinstance(right_node, PhysLeaf) and right_node.leaf.is_base:
-            scan = _leaf_filter(right_node.leaf)
-            description = f"{right_node.leaf.describe()} (heavy keys)"
-        else:
-            if not right.is_materialized:
-                # Build pipeline: materialize it once; the same file feeds
-                # both the tail shuffle and the heavy-key build.
-                right = self._materialized_stream(right, jobs)
-            scan = None  # an intermediate: already qualified and filtered
-            description = f"heavy keys of {right.input_files[0]}"
+        build_file = right.input_files[0]
+        base_leaf = _base_leaf(right_node)
+        if base_leaf is not None:
+            description = f"{base_leaf.describe()} (heavy keys)"
+        else:  # an intermediate: already qualified and filtered
+            description = f"heavy keys of {build_file}"
 
-        def loader(batch: Any) -> RowBatch:
-            if scan is not None:
-                batch = scan(batch)
+        def heavy_rows(batch: Any) -> RowBatch:
             rows = batch.rows
             sizes = batch.ensure_sizes()
             heavy = [i for i, key
@@ -615,11 +627,41 @@ class PlanCompiler:
             return RowBatch([rows[i] for i in heavy],
                             [sizes[i] for i in heavy])
 
+        build_bytes = (self.dfs.file_size(build_file)
+                       if self.dfs.exists(build_file)
+                       else right_node.est_bytes)
+        if not ClusterCostModel(self.config.cluster).slice_pays(
+                build_bytes, node.heavy_build_fraction * right_node.est_bytes,
+                consumer_map_tasks, self.config.backend):
+            scan = (_leaf_filter(base_leaf) if base_leaf is not None
+                    else _identity_loader)
+            return BroadcastBuild(
+                input_file=build_file,
+                loader=lambda batch: heavy_rows(scan(batch)),
+                description=description,
+            ), None
+
+        # The slice's map tasks scan the build like any leaf scan does.
+        transform = (leaf_scan(base_leaf) if base_leaf is not None
+                     else _identity_transform)
+
+        def mapper(context: TaskContext, source: str, batch) -> BatchEmit:
+            out = heavy_rows(transform(context, batch))
+            return BatchEmit(rows=out.rows, sizes=out.sizes, columns=out)
+
+        slice_job = MapReduceJob(
+            name=f"{consumer}.slice",
+            inputs=[build_file],
+            mapper=mapper,
+            output_name=f"{consumer}.slice.out",
+            output_schema=intermediate_schema(),
+            description=f"heavy-key slice of {build_file}",
+        )
         return BroadcastBuild(
-            input_file=right.input_files[0],
-            loader=loader,
-            description=description,
-        ), right
+            input_file=slice_job.output_name,
+            loader=_identity_loader,
+            description=f"{description}, sliced",
+        ), slice_job
 
     def _skew_stream(self, node: PhysJoin,
                      jobs: list[CompiledJob]) -> _Stream:
@@ -648,11 +690,22 @@ class PlanCompiler:
         pred_cpu = sum(p.cpu_seconds_per_row for p in predicates)
         probe_cpu = self.config.cluster.probe_seconds_per_record
         heavy_set = frozenset(node.heavy_keys)
+        if heavy_set and not right.is_materialized \
+                and _base_leaf(node.right) is None:
+            # Build pipeline: materialize it once; the same file feeds
+            # both the tail shuffle and the heavy-key build.
+            right = self._materialized_stream(right, jobs)
+        name = self._next_name("sjoin" if heavy_set else "rjoin")
+        inputs = sorted(set(left.input_files) | set(right.input_files))
         builds = left.builds + right.builds
         heavy_probe = None
+        slice_job = None
         if heavy_set:
-            heavy_build, right = self._skew_build_side(
-                node, right, jobs, side_refs[1])
+            map_tasks = sum(self._map_tasks(stream.input_files, side.est_bytes)
+                            for stream, side in ((left, node.left),
+                                                 (right, node.right)))
+            heavy_build, slice_job = self._skew_build_side(
+                node, right, side_refs[1], name, map_tasks)
             builds = builds + [heavy_build]
             heavy_probe = _hash_probe(heavy_build, side_refs[1],
                                       predicates, pred_cpu)
@@ -701,9 +754,7 @@ class PlanCompiler:
                     append_size(16 + sizes[i])
             return BatchEmit(rows=out_rows, sizes=out_sizes, keys=out_keys)
 
-        name = self._next_name("sjoin" if heavy_set else "rjoin")
         output = f"{name}.out"
-        inputs = sorted(set(left.input_files) | set(right.input_files))
         estimated_input_bytes = (
             node.left.est_bytes + node.right.est_bytes
         )
@@ -736,6 +787,7 @@ class PlanCompiler:
             estimated_cost=max(node.cost - upstream_cost, 0.0),
             estimated_rows=node.est_rows,
             estimated_bytes=node.est_bytes,
+            slice_job=slice_job,
         )
         jobs.append(compiled)
         return _Stream(
@@ -798,6 +850,14 @@ class PlanCompiler:
     def _next_name(self, label: str) -> str:
         self._counter += 1
         return f"{self.name_prefix}.{label}{self._counter}"
+
+    def _map_tasks(self, inputs: list[str], estimated_bytes: float) -> int:
+        """Map tasks over ``inputs``: their splits, or one per block of
+        the optimizer's estimate while one is not yet materialized."""
+        if all(self.dfs.exists(name) for name in inputs):
+            return sum(len(self.dfs.file_splits(name)) for name in inputs)
+        return math.ceil(estimated_bytes
+                         / self.config.cluster.block_size_bytes)
 
     def _reducers_for(self, inputs: list[str],
                       estimated_bytes: float = 0.0) -> int:

@@ -56,7 +56,9 @@ class JoinCostModel:
         rates on the heavy-key fraction of the probe and repartitions the
         tail of both sides in one job; its heavy-key build table is
         filtered out of a full scan of the build, so ``cbuild`` is charged
-        on all of it.
+        on all of it. Where it pays, the compiler runs that scan once, in
+        a map-only slice job, instead of in every map task; the formula
+        prices the scan either way, so plans do not depend on it.
         """
         cfg = self.config
         # The grouping below is the association the search has always
