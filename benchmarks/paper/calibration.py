@@ -5,12 +5,11 @@ Section 2, docs/architecture.md Section 2) and checks them against the
 regime of the paper's cluster. Run after changing any
 :class:`~repro.config.ClusterConfig` rate to see what moved::
 
-    python -m repro.bench.calibration
+    python -m benchmarks.paper.calibration
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 
 from repro.config import DEFAULT_CONFIG, ClusterConfig
@@ -93,4 +92,3 @@ def report(cluster: ClusterConfig = DEFAULT_CONFIG.cluster) -> str:
 
 if __name__ == "__main__":  # pragma: no cover - module entry
     print(report())
-    sys.exit(0)

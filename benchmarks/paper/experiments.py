@@ -8,14 +8,15 @@ paper-vs-measured comparison).
 
 The experiments run on the scaled-down TPC-H datasets; the paper's scale
 factors 100/300/1000 map to generator scale factors with the same 1:3:10
-ratio (:data:`repro.data.tpch.PAPER_SCALE_FACTORS`).
+ratio (:data:`repro.data.tpch.PAPER_SCALE_FACTORS`). The two
+``ablation_*`` functions measure mechanisms beyond the paper's figures.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from repro.bench.harness import (
+from benchmarks.paper.harness import (
     ALL_VARIANTS,
     VARIANT_DYNOPT,
     VARIANT_RELOPT,
@@ -28,9 +29,10 @@ from repro.bench.harness import (
     run_workload,
 )
 from repro.config import DEFAULT_CONFIG, DynoConfig
-from repro.core.baselines import relopt_leaf_stats
-from repro.core.dyno import Dyno
+from repro.core.baselines import oracle_leaf_stats, relopt_leaf_stats
+from repro.core.dyno import Dyno, infer_schema
 from repro.core.pilot import PILR_MT, PILR_ST
+from repro.data.table import Table
 from repro.optimizer.plans import render_plan, summarize_plan
 from repro.optimizer.search import JoinOptimizer
 from repro.workloads.queries import (
@@ -68,9 +70,6 @@ def _pilot_only_seconds(tables, workload: Workload, mode: str,
             # make the intermediate available.
             execution = dyno.execute(spec, mode="simple", run_pilots=False,
                                      name=f"stage{position}x")
-            from repro.core.dyno import infer_schema
-            from repro.data.table import Table
-
             dyno.register_table(
                 output_name,
                 Table(output_name, infer_schema(execution.rows),
@@ -128,15 +127,30 @@ class PlanEvolution:
             lines.append(plan)
         return "\n".join(lines)
 
+    def markdown(self) -> str:
+        return "```\n" + self.format() + "\n```"
 
-def _relopt_plan_text(tables, workload: Workload,
-                      config: DynoConfig) -> str:
+
+@dataclass
+class Figure3:
+    """Figure 3's plan printout and its join-method census."""
+
+    plans: PlanEvolution
+    counts: ExperimentTable
+
+    def format(self) -> str:
+        return self.plans.format() + "\n\n" + self.counts.format()
+
+    def markdown(self) -> str:
+        return self.plans.markdown() + "\n\n" + self.counts.markdown()
+
+
+def _relopt_plan(tables, workload: Workload, config: DynoConfig):
     dyno = Dyno(tables, config=config, udfs=workload.udfs)
     extracted = dyno.prepare(workload.final_spec)
     stats = relopt_leaf_stats(dyno.tables, extracted.block)
-    plan = JoinOptimizer(extracted.block, stats, config.optimizer,
+    return JoinOptimizer(extracted.block, stats, config.optimizer,
                          config.cluster).optimize().plan
-    return render_plan(plan)
 
 
 def figure2_plan_evolution(
@@ -145,7 +159,7 @@ def figure2_plan_evolution(
     """Figure 2: Q8' plans -- RELOPT plan and DYNO's evolving plans."""
     workload = q8_prime()
     tables = dataset_for_paper_sf(300).tables
-    relopt_text = _relopt_plan_text(tables, workload, config)
+    relopt_text = render_plan(_relopt_plan(tables, workload, config))
     run = run_workload(tables, workload, VARIANT_DYNOPT, config)
     block_result = run.executions[0].block_results[0]
     return PlanEvolution(
@@ -156,52 +170,34 @@ def figure2_plan_evolution(
     )
 
 
-def figure3_q9_plans(config: DynoConfig = DEFAULT_CONFIG) -> PlanEvolution:
+def figure3(config: DynoConfig = DEFAULT_CONFIG) -> Figure3:
     """Figure 3: Q9' -- RELOPT's all-repartition plan vs DYNO's plan after
-    pilot runs (broadcast joins throughout)."""
+    pilot runs (broadcast joins throughout), and their join-method
+    census."""
     workload = q9_prime()
     tables = dataset_for_paper_sf(300).tables
-    relopt_text = _relopt_plan_text(tables, workload, config)
+    relopt = _relopt_plan(tables, workload, config)
     run = run_workload(tables, workload, VARIANT_SIMPLE, config)
     block_result = run.executions[0].block_results[0]
-    return PlanEvolution(
+    plans = PlanEvolution(
         "Q9'",
-        relopt_text,
+        render_plan(relopt),
         [record.plan_text for record in block_result.iterations[:1]],
         [record.plan_signature for record in block_result.iterations[:1]],
     )
-
-
-def figure3_method_counts(
-    config: DynoConfig = DEFAULT_CONFIG,
-) -> ExperimentTable:
-    """Join-method census for Figure 3 (repartition vs broadcast counts)."""
-    workload = q9_prime()
-    tables = dataset_for_paper_sf(300).tables
-    dyno = Dyno(tables, config=config, udfs=workload.udfs)
-    extracted = dyno.prepare(workload.final_spec)
-
-    relopt_stats = relopt_leaf_stats(dyno.tables, extracted.block)
-    relopt = JoinOptimizer(extracted.block, relopt_stats, config.optimizer,
-                           config.cluster).optimize().plan
-    relopt_summary = summarize_plan(relopt)
-
-    run = run_workload(tables, workload, VARIANT_SIMPLE, config)
-    dyno_plan = run.executions[0].block_results[0].plans[0]
-    dyno_summary = summarize_plan(dyno_plan)
-    return ExperimentTable(
+    summaries = [("RELOPT", summarize_plan(relopt)),
+                 ("DYNO (after pilot runs)",
+                  summarize_plan(block_result.plans[0]))]
+    counts = ExperimentTable(
         "Figure 3",
         "Q9' join methods: traditional optimizer vs DYNO after pilot runs",
         ["Plan", "repartition joins", "broadcast joins", "chained"],
-        [
-            ["RELOPT", relopt_summary.repartition_joins,
-             relopt_summary.broadcast_joins, relopt_summary.chained_joins],
-            ["DYNO (after pilot runs)", dyno_summary.repartition_joins,
-             dyno_summary.broadcast_joins, dyno_summary.chained_joins],
-        ],
+        [[name, summary.repartition_joins, summary.broadcast_joins,
+          summary.chained_joins] for name, summary in summaries],
         notes=["paper: RELOPT picks all repartition joins (UDF selectivity "
                "unknown); DYNO picks only broadcast joins"],
     )
+    return Figure3(plans, counts)
 
 
 # ---------------------------------------------------------------------------
@@ -371,21 +367,18 @@ def _map_only_jobs(run) -> int:
 
 def figure7_query_times(
     config: DynoConfig = DEFAULT_CONFIG,
-    paper_sfs: tuple[int, ...] = (100, 300, 1000),
-    static_top_k: int = 3,
 ) -> ExperimentTable:
     """Figure 7: 4 variants normalized to BESTSTATICJAQL, per SF."""
     factories = [q2, q8_prime, q9_prime, q10]
     columns = ["SF", "Query"] + list(ALL_VARIANTS)
     rows = []
-    for paper_sf in paper_sfs:
+    for paper_sf in (100, 300, 1000):
         tables = dataset_for_paper_sf(paper_sf).tables
         for factory in factories:
             measured = {}
             for variant in ALL_VARIANTS:
                 workload = factory()
-                run = run_workload(tables, workload, variant, config,
-                                   static_top_k=static_top_k)
+                run = run_workload(tables, workload, variant, config)
                 measured[variant] = run.seconds
             baseline = measured[VARIANT_STATIC_JAQL]
             rows.append(
@@ -410,8 +403,7 @@ def figure7_query_times(
 # ---------------------------------------------------------------------------
 
 
-def figure8_hive(config: DynoConfig = DEFAULT_CONFIG,
-                 static_top_k: int = 3) -> ExperimentTable:
+def figure8_hive(config: DynoConfig = DEFAULT_CONFIG) -> ExperimentTable:
     """Figure 8: benefits of DYNO's plans in Hive (SF=300).
 
     The paper replays the plans in Hive 0.12 and excludes DYNO's overheads;
@@ -429,8 +421,7 @@ def figure8_hive(config: DynoConfig = DEFAULT_CONFIG,
         measured = {}
         for variant in variants:
             workload = factory()
-            run = run_workload(tables, workload, variant, hive,
-                               static_top_k=static_top_k)
+            run = run_workload(tables, workload, variant, hive)
             # Execution time only ("these numbers do not include the
             # overheads of our techniques", Section 6.6).
             measured[variant] = run.execution_seconds or run.seconds
@@ -453,25 +444,62 @@ def figure8_hive(config: DynoConfig = DEFAULT_CONFIG,
 
 
 # ---------------------------------------------------------------------------
-# run everything
+# Ablations (beyond the paper's figures)
 # ---------------------------------------------------------------------------
 
 
-def run_all(config: DynoConfig = DEFAULT_CONFIG) -> str:
-    """Run every experiment and return the combined report text."""
-    sections = [
-        table1_pilr(config).format(),
-        figure2_plan_evolution(config).format(),
-        figure3_q9_plans(config).format(),
-        figure3_method_counts(config).format(),
-        figure4_overhead(config).format(),
-        figure5_strategies(config).format(),
-        figure6_udf_selectivity(config).format(),
-        figure7_query_times(config).format(),
-        figure8_hive(config).format(),
-    ]
-    return "\n\n".join(sections)
+def ablation_chain_rule(
+    config: DynoConfig = DEFAULT_CONFIG,
+) -> tuple[float, float]:
+    """The broadcast-chain rule (Section 5.2): Q9' execution seconds at
+    SF=300 with and without it.
+
+    Without the chain rule every broadcast join runs as its own map-only
+    job, re-reading and re-writing the probe stream each time. Q9' --
+    whose plan is a chain of dimension broadcasts over lineitem --
+    quantifies the win.
+    """
+    def run(enable_chain_rule: bool) -> float:
+        chain_config = replace(
+            config,
+            optimizer=replace(config.optimizer,
+                              enable_chain_rule=enable_chain_rule),
+        )
+        workload = q9_prime()
+        dyno = Dyno(dataset_for_paper_sf(300).tables, config=chain_config,
+                    udfs=workload.udfs)
+        execution = dyno.execute(workload.final_spec, mode="simple",
+                                 strategy="SIMPLE_MO")
+        return execution.execution_seconds
+
+    return run(True), run(False)
 
 
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    print(run_all())
+def ablation_dynamic_join(config: DynoConfig = DEFAULT_CONFIG):
+    """The Section-8 dynamic join operator vs fixed execution.
+
+    How much of DYNOPT's benefit does pure method-switching (no
+    re-optimization, no pilot runs) recover? An ultra-conservative
+    all-repartition Q9' plan (planned under an 8-byte Mmax, run on the
+    configured cluster) executes as planned, and again with the dynamic
+    operator flipping joins whose inputs actually fit in memory. Returns
+    the (fixed, dynamic) block results.
+    """
+    def conservative_setup():
+        workload = q9_prime()
+        dyno = Dyno(dataset_for_paper_sf(300).tables, config=config,
+                    udfs=workload.udfs)
+        block = dyno.prepare(workload.final_spec).block
+        stats = oracle_leaf_stats(dyno.tables, block)
+        plan = JoinOptimizer(
+            block, stats, config.optimizer,
+            replace(config.cluster, task_memory_bytes=8),
+        ).optimize().plan
+        return dyno, block, plan
+
+    dyno, block, plan = conservative_setup()
+    fixed = dyno.executor.execute_physical_plan(block, plan,
+                                                strategy="SIMPLE_SO")
+    dyno, block, plan = conservative_setup()
+    dynamic = dyno.executor.execute_switching_plan(block, plan)
+    return fixed, dynamic

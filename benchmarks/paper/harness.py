@@ -18,7 +18,7 @@ figures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
 from repro.config import DEFAULT_CONFIG, DynoConfig
@@ -27,6 +27,7 @@ from repro.core.baselines import (
     oracle_leaf_stats,
     rank_orders_by_oracle,
     relopt_leaf_stats,
+    relopt_optimizer_config,
 )
 from repro.core.dyno import Dyno, QueryExecution, infer_schema
 from repro.data.table import Table
@@ -156,8 +157,7 @@ def _run_dyno_variant(tables, workload: Workload, config: DynoConfig,
         else:
             rows = execution.rows
     seconds = sum(ex.total_seconds for ex in executions)
-    return WorkloadRun(workload.name, variant, seconds, rows, executions,
-                       details={"mode": mode, "strategy": strategy})
+    return WorkloadRun(workload.name, variant, seconds, rows, executions)
 
 
 def _run_relopt(tables, workload: Workload,
@@ -167,15 +167,10 @@ def _run_relopt(tables, workload: Workload,
     Only plan execution time is reported (the paper obtains the plan from
     DBMS-X offline and replays it in Jaql). DBMS-X plans with the
     conservative broadcast margin of a production optimizer."""
-    from dataclasses import replace
-
-    from repro.core.baselines import relopt_optimizer_config
-
     relopt_config = replace(config, optimizer=relopt_optimizer_config(config))
     dyno = Dyno(tables, config=relopt_config, udfs=workload.udfs)
     executions: list[QueryExecution] = []
     rows: list[dict[str, Any]] = []
-    plans = []
     for position, (spec, output_name) in enumerate(workload.stages):
         extracted = dyno.prepare(spec, name=f"stage{position}")
         override = relopt_leaf_stats(dyno.tables, extracted.block)
@@ -184,7 +179,6 @@ def _run_relopt(tables, workload: Workload,
             leaf_stats_override=override, name=f"stage{position}",
         )
         executions.append(execution)
-        plans.extend(execution.plans)
         if output_name is not None:
             dyno.register_table(
                 output_name,
@@ -195,7 +189,7 @@ def _run_relopt(tables, workload: Workload,
             rows = execution.rows
     seconds = sum(ex.execution_seconds for ex in executions)
     return WorkloadRun(workload.name, VARIANT_RELOPT, seconds, rows,
-                       executions, details={"plans": plans})
+                       executions)
 
 
 def _run_best_static(tables, workload: Workload, config: DynoConfig,
@@ -285,6 +279,15 @@ class ExperimentTable:
             ))
         for note in self.notes:
             lines.append(f"  note: {note}")
+        return "\n".join(lines)
+
+    def markdown(self) -> str:
+        lines = [f"### {self.experiment_id}: {self.title}", "",
+                 "| " + " | ".join(map(str, self.columns)) + " |",
+                 "|" + "---|" * len(self.columns)]
+        lines += ["| " + " | ".join(map(_format_cell, row)) + " |"
+                  for row in self.rows]
+        lines += [f"\n> {note}" for note in self.notes]
         return "\n".join(lines)
 
 

@@ -1,16 +1,18 @@
 """DYNO: dynamically optimizing queries over large-scale data platforms.
 
 A from-scratch Python reproduction of Karanasos et al., SIGMOD 2014. The
-public API centers on three layers:
+public API centers on two layers:
 
 * :class:`repro.Dyno` -- the end-to-end system: load tables, execute SQL
   (or built :class:`repro.QuerySpec` trees) with pilot runs, cost-based
   join enumeration and dynamic re-optimization over a simulated
   MapReduce/HDFS cluster;
 * :mod:`repro.workloads` -- the paper's TPC-H workload (Q2, Q7, Q8', Q9',
-  Q10) and the scaled-down TPC-H generator;
-* :mod:`repro.bench` -- one experiment per table/figure of the paper's
-  evaluation section.
+  Q10) and the scaled-down TPC-H generator.
+
+The paper's evaluation section -- one experiment per table/figure -- is
+outside the library: ``python -m benchmarks.paper`` regenerates it from
+a source checkout.
 
 Quickstart::
 

@@ -136,9 +136,6 @@ class ClusterCostModel:
                 + math.ceil(slice_tasks / slots) * split_read)
         return saved * math.ceil(consumer_map_tasks / slots) > cost
 
-    def probe_seconds(self, probe_records: int) -> float:
-        return probe_records * self.config.probe_seconds_per_record
-
     # -- hybrid hash join spill ----------------------------------------------
 
     def spill_seconds(self, spilled_bytes: int) -> float:

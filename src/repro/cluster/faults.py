@@ -281,10 +281,6 @@ class FaultInjector:
         self.task_retries = 0
         self.stragglers = 0
 
-    @property
-    def active(self) -> bool:
-        return self.plan.injects_anything
-
     # -- attempt lifecycle ------------------------------------------------
     def begin_attempt(self, job) -> JobAttempt:
         incarnation = self._incarnations.get(job.name, 0) + 1

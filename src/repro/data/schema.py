@@ -429,12 +429,6 @@ class Schema:
             merged.append((name, ftype))
         return Schema(tuple(merged))
 
-    def rename_prefixed(self, prefix: str) -> "Schema":
-        """Schema with every field renamed ``prefix.name`` -> flat name."""
-        return Schema(
-            tuple((f"{prefix}_{name}", ftype) for name, ftype in self.fields)
-        )
-
     # -- row-level behaviour -------------------------------------------------
 
     def validate_row(self, row: dict[str, Any]) -> None:

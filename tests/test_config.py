@@ -105,13 +105,13 @@ def test_knob_count_is_edited_in_the_open():
 
 class TestCalibration:
     def test_default_config_inside_paper_regime(self):
-        from repro.bench.calibration import derive_ratios
+        from benchmarks.paper.calibration import derive_ratios
 
         ratios = derive_ratios(DEFAULT_CONFIG.cluster)
         assert ratios.in_paper_regime() == []
 
     def test_violations_detected(self):
-        from repro.bench.calibration import derive_ratios
+        from benchmarks.paper.calibration import derive_ratios
 
         broken = ClusterConfig(shuffle_bytes_per_second=1e9)
         ratios = derive_ratios(broken)
@@ -119,7 +119,7 @@ class TestCalibration:
                    for problem in ratios.in_paper_regime())
 
     def test_report_renders(self):
-        from repro.bench.calibration import report
+        from benchmarks.paper.calibration import report
 
         text = report()
         assert "calibration" in text

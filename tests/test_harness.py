@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench.harness import (
+from benchmarks.paper.harness import (
     ALL_VARIANTS,
     VARIANT_DYNOPT,
     VARIANT_RELOPT,

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.config import DEFAULT_CONFIG
 from repro.core.pilot import (
     PILR_MT,
     PILR_ST,
@@ -143,6 +144,20 @@ class TestModes:
         assert mt.simulated_seconds < st.simulated_seconds
         # Paper Table 1: MT is a multiple faster (4.6x average).
         assert st.simulated_seconds / mt.simulated_seconds > 2.0
+
+    def test_st_stops_after_the_first_wave_once_k_records_are_in(
+            self, dyno_factory):
+        # One map slot: the first wave is one split, and every later
+        # split passes the gate only while fewer than k records are in.
+        workload = q10()
+        config = replace(DEFAULT_CONFIG, cluster=replace(
+            DEFAULT_CONFIG.cluster, worker_nodes=1, map_slots_per_node=1))
+        dyno = dyno_factory(udfs=workload.udfs, config=config)
+        block = dyno.prepare(workload.final_spec).block
+        report = make_runner(dyno, k_records=16).run(block, mode=PILR_ST)
+        outcome = report.outcomes[block.leaf_for("l").signature()]
+        assert 0.0 < outcome.scanned_fraction < 1.0
+        assert not outcome.stats.exact
 
     def test_modes_estimate_similarly(self, dyno_factory, tpch_tables):
         workload = q10()
