@@ -29,7 +29,7 @@ from benchmarks.paper.harness import (
     run_workload,
 )
 from repro.config import DEFAULT_CONFIG, DynoConfig
-from repro.core.baselines import oracle_leaf_stats, relopt_leaf_stats
+from repro.core.baselines import oracle_leaf_stats, relopt_plan
 from repro.core.dyno import Dyno, infer_schema
 from repro.core.pilot import PILR_MT, PILR_ST
 from repro.data.table import Table
@@ -67,8 +67,9 @@ def _pilot_only_seconds(tables, workload: Workload, mode: str,
         if output_name is not None:
             # Later blocks scan the intermediate; for pilot timing purposes
             # the base-table pilots dominate, so we execute the stage to
-            # make the intermediate available.
-            execution = dyno.execute(spec, mode="simple", run_pilots=False,
+            # make the intermediate available (the metastore holds every
+            # signature now, so no pilot job runs).
+            execution = dyno.execute(spec, mode="simple",
                                      name=f"stage{position}x")
             dyno.register_table(
                 output_name,
@@ -145,21 +146,14 @@ class Figure3:
         return self.plans.markdown() + "\n\n" + self.counts.markdown()
 
 
-def _relopt_plan(tables, workload: Workload, config: DynoConfig):
-    dyno = Dyno(tables, config=config, udfs=workload.udfs)
-    extracted = dyno.prepare(workload.final_spec)
-    stats = relopt_leaf_stats(dyno.tables, extracted.block)
-    return JoinOptimizer(extracted.block, stats, config.optimizer,
-                         config.cluster).optimize().plan
-
-
 def figure2_plan_evolution(
     config: DynoConfig = DEFAULT_CONFIG,
 ) -> PlanEvolution:
     """Figure 2: Q8' plans -- RELOPT plan and DYNO's evolving plans."""
     workload = q8_prime()
     tables = dataset_for_paper_sf(300).tables
-    relopt_text = render_plan(_relopt_plan(tables, workload, config))
+    block = Dyno({}, udfs=workload.udfs).prepare(workload.final_spec).block
+    relopt_text = render_plan(relopt_plan(block, tables, config)[0])
     run = run_workload(tables, workload, VARIANT_DYNOPT, config)
     block_result = run.executions[0].block_results[0]
     return PlanEvolution(
@@ -176,7 +170,8 @@ def figure3(config: DynoConfig = DEFAULT_CONFIG) -> Figure3:
     census."""
     workload = q9_prime()
     tables = dataset_for_paper_sf(300).tables
-    relopt = _relopt_plan(tables, workload, config)
+    block = Dyno({}, udfs=workload.udfs).prepare(workload.final_spec).block
+    relopt, _ = relopt_plan(block, tables, config)
     run = run_workload(tables, workload, VARIANT_SIMPLE, config)
     block_result = run.executions[0].block_results[0]
     plans = PlanEvolution(
@@ -290,10 +285,8 @@ def figure5_strategies(config: DynoConfig = DEFAULT_CONFIG) -> ExperimentTable:
     for workload in workloads:
         measured: list[float] = []
         for variant, strategy in strategies:
-            run = run_workload(
-                tables, workload, variant, config,
-                dynopt_strategy=strategy, simple_strategy=strategy,
-            )
+            run = run_workload(tables, workload, variant, config,
+                               strategy=strategy)
             measured.append(run.seconds)
         baseline = measured[0]
         rows.append(

@@ -19,7 +19,7 @@ figures.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable
+from typing import Any
 
 from repro.config import DEFAULT_CONFIG, DynoConfig
 from repro.core.baselines import (
@@ -88,33 +88,37 @@ def run_workload(
     workload: Workload,
     variant: str,
     config: DynoConfig = DEFAULT_CONFIG,
-    dynopt_strategy: str = "UNC-1",
-    simple_strategy: str = "SIMPLE_MO",
+    strategy: str | None = None,
     static_top_k: int = 3,
-    pilot_mode: str = "MT",
     collect_column_stats: bool = True,
-    run_pilots: bool = True,
-    leaf_stats_fn: Callable | None = None,
 ) -> WorkloadRun:
-    """Execute ``workload`` under one plan variant; see module docstring."""
-    if variant == VARIANT_DYNOPT:
-        return _run_dyno_variant(
-            tables, workload, config, mode="dynopt",
-            strategy=dynopt_strategy, pilot_mode=pilot_mode,
+    """Execute ``workload`` under one plan variant; see module docstring.
+
+    DYNOPT, DYNOPT-SIMPLE and RELOPT are one ``execute_multi`` each;
+    ``strategy`` replaces their execution strategy (UNC-1 for DYNOPT,
+    SIMPLE_MO otherwise)."""
+    if variant in (VARIANT_DYNOPT, VARIANT_SIMPLE, VARIANT_RELOPT):
+        relopt = variant == VARIANT_RELOPT
+        if relopt:
+            # DBMS-X: statistics gathered up front, plan hand-coded and
+            # executed. Only plan execution time is reported (the paper
+            # obtains the plan from DBMS-X offline and replays it in
+            # Jaql). DBMS-X plans with the conservative broadcast margin
+            # of a production optimizer.
+            config = replace(config,
+                             optimizer=relopt_optimizer_config(config))
+        simple = variant != VARIANT_DYNOPT
+        dyno = Dyno(tables, config=config, udfs=workload.udfs)
+        stages = dyno.execute_multi(
+            workload.stages, mode="simple" if simple else "dynopt",
+            strategy=strategy or ("SIMPLE_MO" if simple else "UNC-1"),
+            leaf_stats=relopt_leaf_stats if relopt else None,
             collect_column_stats=collect_column_stats,
-            run_pilots=run_pilots, leaf_stats_fn=leaf_stats_fn,
-            variant=variant,
-        )
-    if variant == VARIANT_SIMPLE:
-        return _run_dyno_variant(
-            tables, workload, config, mode="simple",
-            strategy=simple_strategy, pilot_mode=pilot_mode,
-            collect_column_stats=collect_column_stats,
-            run_pilots=run_pilots, leaf_stats_fn=leaf_stats_fn,
-            variant=variant,
-        )
-    if variant == VARIANT_RELOPT:
-        return _run_relopt(tables, workload, config)
+        ).stages
+        seconds = sum(ex.execution_seconds if relopt else ex.total_seconds
+                      for ex in stages)
+        return WorkloadRun(workload.name, variant, seconds,
+                           stages[-1].rows, stages)
     if variant == VARIANT_STATIC_JAQL:
         return _run_best_static(tables, workload, config, static_top_k)
     if variant == VARIANT_STATIC_HIVE:
@@ -126,70 +130,6 @@ def run_workload(
 # ---------------------------------------------------------------------------
 # variant runners
 # ---------------------------------------------------------------------------
-
-
-def _run_dyno_variant(tables, workload: Workload, config: DynoConfig,
-                      mode: str, strategy: str, pilot_mode: str,
-                      collect_column_stats: bool, run_pilots: bool,
-                      leaf_stats_fn, variant: str) -> WorkloadRun:
-    dyno = Dyno(tables, config=config, udfs=workload.udfs)
-    executions: list[QueryExecution] = []
-    rows: list[dict[str, Any]] = []
-    for position, (spec, output_name) in enumerate(workload.stages):
-        override = None
-        if leaf_stats_fn is not None:
-            extracted = dyno.prepare(spec, name=f"stage{position}")
-            override = leaf_stats_fn(dyno.tables, extracted.block)
-        execution = dyno.execute(
-            spec, mode=mode, strategy=strategy, pilot_mode=pilot_mode,
-            run_pilots=run_pilots and leaf_stats_fn is None,
-            collect_column_stats=collect_column_stats,
-            leaf_stats_override=override,
-            name=f"stage{position}",
-        )
-        executions.append(execution)
-        if output_name is not None:
-            dyno.register_table(
-                output_name,
-                Table(output_name, infer_schema(execution.rows),
-                      execution.rows),
-            )
-        else:
-            rows = execution.rows
-    seconds = sum(ex.total_seconds for ex in executions)
-    return WorkloadRun(workload.name, variant, seconds, rows, executions)
-
-
-def _run_relopt(tables, workload: Workload,
-                config: DynoConfig) -> WorkloadRun:
-    """DBMS-X: statistics gathered up front, plan hand-coded and executed.
-
-    Only plan execution time is reported (the paper obtains the plan from
-    DBMS-X offline and replays it in Jaql). DBMS-X plans with the
-    conservative broadcast margin of a production optimizer."""
-    relopt_config = replace(config, optimizer=relopt_optimizer_config(config))
-    dyno = Dyno(tables, config=relopt_config, udfs=workload.udfs)
-    executions: list[QueryExecution] = []
-    rows: list[dict[str, Any]] = []
-    for position, (spec, output_name) in enumerate(workload.stages):
-        extracted = dyno.prepare(spec, name=f"stage{position}")
-        override = relopt_leaf_stats(dyno.tables, extracted.block)
-        execution = dyno.execute(
-            spec, mode="simple", strategy="SIMPLE_MO", run_pilots=False,
-            leaf_stats_override=override, name=f"stage{position}",
-        )
-        executions.append(execution)
-        if output_name is not None:
-            dyno.register_table(
-                output_name,
-                Table(output_name, infer_schema(execution.rows),
-                      execution.rows),
-            )
-        else:
-            rows = execution.rows
-    seconds = sum(ex.execution_seconds for ex in executions)
-    return WorkloadRun(workload.name, VARIANT_RELOPT, seconds, rows,
-                       executions)
 
 
 def _run_best_static(tables, workload: Workload, config: DynoConfig,

@@ -319,7 +319,18 @@ def _run_query(service, args: argparse.Namespace, out) -> int:
         name, stages = "cli", [(service.dyno.parse(sql, name="cli"), None)]
     final_spec = stages[-1][0]
     if args.explain:
-        print(service.dyno.explain(final_spec), file=out)
+        # A stage that reads an earlier stage's output cannot be planned
+        # before that table exists; it is named with what it waits for.
+        written: set[str] = set()
+        for position, (spec, output_name) in enumerate(stages):
+            block = service.dyno.prepare(spec).block
+            waits = sorted(written & {leaf.source_name
+                                      for leaf in block.base_leaves()})
+            print(f"stage {position} ({block.name}) waits for "
+                  f"{', '.join(waits)}" if waits
+                  else service.dyno.explain(spec), file=out)
+            if output_name is not None:
+                written.add(output_name)
         return 0
     ticket = service.scheduler.submit(QueryRequest(
         name, stages, mode=args.mode, strategy=args.strategy,

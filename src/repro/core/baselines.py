@@ -23,10 +23,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from functools import partial
+from typing import Callable, Iterator
 
 from repro.config import DynoConfig
-from repro.data.table import Table
+from repro.data.table import Row, Table
 from repro.errors import PlanError
 from repro.jaql.blocks import BlockLeaf, JoinBlock
 from repro.jaql.expr import qualify_row
@@ -42,7 +43,7 @@ from repro.optimizer.plans import (
 )
 from repro.optimizer.search import JoinOptimizer
 from repro.core.pilot import signature_stats_columns
-from repro.stats.statistics import RunningStats, TableStats
+from repro.stats.statistics import TableStats, stats_from_table_scan
 
 
 # ---------------------------------------------------------------------------
@@ -50,31 +51,20 @@ from repro.stats.statistics import RunningStats, TableStats
 # ---------------------------------------------------------------------------
 
 
-def oracle_leaf_stats(tables: dict[str, Table], block: JoinBlock,
-                      kmv_size: int = 1024) -> dict[str, TableStats]:
+def oracle_leaf_stats(tables: dict[str, Table],
+                      block: JoinBlock) -> dict[str, TableStats]:
     """Ground-truth statistics: full scan with all local predicates applied."""
     stats: dict[str, TableStats] = {}
     for leaf in block.base_leaves():
         signature = leaf.signature()
-        if signature in stats:
-            continue
-        columns = signature_stats_columns(block, leaf)
-        running = RunningStats(columns, kmv_size)
-        table = _table_of(tables, leaf)
-        for row in table.rows:
-            qualified = leaf.qualify_and_filter(row)
-            if qualified is None:
-                continue
-            running.update(
-                row=qualified,
-                row_bytes=table.schema.estimated_row_size(row),
-            )
-        stats[signature] = running.freeze(exact=True)
+        if signature not in stats:
+            stats[signature] = _scan_stats(tables, block, leaf,
+                                           leaf.qualify_and_filter)
     return stats
 
 
-def jaql_file_size_stats(tables: dict[str, Table], block: JoinBlock,
-                         kmv_size: int = 1024) -> dict[str, TableStats]:
+def jaql_file_size_stats(tables: dict[str, Table],
+                         block: JoinBlock) -> dict[str, TableStats]:
     """What stock Jaql knows: whole-file sizes, predicates ignored."""
     stats: dict[str, TableStats] = {}
     cache: dict[tuple[str, tuple[str, ...]], TableStats] = {}
@@ -86,22 +76,15 @@ def jaql_file_size_stats(tables: dict[str, Table], block: JoinBlock,
         cache_key = (leaf.source_name, tuple(columns))
         cached = cache.get(cache_key)
         if cached is None:
-            table = _table_of(tables, leaf)
-            running = RunningStats(columns, kmv_size)
-            alias = leaf.alias
-            for row in table.rows:
-                running.update(
-                    qualify_row(alias, row),
-                    table.schema.estimated_row_size(row),
-                )
-            cached = running.freeze(exact=True)
+            cached = _scan_stats(tables, block, leaf,
+                                 partial(qualify_row, leaf.alias))
             cache[cache_key] = cached
         stats[signature] = cached
     return stats
 
 
-def relopt_leaf_stats(tables: dict[str, Table], block: JoinBlock,
-                      kmv_size: int = 1024) -> dict[str, TableStats]:
+def relopt_leaf_stats(tables: dict[str, Table],
+                      block: JoinBlock) -> dict[str, TableStats]:
     """DBMS-X's view: exact single-predicate selectivities multiplied under
     the independence assumption; UDFs contribute selectivity 1.0."""
     stats: dict[str, TableStats] = {}
@@ -110,16 +93,13 @@ def relopt_leaf_stats(tables: dict[str, Table], block: JoinBlock,
         if signature in stats:
             continue
         table = _table_of(tables, leaf)
-        columns = signature_stats_columns(block, leaf)
-        running = RunningStats(columns, kmv_size)
         alias = leaf.alias
         qualified_rows = [qualify_row(alias, row) for row in table.rows]
-        row_bytes = [
-            table.schema.estimated_row_size(row) for row in table.rows
-        ]
-        for qualified, size in zip(qualified_rows, row_bytes):
-            running.update(qualified, size)
-        full = running.freeze(exact=True)
+        full = stats_from_table_scan(
+            zip(qualified_rows,
+                map(table.schema.estimated_row_size, table.rows)),
+            signature_stats_columns(block, leaf),
+        )
 
         selectivity = 1.0
         for predicate in leaf.predicates:
@@ -135,6 +115,19 @@ def relopt_leaf_stats(tables: dict[str, Table], block: JoinBlock,
         estimated_bytes = full.size_bytes * selectivity
         stats[signature] = full.scaled_to(estimated_rows, estimated_bytes)
     return stats
+
+
+def _scan_stats(tables: dict[str, Table], block: JoinBlock, leaf: BlockLeaf,
+                qualify: Callable[[Row], Row | None]) -> TableStats:
+    """Exact statistics of the leaf's table, scanned through ``qualify``
+    (None drops a row); each row is sized as the table stores it."""
+    table = _table_of(tables, leaf)
+    size = table.schema.estimated_row_size
+    return stats_from_table_scan(
+        ((qualified, size(row)) for row in table.rows
+         if (qualified := qualify(row)) is not None),
+        signature_stats_columns(block, leaf),
+    )
 
 
 def _table_of(tables: dict[str, Table], leaf: BlockLeaf) -> Table:
@@ -319,11 +312,10 @@ def relopt_optimizer_config(config: DynoConfig):
 
 
 def relopt_plan(block: JoinBlock, tables: dict[str, Table],
-                config: DynoConfig,
-                kmv_size: int = 1024) -> tuple[PhysicalNode,
-                                               dict[str, TableStats]]:
+                config: DynoConfig) -> tuple[PhysicalNode,
+                                             dict[str, TableStats]]:
     """The plan DBMS-X would pick, plus the statistics it believed."""
-    stats = relopt_leaf_stats(tables, block, kmv_size)
+    stats = relopt_leaf_stats(tables, block)
     optimizer = JoinOptimizer(block, stats, relopt_optimizer_config(config),
                               config.cluster)
     return optimizer.optimize().plan, stats

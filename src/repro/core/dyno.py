@@ -51,12 +51,19 @@ from repro.jaql.parser import SqlParser
 from repro.jaql.rewrites import push_down_filters
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.stats.metastore import StatisticsMetastore
+from repro.stats.statistics import TableStats
 from repro.core.dynopt import (
     BlockExecutionResult,
     DynoptExecutor,
     MODE_DYNOPT,
 )
 from repro.optimizer.plans import render_plan
+
+
+#: A caller's leaf statistics: ``(tables, block) -> {signature: stats}``
+#: (e.g. :func:`repro.core.baselines.oracle_leaf_stats`).
+LeafStatsSource = Callable[[dict[str, Table], JoinBlock],
+                           dict[str, TableStats]]
 
 
 @dataclass
@@ -67,6 +74,8 @@ class QueryExecution:
     rows: list[Row]
     block_results: list[BlockExecutionResult] = field(default_factory=list)
     stage_seconds: float = 0.0
+    #: ``execute_multi``'s per-stage executions, in order.
+    stages: list[QueryExecution] = field(default_factory=list)
 
     @property
     def pilot_seconds(self) -> float:
@@ -179,9 +188,12 @@ class Dyno:
 
     def execute(self, query: QuerySpec | str, mode: str = MODE_DYNOPT,
                 strategy: str = "UNC-1", pilot_mode: str = "MT",
-                run_pilots: bool = True, reuse_statistics: bool = True,
-                leaf_stats_override=None, collect_column_stats: bool = True,
+                leaf_stats: LeafStatsSource | None = None,
+                collect_column_stats: bool = True,
                 name: str = "query") -> QueryExecution:
+        """Run one query; ``leaf_stats`` None gives its block pilot runs
+        (with metastore reuse), a function gives it the caller's
+        statistics, ``leaf_stats(self.tables, block)``, and no pilots."""
         return self._execute(
             query, name, mode, str(strategy),
             lambda block: self.executor.execute_block(
@@ -189,12 +201,14 @@ class Dyno:
                 mode=mode,
                 strategy=strategy,
                 pilot_mode=pilot_mode,
-                run_pilots=run_pilots,
-                reuse_statistics=reuse_statistics,
-                leaf_stats_override=leaf_stats_override,
+                leaf_stats=self._resolve(leaf_stats, block),
                 collect_column_stats=collect_column_stats,
             ),
         )
+
+    def _resolve(self, leaf_stats: LeafStatsSource | None,
+                 block: JoinBlock) -> dict[str, TableStats] | None:
+        return None if leaf_stats is None else leaf_stats(self.tables, block)
 
     def execute_with_plan(self, query: QuerySpec | str, plan,
                           name: str = "query") -> QueryExecution:
@@ -230,34 +244,30 @@ class Dyno:
                      sim_execution_s=round(execution.execution_seconds, 6))
         return execution
 
-    def explain(self, query: QuerySpec | str, run_pilots: bool = True,
+    def explain(self, query: QuerySpec | str,
+                leaf_stats: LeafStatsSource | None = None,
                 name: str = "query") -> str:
         """Plan a query and return a human-readable report, no execution.
 
-        With ``run_pilots`` the leaf statistics come from pilot runs (which
-        do execute sample jobs, like the real system's EXPLAIN would after
-        step 3 of Figure 1); otherwise ground-truth oracle statistics are
-        used.
+        The leaf statistics come from the source ``execute`` would use:
+        pilot runs by default (which do execute sample jobs, like the real
+        system's EXPLAIN would after step 3 of Figure 1), or the caller's
+        ``leaf_stats`` function, which nothing records.
         """
         extracted = self.prepare(query, name)
-        block = extracted.block
-        lines = [block.describe(), ""]
-
-        if run_pilots:
-            report = self.executor.pilot_runner.run(block)
-            block = self.executor._apply_reusable_outputs(block, report)
+        block, report, known = self.executor.leaf_statistics(
+            extracted.block, self._resolve(leaf_stats, extracted.block))
+        lines = [extracted.block.describe(), ""]
+        if report is None:
+            source = getattr(leaf_stats, "__name__", "caller's")
+            lines.append(f"statistics: {source} (no pilot runs)")
+        else:
             lines.append(
                 f"pilot runs: {report.jobs_run} job(s), "
                 f"{report.simulated_seconds:.1f}s simulated"
             )
-            leaf_stats = self.executor._leaf_stats(block)
-        else:
-            from repro.core.baselines import oracle_leaf_stats
-
-            leaf_stats = oracle_leaf_stats(self.tables, block)
-            lines.append("statistics: oracle (full scans)")
         for leaf in block.leaves:
-            stats = leaf_stats[leaf.signature()]
+            stats = known[leaf.signature()]
             lines.append(
                 f"  {leaf.describe()}: ~{stats.row_count:.0f} rows, "
                 f"~{stats.size_bytes:.0f} bytes"
@@ -265,7 +275,7 @@ class Dyno:
 
         # The executor's own planning call, so the reported plan is the
         # one execution would choose from the same statistics.
-        result = self.executor._optimize(block, leaf_stats=leaf_stats,
+        result = self.executor._optimize(block, leaf_stats=known,
                                          record=False)
         lines += ["", f"best plan (estimated cost {result.cost:.0f}, "
                       f"{result.plans_considered} candidates):",
@@ -300,33 +310,33 @@ class Dyno:
         Each element is ``(query, output_table_name)``; intermediate results
         register as base tables for later stages. The final stage must have
         ``None`` as its output name; its rows are returned.
+        ``execute_kwargs`` go to every stage's :meth:`execute` (a
+        ``leaf_stats`` function is asked once per block).
         """
         if not stages:
             raise PlanError("execute_multi requires at least one stage")
-        combined: QueryExecution | None = None
+        if stages[-1][1] is not None:
+            raise PlanError("final stage must not name an output")
+        for position, (_, output_name) in enumerate(stages[:-1]):
+            if output_name is None:
+                raise PlanError(
+                    f"intermediate stage {position} needs an output name"
+                )
+        executions: list[QueryExecution] = []
         for position, (query, output_name) in enumerate(stages):
             execution = self.execute(
                 query, name=f"stage{position}", **execute_kwargs
             )
-            if combined is None:
-                combined = QueryExecution(execution.query_name, [])
-            combined.block_results.extend(execution.block_results)
-            combined.stage_seconds += execution.stage_seconds
-            is_last = position == len(stages) - 1
-            if is_last:
-                if output_name is not None:
-                    raise PlanError("final stage must not name an output")
-                combined.rows = execution.rows
-            else:
-                if output_name is None:
-                    raise PlanError(
-                        f"intermediate stage {position} needs an output name"
-                    )
+            executions.append(execution)
+            if output_name is not None:
                 table = Table(output_name, infer_schema(execution.rows),
                               execution.rows)
                 self.register_table(output_name, table)
-        assert combined is not None
-        return combined
+        return QueryExecution(
+            executions[0].query_name, executions[-1].rows,
+            [result for ex in executions for result in ex.block_results],
+            sum(ex.stage_seconds for ex in executions), executions,
+        )
 
     # -- post-join stages --------------------------------------------------------------------
 

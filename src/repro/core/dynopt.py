@@ -188,15 +188,14 @@ class DynoptExecutor:
         mode: str = MODE_DYNOPT,
         strategy: ExecutionStrategy | str = "UNC-1",
         pilot_mode: str = "MT",
-        run_pilots: bool = True,
-        reuse_statistics: bool = True,
-        leaf_stats_override: dict[str, TableStats] | None = None,
+        leaf_stats: dict[str, TableStats] | None = None,
         collect_column_stats: bool = True,
     ) -> BlockExecutionResult:
         """Run one join block to completion; returns timings and plans.
 
-        ``leaf_stats_override`` bypasses pilot runs with caller-provided
-        leaf statistics (used by the RELOPT baseline).
+        ``leaf_stats`` is the source of the block's leaf statistics (see
+        :meth:`leaf_statistics`); the caller's are recorded in the
+        metastore, where re-optimization reads them.
         """
         if mode not in (MODE_DYNOPT, MODE_SIMPLE):
             raise PlanError(f"unknown execution mode: {mode!r}")
@@ -207,17 +206,14 @@ class DynoptExecutor:
 
         with self.tracer.span("block", block=block.name, mode=mode,
                               strategy=strategy.name) as span:
-            if leaf_stats_override is not None:
-                for signature, stats in leaf_stats_override.items():
+            block, report, known = self.leaf_statistics(block, leaf_stats,
+                                                        pilot_mode)
+            if report is None:
+                for signature, stats in known.items():
                     self.metastore.put(signature, stats)
-            elif run_pilots:
-                report = self.pilot_runner.run(
-                    block, mode=pilot_mode,
-                    reuse_statistics=reuse_statistics
-                )
+            else:
                 result.pilot = report
                 result.pilot_seconds = report.simulated_seconds
-                block = self._apply_reusable_outputs(block, report)
 
             self._run(
                 block.name, strategy, result, block=block,
@@ -692,41 +688,60 @@ class DynoptExecutor:
                         optimization.cost)
         return optimization
 
-    def _leaf_stats(self, block: JoinBlock) -> dict[str, TableStats]:
+    def leaf_statistics(
+        self, block: JoinBlock,
+        leaf_stats: dict[str, TableStats] | None = None,
+        pilot_mode: str = "MT",
+    ) -> tuple[JoinBlock, PilotReport | None, dict[str, TableStats]]:
+        """Give ``block`` its leaf statistics, from one of two sources.
+
+        With ``leaf_stats`` None the pilot runs produce them, reusing what
+        the metastore already holds; otherwise they are the caller's and no
+        pilot runs (RELOPT's up-front statistics, Section 6.1). Returns the
+        block to plan, the pilot report (None for the caller's statistics)
+        and every leaf's statistics. The caller's are not recorded.
+
+        Selective-predicate optimization (Section 4.1): pilot outputs
+        covering the whole relation replace their leaf.
+        """
+        report = None
+        if leaf_stats is None:
+            report = self.pilot_runner.run(block, mode=pilot_mode)
+            for leaf in block.base_leaves():
+                outcome = report.outcomes.get(leaf.signature())
+                if outcome is None or outcome.reusable_output is None:
+                    continue
+                if outcome.alias not in leaf.aliases:
+                    # Self-joins share one pilot run per signature, but its
+                    # output rows are qualified under the alias that ran it.
+                    continue
+                if len(block.leaves) == 1:
+                    continue  # keep the final job; nothing to substitute into
+                self.metastore.put(
+                    f"intermediate:{outcome.reusable_output}", outcome.stats
+                )
+                block = block.substitute(
+                    leaf.aliases, outcome.reusable_output, (),
+                    provenance=leaf.signature(),
+                )
+        return block, report, self._leaf_stats(block, leaf_stats)
+
+    def _leaf_stats(self, block: JoinBlock,
+                    source: dict[str, TableStats] | None = None,
+                    ) -> dict[str, TableStats]:
+        """Every leaf's statistics from ``source`` (default: the metastore)."""
+        lookup = self.metastore.get if source is None else source.get
         stats: dict[str, TableStats] = {}
         for leaf in block.leaves:
             signature = leaf.signature()
-            entry = self.metastore.get(signature)
+            entry = lookup(signature)
             if entry is None:
                 raise PlanError(
                     f"no statistics for leaf {leaf.describe()}; run pilots "
-                    f"or provide leaf_stats_override"
+                    f"or provide leaf_stats"
                 )
             stats[signature] = entry
         return stats
-
-    def _apply_reusable_outputs(self, block: JoinBlock,
-                                report: PilotReport) -> JoinBlock:
-        """Selective-predicate optimization (Section 4.1): pilot outputs
-        covering the whole relation replace their leaf."""
-        for leaf in block.base_leaves():
-            outcome = report.outcomes.get(leaf.signature())
-            if outcome is None or outcome.reusable_output is None:
-                continue
-            if outcome.alias not in leaf.aliases:
-                # Self-joins share one pilot run per signature, but its
-                # output rows are qualified under the alias that ran it.
-                continue
-            if len(block.leaves) == 1:
-                continue  # keep the final job; nothing to substitute into
-            self.metastore.put(
-                f"intermediate:{outcome.reusable_output}", outcome.stats
-            )
-            block = block.substitute(
-                leaf.aliases, outcome.reusable_output, (),
-                provenance=leaf.signature(),
-            )
-        return block
 
     def _stats_columns(self, block: JoinBlock, chosen: list[CompiledJob],
                        job: CompiledJob) -> list[str]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable
 
 from repro.data.table import Row
 from repro.errors import StatisticsError
@@ -25,9 +25,6 @@ from repro.stats.kmv import KMVSynopsis
 def _comparable(value: Any) -> bool:
     return isinstance(value, (int, float, str)) and not isinstance(value, bool)
 
-
-#: Callable estimating the serialized size of one row.
-RowSizer = Callable[[Row], int]
 
 #: Buckets used for the optional equi-depth histograms (paper Section 4.3:
 #: "further statistics can be collected, including ... histograms. This
@@ -812,11 +809,11 @@ def requalify_stats(stats: TableStats, alias: str) -> TableStats:
                       exact=stats.exact)
 
 
-def stats_from_table_scan(rows: Iterable[Row], columns: Iterable[str],
-                          row_size: RowSizer, kmv_size: int = 1024,
-                          ) -> TableStats:
-    """Exact statistics from a full scan (used for RELOPT's base stats)."""
-    running = RunningStats(columns, kmv_size)
-    for row in rows:
-        running.update(row, row_size(row))
+def stats_from_table_scan(scanned: Iterable[tuple[Row, int]],
+                          columns: Iterable[str]) -> TableStats:
+    """Exact statistics from a full scan of ``(row, size in bytes)`` pairs
+    (the baselines' up-front statistics, :mod:`repro.core.baselines`)."""
+    running = RunningStats(columns)
+    for row, row_bytes in scanned:
+        running.update(row, row_bytes)
     return running.freeze(exact=True)

@@ -125,6 +125,17 @@ class TestExecution:
         assert "best plan" in output
         assert "result row(s)" not in output
 
+    def test_explain_multi_stage_workload(self):
+        """Stage 0 is explained; Q2's outer block reads stage 0's output,
+        which no explain writes, so it is named with what it waits for."""
+        code, output = run_cli("--workload", "Q2",
+                               "--scale-factor", "0.05", "--explain")
+        assert code == 0
+        assert "join block Q2a:" in output
+        assert "best plan" in output
+        assert output.rstrip().endswith("stage 1 (Q2) waits for q2mincost")
+        assert "result row(s)" not in output
+
     def test_multi_stage_workload(self):
         code, output = run_cli("--workload", "Q2",
                                "--scale-factor", "0.05", "--mode", "simple")

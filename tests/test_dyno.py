@@ -115,33 +115,51 @@ class TestStages:
         assert execution.plans
 
 
+def _q2_reference(tables, workload):
+    """Run the inner block through the interpreter, register its output,
+    then interpret the outer query."""
+    from repro.data.table import Table
+    from repro.jaql.interpreter import Interpreter
+    from repro.jaql.rewrites import push_down_filters
+
+    inner_spec, inner_name = workload.stages[0]
+    inner_rows = Interpreter(tables).run(
+        QuerySpec("i", push_down_filters(inner_spec.root))
+    )
+    extended = dict(tables)
+    extended[inner_name] = Table(inner_name, infer_schema(inner_rows),
+                                 inner_rows)
+    outer_spec, _ = workload.stages[1]
+    return Interpreter(extended).run(
+        QuerySpec("o", push_down_filters(outer_spec.root))
+    )
+
+
 class TestMultiBlock:
     def test_q2_matches_manual_two_phase_reference(self, dyno_factory,
                                                    tpch_tables):
         workload = q2()
         dyno = dyno_factory(udfs=workload.udfs)
         execution = dyno.execute_multi(workload.stages)
-
-        # Reference: run the inner block through the interpreter, register
-        # its output, then interpret the outer query.
-        from repro.data.table import Table
-        from repro.jaql.interpreter import Interpreter
-        from repro.jaql.rewrites import push_down_filters
-        from repro.jaql.expr import QuerySpec
-
-        inner_spec, inner_name = workload.stages[0]
-        inner_rows = Interpreter(tpch_tables).run(
-            QuerySpec("i", push_down_filters(inner_spec.root))
-        )
-        extended = dict(tpch_tables)
-        extended[inner_name] = Table(inner_name, infer_schema(inner_rows),
-                                     inner_rows)
-        outer_spec, _ = workload.stages[1]
-        expected = Interpreter(extended).run(
-            QuerySpec("o", push_down_filters(outer_spec.root))
-        )
-        assert_same_rows(execution.rows, expected)
+        assert_same_rows(execution.rows, _q2_reference(tpch_tables, workload))
         assert len(execution.block_results) == 2
+
+    def test_q2_with_caller_statistics_runs_no_pilots(self, dyno_factory,
+                                                      tpch_tables):
+        """A ``leaf_stats`` function serves every stage, the one reading
+        stage 0's output table included."""
+        from repro.core.baselines import oracle_leaf_stats
+
+        workload = q2()
+        dyno = dyno_factory(udfs=workload.udfs)
+        execution = dyno.execute_multi(workload.stages,
+                                       leaf_stats=oracle_leaf_stats)
+        assert [result.pilot for result in execution.block_results] == \
+            [None, None]
+        assert execution.pilot_seconds == 0.0
+        # A pilot job writes <block>.pilr<i>.out; none was written.
+        assert not [name for name in dyno.dfs.list_files() if ".pilr" in name]
+        assert_same_rows(execution.rows, _q2_reference(tpch_tables, workload))
 
     def test_multi_requires_final_stage_unnamed(self, dyno_factory):
         workload = q10()
@@ -209,20 +227,27 @@ class TestExplain:
         assert "then: groupby stage" in report
 
     def test_explain_with_oracle(self, dyno_factory):
+        from repro.core.baselines import oracle_leaf_stats
         from repro.workloads.queries import q10 as q10_factory
 
         workload = q10_factory()
         dyno = dyno_factory(udfs=workload.udfs)
-        report = dyno.explain(workload.final_spec, run_pilots=False)
-        assert "oracle" in report
+        report = dyno.explain(workload.final_spec,
+                              leaf_stats=oracle_leaf_stats)
+        assert "statistics: oracle_leaf_stats (no pilot runs)" in report
+        assert "pilot runs:" not in report
         assert "./" in report  # a join operator was rendered
+        # The caller's statistics are not recorded.
+        assert len(dyno.metastore) == 0
 
     def test_explain_does_not_execute_the_plan(self, dyno_factory):
+        from repro.core.baselines import oracle_leaf_stats
+
         dyno = dyno_factory()
         report = dyno.explain(
             "SELECT n.n_name AS x FROM nation n, region r "
             "WHERE n.n_regionkey = r.r_regionkey",
-            run_pilots=False,
+            leaf_stats=oracle_leaf_stats,
         )
         assert report
         # Only base tables live in the DFS: nothing was materialized.

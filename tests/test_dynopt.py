@@ -114,11 +114,17 @@ class TestDynamicBehaviour:
             dyno.executor.execute_block(extracted.block, mode="warp")
 
     def test_missing_stats_without_pilots_rejected(self, dyno_factory):
+        """Caller statistics replace the pilots: a leaf they miss has
+        none, so the block is refused before anything runs."""
+        from repro.core.baselines import oracle_leaf_stats
+
         workload = q10()
         dyno = dyno_factory(udfs=workload.udfs)
-        extracted = dyno.prepare(workload.final_spec)
+        block = dyno.prepare(workload.final_spec).block
+        partial = oracle_leaf_stats(dyno.tables, block)
+        partial.pop(block.leaves[0].signature())
         with pytest.raises(PlanError):
-            dyno.executor.execute_block(extracted.block, run_pilots=False)
+            dyno.executor.execute_block(block, leaf_stats=partial)
 
     def test_leaf_stats_override_bypasses_pilots(self, dyno_factory,
                                                  tpch_tables):
@@ -127,10 +133,9 @@ class TestDynamicBehaviour:
         workload = q10()
         dyno = dyno_factory(udfs=workload.udfs)
         extracted = dyno.prepare(workload.final_spec)
-        override = oracle_leaf_stats(dyno.tables, extracted.block)
         result = dyno.executor.execute_block(
             extracted.block, mode=MODE_SIMPLE,
-            leaf_stats_override=override,
+            leaf_stats=oracle_leaf_stats(dyno.tables, extracted.block),
         )
         assert result.pilot is None
         assert result.pilot_seconds == 0.0

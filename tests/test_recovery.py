@@ -69,7 +69,7 @@ class TestBroadcastOverflowReplan:
         }
         result = dyno.executor.execute_block(
             extracted.block, mode=MODE_DYNOPT, strategy="UNC-1",
-            leaf_stats_override=lying_stats,
+            leaf_stats=lying_stats,
         )
         return dyno, workload, result
 

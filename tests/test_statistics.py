@@ -236,7 +236,8 @@ class TestRequalify:
 class TestTableScan:
     def test_stats_from_table_scan(self):
         rows = [{"x": i % 5, "y": i} for i in range(100)]
-        stats = stats_from_table_scan(rows, ["x", "y"], lambda row: 12)
+        stats = stats_from_table_scan(((row, 12) for row in rows),
+                                      ["x", "y"])
         assert stats.exact
         assert stats.row_count == 100
         assert stats.size_bytes == 1200
