@@ -275,8 +275,7 @@ class Dyno:
 
         # The executor's own planning call, so the reported plan is the
         # one execution would choose from the same statistics.
-        result = self.executor._optimize(block, leaf_stats=known,
-                                         record=False)
+        result = self.executor._optimize(block, known, record=False)
         lines += ["", f"best plan (estimated cost {result.cost:.0f}, "
                       f"{result.plans_considered} candidates):",
                   render_plan(result.plan, show_estimates=True)]
@@ -291,16 +290,21 @@ class Dyno:
         return "\n".join(lines)
 
     def save_statistics(self, path) -> None:
-        """Persist the statistics metastore (Section 4.1's 'file')."""
+        """Persist the statistics metastore (Section 4.1's 'file'): the
+        base-leaf statistics pilot runs measured."""
         self.metastore.save(path)
 
     def load_statistics(self, path) -> int:
-        """Merge statistics persisted by an earlier session; returns count."""
+        """Merge base-leaf statistics persisted by an earlier session;
+        returns their count. Other entries (an older file's per-query
+        ``intermediate:`` statistics) name files of a session that is
+        gone and are skipped."""
         loaded = StatisticsMetastore.load(path)
         count = 0
         for signature in loaded:
-            self.metastore.put(signature, loaded.get(signature))
-            count += 1
+            if signature.startswith("table:"):
+                self.metastore.put(signature, loaded.get(signature))
+                count += 1
         return count
 
     def execute_multi(self, stages: list[tuple[QuerySpec | str, str | None]],

@@ -51,12 +51,7 @@ from repro.optimizer.search import JoinOptimizer
 from repro.stats.collector import stats_scope
 from repro.stats.metastore import StatisticsMetastore
 from repro.stats.statistics import TableStats
-from repro.core.pilot import (
-    PilotReport,
-    PilotRunner,
-    composite_join_columns,
-    predicate_columns,
-)
+from repro.core.pilot import PilotReport, PilotRunner, stats_columns
 from repro.core.strategies import ExecutionStrategy, strategy_named
 
 MODE_DYNOPT = "dynopt"
@@ -172,9 +167,9 @@ class DynoptExecutor:
     def __init__(self, runtime: ClusterRuntime,
                  metastore: StatisticsMetastore, config: DynoConfig):
         self.runtime = runtime
-        self.metastore = metastore
         self.config = config
         self.tracer = runtime.tracer
+        # Pilot runs are the executor's one metastore writer.
         self.pilot_runner = PilotRunner(runtime, metastore, config)
         #: optional cross-query plan cache, installed by the service layer
         #: (see :mod:`repro.service.plan_cache`). None = always optimize.
@@ -194,8 +189,10 @@ class DynoptExecutor:
         """Run one join block to completion; returns timings and plans.
 
         ``leaf_stats`` is the source of the block's leaf statistics (see
-        :meth:`leaf_statistics`); the caller's are recorded in the
-        metastore, where re-optimization reads them.
+        :meth:`leaf_statistics`). They seed the block's one statistics
+        dict, which the loop extends with each executed job's output and
+        every (re-)optimization plans from; none of it reaches the
+        metastore.
         """
         if mode not in (MODE_DYNOPT, MODE_SIMPLE):
             raise PlanError(f"unknown execution mode: {mode!r}")
@@ -208,15 +205,12 @@ class DynoptExecutor:
                               strategy=strategy.name) as span:
             block, report, known = self.leaf_statistics(block, leaf_stats,
                                                         pilot_mode)
-            if report is None:
-                for signature, stats in known.items():
-                    self.metastore.put(signature, stats)
-            else:
+            if report is not None:
                 result.pilot = report
                 result.pilot_seconds = report.simulated_seconds
 
             self._run(
-                block.name, strategy, result, block=block,
+                block.name, strategy, result, block=block, known=known,
                 threshold=(inf if mode == MODE_SIMPLE
                            else self.config.reoptimization_qerror_threshold),
                 collect_column_stats=collect_column_stats,
@@ -270,16 +264,17 @@ class DynoptExecutor:
         """
         result = BlockExecutionResult(block.name, MODE_SIMPLE)
         budget = self.config.cluster.task_memory_bytes
+        known: dict[str, TableStats] = {}
 
         def next_step(current: JoinBlock, banned: frozenset) -> PhysicalNode:
             # Executed subtrees become the block's intermediate leaves,
-            # sized from the exact statistics ``_substitute`` recorded: a
-            # node loss may have deleted the file, and the loop rebuilds
-            # it only once a job reads it again.
+            # sized from the exact statistics ``_substitute`` added to
+            # ``known``: a node loss may have deleted the file, and the
+            # loop rebuilds it only once a job reads it again.
             executed = {}
             for leaf in current.leaves:
                 if not leaf.is_base:
-                    stats = self.metastore.get(leaf.signature())
+                    stats = known[leaf.signature()]
                     executed[leaf.aliases] = PhysLeaf(
                         aliases=leaf.aliases, est_rows=stats.row_count,
                         est_bytes=stats.size_bytes, cost=0.0, leaf=leaf)
@@ -316,7 +311,7 @@ class DynoptExecutor:
                            right=build, chained=False)
 
         self._run(block.name, strategy_named("SIMPLE_SO"), result,
-                  block=block, next_step=next_step)
+                  block=block, known=known, next_step=next_step)
         return result
 
     def execute_stage_job(self, compiled: CompiledJob,
@@ -339,6 +334,7 @@ class DynoptExecutor:
     def _run(self, name: str, strategy: ExecutionStrategy,
              result: BlockExecutionResult,
              block: JoinBlock | None = None,
+             known: dict[str, TableStats] | None = None,
              fixed: _Planned | None = None,
              threshold: float = inf,
              collect_column_stats: bool = True,
@@ -363,6 +359,11 @@ class DynoptExecutor:
         collected, and a strategy of unbounded parallelism gets the
         whole remaining graph, dependencies included, as one batch.
 
+        ``known`` is the block's statistics by leaf signature, the one
+        dict the optimizer and ``next_step`` read: each executed job's
+        output joins it, exactly measured, when it replaces its aliases
+        in ``block``.
+
         This loop is also where failures recover (Section 1: materialized
         checkpoints make re-optimization fault-tolerant). A *permanent*
         job failure (task retries exhausted, broadcast build overflow)
@@ -375,6 +376,8 @@ class DynoptExecutor:
         its producing sub-plan, found through the provenance map.
         """
         recovery = _RecoveryState()
+        if known is None:
+            known = {}
         iteration = 0
         tag = ("dj" if next_step is not None
                else "s" if threshold == inf else "it")
@@ -388,7 +391,8 @@ class DynoptExecutor:
                 completed = set()
             elif fixed is None:
                 optimization = self._optimize(
-                    block, recovery.banned_broadcast, iteration=iteration)
+                    block, known, recovery.banned_broadcast,
+                    iteration=iteration)
                 result.optimizer_seconds += optimization.simulated_seconds
                 result.plans.append(optimization.plan)
                 planned = self._compile(
@@ -425,10 +429,12 @@ class DynoptExecutor:
                 collect = threshold != inf and \
                     len(completed) + len(chosen) < graph.job_count
                 if collect and collect_column_stats:
+                    executed = [c.output_aliases for c in chosen]
+                    applied = {predicate for c in chosen
+                               for predicate in c.applied_predicates}
                     for compiled in chosen:
-                        compiled.job.stats_columns = self._stats_columns(
-                            block, chosen, compiled
-                        )
+                        compiled.job.stats_columns = stats_columns(
+                            block, compiled.output_aliases, executed, applied)
 
                 jobs, dependencies = _with_slices(chosen, dependencies)
                 try:
@@ -472,7 +478,7 @@ class DynoptExecutor:
                         for job in (compiled.slice_job, compiled.job):
                             if job is not None:
                                 recovery.provenance[job.output_name] = job
-                        block = self._substitute(block, compiled,
+                        block = self._substitute(block, known, compiled,
                                                  job_result)
                         missed_by = self._audit_estimate(
                             compiled, job_result, iteration, threshold)
@@ -644,19 +650,17 @@ class DynoptExecutor:
 
     # -- helpers --------------------------------------------------------------------------
 
-    def _optimize(self, block: JoinBlock,
+    def _optimize(self, block: JoinBlock, leaf_stats: dict[str, TableStats],
                   banned_broadcast: frozenset = frozenset(),
                   iteration: int = 0,
-                  leaf_stats: dict[str, TableStats] | None = None,
                   record: bool = True):
-        """The one planning call: bans applied.
+        """The one planning call: ``block`` from ``leaf_stats``, bans
+        applied.
 
         ``record`` False plans without leaving a trace in the plan cache
         (``Dyno.explain``: explaining must not change what later queries
-        reuse); ``leaf_stats`` replaces the metastore's.
+        reuse).
         """
-        if leaf_stats is None:
-            leaf_stats = self._leaf_stats(block)
         # Recovery replans carry banned broadcasts that are not part of the
         # cache key; bypass the cache entirely on that (rare) path.
         cache = self.plan_cache if record and not banned_broadcast else None
@@ -699,7 +703,9 @@ class DynoptExecutor:
         the metastore already holds; otherwise they are the caller's and no
         pilot runs (RELOPT's up-front statistics, Section 6.1). Returns the
         block to plan, the pilot report (None for the caller's statistics)
-        and every leaf's statistics. The caller's are not recorded.
+        and every leaf's statistics: the block's one statistics dict. Only
+        pilot runs write the metastore; the caller's statistics stay
+        with this block.
 
         Selective-predicate optimization (Section 4.1): pilot outputs
         covering the whole relation replace their leaf.
@@ -707,6 +713,8 @@ class DynoptExecutor:
         report = None
         if leaf_stats is None:
             report = self.pilot_runner.run(block, mode=pilot_mode)
+            leaf_stats = {signature: outcome.stats
+                          for signature, outcome in report.outcomes.items()}
             for leaf in block.base_leaves():
                 outcome = report.outcomes.get(leaf.signature())
                 if outcome is None or outcome.reusable_output is None:
@@ -717,59 +725,25 @@ class DynoptExecutor:
                     continue
                 if len(block.leaves) == 1:
                     continue  # keep the final job; nothing to substitute into
-                self.metastore.put(
-                    f"intermediate:{outcome.reusable_output}", outcome.stats
-                )
                 block = block.substitute(
                     leaf.aliases, outcome.reusable_output, (),
                     provenance=leaf.signature(),
                 )
-        return block, report, self._leaf_stats(block, leaf_stats)
-
-    def _leaf_stats(self, block: JoinBlock,
-                    source: dict[str, TableStats] | None = None,
-                    ) -> dict[str, TableStats]:
-        """Every leaf's statistics from ``source`` (default: the metastore)."""
-        lookup = self.metastore.get if source is None else source.get
-        stats: dict[str, TableStats] = {}
+                leaf_stats[f"intermediate:{outcome.reusable_output}"] = \
+                    outcome.stats
         for leaf in block.leaves:
-            signature = leaf.signature()
-            entry = lookup(signature)
-            if entry is None:
+            if leaf.signature() not in leaf_stats:
                 raise PlanError(
                     f"no statistics for leaf {leaf.describe()}; run pilots "
                     f"or provide leaf_stats"
                 )
-            stats[signature] = entry
-        return stats
+        return block, report, dict(leaf_stats)
 
-    def _stats_columns(self, block: JoinBlock, chosen: list[CompiledJob],
-                       job: CompiledJob) -> list[str]:
-        """Columns of this job's output needed to re-optimize the remainder
-        (Section 5.4: only attributes in still-unexecuted join conditions)."""
-        executed_sets = [compiled.output_aliases for compiled in chosen]
-        applied: set = set()
-        for compiled in chosen:
-            applied.update(compiled.applied_predicates)
-        columns: set[str] = set()
-        for condition in block.conditions:
-            if any(condition.aliases() <= aliases for aliases in executed_sets):
-                continue  # evaluated inside an executed job
-            for ref in (condition.left, condition.right):
-                if ref.alias in job.output_aliases:
-                    columns.add(ref.qualified)
-        for predicate in block.non_local_predicates:
-            if predicate in applied:
-                continue
-            if predicate.references() & job.output_aliases:
-                columns.update(
-                    predicate_columns(predicate, job.output_aliases)
-                )
-        columns.update(composite_join_columns(block, job.output_aliases))
-        return sorted(columns)
-
-    def _substitute(self, block: JoinBlock, compiled: CompiledJob,
+    def _substitute(self, block: JoinBlock, known: dict[str, TableStats],
+                    compiled: CompiledJob,
                     job_result: JobResult) -> JoinBlock:
+        """``block`` with ``compiled``'s aliases replaced by its output,
+        whose exact statistics join ``known``."""
         output = job_result.output_name
         stats = job_result.collected_stats
         if stats is None:
@@ -785,7 +759,7 @@ class DynoptExecutor:
                 dict(stats.columns),
                 exact=True,
             )
-        self.metastore.put(f"intermediate:{output}", stats)
+        known[f"intermediate:{output}"] = stats
         if self.tracer.enabled:
             self.tracer.event(
                 "substitute",

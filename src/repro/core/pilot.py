@@ -24,6 +24,7 @@ the actual query execution.
 from __future__ import annotations
 
 import random
+from collections.abc import Collection
 from dataclasses import dataclass, field
 
 from repro.cluster.job import BatchEmit, MapReduceJob, TaskContext
@@ -67,24 +68,32 @@ class PilotReport:
     jobs_run: int = 0
 
 
-def stats_columns_for_leaf(block: JoinBlock, leaf: BlockLeaf) -> list[str]:
-    """Output columns worth collecting statistics on for one leaf.
+def stats_columns(block: JoinBlock, aliases: frozenset[str],
+                  executed: Collection[frozenset[str]] = (),
+                  applied: Collection = ()) -> list[str]:
+    """Output columns of the relation over ``aliases`` worth statistics.
 
     The paper collects statistics "only for the attributes that participate
-    in join predicates" (Section 4.3); we also include columns referenced by
-    the block's non-local predicates, plus *composite* columns for
-    multi-column join keys (so partkey+suppkey style joins estimate on the
-    distinct count of the pair rather than the product of the parts).
+    in join predicates" (Section 4.3) and, on a job's output, only those in
+    still-unexecuted join conditions (Section 5.4). So: the join columns of
+    every condition not evaluated inside one of the ``executed`` alias sets,
+    the columns of every non-local predicate not in ``applied``, plus
+    *composite* columns for multi-column join keys (so partkey+suppkey style
+    joins estimate on the distinct count of the pair rather than the product
+    of the parts). A pilot job passes one leaf's aliases and nothing
+    executed; a loop round passes its chosen jobs.
     """
     columns: set[str] = set()
     for condition in block.conditions:
+        if any(condition.aliases() <= done for done in executed):
+            continue  # evaluated inside an executed job
         for ref in (condition.left, condition.right):
-            if ref.alias in leaf.aliases:
+            if ref.alias in aliases:
                 columns.add(ref.qualified)
     for predicate in block.non_local_predicates:
-        if predicate.references() & leaf.aliases:
-            columns.update(predicate_columns(predicate, leaf.aliases))
-    columns.update(composite_join_columns(block, leaf.aliases))
+        if predicate not in applied and predicate.references() & aliases:
+            columns.update(predicate_columns(predicate, aliases))
+    columns.update(composite_join_columns(block, aliases))
     return sorted(columns)
 
 
@@ -105,7 +114,7 @@ def signature_stats_columns(block: JoinBlock, leaf: BlockLeaf) -> list[str]:
     for peer in block.base_leaves():
         if peer.signature() != signature:
             continue
-        for name in stats_columns_for_leaf(block, peer):
+        for name in stats_columns(block, peer.aliases):
             requalified = []
             for part in composite_parts(name):
                 _, _, column = part.partition(".")

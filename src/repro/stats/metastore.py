@@ -6,6 +6,15 @@ queries -- or the same relation+predicates appearing in different queries --
 skip redundant pilot runs. The paper stores statistics in a file; we do the
 same (JSON), with an in-memory dict as the hot path.
 
+The store keeps only what outlives a query: base-leaf statistics, under
+``table:`` signatures. Three writers put them here -- pilot runs
+(:class:`repro.core.pilot.PilotRunner`), the CDC delta fold
+(:meth:`StatisticsMetastore.apply_table_delta`) and loading a saved file
+(``Dyno.load_statistics``). Statistics a caller supplies up front, and
+those collected on a job's output to re-optimize the rest of its block
+(Section 5.4), live in that block's own statistics dict
+(:meth:`repro.core.dynopt.DynoptExecutor.leaf_statistics`) and die with it.
+
 Listeners registered with :meth:`subscribe` observe every ``put`` *and*
 every ``invalidate`` (the service's plan and result caches use this to
 drop entries whose contributing leaf statistics changed; an invalidation

@@ -295,6 +295,48 @@ class TestStatisticsPersistence:
         # Every base-leaf signature was found: no pilot jobs ran.
         assert execution.pilot_seconds == 0.0
 
+    def test_load_keeps_only_base_leaf_statistics(self, dyno_factory,
+                                                  tmp_path):
+        """A file may hold an older session's per-query ``intermediate:``
+        entries; their files are gone, so loading skips them."""
+        from repro.stats.metastore import StatisticsMetastore
+        from repro.stats.statistics import TableStats
+
+        saved = StatisticsMetastore()
+        saved.put("table:nation|", TableStats(25.0, 900.0, exact=True))
+        saved.put("intermediate:q.it0.j0.out", TableStats(5.0, 50.0))
+        path = tmp_path / "stats.json"
+        saved.save(path)
+
+        dyno = dyno_factory()
+        assert dyno.load_statistics(path) == 1
+        assert list(dyno.metastore) == ["table:nation|"]
+
+
+class TestCallerStatistics:
+    def test_caller_statistics_leave_later_queries_their_pilots(
+            self, tpch_tables):
+        """A caller's ``leaf_stats`` serve its own query only: after a
+        RELOPT-statistics run, a default run on the same ``Dyno`` pilots
+        and plans exactly like one on a fresh ``Dyno``."""
+        from repro.core.baselines import relopt_leaf_stats
+        from repro.data.tpch import generate_tpch
+        from repro.workloads.queries import q8_prime
+
+        tables = generate_tpch(0.02, seed=2014).tables
+        workload = q8_prime()
+        dyno = Dyno(tables, udfs=workload.udfs)
+        dyno.execute(workload.final_spec, leaf_stats=relopt_leaf_stats)
+        assert len(dyno.metastore) == 0
+
+        after = dyno.execute(workload.final_spec)
+        fresh = Dyno(tables, udfs=workload.udfs).execute(workload.final_spec)
+        ran, expected = after.block_results[0], fresh.block_results[0]
+        assert ran.pilot.jobs_run == expected.pilot.jobs_run == 7
+        assert ran.iterations[0].plan_signature == \
+            expected.iterations[0].plan_signature
+        assert after.total_seconds == fresh.total_seconds
+
 
 class TestSharedMetastore:
     def test_an_initially_empty_shared_store_is_shared(self, tpch_tables):

@@ -274,6 +274,35 @@ def test_only_the_loop_and_the_pilots_submit_jobs():
             if module == "core/dynopt.py"} == {"_run", "_recover_relation"}
 
 
+def test_only_pilots_the_delta_fold_and_load_write_the_metastore():
+    """The metastore keeps what outlives a query: base-leaf statistics
+    that pilot runs measure, ``StatisticsMetastore`` folds a change batch
+    into and ``Dyno.load_statistics`` reads back. A block's own statistics
+    (the caller's, reused pilot outputs, executed jobs' outputs) ride
+    ``DynoptExecutor._run`` and never reach the store."""
+    root = Path(repro.__file__).parent
+    writers = set()
+    for path in sorted(root.rglob("*.py")):
+        module = path.relative_to(root).as_posix()
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for function in ast.walk(tree):
+            if not isinstance(function, (ast.FunctionDef,
+                                         ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(function):
+                if isinstance(node, ast.Call) \
+                        and isinstance(node.func, ast.Attribute) \
+                        and node.func.attr == "put" \
+                        and (ast.unparse(node.func.value)
+                             .endswith("metastore")
+                             or module == "stats/metastore.py"):
+                    writers.add((module, function.name))
+    assert {module for module, _ in writers} == \
+        {"core/pilot.py", "core/dyno.py", "stats/metastore.py"}
+    assert {name for module, name in writers
+            if module == "core/dyno.py"} == {"load_statistics"}
+
+
 #: Modules whose import would let ``repro`` run code on a second thread
 #: or process.
 CONCURRENCY_MODULES = {"threading", "_thread", "concurrent.futures",

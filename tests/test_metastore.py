@@ -261,3 +261,50 @@ class TestListeners:
         store.subscribe(lambda signature, stats: len(store))
         store.put("a", TableStats(1.0, 1.0))  # must not deadlock
         assert "a" in store
+
+
+class TestOnlyBaseLeafStatistics:
+    def test_every_execution_path_leaves_only_table_entries(self):
+        """Whatever runs -- a re-optimizing DYNOPT block over reused pilot
+        outputs, the dynamic join operator, caller (RELOPT) statistics,
+        service drains -- the store ends up holding base-leaf ``table:``
+        statistics only, and a repeated drain adds none."""
+        from repro.config import DEFAULT_CONFIG
+        from repro.core.baselines import oracle_leaf_stats, relopt_leaf_stats
+        from repro.data.tpch import generate_tpch
+        from repro.optimizer.search import JoinOptimizer
+        from repro.service import QueryRequest, QueryService
+        from repro.workloads.queries import q3, q10
+        from tests.serving import run_requests
+
+        tables = generate_tpch(0.02, seed=2014).tables
+        q10_workload, q3_workload = q10(), q3()
+        # Small enough that Q10 runs as several jobs and re-optimizes.
+        service = QueryService(tables,
+                               config=DEFAULT_CONFIG.with_memory(16 * 1024),
+                               udfs=q10_workload.udfs)
+        dyno = service.dyno
+
+        block = dyno.prepare(q10_workload.final_spec).block
+        result = dyno.executor.execute_block(block)
+        assert result.reoptimization_count >= 1
+        assert any(outcome.reusable_output is not None
+                   for outcome in result.pilot.outcomes.values())
+
+        block = dyno.prepare(q3_workload.final_spec).block
+        plan = JoinOptimizer(block, oracle_leaf_stats(dyno.tables, block),
+                             dyno.config.optimizer,
+                             dyno.config.cluster).optimize().plan
+        assert len(dyno.executor.execute_switching_plan(
+            block, plan).iterations) > 1
+        dyno.execute(q3_workload.final_spec, leaf_stats=relopt_leaf_stats)
+
+        def drain():
+            run_requests(service, [QueryRequest.from_workload(workload)
+                                   for workload in (q10_workload,
+                                                    q3_workload)])
+            return list(dyno.metastore)
+
+        first = drain()
+        assert drain() == first
+        assert first and all(key.startswith("table:") for key in first)

@@ -9,7 +9,7 @@ from repro.core.pilot import (
     PILR_MT,
     PILR_ST,
     PilotRunner,
-    stats_columns_for_leaf,
+    stats_columns,
 )
 from repro.workloads.queries import q1_restaurants, q7, q9_prime, q10
 
@@ -34,14 +34,14 @@ class TestStatsColumns:
     def test_join_columns_collected(self, q10_setup):
         _, block = q10_setup
         lineitem = block.leaf_for("l")
-        assert "l.l_orderkey" in stats_columns_for_leaf(block, lineitem)
+        assert "l.l_orderkey" in stats_columns(block, lineitem.aliases)
 
     def test_non_local_predicate_columns_collected(self, dyno_factory):
         workload = q7()
         dyno = dyno_factory(udfs=workload.udfs)
         block = dyno.prepare(workload.final_spec).block
         n1 = block.leaf_for("n1")
-        assert "n1.n_name" in stats_columns_for_leaf(block, n1)
+        assert "n1.n_name" in stats_columns(block, n1.aliases)
 
     def test_composite_columns_for_multi_key_joins(self, dyno_factory):
         workload = q9_prime()
@@ -51,7 +51,23 @@ class TestStatsColumns:
         from repro.stats.statistics import composite_name
 
         assert composite_name(["l.l_partkey", "l.l_suppkey"]) in \
-            stats_columns_for_leaf(block, lineitem)
+            stats_columns(block, lineitem.aliases)
+
+    def test_executed_conditions_and_applied_predicates_dropped(
+            self, dyno_factory):
+        """Section 5.4: a job's output keeps statistics only on what
+        re-optimizing the rest of the block reads."""
+        workload = q7()
+        dyno = dyno_factory(udfs=workload.udfs)
+        block = dyno.prepare(workload.final_spec).block
+        joined = frozenset({"n1", "s"})
+        (nations,) = block.non_local_predicates
+        assert stats_columns(block, joined) == [
+            "n1.n_name", "n1.n_nationkey", "s.s_nationkey", "s.s_suppkey"]
+        # s.s_nationkey = n1.n_nationkey ran inside the job; the nation
+        # names predicate was applied by it; s joins lineitem next.
+        assert stats_columns(block, joined, executed=[joined],
+                             applied={nations}) == ["s.s_suppkey"]
 
 
 class TestRun:
