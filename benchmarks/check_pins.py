@@ -10,7 +10,9 @@ interpreter; ``sim_s_per_op`` of the untraced pass and the traced pass's
 sim-second sub-totals (pilots, optimizer, execution) must match their
 pins to ``rel_tol=1e-9`` and every pinned per-layer count of the traced
 pass must match exactly, as must the plan- and result-cache counts of
-the serving and standing workloads. A change that trips the gate without
+the serving and standing workloads and, on ``standing_refresh``, the
+refreshes' sim-seconds (``standing.sim_s``, a float) and the change
+rows applied (``cdc.delta_rows``). A change that trips the gate without
 meaning to has changed a byte size, a plan, the amount of data a job
 touches or what the caches reuse; one
 that means to re-pins what it moved (``--write`` rewrites the pins of
@@ -39,7 +41,8 @@ PINNED_COUNTS = ("runtime.jobs", "runtime.map_input_records",
                  "dynopt.iterations", "dynopt.plan_changes",
                  "stats.metastore.entries", "dfs.files")
 EXTRA_COUNTS = {"standing_refresh": ("standing.delta_count",
-                                     "standing.full_count")}
+                                     "standing.full_count",
+                                     "cdc.delta_rows")}
 #: cache hit/miss/invalidation counts, read from the record's ``counts``;
 #: exact because the service runs every request on one driver thread.
 CACHE_COUNTS = tuple(f"{cache}.{kind}"
@@ -50,6 +53,7 @@ CACHED_WORKLOADS = ("serving_uncached", "serving_cached", "standing_refresh")
 #: moved. Floats, so compared like ``sim_s_per_op``.
 PINNED_SIM_SECONDS = ("pilot.sim_s", "dynopt.sim_optimizer_s",
                       "dynopt.sim_execution_s")
+EXTRA_SIM_SECONDS = {"standing_refresh": ("standing.sim_s",)}
 
 
 def measure(workload: str, seed: int, seconds: float) -> dict:
@@ -77,7 +81,8 @@ def measured_pins(workload: str,
         counts.update({name: int(record["counts"][name])
                        for name in CACHE_COUNTS})
     sim_seconds = {name: float(record["metrics"][name]["value"])
-                   for name in PINNED_SIM_SECONDS}
+                   for name in PINNED_SIM_SECONDS
+                   + EXTRA_SIM_SECONDS.get(workload, ())}
     return record["counts"]["sim_s_per_op"], counts, sim_seconds
 
 
