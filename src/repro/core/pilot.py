@@ -33,7 +33,7 @@ from repro.config import DynoConfig
 from repro.errors import PlanError
 from repro.jaql.blocks import BlockLeaf, JoinBlock
 from repro.jaql.compiler import intermediate_schema, leaf_scan
-from repro.stats.metastore import StatisticsMetastore
+from repro.stats.metastore import LeafSource, StatisticsMetastore
 from repro.stats.statistics import TableStats
 from repro.storage.dfs import Split
 
@@ -264,7 +264,8 @@ class PilotRunner:
             leaf = leaf_of_job[job.name]
             outcome = self._extrapolate(leaf, result)
             report.outcomes[outcome.signature] = outcome
-            self.metastore.put(outcome.signature, outcome.stats)
+            self.metastore.put(outcome.signature, outcome.stats,
+                               LeafSource(leaf, tuple(job.stats_columns)))
             if tracer.enabled:
                 tracer.event(
                     "pilot.leaf",

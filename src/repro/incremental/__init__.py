@@ -8,8 +8,8 @@ adds the two halves:
 * :mod:`repro.incremental.cdc` -- a change-data-capture layer over the
   simulated DFS: seeded, deterministic append/update/delete batches per
   table, applied atomically (base table re-registered, delta files
-  published as scannable tables, metastore statistics merged or
-  invalidated per the delta's shape);
+  published as scannable tables with their statistics, the table's
+  metastore statistics folded exactly);
 * :mod:`repro.incremental.standing` -- a ``StandingQueryManager`` that
   registers queries with the service, tracks which base tables each
   canonical block reads, and on every change batch chooses -- by

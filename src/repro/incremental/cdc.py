@@ -15,14 +15,21 @@ things atomically from the engine's point of view:
    the insert side (inserts + update postimages) as
    ``{table}@delta{seq}``, the delete side (deletes + update preimages)
    as ``{table}@delta{seq}-del``. Delta tables are first-class leaves --
-   they pilot, collect statistics, and optimize like any base table,
-   which is what lets a refresh query go through the full
-   optimize->pilot->replan path;
-3. the metastore folds the delta into the table's statistics
-   (:meth:`StatisticsMetastore.apply_table_delta`): append-only batches
-   merge row/byte counts conservatively, delete/update batches
-   invalidate every signature (synopses cannot un-count), and either way
-   the subscribed plan and result caches evict their dependent entries.
+   they carry statistics and optimize like any base table (step 3
+   publishes their statistics, so they need no pilot), which is what
+   lets a refresh query go through the full optimize->replan path;
+3. the metastore folds the batch into the table's statistics
+   (:meth:`StatisticsMetastore.apply_table_delta`): every signature a
+   pilot measured over the table reads the delta files through the
+   pilot's kernel (:func:`repro.jaql.compiler.leaf_scan` +
+   :meth:`RunningStats.update_columns`); the result is published under
+   the delta file's signature and folded exactly into the table's entry
+   (inserted rows add, deleted rows subtract from the count tables), so
+   neither the refresh over the delta file nor a full recompute pilots
+   again. The scans are charged on the simulated clock at
+   ``stats_seconds_per_record`` per record read
+   (:attr:`AppliedChange.stats_seconds`), and the subscribed plan and
+   result caches evict their dependent entries.
 """
 
 from __future__ import annotations
@@ -30,9 +37,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+from repro.cluster.job import TaskContext
+from repro.data.columns import RowBatch
 from repro.data.schema import FLOAT, INT, STRING
 from repro.data.table import Row, Table
 from repro.errors import PlanError
+from repro.jaql.compiler import leaf_scan
+from repro.stats.metastore import LeafSource
+from repro.stats.statistics import RunningStats
 
 __all__ = [
     "AppliedChange",
@@ -226,10 +238,10 @@ class AppliedChange:
     delete_delta: str | None
     #: total delta rows across both sides.
     delta_rows: int
-    #: estimated serialized bytes of the delta rows.
-    delta_bytes: float
-    #: metastore outcome per touched signature ("merged"/"invalidated").
+    #: metastore outcome per touched signature ("folded"/"invalidated").
     stats_actions: dict[str, str] = field(default_factory=dict)
+    #: simulated seconds of the statistics fold's scans.
+    stats_seconds: float = 0.0
 
 
 def apply_change_batch(dyno, batch: ChangeBatch,
@@ -250,25 +262,34 @@ def apply_change_batch(dyno, batch: ChangeBatch,
     insert_rows = [dict(row) for row in batch.delta_inserts]
     delete_rows = [dict(row) for row in batch.delta_deletes]
     insert_delta = delete_delta = None
-    delta_bytes = 0.0
     if insert_rows:
         insert_delta = insert_delta_name(batch.table, batch.sequence)
-        delta_table = Table(insert_delta, base.schema, insert_rows)
-        dyno.register_table(insert_delta, delta_table)
-        delta_bytes += delta_table.size_in_bytes()
+        dyno.register_table(insert_delta,
+                            Table(insert_delta, base.schema, insert_rows))
     if delete_rows:
         delete_delta = delete_delta_name(batch.table, batch.sequence)
-        delta_table = Table(delete_delta, base.schema, delete_rows)
-        dyno.register_table(delete_delta, delta_table)
-        delta_bytes += delta_table.size_in_bytes()
+        dyno.register_table(delete_delta,
+                            Table(delete_delta, base.schema, delete_rows))
 
     dyno.register_table(batch.table, new_table)
-    actions = dyno.metastore.apply_table_delta(
-        batch.table,
-        delta_rows=float(len(insert_rows)),
-        delta_bytes=delta_bytes if batch.append_only else 0.0,
-        append_only=batch.append_only,
-    )
+    records_read = 0
+    kmv_size = dyno.config.pilot.kmv_size
+
+    def scan(source: LeafSource, name: str) -> RunningStats:
+        nonlocal records_read
+        # The file's rows and its cached sizes (which every later scan of
+        # the file reuses), but not its per-alias memo of qualified rows:
+        # that is left to the queries.
+        file = dyno.dfs.open(name)
+        rows = RowBatch(file.rows, file.value_sizes())
+        records_read += len(rows)
+        out = leaf_scan(source.leaf)(TaskContext(), rows)
+        running = RunningStats(source.columns, kmv_size)
+        running.update_columns(out, len(out), out.sizes)
+        return running
+
+    actions = dyno.metastore.apply_table_delta(batch.table, scan,
+                                               insert_delta, delete_delta)
 
     applied = AppliedChange(
         batch=batch,
@@ -276,8 +297,9 @@ def apply_change_batch(dyno, batch: ChangeBatch,
         insert_delta=insert_delta,
         delete_delta=delete_delta,
         delta_rows=len(insert_rows) + len(delete_rows),
-        delta_bytes=delta_bytes,
         stats_actions=actions,
+        stats_seconds=(records_read
+                       * dyno.config.cluster.stats_seconds_per_record),
     )
     if dyno.tracer.enabled:
         dyno.tracer.event(
@@ -290,7 +312,7 @@ def apply_change_batch(dyno, batch: ChangeBatch,
             delta_rows=applied.delta_rows,
             append_only=batch.append_only,
             table_rows=applied.table_rows,
-            stats_merged=sum(1 for a in actions.values() if a == "merged"),
+            stats_folded=sum(1 for a in actions.values() if a == "folded"),
             stats_invalidated=sum(
                 1 for a in actions.values() if a == "invalidated"
             ),

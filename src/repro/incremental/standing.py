@@ -40,18 +40,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-from repro.cluster.job import TaskContext
-from repro.core.pilot import signature_stats_columns
 from repro.data.table import Row
 from repro.errors import PlanError
 from repro.incremental.cdc import AppliedChange
-from repro.jaql.blocks import BlockLeaf, JoinBlock, apply_client_stage
-from repro.jaql.compiler import leaf_scan
+from repro.jaql.blocks import apply_client_stage
 from repro.jaql.expr import GroupBy, OrderBy, Project, QuerySpec
 from repro.jaql.rewrites import substitute_scan
 from repro.optimizer.cardinality import CardinalityModel
 from repro.service.service import QueryOutcome, QueryRequest
-from repro.stats.statistics import RunningStats, TableStats
+from repro.stats.statistics import TableStats
 
 __all__ = [
     "RefreshDecision",
@@ -239,13 +236,18 @@ class StandingQueryManager:
         Builds refresh requests for every affected standing query,
         submits them *together with* any ad-hoc requests through the
         service's tenant scheduler (fair competition), then folds the
-        refresh results into the maintained states.
+        refresh results into the maintained states. The first outcome
+        carries the batch's statistics fold
+        (:attr:`AppliedChange.stats_seconds`). Once the batch is consumed,
+        its delta files' statistics are dropped: no later query reads
+        them.
         """
         batch = applied.batch
         report = RefreshReport(batch.table, batch.sequence)
         affected = [q for q in self.queries.values()
                     if batch.table in q.base_tables]
         if not affected and not adhoc:
+            self._drop_delta_statistics(applied)
             return report
 
         requests: list[QueryRequest] = []
@@ -290,11 +292,21 @@ class StandingQueryManager:
                                       {kind: outcomes[index]
                                        for kind, index in slots})
                 report.outcomes.append(outcome)
+            if report.outcomes:
+                report.outcomes[0].simulated_seconds += applied.stats_seconds
             span.set(
                 delta=report.delta_count, full=report.full_count,
                 errors=sum(1 for o in report.outcomes if not o.ok),
             )
+        self._drop_delta_statistics(applied)
         return report
+
+    def _drop_delta_statistics(self, applied: AppliedChange) -> None:
+        metastore = self.service.dyno.metastore
+        for delta in (applied.insert_delta, applied.delete_delta):
+            if delta is not None:
+                for signature in metastore.signatures_for_table(delta):
+                    metastore.invalidate(signature)
 
     # -- decision ------------------------------------------------------------
 
@@ -306,7 +318,13 @@ class StandingQueryManager:
             return RefreshDecision(standing.name, batch.table,
                                    batch.sequence, "full", forced,
                                    0.0, 0.0, 0.0)
-        delta_est, full_est = self._estimate(standing, applied)
+        estimates = self._estimate(standing, applied)
+        if estimates is None:
+            return RefreshDecision(
+                standing.name, batch.table, batch.sequence, "full",
+                "a leaf has no statistics; the full recompute pilots it",
+                0.0, 0.0, 0.0)
+        delta_est, full_est = estimates
         ratio = delta_est / max(full_est, 1.0)
         if ratio > self.full_threshold:
             return RefreshDecision(
@@ -336,33 +354,18 @@ class StandingQueryManager:
         return None
 
     def _estimate(self, standing: StandingQuery,
-                  applied: AppliedChange) -> tuple[float, float]:
-        """(delta-sized, full-sized) core-output row estimates."""
+                  applied: AppliedChange) -> tuple[float, float] | None:
+        """(delta-sized, full-sized) core-output row estimates, from the
+        metastore's statistics -- the changed table's entries already
+        hold the batch (the CDC fold); None when a leaf has none."""
         dyno = self.service.dyno
         block = dyno.prepare(standing.core).block
         full_stats: dict[str, TableStats] = {}
-        missing: list[BlockLeaf] = []
         for leaf in block.base_leaves():
-            signature = leaf.signature()
-            stats = dyno.metastore.get(signature)
+            stats = dyno.metastore.get(leaf.signature())
             if stats is None:
-                missing.append(leaf)
-            else:
-                full_stats[signature] = stats
-        # The changed table's signatures are the first casualties of a
-        # delta batch (the metastore invalidates them). The ratio needs
-        # *column synopses* -- without distinct counts the model's join
-        # selectivities default asymmetrically and the delta/full ratio
-        # is noise -- so the missing leaves, and only those, are probed
-        # for ground truth: a full scan through the kernel and the batch
-        # ingest a pilot run uses. Deliberately NOT published to the
-        # metastore and not on the simulated clock: these are
-        # decision-local; the refresh query still re-pilots and
-        # republishes honestly.
-        for leaf in missing:
-            signature = leaf.signature()
-            if signature not in full_stats:  # self-joins share one
-                full_stats[signature] = self._probe_leaf(block, leaf)
+                return None
+            full_stats[leaf.signature()] = stats
         delta_stats = dict(full_stats)
         delta_rows = float(max(applied.delta_rows, 1))
         for leaf in block.base_leaves():
@@ -380,17 +383,6 @@ class StandingQueryManager:
         full_est = CardinalityModel(block, full_stats).estimate(aliases)
         delta_est = CardinalityModel(block, delta_stats).estimate(aliases)
         return delta_est.rows, full_est.rows
-
-    def _probe_leaf(self, block: JoinBlock, leaf: BlockLeaf) -> TableStats:
-        """Exact statistics of one base leaf's output (rows, synopses)."""
-        dyno = self.service.dyno
-        scan = leaf_scan(leaf)
-        out = scan(TaskContext(),
-                   dyno.dfs.open(leaf.source_name).file_batch())
-        running = RunningStats(signature_stats_columns(block, leaf),
-                               dyno.config.pilot.kmv_size)
-        running.update_columns(out, len(out), out.sizes)
-        return running.freeze(exact=True)
 
     # -- refresh execution ---------------------------------------------------
 

@@ -29,13 +29,20 @@ signature->stats map:
   different data states can freeze to identical synopses), so caches that
   must never serve stale rows -- the result cache -- fold the epoch into
   their keys. Epochs are in-memory only; a fresh session re-pilots anyway.
-* **delta application** -- :meth:`apply_table_delta` is the CDC layer's
-  single entry point for "table T changed by this batch". Append-only
-  batches merge row/byte counts into the bare-scan signature (synopses
-  kept but demoted to ``exact=False``) and invalidate every predicated
-  signature; batches containing deletes or updates invalidate *all* of the
-  table's signatures, because RunningStats/KMV synopses cannot un-count a
-  removed row -- the next query re-pilots instead of reusing them.
+* **the change-batch fold** -- :meth:`apply_table_delta` is the CDC
+  layer's single entry point for "table T changed by this batch". A pilot
+  stores, beside its entry, the leaf it ran and its statistics columns
+  (a :class:`LeafSource`); with it the fold reads each delta file through
+  that leaf, publishes the result under the delta file's own signature
+  and folds it into the entry exactly -- inserted rows add (counts,
+  synopses, count tables, min/max), deleted rows subtract from the exact
+  per-column count tables -- so neither the changed table nor the delta
+  file is piloted again. The mergeable state (a :class:`RunningStats`
+  per signature) exists only for tables a batch has touched: the first
+  batch builds it with one scan of the new version. An entry the fold
+  cannot keep exact (no source, or a count table that overflowed its
+  budget before a delete) is invalidated and re-piloted; none is ever
+  demoted to a guess.
 """
 
 from __future__ import annotations
@@ -43,10 +50,13 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
 from repro.errors import StatisticsError
-from repro.stats.statistics import TableStats
+from repro.stats.statistics import RunningStats, TableStats
+
+if TYPE_CHECKING:
+    from repro.jaql.blocks import BlockLeaf
 
 
 def table_signature_prefix(table: str) -> str:
@@ -59,6 +69,20 @@ def bare_table_signature(table: str) -> str:
     return table_signature_prefix(table)
 
 
+class LeafSource(NamedTuple):
+    """How a pilot measured an entry: the leaf it ran (scan + local
+    predicates) and the statistics columns it collected."""
+
+    leaf: "BlockLeaf"
+    columns: tuple[str, ...]
+
+
+#: ``scan(source, file)``: a :class:`RunningStats` of DFS file ``file`` read
+#: through ``source``'s leaf over ``source``'s columns (the CDC layer's
+#: pilot kernel, :func:`repro.incremental.cdc.apply_change_batch`).
+LeafScan = Callable[[LeafSource, str], RunningStats]
+
+
 class StatisticsMetastore:
     """Signature-keyed store of :class:`TableStats` with file persistence."""
 
@@ -66,6 +90,9 @@ class StatisticsMetastore:
         self._entries: dict[str, TableStats] = {}
         self._listeners: list[Callable[[str, TableStats | None], None]] = []
         self._epochs: dict[str, int] = {}
+        self._sources: dict[str, LeafSource] = {}
+        #: signature -> (table epoch it is in step with, mergeable state).
+        self._running: dict[str, tuple[int, RunningStats]] = {}
 
     # -- dict-like access -------------------------------------------------------
 
@@ -81,10 +108,19 @@ class StatisticsMetastore:
     def get(self, signature: str) -> TableStats | None:
         return self._entries.get(signature)
 
-    def put(self, signature: str, stats: TableStats) -> None:
+    def put(self, signature: str, stats: TableStats,
+            source: LeafSource | None = None) -> None:
+        """Store ``stats``; ``source`` (pilot runs) says how to fold later
+        change batches into them, and without one the entry is
+        invalidated by the next batch over its table."""
         if not signature:
             raise StatisticsError("empty statistics signature")
         self._entries[signature] = stats
+        self._running.pop(signature, None)
+        if source is None:
+            self._sources.pop(signature, None)
+        else:
+            self._sources[signature] = source
         for listener in self._listeners:
             listener(signature, stats)
 
@@ -97,6 +133,8 @@ class StatisticsMetastore:
         -- dropping an entry silently used to leave dependent cache
         entries keyed under statistics the store no longer vouches for.
         """
+        self._sources.pop(signature, None)
+        self._running.pop(signature, None)
         if self._entries.pop(signature, None) is None:
             return
         for listener in self._listeners:
@@ -104,6 +142,8 @@ class StatisticsMetastore:
 
     def clear(self) -> None:
         self._entries.clear()
+        self._sources.clear()
+        self._running.clear()
 
     def subscribe(
         self, listener: Callable[[str, TableStats | None], None]
@@ -131,45 +171,62 @@ class StatisticsMetastore:
         return sorted(signature for signature in self._entries
                       if signature.startswith(prefix))
 
-    def apply_table_delta(self, table: str, delta_rows: float,
-                          delta_bytes: float,
-                          append_only: bool) -> dict[str, str]:
+    def apply_table_delta(self, table: str, scan: LeafScan,
+                          insert_delta: str | None = None,
+                          delete_delta: str | None = None,
+                          ) -> dict[str, str]:
         """Fold one CDC change batch over ``table`` into the store.
 
-        Returns ``{signature: action}`` where action is ``"merged"`` or
-        ``"invalidated"``. The rules (see the module docstring):
+        Call it once the new version of ``table`` and the batch's delta
+        files (``insert_delta``: rows gained, ``delete_delta``: rows lost)
+        are registered. Returns ``{signature: action}`` with action
+        ``"folded"`` or ``"invalidated"``, one rule for every signature
+        over the table (see the module docstring): with a
+        :class:`LeafSource`, each delta file is read through ``scan``, its
+        exact statistics are published under the delta file's signature
+        and folded into the entry -- deleted rows first, so an update
+        never overflows a count table it fits in -- and without one, or
+        when the deleted rows cannot be un-counted, the entry is
+        invalidated and the next query re-pilots it.
 
-        * deletes or updates present -> every signature over the table is
-          invalidated; synopses cannot un-count, so reusing them would be
-          silently wrong and the next query must re-pilot;
-        * append-only -> the bare-scan signature gets a conservative
-          merge (exact row/byte sums; per-column synopses kept but the
-          entry is demoted to ``exact=False`` because distinct counts and
-          histograms now under-report the appended rows), while every
-          *predicated* signature is invalidated -- the delta's pass rate
-          under those predicates is unknown without a pilot.
-
-        Either way the table's epoch is bumped and listeners observe one
-        event per touched signature, driving plan- and result-cache
-        eviction exactly as ordinary statistics collection does.
+        The table's epoch is bumped and listeners observe one event per
+        touched signature, driving plan- and result-cache eviction exactly
+        as ordinary statistics collection does.
         """
         actions: dict[str, str] = {}
-        bare = bare_table_signature(table)
-        self.bump_table_epoch(table)
+        # The caller's register_table bumped the epoch once; mergeable
+        # state is in step when nothing else re-registered the table.
+        in_step = self.table_epoch(table) - 1
+        epoch = self.bump_table_epoch(table)
+        prefix = table_signature_prefix(table)
         for signature in self.signatures_for_table(table):
-            if append_only and signature == bare:
-                old = self._entries[signature]
-                merged = TableStats(
-                    row_count=old.row_count + max(delta_rows, 0.0),
-                    size_bytes=old.size_bytes + max(delta_bytes, 0.0),
-                    columns=dict(old.columns),
-                    exact=False,
-                )
-                self.put(signature, merged)
-                actions[signature] = "merged"
-            else:
+            source = self._sources.get(signature)
+            if source is None:
                 self.invalidate(signature)
                 actions[signature] = "invalidated"
+                continue
+            predicates = signature[len(prefix):]
+            deltas: dict[str, RunningStats] = {}
+            for name in (insert_delta, delete_delta):
+                if name is not None:
+                    deltas[name] = scan(source, name)
+                    self.put(table_signature_prefix(name) + predicates,
+                             deltas[name].freeze(exact=True))
+            held = self._running.get(signature)
+            if held is None or held[0] != in_step:
+                running = scan(source, table)  # the new version, once
+            else:
+                running = held[1]
+                if delete_delta is not None and \
+                        not running.retract(deltas[delete_delta]):
+                    self.invalidate(signature)
+                    actions[signature] = "invalidated"
+                    continue
+                if insert_delta is not None:
+                    running.absorb(deltas[insert_delta])
+            self.put(signature, running.freeze(exact=True), source)
+            self._running[signature] = (epoch, running)
+            actions[signature] = "folded"
         return actions
 
     # -- persistence -------------------------------------------------------------

@@ -568,6 +568,72 @@ class RunningColumn:
         merged.max_value = max_value
         return merged
 
+    def absorb(self, other: "RunningColumn") -> None:
+        """Count ``other``'s values in place, as if this accumulator had
+        read them after its own (unlike :meth:`merge`, which records a
+        split boundary for the overlap ratio)."""
+        self.synopsis = self.synopsis.merge(other.synopsis)
+        self.null_count += other.null_count
+        self.total_count += other.total_count
+        counts = self.value_counts
+        if counts is not None:
+            if other.value_counts is None:
+                self.value_counts = None
+            else:
+                get = counts.get
+                for key, count in other.value_counts.items():
+                    counts[key] = get(key, 0) + count
+                if len(counts) > self.MAX_EXACT_VALUES:
+                    self.value_counts = None
+        if other.min_value is not None and (
+                self.min_value is None
+                or _less(other.min_value, self.min_value)):
+            self.min_value = other.min_value
+        if other.max_value is not None and (
+                self.max_value is None
+                or _less(self.max_value, other.max_value)):
+            self.max_value = other.max_value
+
+    def can_retract(self, other: "RunningColumn") -> bool:
+        """True when :meth:`retract` can un-count ``other`` exactly: both
+        count tables survive, every value of ``other`` was counted here at
+        least as often, and every surviving value is a plain scalar (or a
+        tuple of them) the synopsis can be rebuilt from."""
+        counts = self.value_counts
+        if counts is None or other.value_counts is None:
+            return False
+        if any(counts.get(key, 0) < count
+               for key, count in other.value_counts.items()):
+            return False
+        return all(_plain(key) for key in counts)
+
+    def retract(self, other: "RunningColumn") -> None:
+        """Un-count ``other``'s values in place (rows deleted from what
+        this accumulator read); requires :meth:`can_retract`. The count
+        table subtracts; min/max and the synopsis are rebuilt from the
+        values that survive."""
+        counts = self.value_counts
+        assert counts is not None and other.value_counts is not None
+        for key, count in other.value_counts.items():
+            left = counts[key] - count
+            if left:
+                counts[key] = left
+            else:
+                del counts[key]
+        self.null_count -= other.null_count
+        self.total_count -= other.total_count
+        self.synopsis = KMVSynopsis(self.synopsis.k)
+        self.synopsis.add_all(counts)
+        min_value = max_value = None
+        for value in counts:
+            if _comparable(value):
+                if min_value is None or _less(value, min_value):
+                    min_value = value
+                if max_value is None or _less(max_value, value):
+                    max_value = value
+        self.min_value = min_value
+        self.max_value = max_value
+
     def freeze(self) -> ColumnStats:
         null_fraction = (
             self.null_count / self.total_count if self.total_count else 0.0
@@ -633,6 +699,16 @@ def _count_key(value: Any) -> Any:
 
         return _hashable(value)
     return value
+
+
+def _plain(key: Any) -> bool:
+    """True for a count-table key that is the value itself (a scalar or a
+    tuple of scalars), so the value's KMV hash can be taken from it."""
+    kind = type(key)
+    if kind is tuple:
+        return all(item is None or type(item) in (int, float, str)
+                   for item in key)
+    return kind in (int, float, str)
 
 
 def _less(left: Any, right: Any) -> bool:
@@ -741,6 +817,33 @@ class RunningStats:
             for name, column in self.columns.items()
         }
         return merged
+
+    def absorb(self, other: "RunningStats") -> None:
+        """Count ``other``'s rows in place: the state a scan reaches that
+        reads them after this accumulator's rows (appended rows)."""
+        self._check_columns(other)
+        self.row_count += other.row_count
+        self.size_bytes += other.size_bytes
+        for name, column in self.columns.items():
+            column.absorb(other.columns[name])
+
+    def retract(self, other: "RunningStats") -> bool:
+        """Un-count ``other``'s rows in place (deleted rows). Exact through
+        the per-column count tables; returns False, leaving this
+        accumulator untouched, when a column cannot un-count them."""
+        self._check_columns(other)
+        if not all(column.can_retract(other.columns[name])
+                   for name, column in self.columns.items()):
+            return False
+        self.row_count -= other.row_count
+        self.size_bytes -= other.size_bytes
+        for name, column in self.columns.items():
+            column.retract(other.columns[name])
+        return True
+
+    def _check_columns(self, other: "RunningStats") -> None:
+        if set(self.columns) != set(other.columns):
+            raise StatisticsError("cannot fold stats over different columns")
 
     @staticmethod
     def merge_all(partials: "list[RunningStats]") -> "RunningStats":

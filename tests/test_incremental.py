@@ -19,7 +19,9 @@ import pytest
 from tests.conftest import assert_same_rows, reference_rows
 from tests.oracle import canonical_rows, fault_matrix, faulted_config
 from repro.config import DEFAULT_CONFIG
+from repro.core.baselines import oracle_leaf_stats
 from repro.core.dyno import Dyno
+from repro.data.schema import estimate_value_size
 from repro.errors import PlanError, SchemaError
 from repro.incremental import (
     ChangeGenerator,
@@ -28,6 +30,8 @@ from repro.incremental import (
     delete_delta_name,
     insert_delta_name,
 )
+from repro.jaql.expr import QuerySpec
+from repro.jaql.rewrites import substitute_scan
 from repro.service import QueryRequest, QueryService
 from repro.workloads.changing import (
     DEFAULT_STEPS,
@@ -223,6 +227,97 @@ class TestChangeGenerator:
 # ---------------------------------------------------------------------------
 
 
+class TestStatisticsFold:
+    """A change batch folds into the metastore: every ``table:`` entry a
+    pilot measured over the changed table is either gone (re-piloted by
+    the next query) or exactly what a full scan of the new version gives,
+    and each delta file's entry is exactly that file's statistics."""
+
+    MIXES = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0),
+             (1.0, 1.0, 1.0))
+
+    @staticmethod
+    def assert_exact(entry, truth, leaf, rows):
+        assert entry.exact
+        assert entry.row_count == truth.row_count
+        # Bytes follow the pilot's convention: the leaf's qualified
+        # output rows, as every pilot entry sizes them.
+        assert entry.size_bytes == sum(
+            estimate_value_size(qualified) for row in rows
+            if (qualified := leaf.qualify_and_filter(row)) is not None)
+        assert set(entry.columns) == set(truth.columns)
+        for name, column in truth.columns.items():
+            folded = entry.columns[name]
+            assert (folded.distinct_values, folded.min_value,
+                    folded.max_value, folded.null_fraction) == \
+                (column.distinct_values, column.min_value,
+                 column.max_value, column.null_fraction), name
+
+    def test_folded_entries_equal_the_oracle_over_seeded_batches(self):
+        dyno = Dyno(changing_tables(0.02), udfs=changing_udfs())
+        cores = []
+        for workload in standing_workloads():
+            dyno.execute_multi(workload.stages)  # pilots every leaf
+            cores.append(workload.final_spec)
+        generators = {
+            table: ChangeGenerator(dyno.tables[table], KEY_COLUMNS[table],
+                                   seed=2014)
+            for table in ("pageviews", "users")
+        }
+        checked = published = 0
+        for index in range(104):
+            table = ("pageviews", "users")[index % 2]
+            mix = self.MIXES[index // 2 % len(self.MIXES)]
+            applied = apply_change_batch(
+                dyno, generators[table].next_batch(0.03, mix),
+                KEY_COLUMNS[table])
+            assert "invalidated" not in applied.stats_actions.values()
+            for spec in cores:
+                block = dyno.prepare(spec).block
+                truth = oracle_leaf_stats(dyno.tables, block)
+                for leaf in block.base_leaves():
+                    entry = dyno.metastore.get(leaf.signature())
+                    if leaf.source_name != table or entry is None:
+                        continue
+                    self.assert_exact(entry, truth[leaf.signature()], leaf,
+                                      dyno.tables[table].rows)
+                    checked += 1
+                for delta in (applied.insert_delta, applied.delete_delta):
+                    if delta is None:
+                        continue
+                    delta_block = dyno.prepare(QuerySpec(
+                        "delta", substitute_scan(spec.root, table, delta)
+                    )).block
+                    delta_truth = oracle_leaf_stats(dyno.tables, delta_block)
+                    for leaf in delta_block.base_leaves():
+                        if leaf.source_name == delta:
+                            self.assert_exact(
+                                dyno.metastore.get(leaf.signature()),
+                                delta_truth[leaf.signature()], leaf,
+                                dyno.tables[delta].rows)
+                            published += 1
+        assert checked >= 104 and published >= 104
+
+    def test_delta_statistics_die_with_their_batch(self):
+        """Once a refresh consumed batch n, its delta files' statistics
+        go: the suite's standing workload ends with the same base
+        signatures at ``--seconds 4`` as at ``--seconds 20``."""
+        from benchmarks.suite import workloads as suite
+
+        signatures = []
+        for seconds in (4, 20):
+            sizes = suite.sizes_for("standing_refresh", "smoke", seconds)
+            state = suite.standing_setup(2014, sizes)
+            rec = suite.Recorder()
+            suite.standing_run(state, sizes, rec)
+            assert rec.attempted == 6 * sizes["cycles"] and not rec.failures
+            signatures.append(list(state.service.dyno.metastore))
+        assert sizes["cycles"] > 1
+        assert signatures[0] == signatures[1]
+        assert len(signatures[0]) == 5
+        assert not any("@delta" in signature for signature in signatures[0])
+
+
 class TestApplyChangeBatch:
     def test_append_only_publishes_insert_delta(self):
         service = fresh_service()
@@ -316,6 +411,26 @@ class TestDecisions:
         assert engagement.strategy == "full"
         assert "un-count" in engagement.reason
         assert decided["PremiumSessions"].strategy == "delta"
+
+    def test_a_leaf_without_statistics_forces_full_and_is_piloted(self):
+        """Loaded statistics carry no pilot source, so a batch invalidates
+        them; the decision then has no estimate, recomputes in full, and
+        that recompute's pilots measure the leaves again."""
+        service = fresh_service()
+        manager = StandingQueryManager(service)
+        for workload in standing_workloads():
+            manager.register(workload.name, workload.final_spec)
+        metastore = service.dyno.metastore
+        loaded = metastore.signatures_for_table("pageviews")
+        for signature in loaded:
+            metastore.put(signature, metastore.get(signature))  # no source
+
+        decided = self.decide(service, manager, "pageviews", 0.01)
+        assert {d.strategy for d in decided.values()} == {"full"}
+        assert all("no statistics" in d.reason for d in decided.values())
+        assert metastore.signatures_for_table("pageviews") == loaded
+        again = self.decide(service, manager, "pageviews", 0.01)
+        assert {d.strategy for d in again.values()} == {"delta"}
 
     def test_avg_aggregate_is_statically_ineligible(self):
         service = fresh_service()

@@ -8,13 +8,12 @@ the rows a scan lets through and dropped with the file version. Four
 angles: (i) the qualification budget of a cold and a warm request,
 (ii) a change batch installs a new version and scans see it, (iii) the
 per-file alias bound evicts without changing answers, (iv) the
-standing-query refresh decision, which probes missing leaves through
-the same scan, estimates exactly what the row-at-a-time oracle does.
+standing-query refresh decision reads the statistics a change batch
+folded into the metastore and scans no table itself.
 """
 
 import sys
 
-from repro.core.baselines import oracle_leaf_stats
 from repro.core.dyno import Dyno
 from repro.data import table as table_module
 from repro.data.schema import INT, STRING, Schema
@@ -25,7 +24,11 @@ from repro.incremental import (
     apply_change_batch,
 )
 from repro.service import QueryService
-from repro.storage.dfs import QUALIFIED_ALIAS_LIMIT, DFSFile
+from repro.storage.dfs import (
+    QUALIFIED_ALIAS_LIMIT,
+    DFSFile,
+    DistributedFileSystem,
+)
 from repro.workloads.changing import (
     DEFAULT_STEPS,
     KEY_COLUMNS,
@@ -152,8 +155,21 @@ class TestAliasBound:
 # ---------------------------------------------------------------------------
 
 class TestRefreshDecisionProbe:
-    def test_estimate_equals_the_oracles_on_every_default_step(
-            self, monkeypatch):
+    """The refresh decision reads the statistics the change batch folded
+    into the metastore; the full-scan probe it used to run is gone."""
+
+    #: (query, table, batch, strategy, delta/full ratio) on DEFAULT_STEPS
+    #: at scale 0.03, as the full-scan probe decided them.
+    DECISIONS = [
+        ("WeblogEngagement", "pageviews", 0, "delta", 0.01467),
+        ("PremiumSessions", "pageviews", 0, "delta", 0.080268),
+        ("WeblogEngagement", "users", 0, "full", 0.0),
+        ("PremiumSessions", "users", 0, "delta", 0.2),
+        ("WeblogEngagement", "pageviews", 1, "full", 0.510316),
+        ("PremiumSessions", "pageviews", 1, "full", 1.0),
+    ]
+
+    def sweep(self, on_batch=lambda manager, applied: None):
         service = QueryService(changing_tables(0.03), udfs=changing_udfs())
         dyno = service.dyno
         manager = StandingQueryManager(service)
@@ -163,40 +179,61 @@ class TestRefreshDecisionProbe:
             table: ChangeGenerator(dyno.tables[table], key, seed=2014)
             for table, key in KEY_COLUMNS.items()
         }
-        probe = StandingQueryManager._probe_leaf
-        probed = []
-
-        def checked_probe(self, block, leaf):
-            """The scan-kernel probe, held to the oracle's answer."""
-            stats = probe(self, block, leaf)
-            truth = oracle_leaf_stats(dyno.tables, block)[leaf.signature()]
-            assert stats.row_count == truth.row_count
-            assert stats.columns == truth.columns
-            probed.append(leaf.signature())
-            return stats
-
-        def oracle_probe(self, block, leaf):
-            return oracle_leaf_stats(dyno.tables, block)[leaf.signature()]
-
-        def estimate_with(probe_leaf, standing, applied):
-            with monkeypatch.context() as patch:
-                patch.setattr(StandingQueryManager, "_probe_leaf",
-                              probe_leaf)
-                return manager._estimate(standing, applied)
-
-        estimates = 0
+        decisions = []
         for step in DEFAULT_STEPS:
             batch = generators[step.table].next_batch(step.change_rate,
                                                      step.mix)
             applied = apply_change_batch(dyno, batch,
                                          KEY_COLUMNS[step.table])
-            for standing in manager.queries.values():
-                if step.table not in standing.base_tables or \
-                        manager._forced_full_reason(standing, applied):
-                    continue
-                assert estimate_with(checked_probe, standing, applied) == \
-                    estimate_with(oracle_probe, standing, applied)
-                estimates += 1
+            on_batch(manager, applied)
             report = manager.refresh(applied)
             assert all(outcome.ok for outcome in report.outcomes)
-        assert estimates >= len(DEFAULT_STEPS) and probed
+            decisions.extend(
+                (d.query, d.table, d.sequence, d.strategy, round(d.ratio, 6))
+                for d in (outcome.decision for outcome in report.outcomes))
+        return decisions
+
+    def test_estimate_scans_no_base_table(self, monkeypatch):
+        qualified = count_engine_qualifications(monkeypatch)
+        opened: list[str] = []
+        original_open = DistributedFileSystem.open
+
+        def recording_open(dfs, name):
+            opened.append(name)
+            return original_open(dfs, name)
+
+        class Watched(dict):
+            def __getitem__(self, name):
+                opened.append(name)
+                return super().__getitem__(name)
+
+            def get(self, name, default=None):
+                opened.append(name)
+                return super().get(name, default)
+
+        estimates = []
+
+        def estimate(manager, applied):
+            dyno = manager.service.dyno
+            tables = dyno.tables
+            qualified["n"] = 0
+            with monkeypatch.context() as patch:
+                patch.setattr(DistributedFileSystem, "open", recording_open)
+                dyno.tables = Watched(tables)
+                try:
+                    for standing in manager.queries.values():
+                        if applied.batch.table in standing.base_tables and \
+                                not manager._forced_full_reason(standing,
+                                                                applied):
+                            estimates.append(
+                                manager._estimate(standing, applied))
+                finally:
+                    dyno.tables = tables
+            assert opened == [] and qualified["n"] == 0
+
+        self.sweep(estimate)
+        assert len(estimates) >= len(DEFAULT_STEPS)
+        assert None not in estimates
+
+    def test_decisions_on_the_default_steps_are_pinned(self):
+        assert self.sweep() == self.DECISIONS

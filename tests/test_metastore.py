@@ -4,11 +4,17 @@ import pytest
 
 from repro.errors import StatisticsError
 from repro.stats.metastore import (
+    LeafSource,
     StatisticsMetastore,
     bare_table_signature,
     table_signature_prefix,
 )
-from repro.stats.statistics import ColumnStats, TableStats
+from repro.stats.statistics import (
+    ColumnStats,
+    RunningColumn,
+    RunningStats,
+    TableStats,
+)
 
 
 def sample_stats():
@@ -113,70 +119,149 @@ class TestSignaturesForTable:
         assert table_signature_prefix("orders") == "table:orders|"
 
 
+def running_over(rows, keep=lambda row: True):
+    """Exact accumulator of the ``a.x`` values of ``rows`` that ``keep``
+    passes, 10 bytes a row (a stand-in for the pilot's kernel)."""
+    running = RunningStats(["a.x"])
+    for row in rows:
+        if keep(row):
+            running.update(row, 10)
+    return running
+
+
 class TestApplyTableDelta:
+    """One rule: an entry with a pilot's :class:`LeafSource` is folded
+    exactly, any other is invalidated. Leaves here are filter functions
+    and ``scan`` reads in-memory files through them."""
+
+    ORDERS = [{"a.x": value} for value in (1, 3, 5, 7, 9, 9)]
+
     def seeded(self):
         store = StatisticsMetastore()
-        store.put(bare_table_signature("orders"), sample_stats())
-        store.put("table:orders|price>5",
-                  TableStats(40.0, 2000.0, exact=True))
+        store.put(bare_table_signature("orders"), sample_stats(),
+                  LeafSource(lambda row: True, ("a.x",)))
+        store.put("table:orders|price>5", TableStats(40.0, 2000.0),
+                  LeafSource(lambda row: row["a.x"] > 5, ("a.x",)))
+        store.put("table:orders|loaded", TableStats(4.0, 40.0))
         store.put("table:orders@delta0|", TableStats(3.0, 30.0))
         return store
 
-    def test_append_only_merges_bare_and_invalidates_predicated(self):
-        store = self.seeded()
-        actions = store.apply_table_delta("orders", delta_rows=10.0,
-                                          delta_bytes=500.0,
-                                          append_only=True)
-        assert actions == {
-            "table:orders|": "merged",
-            "table:orders|price>5": "invalidated",
-        }
-        merged = store.get("table:orders|")
-        assert merged.row_count == 110.0
-        assert merged.size_bytes == 5500.0
-        # synopses survive the merge but can no longer claim exactness:
-        # distinct counts/extrema under-report the appended rows.
-        assert not merged.exact
-        assert merged.column("a.x").distinct_values == 10.0
-        assert store.get("table:orders|price>5") is None
-        assert store.table_epoch("orders") == 1
+    def apply(self, store, files, sequence=1, appended=(), deleted=()):
+        """Register the batch's files and fold it; returns the actions
+        and the files the fold read."""
+        inserts = f"orders@delta{sequence}" if appended else None
+        deletes = f"orders@delta{sequence}-del" if deleted else None
+        files.update({inserts: list(appended), deletes: list(deleted)})
+        files["orders"] = [row for row in files["orders"]
+                           if row not in deleted] + list(appended)
+        read = []
 
-    def test_deletes_invalidate_everything(self):
-        """Synopses cannot un-count: any batch with deletes or updates
-        must force re-piloting of every signature over the table, the
-        bare scan included."""
+        def scan(source, name):
+            read.append(name)
+            return running_over(files[name], source.leaf)
+
+        store.bump_table_epoch("orders")  # the caller's register_table
+        return store.apply_table_delta("orders", scan, inserts,
+                                       deletes), read
+
+    def assert_exact(self, store, signature, rows):
+        folded = store.get(signature)
+        truth = running_over(rows).freeze(exact=True)
+        assert folded.exact
+        assert (folded.row_count, folded.size_bytes) == \
+            (truth.row_count, truth.size_bytes)
+        assert folded.columns == truth.columns
+
+    def test_appends_fold_exactly_into_every_sourced_signature(self):
+        """Was: append-only batches merged the bare scan inexactly and
+        invalidated every predicated signature. Now every signature with a
+        source is exact after each batch; the first batch scans the new
+        version once, later ones read only the batch's rows."""
         store = self.seeded()
-        actions = store.apply_table_delta("orders", delta_rows=5.0,
-                                          delta_bytes=0.0,
-                                          append_only=False)
+        files = {"orders": list(self.ORDERS)}
+        actions, read = self.apply(store, files, 1, [{"a.x": 11}])
         assert actions == {
-            "table:orders|": "invalidated",
-            "table:orders|price>5": "invalidated",
+            "table:orders|": "folded",
+            "table:orders|loaded": "invalidated",
+            "table:orders|price>5": "folded",
         }
-        assert store.get("table:orders|") is None
-        assert store.get("table:orders|price>5") is None
-        assert store.table_epoch("orders") == 1
+        assert read.count("orders") == 2  # one build scan per signature
+        actions, read = self.apply(store, files, 2,
+                                   [{"a.x": 2}, {"a.x": 13}])
+        assert "orders" not in read
+        self.assert_exact(store, "table:orders|", files["orders"])
+        self.assert_exact(store, "table:orders|price>5",
+                          [row for row in files["orders"] if row["a.x"] > 5])
+        assert store.get("table:orders|").column("a.x").max_value == 13
+        assert store.get("table:orders|loaded") is None
+        assert store.table_epoch("orders") == 4
+
+    def test_deletes_subtract_from_the_count_tables(self, monkeypatch):
+        """Was: any delete or update invalidated every signature. Now the
+        deleted rows un-count exactly (row count, distinct values, and the
+        extrema the deleted values held); only a column whose count table
+        overflowed its budget cannot, and its entry is invalidated."""
+        store = self.seeded()
+        files = {"orders": list(self.ORDERS)}
+        self.apply(store, files, 1, [{"a.x": 11}])
+        actions, read = self.apply(store, files, 2, [{"a.x": 4}],
+                                   [{"a.x": 1}, {"a.x": 11}])
+        assert actions["table:orders|"] == "folded"
+        assert "orders" not in read
+        self.assert_exact(store, "table:orders|", files["orders"])
+        self.assert_exact(store, "table:orders|price>5",
+                          [row for row in files["orders"] if row["a.x"] > 5])
+        bare = store.get("table:orders|").column("a.x")
+        assert (bare.min_value, bare.max_value) == (3, 9)
+
+        # Past three distinct values a count table is dropped: the bare
+        # scan's overflows on the next append, the predicated one's not.
+        monkeypatch.setattr(RunningColumn, "MAX_EXACT_VALUES", 3)
+        self.apply(store, files, 3, [{"a.x": 20}])
+        actions, _ = self.apply(store, files, 4, (), [{"a.x": 3}])
+        assert actions == {"table:orders|": "invalidated",
+                           "table:orders|price>5": "folded"}
+        self.assert_exact(store, "table:orders|price>5",
+                          [row for row in files["orders"] if row["a.x"] > 5])
 
     def test_delta_file_signatures_are_untouched(self):
+        """A fold publishes its own batch's delta files and leaves an
+        earlier batch's alone (they die with that batch's refresh)."""
         store = self.seeded()
-        store.apply_table_delta("orders", delta_rows=5.0, delta_bytes=0.0,
-                                append_only=False)
+        self.apply(store, {"orders": list(self.ORDERS)}, 1, [{"a.x": 6}],
+                   [{"a.x": 1}])
         assert store.get("table:orders@delta0|").row_count == 3.0
+        assert store.get("table:orders@delta1|").row_count == 1.0
+        assert store.get("table:orders@delta1-del|").row_count == 1.0
+        assert store.get("table:orders@delta1|price>5").row_count == 1.0
+        assert store.get("table:orders@delta1-del|price>5").row_count == 0.0
 
     def test_fold_notifies_listeners_per_signature(self):
         store = self.seeded()
         events = []
         store.subscribe(lambda sig, stats: events.append((sig, stats is None)))
-        store.apply_table_delta("orders", delta_rows=1.0, delta_bytes=10.0,
-                                append_only=True)
-        assert ("table:orders|", False) in events      # merged -> put
-        assert ("table:orders|price>5", True) in events  # invalidated
+        self.apply(store, {"orders": list(self.ORDERS)}, 1, [{"a.x": 6}])
+        assert ("table:orders|", False) in events         # folded -> put
+        assert ("table:orders|price>5", False) in events
+        assert ("table:orders|loaded", True) in events    # invalidated
+        assert ("table:orders@delta1|", False) in events  # published
 
     def test_unknown_table_is_a_noop_with_an_epoch_bump(self):
         store = StatisticsMetastore()
-        assert store.apply_table_delta("ghost", 1.0, 1.0,
-                                       append_only=True) == {}
+        assert store.apply_table_delta("ghost", scan=None) == {}
         assert store.table_epoch("ghost") == 1
+
+    def test_a_table_registered_behind_the_folds_back_is_rescanned(self):
+        """Mergeable state is in step with one table version; a version
+        registered without a fold makes the next fold scan afresh."""
+        store = self.seeded()
+        files = {"orders": list(self.ORDERS)}
+        self.apply(store, files, 1, [{"a.x": 11}])
+        store.bump_table_epoch("orders")  # re-registered, no fold
+        files["orders"] = files["orders"][:2]
+        _, read = self.apply(store, files, 2, [{"a.x": 2}])
+        assert read.count("orders") == 2
+        self.assert_exact(store, "table:orders|", files["orders"])
 
 
 class TestPersistence:

@@ -330,22 +330,22 @@ PARITY_SCENARIOS = {
         "argv": ["--standing", "--scale-factor", "0.05", "--changes", "3"],
         "plan": None,
         "counters": {
-            "bytes.output": 1506364.0, "dynopt.estimate_misses": 12.0,
-            "dynopt.midjob_replans": 1.0, "dynopt.optimizations": 12.0,
-            "dynopt.subplans_executed": 12.0,
+            "bytes.output": 987361.0, "dynopt.estimate_misses": 13.0,
+            "dynopt.midjob_replans": 2.0, "dynopt.optimizations": 13.0,
+            "dynopt.subplans_executed": 13.0,
             "incremental.cdc_batches": 3.0,
             "incremental.refresh_delta": 2.0,
-            "incremental.refresh_full": 4.0, "jobs.executed": 36.0,
-            "pilot.jobs_run": 17.0, "pilot.reused": 9.0,
-            "plan_cache.misses": 12.0, "queries.executed": 11.0,
-            "rows.output": 7729.0, "service.batches": 5.0,
+            "incremental.refresh_full": 4.0, "jobs.executed": 27.0,
+            "pilot.jobs_run": 7.0, "pilot.reused": 19.0,
+            "plan_cache.misses": 13.0, "queries.executed": 11.0,
+            "rows.output": 4610.0, "service.batches": 5.0,
             "service.queries": 11.0, "service.tenant_waits": 11.0,
         },
         "counts": {
-            "batch.makespan_s": 30, "incremental.cdc_rows": 3,
-            "job.driver_wall_s": 36, "job.sim_elapsed_s": 36,
-            "optimizer.sim_s": 12, "pilot.sim_s": 11, "qerror.bytes": 12,
-            "qerror.rows": 12, "query.driver_wall_s": 11,
+            "batch.makespan_s": 23, "incremental.cdc_rows": 3,
+            "job.driver_wall_s": 27, "job.sim_elapsed_s": 27,
+            "optimizer.sim_s": 13, "pilot.sim_s": 3, "qerror.bytes": 13,
+            "qerror.rows": 13, "query.driver_wall_s": 11,
             "query.sim_execution_s": 11, "query.sim_optimizer_s": 11,
             "query.sim_pilot_s": 11, "service.queue_depth": 16,
             "service.tenant_wait_s": 11,
@@ -353,13 +353,13 @@ PARITY_SCENARIOS = {
             "service.tenant_wait_s.standing": 8,
         },
         "totals": {
-            "batch.makespan_s": 1113.1818667708335,
+            "batch.makespan_s": 858.5342859999997,
             "incremental.cdc_rows": 516.0,
-            "job.sim_elapsed_s": 1215.434841875,
-            "optimizer.sim_s": 0.36, "pilot.sim_s": 415.4343513541667,
-            "query.sim_execution_s": 697.7475154166667,
-            "query.sim_optimizer_s": 0.36,
-            "query.sim_pilot_s": 415.4343513541667,
+            "job.sim_elapsed_s": 926.4087389999999,
+            "optimizer.sim_s": 0.378, "pilot.sim_s": 132.60449599999998,
+            "query.sim_execution_s": 725.92979,
+            "query.sim_optimizer_s": 0.378,
+            "query.sim_pilot_s": 132.60449599999998,
             "service.queue_depth": 20.0,
         },
     },

@@ -1,5 +1,7 @@
 """Running statistics, merging, extrapolation, composite columns."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -84,6 +86,61 @@ class TestRunningStats:
         )
         assert combined.column("x").min_value == whole.column("x").min_value
         assert combined.column("x").max_value == whole.column("x").max_value
+
+
+class TestFold:
+    """``absorb`` and ``retract`` reach the state of a fresh scan of the
+    rows that remain (the CDC fold, repro.stats.metastore)."""
+
+    @staticmethod
+    def frozen(running):
+        """Frozen columns without heavy-hitter tie order, which follows
+        first observation and so may differ once a first sighting is
+        deleted."""
+        stats = running.freeze()
+        return (stats.row_count, stats.size_bytes,
+                {name: replace(column, heavy_hitters=())
+                 for name, column in stats.columns.items()})
+
+    @given(st.lists(st.one_of(st.none(), st.integers(0, 30)), max_size=80),
+           st.lists(st.one_of(st.none(), st.integers(0, 40)), max_size=40),
+           st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_fold_equals_a_fresh_scan_of_what_remains(self, base, appended,
+                                                      data):
+        rows = base + appended
+        doomed = data.draw(st.sets(st.integers(0, max(len(rows) - 1, 0)),
+                                   max_size=len(rows)))
+        doomed = {index for index in doomed if index < len(rows)}
+        running = collect(base, kmv_size=4)
+        assert running.retract(collect([rows[i] for i in sorted(doomed)
+                                        if i < len(base)], kmv_size=4))
+        running.absorb(collect(appended, kmv_size=4))
+        assert running.retract(collect([rows[i] for i in sorted(doomed)
+                                        if i >= len(base)], kmv_size=4))
+        remaining = [value for index, value in enumerate(rows)
+                     if index not in doomed]
+        fresh = collect(remaining, kmv_size=4)
+        assert self.frozen(running) == self.frozen(fresh)
+        assert running.columns["x"].synopsis.snapshot() == \
+            fresh.columns["x"].synopsis.snapshot()
+
+    def test_retract_refuses_what_it_cannot_un_count(self):
+        running = collect([1, 2, 2])
+        before = running.freeze()
+        assert not running.retract(collect([3]))       # never counted
+        assert not running.retract(collect([2, 2, 2]))  # counted twice
+        assert running.freeze() == before
+        nested = RunningStats(["x"])
+        nested.update({"x": {"a": 1}}, 10)
+        assert not nested.retract(RunningStats(["x"]))  # no plain key
+        running.columns["x"].value_counts = None        # budget exceeded
+        assert not running.retract(collect([1]))
+        assert running.row_count == 3
+
+    def test_fold_mismatched_columns_rejected(self):
+        with pytest.raises(StatisticsError):
+            RunningStats(["a"]).absorb(RunningStats(["b"]))
 
 
 class TestCompositeColumns:
