@@ -12,7 +12,18 @@ pins to ``rel_tol=1e-9`` and every pinned per-layer count of the traced
 pass must match exactly, as must the plan- and result-cache counts of
 the serving and standing workloads and, on ``standing_refresh``, the
 refreshes' sim-seconds (``standing.sim_s``, a float) and the change
-rows applied (``cdc.delta_rows``). A change that trips the gate without
+rows applied (``cdc.delta_rows``).
+
+Two counts measure the driver's own work, which the simulated clock
+does not see: the rows sized by ``Schema.estimated_row_sizes`` (the
+schema sizer every DFS write without carried sizes runs,
+``sizing.schema_rows``) and by ``estimate_dict_sizes`` (the value sizer
+behind ``DFSFile.value_sizes`` and ``RowBatch.ensure_sizes``, called
+outside the schema sizer, ``sizing.value_rows``) inside the traced
+pass's timed segments. They are harvested here, not by the suite:
+the measuring child is this script, which wraps the two functions and
+``Recorder.segment`` before handing its arguments to the suite's
+command line. A change that trips the gate without
 meaning to has changed a byte size, a plan, the amount of data a job
 touches or what the caches reuse; one
 that means to re-pins what it moved (``--write`` rewrites the pins of
@@ -54,6 +65,10 @@ CACHED_WORKLOADS = ("serving_uncached", "serving_cached", "standing_refresh")
 PINNED_SIM_SECONDS = ("pilot.sim_s", "dynopt.sim_optimizer_s",
                       "dynopt.sim_execution_s")
 EXTRA_SIM_SECONDS = {"standing_refresh": ("standing.sim_s",)}
+#: rows the driver sized in the traced pass's timed phase, by sizer.
+SIZING_COUNTS = ("sizing.schema_rows", "sizing.value_rows")
+#: first argument of the measuring child (see :func:`child`).
+CHILD = "--child"
 
 
 def measure(workload: str, seed: int, seconds: float) -> dict:
@@ -61,7 +76,7 @@ def measure(workload: str, seed: int, seconds: float) -> dict:
     with tempfile.TemporaryDirectory() as scratch:
         record_path = Path(scratch) / "record.json"
         done = subprocess.run(
-            [sys.executable, "-m", "benchmarks.suite",
+            [sys.executable, str(Path(__file__).resolve()), CHILD,
              "--workload", workload, "--seed", str(seed),
              "--seconds", str(seconds), "--trace", "1",
              "--record", str(record_path)],
@@ -73,10 +88,72 @@ def measure(workload: str, seed: int, seconds: float) -> dict:
         return json.loads(record_path.read_text())
 
 
+def child(argv: list[str]) -> int:
+    """``python -m benchmarks.suite ARGV`` with the sizers counted.
+
+    Rows count when the call returns inside a timed segment of the
+    traced pass (the recorder carries a tracer there). A value-sizer
+    call made by the schema sizer (empty schemas delegate to it) counts
+    once, as schema work.
+    """
+    sys.path[:0] = [str(REPO_ROOT), str(REPO_ROOT / "src")]
+    import contextlib
+
+    from benchmarks.suite import cli
+    from benchmarks.suite.workloads import Recorder
+    from repro.data import schema as schema_module
+
+    counts = dict.fromkeys(SIZING_COUNTS, 0)
+    state = {"timed": False, "depth": 0}
+
+    def counted(fn, name, nested_ok):
+        def sizer(*args):
+            state["depth"] += 1
+            try:
+                sizes = fn(*args)
+            finally:
+                state["depth"] -= 1
+            if state["timed"] and (nested_ok or not state["depth"]):
+                counts[name] += len(sizes)
+            return sizes
+        return sizer
+
+    schema_sizer = schema_module.Schema.estimated_row_sizes
+    schema_module.Schema.estimated_row_sizes = counted(
+        schema_sizer, "sizing.schema_rows", True)
+    value_sizer = schema_module.estimate_dict_sizes
+    wrapped = counted(value_sizer, "sizing.value_rows", False)
+    # Every module that bound the function by name calls it from there.
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("repro") and \
+                vars(module).get("estimate_dict_sizes") is value_sizer:
+            module.estimate_dict_sizes = wrapped
+
+    segment = Recorder.segment
+
+    @contextlib.contextmanager
+    def timed_segment(recorder, op_id):
+        with segment(recorder, op_id):
+            state["timed"] = recorder.tracer is not None
+            try:
+                yield
+            finally:
+                state["timed"] = False
+
+    Recorder.segment = timed_segment
+    status = cli.measure_main(argv)
+    record_path = Path(argv[argv.index("--record") + 1])
+    record = json.loads(record_path.read_text())
+    record["sizing"] = counts
+    record_path.write_text(json.dumps(record, indent=2) + "\n")
+    return status
+
+
 def measured_pins(workload: str,
                   record: dict) -> tuple[float, dict, dict]:
     names = PINNED_COUNTS + EXTRA_COUNTS.get(workload, ())
     counts = {name: int(record["metrics"][name]["value"]) for name in names}
+    counts.update(record["sizing"])
     if workload in CACHED_WORKLOADS:
         counts.update({name: int(record["counts"][name])
                        for name in CACHE_COUNTS})
@@ -87,6 +164,8 @@ def measured_pins(workload: str,
 
 
 def main(argv: list[str]) -> int:
+    if argv[:1] == [CHILD]:
+        return child(argv[1:])
     pins = json.loads(PINS.read_text())
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", action="append",
