@@ -52,6 +52,7 @@ from repro.jaql.rewrites import push_down_filters
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.stats.metastore import StatisticsMetastore
 from repro.stats.statistics import TableStats
+from repro.storage.dfs import DFSFile
 from repro.core.dynopt import (
     BlockExecutionResult,
     DynoptExecutor,
@@ -158,7 +159,8 @@ class Dyno:
 
     # -- catalog ------------------------------------------------------------------------
 
-    def register_table(self, name: str, table: Table) -> None:
+    def register_table(self, name: str, table: Table,
+                       sizes_from: DFSFile | None = None) -> None:
         """Publish ``table`` under ``name`` (overwriting any prior data).
 
         Every registration bumps the metastore's epoch for ``name``:
@@ -166,9 +168,13 @@ class Dyno:
         identical synopses is invisible to statistics fingerprints -- the
         epoch is what keeps the result cache from serving rows computed
         over the previous contents (see repro.stats.metastore).
+        ``sizes_from`` is a DFS file sharing row dicts with ``table``,
+        whose sizes those rows keep (see ``DistributedFileSystem.
+        write_table``).
         """
         self.tables[name] = table
-        self.dfs.write_table(table, name=name, overwrite=True)
+        self.dfs.write_table(table, name=name, overwrite=True,
+                             sizes_from=sizes_from)
         self.metastore.bump_table_epoch(name)
 
     # -- query preparation ----------------------------------------------------------------

@@ -96,20 +96,8 @@ class Table:
         """
         hints = self._size_hints
         if hints is None:
-            schema = self.schema
-            sizes = schema.estimated_row_sizes(self.rows)
-            if not schema.fields:
-                exact = True
-            elif not schema.sizes_value_exact_scannable:
-                exact = False
-            else:
-                exact = all(
-                    column_values_conform(
-                        ftype.kind, [row.get(name) for row in self.rows]
-                    )
-                    for name, ftype in schema.fields
-                )
-            hints = (sizes, exact)
+            hints = (self.schema.estimated_row_sizes(self.rows),
+                     sizes_value_exact(self.schema, self.rows))
             self._size_hints = hints
         return hints
 
@@ -161,9 +149,12 @@ class Table:
         """New table with a CDC batch applied; ``self`` stays untouched.
 
         Rows are engine-wide immutable, so change application builds a
-        fresh ``Table`` (fresh row list, copied row dicts for updated
-        rows) rather than mutating in place -- earlier registrations of
-        the same table may still be referenced by in-flight queries.
+        fresh ``Table`` (a fresh row list) rather than mutating in place
+        -- earlier registrations of the same table may still be
+        referenced by in-flight queries. The new table holds the very
+        dicts of ``self``'s unchanged rows, of ``inserts`` and of the
+        update postimages (the caller hands over rows it will not
+        mutate), so a row's identity says whether this batch wrote it.
         Deletes and updates match on ``key_column``; a delete of an
         absent key or an update preimage that matches nothing raises, so
         generator bugs surface instead of silently diverging from the
@@ -179,7 +170,7 @@ class Table:
                     f"update changes key {key_column!r}; model key-changing "
                     "updates as delete+insert instead"
                 )
-            replaced[_hashable(before.get(key_column))] = dict(after)
+            replaced[_hashable(before.get(key_column))] = after
         rows: list[Row] = []
         seen_deletes: set[Any] = set()
         seen_updates: set[Any] = set()
@@ -203,8 +194,26 @@ class Table:
             raise SchemaError(
                 f"update keys not present in {self.name}: "
                 + ", ".join(missing))
-        rows.extend(dict(row) for row in inserts)
+        rows.extend(inserts)
         return Table(self.name, self.schema, rows)
+
+
+def sizes_value_exact(schema: Schema, rows: Sequence[Row]) -> bool:
+    """Do ``schema``'s row sizes equal ``estimate_value_size`` for every
+    row of ``rows``? (The answer to ``DFSFile.sizes_are_value_exact``.)
+
+    Always for an empty schema (its sizer *is* the value sizer), never
+    for one with field kinds that size differently; otherwise exactly
+    when every value of every column conforms to its kind.
+    """
+    if not schema.fields:
+        return True
+    if not schema.sizes_value_exact_scannable:
+        return False
+    return all(
+        column_values_conform(ftype.kind, [row.get(name) for row in rows])
+        for name, ftype in schema.fields
+    )
 
 
 def _hashable(value: Any) -> Any:

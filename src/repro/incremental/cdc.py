@@ -10,11 +10,16 @@ things atomically from the engine's point of view:
 1. the base table is rebuilt (:meth:`Table.with_changes`) and
    re-registered under its own name -- the DFS file is overwritten and
    the table's data epoch bumps, so the result cache can never serve
-   rows computed over the previous contents;
+   rows computed over the previous contents. The new version shares
+   its unchanged rows with the file it overwrites and takes their sizes
+   from it, so only the batch's inserted and updated rows are sized;
 2. the batch's *delta files* are published as ordinary scannable tables:
    the insert side (inserts + update postimages) as
    ``{table}@delta{seq}``, the delete side (deletes + update preimages)
-   as ``{table}@delta{seq}-del``. Delta tables are first-class leaves --
+   as ``{table}@delta{seq}-del``. The insert side holds the new
+   version's own row dicts and carries their sizes from its file, so
+   a batch's inserted rows are sized once. Delta tables are first-class
+   leaves --
    they carry statistics and optimize like any base table (step 3
    publishes their statistics, so they need no pilot), which is what
    lets a refresh query go through the full optimize->replan path;
@@ -248,30 +253,37 @@ def apply_change_batch(dyno, batch: ChangeBatch,
                        key_column: str) -> AppliedChange:
     """Fold one change batch into a running :class:`~repro.core.dyno.Dyno`.
 
-    Ordering matters only at the end: the metastore fold runs *after*
-    the base table is re-registered, so by the time cache-invalidation
+    Ordering matters twice: the insert-side delta file is written after
+    the new version, whose sizes it carries, and the metastore fold runs
+    *after* every file is registered, so by the time cache-invalidation
     listeners fire, any re-executed query already sees the new data.
     """
     base = dyno.tables.get(batch.table)
     if base is None:
         raise PlanError(f"unknown table {batch.table!r} in change batch")
 
-    new_table = base.with_changes(key_column, batch.inserts,
-                                  batch.deletes, batch.updates)
+    # The engine's own copies of the rows the batch writes: the new
+    # version and the insert-side delta file share them, and their sizes.
+    inserts = [dict(row) for row in batch.inserts]
+    updates = [(before, dict(after)) for before, after in batch.updates]
+    new_table = base.with_changes(key_column, inserts, batch.deletes,
+                                  updates)
+    dyno.register_table(batch.table, new_table,
+                        sizes_from=dyno.dfs.open(batch.table))
 
-    insert_rows = [dict(row) for row in batch.delta_inserts]
+    insert_rows = inserts + [after for _, after in updates]
     delete_rows = [dict(row) for row in batch.delta_deletes]
     insert_delta = delete_delta = None
     if insert_rows:
         insert_delta = insert_delta_name(batch.table, batch.sequence)
         dyno.register_table(insert_delta,
-                            Table(insert_delta, base.schema, insert_rows))
+                            Table(insert_delta, base.schema, insert_rows),
+                            sizes_from=dyno.dfs.open(batch.table))
     if delete_rows:
         delete_delta = delete_delta_name(batch.table, batch.sequence)
         dyno.register_table(delete_delta,
                             Table(delete_delta, base.schema, delete_rows))
 
-    dyno.register_table(batch.table, new_table)
     records_read = 0
     kmv_size = dyno.config.pilot.kmv_size
 

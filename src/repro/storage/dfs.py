@@ -18,7 +18,7 @@ from repro.data.schema import (
     column_values_conform,
     estimate_dict_sizes,
 )
-from repro.data.table import Row, Table, qualify_row
+from repro.data.table import Row, Table, qualify_row, sizes_value_exact
 from repro.errors import StorageError
 
 #: Aliases one file version keeps qualified rows for (oldest dropped). A
@@ -235,6 +235,53 @@ class DFSFile:
         return Table(self.name, self.schema, list(self.rows))
 
 
+def _carried_sizes(table: Table, donor: DFSFile
+                  ) -> tuple[list[int], bool, list[int] | None] | None:
+    """``table``'s row sizes, value-exactness and value sizes, taking
+    both sizes of every row ``donor`` holds (the same dict) from it.
+
+    Rows are engine-wide immutable, so a row's sizes are a pure function
+    of the dict and the schema: only the rows ``donor`` lacks are sized
+    and type-scanned. The value sizes are None (left to
+    :meth:`DFSFile.value_sizes`) when the result is value-exact or
+    ``donor`` never computed its own. Returns None -- size everything --
+    when ``donor`` has another schema, or is not value-exact though its
+    schema is scannable: the row that spoilt it may be gone, and only a
+    scan of every row can tell.
+    """
+    schema = table.schema
+    if donor.schema != schema:
+        return None
+    donor_exact = donor.sizes_are_value_exact
+    if not donor_exact and schema.fields \
+            and schema.sizes_value_exact_scannable:
+        return None
+    rows = table.rows
+    position = dict(zip(map(id, donor.rows), range(len(donor.rows))))
+    slots = [position.get(id(row)) for row in rows]
+    fresh = [i for i, slot in enumerate(slots) if slot is None]
+    fresh_rows = [rows[i] for i in fresh]
+    exact = donor_exact and sizes_value_exact(schema, fresh_rows)
+    row_sizes = _merge_sizes(donor.row_sizes, slots, fresh,
+                             schema.estimated_row_sizes(fresh_rows))
+    donor_values = donor.row_sizes if donor_exact else donor._value_sizes
+    value_sizes = None
+    if not exact and donor_values is not None:
+        value_sizes = _merge_sizes(donor_values, slots, fresh,
+                                   estimate_dict_sizes(fresh_rows))
+    return row_sizes, exact, value_sizes
+
+
+def _merge_sizes(carried: Sequence[int], slots: list[int | None],
+                 fresh: list[int], fresh_sizes: list[int]) -> list[int]:
+    """Per-row sizes: ``carried[slot]`` where a row has a slot, else the
+    next of ``fresh_sizes`` (sized for the rows at ``fresh``)."""
+    sizes = [0 if slot is None else carried[slot] for slot in slots]
+    for i, size in zip(fresh, fresh_sizes):
+        sizes[i] = size
+    return sizes
+
+
 class DistributedFileSystem:
     """Namespace of :class:`DFSFile` objects plus byte accounting."""
 
@@ -260,18 +307,30 @@ class DistributedFileSystem:
         return sorted(self._files)
 
     def write_table(self, table: Table, name: str | None = None,
-                    overwrite: bool = False) -> DFSFile:
+                    overwrite: bool = False,
+                    sizes_from: DFSFile | None = None) -> DFSFile:
         """Materialize a table as a DFS file (the load path).
 
         Sizing and the value-exactness scan are memoized on the table,
         so loading the same table into many DFS instances (every bench
-        rep, every service run) pays them once.
+        rep, every service run) pays them once. ``sizes_from`` is a file
+        that holds some of ``table``'s row dicts (the version a change
+        batch replaces): those rows take their sizes from it and only
+        the rest are sized (see :func:`_carried_sizes`).
         """
-        row_sizes, sizes_exact = table.dfs_size_hints()
-        return self.write_rows(
+        carried = (None if sizes_from is None
+                   else _carried_sizes(table, sizes_from))
+        if carried is None:
+            row_sizes, sizes_exact = table.dfs_size_hints()
+            value_sizes = None
+        else:
+            row_sizes, sizes_exact, value_sizes = carried
+        dfs_file = self.write_rows(
             name or table.name, table.schema, table.rows,
             overwrite=overwrite, row_sizes=row_sizes, sizes_exact=sizes_exact,
         )
+        dfs_file._value_sizes = value_sizes
+        return dfs_file
 
     def write_rows(self, name: str, schema: Schema, rows: Iterable[Row],
                    overwrite: bool = False,

@@ -8,9 +8,15 @@ angles: (a) every shape of file hands out value-exact sizes, (b) an
 engine sweep re-derives every job output and every loaded build from
 scratch and compares, (c) a warm request makes no sizing call that is
 not a freshly aggregated record (a map-side partial or a result row).
+A fourth, (d): a change batch sizes only the rows it writes -- the new
+version of the table carries every unchanged row's sizes from the file
+it overwrites, the insert-side delta file carries the new version's,
+and what they carry equals a fresh sizing.
 """
 
+import gc
 import sys
+import weakref
 
 import pytest
 
@@ -27,9 +33,17 @@ from repro.data.schema import (
     Schema,
     estimate_value_size,
 )
+from repro.data.table import Table
+from repro.incremental import ChangeBatch, ChangeGenerator, apply_change_batch
 from repro.service import QueryRequest, QueryService
 from repro.storage.dfs import DFSFile, DistributedFileSystem
-from repro.workloads.queries import q10
+from repro.workloads.changing import (
+    KEY_COLUMNS,
+    changing_tables,
+    changing_udfs,
+    premium_sessions,
+)
+from repro.workloads.queries import q2, q10
 from repro.workloads.skewed import skewed_join
 from repro.workloads.weblogs import (
     PAGEVIEW_SCHEMA,
@@ -242,3 +256,141 @@ class TestReWalkBudget:
         # creates -- its map-side partial records and its result rows.
         assert partials["n"] > 0
         assert 0 < calls["n"] <= partials["n"] + len(warm.rows)
+
+
+# ---------------------------------------------------------------------------
+# (d) a change batch sizes the rows it writes, not the table
+# ---------------------------------------------------------------------------
+
+#: (table, (insert, update, delete) weights): append, update, delete and
+#: a mix of all three, on the nested table and on the typed one.
+CHANGE_STEPS = tuple(
+    (table, mix)
+    for mix in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0),
+                (1.0, 1.0, 1.0))
+    for table in ("pageviews", "users")
+)
+
+
+def fresh_file(dfs_file):
+    """``dfs_file``'s rows written into an empty DFS by a new table."""
+    table = Table(dfs_file.name, dfs_file.schema, list(dfs_file.rows))
+    dfs = DistributedFileSystem(dfs_file.block_size_bytes)
+    return dfs.write_table(table)
+
+
+class TestChangeBatchSizing:
+    def assert_sized_afresh(self, dfs_file, label):
+        fresh = fresh_file(dfs_file)
+        assert dfs_file.row_sizes == fresh.row_sizes, label
+        assert dfs_file.size_bytes == fresh.size_bytes, label
+        assert dfs_file.splits == fresh.splits, label
+        assert dfs_file.sizes_are_value_exact == \
+            fresh.sizes_are_value_exact, label
+        assert dfs_file.value_sizes() == fresh.value_sizes(), label
+
+    def test_carried_sizes_equal_a_fresh_sizing(self):
+        """104 seeded batches; files come both with value sizes carried
+        and without. A ``users`` row whose ``premium`` is an int spoils
+        that table's value-exactness while it lives."""
+        dyno = Dyno(changing_tables(0.02), udfs=changing_udfs())
+        generators = {
+            name: ChangeGenerator(dyno.tables[name], KEY_COLUMNS[name],
+                                  seed=2014)
+            for name in ("pageviews", "users")
+        }
+        spoiler = dict(dyno.tables["users"].rows[0], userid=10**9,
+                       premium=1)
+        exact_users = []
+        carried_values = set()
+        for step in range(13 * len(CHANGE_STEPS)):
+            table, mix = CHANGE_STEPS[step % len(CHANGE_STEPS)]
+            if step == 50:
+                table, batch = "users", ChangeBatch(
+                    "users", 1000, inserts=(spoiler,))
+            elif step == 80:
+                table, batch = "users", ChangeBatch(
+                    "users", 1001, deletes=(spoiler,))
+            else:
+                batch = generators[table].next_batch(0.05, mix)
+            applied = apply_change_batch(dyno, batch, KEY_COLUMNS[table])
+            names = [table, applied.insert_delta, applied.delete_delta]
+            for name in filter(None, names):
+                dfs_file = dyno.dfs.open(name)
+                carried_values.add(dfs_file._value_sizes is not None)
+                self.assert_sized_afresh(dfs_file,
+                                         f"{name} after batch {step}")
+            exact_users.append(dyno.dfs.open("users").sizes_are_value_exact)
+        assert all(exact_users[:50]) and all(exact_users[80:])
+        assert not any(exact_users[50:80])
+        assert carried_values == {True, False}
+        assert dyno.dfs.open("pageviews").sizes_are_value_exact is False
+
+    def test_a_batch_sizes_only_the_rows_it_writes(self, monkeypatch):
+        dyno = Dyno(changing_tables(0.02), udfs=changing_udfs())
+        pageviews = dyno.dfs.open("pageviews")
+        pageviews.value_sizes()
+        batch = ChangeGenerator(dyno.tables["pageviews"], "eventid",
+                                seed=7).next_batch(0.1, (1.0, 1.0, 1.0))
+        sized = {"schema": 0, "value": 0}
+        schema_sizer = Schema.estimated_row_sizes
+        value_sizer = schema_module.estimate_dict_sizes
+
+        def schema_rows(schema, rows):
+            sizes = schema_sizer(schema, rows)
+            sized["schema"] += len(sizes)
+            return sizes
+
+        def value_rows(rows):
+            sizes = value_sizer(rows)
+            sized["value"] += len(sizes)
+            return sizes
+
+        monkeypatch.setattr(Schema, "estimated_row_sizes", schema_rows)
+        monkeypatch.setattr("repro.storage.dfs.estimate_dict_sizes",
+                            value_rows)
+        applied = apply_change_batch(dyno, batch, "eventid")
+        written = len(batch.inserts) + len(batch.updates)
+        # The new version sizes its inserted and updated rows (both
+        # ways: the old version's value sizes were computed), the
+        # insert-side delta file sizes nothing, the delete side its own.
+        assert sized == {"schema": written + len(batch.delta_deletes),
+                         "value": written}
+        new = dyno.dfs.open("pageviews")
+        inserted = dyno.dfs.open(applied.insert_delta)
+        assert new._value_sizes is not None
+        assert inserted.value_sizes() is inserted._value_sizes
+        assert all(any(row is kept for kept in new.rows)
+                   for row in inserted.rows)
+
+    def test_a_stage_output_is_sized_afresh(self, monkeypatch,
+                                            tpch_tables):
+        """Only a change batch asks for carried sizes: a multi-stage
+        query overwriting its stage output sizes the table it writes."""
+        dyno = Dyno(tpch_tables)
+        monkeypatch.setattr(
+            "repro.storage.dfs._carried_sizes",
+            lambda *args: pytest.fail("a stage output carried sizes"))
+        for _ in range(2):
+            dyno.execute_multi(q2().stages)
+        assert dyno.dfs.open("q2mincost").row_count
+
+    def test_replaced_versions_are_not_kept_alive(self):
+        tables = changing_tables(0.02)
+        users = tables["users"]
+        first = Table("users", users.schema, list(users.rows))
+        dyno = Dyno({**tables, "users": first}, udfs=changing_udfs())
+        dyno.execute_multi(premium_sessions().stages)
+        first_file = dyno.dfs.open("users")
+        assert any(row is not None for row in first_file._qualified["u"])
+        file_ref, table_ref = weakref.ref(first_file), weakref.ref(first)
+        generator = ChangeGenerator(first, "userid", seed=2014)
+        del first, first_file
+        for _ in range(3):
+            batch = generator.next_batch(0.3, (1.0, 1.0, 1.0))
+            apply_change_batch(dyno, batch, "userid")
+            # A new version starts with an empty memo of qualified rows.
+            assert not dyno.dfs.open("users")._qualified
+        gc.collect()
+        assert file_ref() is None
+        assert table_ref() is None
